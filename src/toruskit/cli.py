@@ -61,7 +61,6 @@ def _add_globals(parser, suppress: bool) -> None:
     kw = {"default": argparse.SUPPRESS} if suppress else {}
     parser.add_argument("--config", help="full experiment config (JSON)", **kw)
     parser.add_argument("--seed", type=int, help="random seed", **kw)
-    parser.add_argument("--threads", type=int, help="worker threads", **kw)
     parser.add_argument("--out-dir", help="output directory", **kw)
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the enumeration cache", **kw)
@@ -141,8 +140,6 @@ def _assemble(args) -> dict:
     raw["kind"] = args.kind
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.threads is not None:
-        raw["threads"] = args.threads
     if args.out_dir is not None:
         raw["out_dir"] = args.out_dir
     if args.no_cache:

@@ -45,12 +45,16 @@ def phi(basis: LatticeBasis, j) -> PhiPoint:
     return PhiPoint(jt, mu(basis, jt))
 
 
-def phi_distance(basis: LatticeBasis, j, j2):
-    """Sup-norm of Phi(j2) - Phi(j): max of spatial gap and eigenvalue gap."""
+def _phi_sup(j, j2, mu_j, mu_j2):
     spatial = max(abs(a - b) for a, b in zip(j, j2))
-    gap = mu(basis, j2) - mu(basis, j)
+    gap = mu_j2 - mu_j
     return max(Fr(spatial) if isinstance(gap, Fraction) else float(spatial),
                abs(gap))
+
+
+def phi_distance(basis: LatticeBasis, j, j2):
+    """Sup-norm of Phi(j2) - Phi(j): max of spatial gap and eigenvalue gap."""
+    return _phi_sup(j, j2, mu(basis, j), mu(basis, j2))
 
 
 def is_gamma_link(basis: LatticeBasis, j, j2, gamma) -> bool:
@@ -60,11 +64,14 @@ def is_gamma_link(basis: LatticeBasis, j, j2, gamma) -> bool:
     return phi_distance(basis, j, j2) <= gamma
 
 
+def _relation_rule(j, j2, mu_j, mu_j2, delta) -> bool:
+    s = exact.sup_norm(j) + exact.sup_norm(j2)
+    return exact.le_pow(_phi_sup(j, j2, mu_j, mu_j2), s, delta)
+
+
 def relation_link(basis: LatticeBasis, j, j2, delta) -> bool:
     """One step of the cluster relation: Phi-gap at most (|j|+|j2|)**delta."""
-    s = exact.sup_norm(j) + exact.sup_norm(j2)
-    dist = phi_distance(basis, j, j2)
-    return exact.le_pow(dist, s, delta)
+    return _relation_rule(j, j2, mu(basis, j), mu(basis, j2), delta)
 
 
 @dataclass(frozen=True)
@@ -98,20 +105,26 @@ def box_sites(radius: int, d: int):
     return [tuple(p) for p in product(range(-radius, radius + 1), repeat=d)]
 
 
-def _box_adjacency(basis, sites, index, link_radius, accept):
-    """Sorted adjacency lists for the symmetric predicate ``accept``."""
-    d = basis.d
-    offsets = [o for o in product(range(-link_radius, link_radius + 1), repeat=d)
-               if o > tuple([0] * d)]
-    adjacency = [[] for _ in sites]
+def positive_offsets(d: int, radius: int) -> list:
+    """Lexicographically positive offsets of sup-norm at most radius, in order."""
+    return [o for o in product(range(-radius, radius + 1), repeat=d)
+            if o > (0,) * d]
+
+
+def box_pairs(box_radius: int, d: int, link_radius: int):
+    """Index pairs (i, k) into ``box_sites(box_radius, d)``, site first.
+
+    ``sites[k] - sites[i]`` is one of the :func:`positive_offsets` of sup-norm
+    at most ``link_radius``; a site's offsets come in lexicographic order.
+    """
+    sites = box_sites(box_radius, d)
+    index = {j: i for i, j in enumerate(sites)}
+    offsets = positive_offsets(d, link_radius)
     for i, j in enumerate(sites):
         for o in offsets:
-            j2 = tuple(a + b for a, b in zip(j, o))
-            k = index.get(j2)
-            if k is not None and accept(j, j2):
-                adjacency[i].append(k)
-                adjacency[k].append(i)
-    return [sorted(nbrs) for nbrs in adjacency]
+            k = index.get(tuple(a + b for a, b in zip(j, o)))
+            if k is not None:
+                yield i, k
 
 
 def max_chain_length(basis: LatticeBasis, box_radius: int, gamma,
@@ -128,11 +141,14 @@ def max_chain_length(basis: LatticeBasis, box_radius: int, gamma,
     if box_radius < 1:
         raise ValueError("box_radius must be at least 1")
     sites = box_sites(box_radius, basis.d)
-    index = {j: i for i, j in enumerate(sites)}
+    mus = [mu(basis, j) for j in sites]
     link_radius = min(int(math.floor(float(gamma))), 2 * box_radius)
-    adjacency = _box_adjacency(
-        basis, sites, index, link_radius,
-        lambda a, b: phi_distance(basis, a, b) <= gamma)
+    adjacency = [[] for _ in sites]
+    for i, k in box_pairs(box_radius, basis.d, link_radius):
+        if _phi_sup(sites[i], sites[k], mus[i], mus[k]) <= gamma:
+            adjacency[i].append(k)
+            adjacency[k].append(i)
+    adjacency = [sorted(nbrs) for nbrs in adjacency]
     raw: PathSearchResult = longest_path(adjacency, length_cap=length_cap,
                                          node_budget=node_budget)
     witness = GammaChain(tuple(sites[i] for i in raw.path), gamma)
@@ -216,19 +232,8 @@ class ClusterPartition:
                    assignment=assignment, clusters=tuple(clusters))
 
 
-def build_partition(basis: LatticeBasis, box_radius: int, delta,
-                    enforce_delta_bound: bool = True) -> ClusterPartition:
-    """Connected components of the one-step relation, restricted to the box.
-
-    Clusters with a member within ``margin`` of the box boundary are flagged:
-    their membership could change on a larger box, because one-step links are
-    spatially local with range at most ceil((2N)**delta).
-
-    The guaranteed range is 0 < delta < delta_max(d); larger deltas still
-    define a partition but lose the theorem backing, so they are refused
-    unless ``enforce_delta_bound`` is switched off.
-    """
-    d = basis.d
+def check_delta(d: int, delta, enforce_delta_bound: bool = True) -> None:
+    """Refuse delta outside (0, 1), or outside the theorem range when enforced."""
     if not 0 < float(delta) < 1:
         raise DeltaOutOfRange(f"delta {delta} outside (0, 1)")
     if enforce_delta_bound:
@@ -239,18 +244,32 @@ def build_partition(basis: LatticeBasis, box_radius: int, delta,
             raise DeltaOutOfRange(
                 f"delta {delta} >= delta_max({d}) = {bound}; "
                 "pass enforce_delta_bound=False to build anyway")
+
+
+def _link_radius(box_radius: int, delta) -> int:
+    # one-step links have spatial range at most (2N)**delta
+    return max(1, exact.floor_pow(2 * box_radius, delta))
+
+
+def relation_links(basis: LatticeBasis, box_radius: int, delta) -> list:
+    """The :func:`box_pairs` that :func:`relation_link` accepts, in order."""
+    sites = box_sites(box_radius, basis.d)
+    mus = [mu(basis, j) for j in sites]
+    return [(i, k) for i, k in box_pairs(box_radius, basis.d,
+                                         _link_radius(box_radius, delta))
+            if _relation_rule(sites[i], sites[k], mus[i], mus[k], delta)]
+
+
+def group_links(box_radius: int, d: int, delta, links) -> ClusterPartition:
+    """Connected components of the box under the index pairs ``links``.
+
+    Clusters within ``margin`` of the box boundary are flagged: one-step links
+    reach ceil((2N)**delta), so a larger box could change their membership.
+    """
     sites = box_sites(box_radius, d)
-    index = {j: i for i, j in enumerate(sites)}
-    link_radius = max(1, exact.floor_pow(2 * box_radius, delta))
     uf = UnionFind(len(sites))
-    offsets = [o for o in product(range(-link_radius, link_radius + 1), repeat=d)
-               if o > tuple([0] * d)]
-    for i, j in enumerate(sites):
-        for o in offsets:
-            j2 = tuple(a + b for a, b in zip(j, o))
-            k = index.get(j2)
-            if k is not None and relation_link(basis, j, j2, delta):
-                uf.union(i, k)
+    for i, k in links:
+        uf.union(i, k)
     margin = exact.ceil_pow(2 * box_radius, delta) + 1
     groups = sorted((sorted(sites[i] for i in grp) for grp in uf.groups()),
                     key=lambda g: g[0])
@@ -268,6 +287,19 @@ def build_partition(basis: LatticeBasis, box_radius: int, delta,
     return ClusterPartition(box_radius=box_radius, d=d, delta=delta,
                             margin=margin, assignment=assignment,
                             clusters=tuple(clusters))
+
+
+def build_partition(basis: LatticeBasis, box_radius: int, delta,
+                    enforce_delta_bound: bool = True) -> ClusterPartition:
+    """Connected components of the one-step relation, restricted to the box.
+
+    The guaranteed range is 0 < delta < delta_max(d); larger deltas still
+    define a partition but lose the theorem backing, so they are refused
+    unless ``enforce_delta_bound`` is switched off.
+    """
+    check_delta(basis.d, delta, enforce_delta_bound)
+    return group_links(box_radius, basis.d, delta,
+                       relation_links(basis, box_radius, delta))
 
 
 @dataclass
@@ -323,28 +355,21 @@ def verify_cluster_properties(basis: LatticeBasis, partition: ClusterPartition,
     N, d, delta = partition.box_radius, partition.d, partition.delta
     interior = {c.id for c in partition.clusters if not c.boundary}
     sites = box_sites(N, d)
-    link_radius = max(1, exact.floor_pow(2 * N, delta))
-    offsets = [o for o in product(range(-link_radius, link_radius + 1), repeat=d)
-               if o > tuple([0] * d)]
     mu_cache = {j: mu(basis, j) for j in sites}
     violations = []
     pairs = 0
-    for j in sites:
-        cid = partition.assignment[j]
-        for o in offsets:
-            j2 = tuple(a + b for a, b in zip(j, o))
-            cid2 = partition.assignment.get(j2)
-            if cid2 is None or cid2 == cid:
-                continue
-            if cid not in interior or cid2 not in interior:
-                continue
-            pairs += 1
-            spread = max(abs(a - b) for a, b in zip(j, j2)) \
-                + abs(mu_cache[j] - mu_cache[j2])
-            s = exact.sup_norm(j) + exact.sup_norm(j2)
-            # separation demands spread > s**delta; record failures
-            if exact.le_pow(spread, s, delta):
-                violations.append((j, j2))
+    for i, k in box_pairs(N, d, _link_radius(N, delta)):
+        j, j2 = sites[i], sites[k]
+        cid, cid2 = partition.assignment[j], partition.assignment.get(j2)
+        if cid2 == cid or cid not in interior or cid2 not in interior:
+            continue
+        pairs += 1
+        spread = max(abs(a - b) for a, b in zip(j, j2)) \
+            + abs(mu_cache[j] - mu_cache[j2])
+        s = exact.sup_norm(j) + exact.sup_norm(j2)
+        # separation demands spread > s**delta; record failures
+        if exact.le_pow(spread, s, delta):
+            violations.append((j, j2))
 
     exponent = (chain_exponent(d) + 1) * float(delta)
     fitted_c = 0.0

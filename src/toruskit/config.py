@@ -37,7 +37,6 @@ def _require(cond, message):
 class ExperimentConfig:
     kind: str
     seed: int
-    threads: int
     out_dir: str
     cache: bool
     lattice: dict
@@ -222,12 +221,9 @@ def normalize(raw: dict) -> ExperimentConfig:
     if kind in ("singular", "measure"):
         _require(frequency is not None, f"frequency: required for kind {kind!r}")
     params = _normalize_params(kind, raw.get("params", {}), d)
-    threads = int(raw.get("threads", 1))
-    _require(threads >= 1, "threads: must be >= 1")
     return ExperimentConfig(
         kind=kind,
         seed=int(raw.get("seed", 0)),
-        threads=threads,
         out_dir=str(raw.get("out_dir", ".")),
         cache=bool(raw.get("cache", True)),
         lattice=lattice,
@@ -244,12 +240,13 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     config = normalize(raw)
-    # referenced files must exist at load time
-    mf = config.params.get("matrix_file")
-    pf = config.params.get("partition_file")
+    # referenced files must exist; config-relative references are stored resolved
     base = Path(path).parent
-    for name, ref in (("matrix_file", mf), ("partition_file", pf)):
-        if ref is not None and not (base / ref).exists() and not Path(ref).exists():
+    for name in ("matrix_file", "partition_file"):
+        ref = config.params.get(name)
+        if ref is not None and (base / ref).exists():
+            config.params[name] = str(base / ref)
+        elif ref is not None and not Path(ref).exists():
             raise ValidationError(f"params.{name}: file {ref!r} does not exist")
     return config
 
@@ -258,7 +255,6 @@ def serialize(config: ExperimentConfig) -> dict:
     return {
         "kind": config.kind,
         "seed": config.seed,
-        "threads": config.threads,
         "out_dir": config.out_dir,
         "cache": config.cache,
         "lattice": config.lattice,

@@ -119,8 +119,8 @@ class HomologicalSolution:
     delta: object
 
 
-def _gap_above_threshold(gap, s: int, delta) -> bool:
-    # |gap| >= (1/4) * s**delta, exact when both sides are rational powers
+def gap_above_threshold(gap, s: int, delta) -> bool:
+    """``|gap| >= s**delta / 4``, exact when both sides are rational powers."""
     return exact.ge_pow(4 * abs(gap), s, delta)
 
 
@@ -142,7 +142,7 @@ def solve_homological(basis: LatticeBasis, W_ND: BlockMatrix,
             raise IntraClusterEntry(f"entry {(j, j2)} is intra-cluster")
         gap = mu(basis, j2) - mu(basis, j)
         s = exact.sup_norm(j) + exact.sup_norm(j2)
-        if _gap_above_threshold(gap, s, delta):
+        if gap_above_threshold(gap, s, delta):
             x_entries[(j, j2)] = w / gap
         else:
             r_entries[(j, j2)] = -w

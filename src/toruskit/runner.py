@@ -15,27 +15,32 @@ import os
 import random
 import tempfile
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, exact
+from . import __version__, exact, lattice
 from .clusters import (
     ClusterPartition,
     box_sites,
     build_partition,
     chain_scaling_experiment,
-    relation_link,
+    check_delta,
+    group_links,
+    relation_link,  # noqa: F401  unused; perfbench/tracing.py patches it here
+    relation_links,
     verify_cluster_properties,
 )
 from .config import ExperimentConfig, serialize
-from .errors import ToruskitError, UnknownSeries
+from .errors import ParseError, ToruskitError, UnknownSeries
 from .homological import (
     BlockMatrix,
     cluster_weight_operator,
     commutator,
     decay_profile,
     dn_split,
+    gap_above_threshold,
     homological_residual,
     norm_equivalence_constants,
     random_cross_cluster_matrix,
@@ -112,27 +117,24 @@ def cache_dir() -> Path | None:
     return home / ".cache" / "toruskit" if home else None
 
 
-def _cache_key(tag: str, payload: dict) -> str:
+def _cache_path(tag: str, payload: dict) -> Path:
     canon = json.dumps({"tag": tag, "payload": payload, "v": __version__},
                        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return cache_dir() / f"{hashlib.sha256(canon.encode()).hexdigest()}.json"
 
 
 def cached(tag: str, payload: dict, compute, enabled: bool):
-    base = cache_dir() if enabled else None
-    if base is None:
+    if not enabled or cache_dir() is None:
         return compute()
-    path = base / f"{_cache_key(tag, payload)}.json"
+    path = _cache_path(tag, payload)
     if path.exists():
         try:
             return json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             pass
     result = compute()
-    try:
+    with suppress(OSError):
         atomic_write_json(path, result)
-    except OSError:
-        pass
     return result
 
 
@@ -141,25 +143,39 @@ def cached(tag: str, payload: dict, compute, enabled: bool):
 
 
 def _partition_for(config: ExperimentConfig, basis, box_radius, delta_str,
-                   allow_above) -> ClusterPartition:
+                   allow_above, links=None) -> ClusterPartition:
+    # a miss groups the box's relation ``links`` when the caller has them
     delta = exact.parse_rational(delta_str, "delta")
 
     def compute():
-        part = build_partition(basis, box_radius, delta,
-                               enforce_delta_bound=not allow_above)
-        return part.to_dict()
+        if links is None:
+            return build_partition(basis, box_radius, delta,
+                                   enforce_delta_bound=not allow_above).to_dict()
+        check_delta(basis.d, delta, not allow_above)
+        return group_links(box_radius, basis.d, delta, links).to_dict()
 
     payload = {"lattice": config.lattice, "box_radius": box_radius,
                "delta": delta_str}
     data = cached("partition", payload, compute, config.cache)
-    return ClusterPartition.from_dict(data)
+    try:
+        return ClusterPartition.from_dict(data)
+    except (KeyError, TypeError, ValueError, ParseError):
+        # a cache entry of the wrong shape is a miss: recompute, rewrite
+        data = compute()
+        with suppress(OSError):
+            atomic_write_json(_cache_path("partition", payload), data)
+        return ClusterPartition.from_dict(data)
 
 
 def _run_cluster(config: ExperimentConfig, out_dir: Path):
     basis = config.basis()
     p = config.params
+    # edges.csv lists the relation links; one scan also serves a cache miss
+    links = (relation_links(basis, p["box_radius"],
+                            exact.parse_rational(p["delta"], "delta"))
+             if p["edges_csv"] else None)
     partition = _partition_for(config, basis, p["box_radius"], p["delta"],
-                               p["allow_delta_above_theorem"])
+                               p["allow_delta_above_theorem"], links)
     report = verify_cluster_properties(basis, partition)
     expected = (2 * p["box_radius"] + 1) ** basis.d
     checks = [
@@ -180,21 +196,10 @@ def _run_cluster(config: ExperimentConfig, out_dir: Path):
     part_path = out_dir / "partition.json"
     atomic_write_json(part_path, partition.to_dict())
     outputs.append(part_path.name)
-    if p["edges_csv"]:
-        from itertools import product as iproduct
-
-        lines = ["j1,j2"]
+    if links is not None:
         sites = box_sites(p["box_radius"], basis.d)
-        index = set(sites)
-        delta = partition.delta
-        radius = max(1, exact.floor_pow(2 * p["box_radius"], delta))
-        offsets = [o for o in iproduct(range(-radius, radius + 1),
-                                       repeat=basis.d) if o > (0,) * basis.d]
-        for j in sites:
-            for o in offsets:
-                j2 = tuple(a + b for a, b in zip(j, o))
-                if j2 in index and relation_link(basis, j, j2, delta):
-                    lines.append(f"\"{list(j)}\",\"{list(j2)}\"")
+        lines = ["j1,j2"] + [f"\"{list(sites[i])}\",\"{list(sites[k])}\""
+                             for i, k in links]
         edge_path = out_dir / "edges.csv"
         atomic_write_text(edge_path, "\n".join(lines) + "\n")
         outputs.append(edge_path.name)
@@ -240,18 +245,12 @@ def _run_singular(config: ExperimentConfig, out_dir: Path):
     p = config.params
     survey = enumerate_singular_chains(
         basis, params, p["symbol"], p["ell_radius"], p["j_radius"], p["gamma"],
-        length_cap=p["length_cap"], node_budget=p["node_budget"],
-        threads=config.threads)
+        length_cap=p["length_cap"], node_budget=p["node_budget"])
     replay_ok = all(c.is_valid(basis, params, p["symbol"]) for c in survey.chains)
     bound = p["exponent_bound"]
     fitted_exp = survey.fitted_exponent
-    exp_ok = True
-    if bound is not None:
-        for c in survey.chains:
-            if c.length >= 2:
-                base = max(c.section_count, 2) * float(c.gamma)
-                if math.log(c.length) > bound * math.log(base) + 1e-12:
-                    exp_ok = False
+    exp_ok = bound is None or not any(c.breaks_exponent_bound(bound)
+                                      for c in survey.chains)
     pair_reports = [chain_pair_bounds(basis, params, c, p["symbol"])
                     for c in survey.chains]
     pair_c = max((r.empirical_constant for r in pair_reports), default=0.0)
@@ -360,15 +359,10 @@ def _run_homological(config: ExperimentConfig, out_dir: Path):
     disjoint = not (set(solution.X.entries) & set(solution.R.entries))
     covered = (set(solution.X.entries) | set(solution.R.entries)
                == set(q_nd.entries))
-    from .lattice import mu as mu_of
-
-    gap_ok = True
-    for (j, j2) in solution.X.support():
-        gap = abs(mu_of(basis, j2) - mu_of(basis, j))
-        s = exact.sup_norm(j) + exact.sup_norm(j2)
-        if not exact.ge_pow(4 * gap, s, delta):
-            gap_ok = False
-            break
+    gap_ok = all(gap_above_threshold(
+        lattice.mu(basis, j2) - lattice.mu(basis, j),
+        exact.sup_norm(j) + exact.sup_norm(j2), delta)
+        for j, j2 in solution.X.support())
     weight = cluster_weight_operator(partition)
     comm = commutator(q_d, weight)
     c_norm, C_norm = norm_equivalence_constants(partition)

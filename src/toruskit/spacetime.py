@@ -16,6 +16,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from . import exact
+from .clusters import box_sites, positive_offsets
 from .errors import (
     DependentVectors,
     DimensionMismatch,
@@ -144,43 +145,27 @@ def is_singular(basis, params, site: SpaceTimeSite, kind: str) -> bool:
 
 
 def enumerate_singular_sites(basis: LatticeBasis, params: FrequencyParams,
-                             kind: str, ell_radius: int, j_radius: int,
-                             threads: int = 1):
+                             kind: str, ell_radius: int, j_radius: int):
     """All singular sites in the box, in lexicographic (ell, j, a) order."""
     signs = _signs(kind)
-    ells = [tuple(e) for e in product(range(-ell_radius, ell_radius + 1),
-                                      repeat=params.n)]
-    js = [tuple(v) for v in product(range(-j_radius, j_radius + 1),
-                                    repeat=basis.d)]
+    ells = box_sites(ell_radius, params.n)
+    js = box_sites(j_radius, basis.d)
     mu_cache = {j: mu(basis, j) for j in js}
     rho = {j: mu_cache[j] + params.mass for j in js}
 
-    def scan(ell_chunk):
-        found = []
-        for ell in ell_chunk:
-            y = params.omega_dot(ell) + params.theta
-            if kind == NLW:
-                y2 = y * y
-                for j in js:
-                    if abs(rho[j] - y2) < 1:
-                        found.append(SpaceTimeSite(ell, j, 1))
-            else:
-                for j in js:
-                    for a in signs:
-                        if abs(rho[j] - a * y) < 1:
-                            found.append(SpaceTimeSite(ell, j, a))
-        return found
-
-    if threads > 1 and len(ells) > 4 * threads:
-        from concurrent.futures import ThreadPoolExecutor
-
-        size = (len(ells) + threads - 1) // threads
-        chunks = [ells[i:i + size] for i in range(0, len(ells), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(scan, chunks))
-        sites = [s for part in parts for s in part]
-    else:
-        sites = scan(ells)
+    sites = []
+    for ell in ells:
+        y = params.omega_dot(ell) + params.theta
+        if kind == NLW:
+            y2 = y * y
+            for j in js:
+                if abs(rho[j] - y2) < 1:
+                    sites.append(SpaceTimeSite(ell, j, 1))
+        else:
+            for j in js:
+                for a in signs:
+                    if abs(rho[j] - a * y) < 1:
+                        sites.append(SpaceTimeSite(ell, j, a))
     sites.sort()
     return sites
 
@@ -213,6 +198,12 @@ class SingularChain:
         base = max(self.section_count, 2) * float(self.gamma)
         return math.log(self.length) / math.log(base)
 
+    def breaks_exponent_bound(self, bound) -> bool:
+        """True when length > (max(K,2) * gamma)^bound; never below length 2."""
+        base = max(self.section_count, 2) * float(self.gamma)
+        return (self.length >= 2
+                and math.log(self.length) > bound * math.log(base) + 1e-12)
+
     def is_valid(self, basis, params, kind) -> bool:
         if len(set(self.sites)) != len(self.sites):
             return False
@@ -239,7 +230,6 @@ def enumerate_singular_chains(basis: LatticeBasis, params: FrequencyParams,
                               gamma, length_cap=None,
                               node_budget: int = 2_000_000,
                               exponent_bound=None,
-                              threads: int = 1,
                               on_truncate: str = "return") -> ChainSurvey:
     """Longest chain of singular sites per link-graph component.
 
@@ -249,13 +239,14 @@ def enumerate_singular_chains(basis: LatticeBasis, params: FrequencyParams,
     polynomial length bound tight.  With ``exponent_bound`` set, chains
     breaking ``L <= (max(K,2)*gamma)^bound`` raise IdentityViolation.
     """
-    sites = enumerate_singular_sites(basis, params, kind, ell_radius, j_radius,
-                                     threads=threads)
+    sites = enumerate_singular_sites(basis, params, kind, ell_radius, j_radius)
     index = {s: i for i, s in enumerate(sites)}
     radius = int(math.floor(float(gamma)))
     adjacency = [[] for _ in sites]
-    offsets = [o for o in product(range(-radius, radius + 1),
-                                  repeat=params.n + basis.d)]
+    # a link is found once, from its smaller site: a positive offset always
+    # leads to a larger site, offset zero only to a larger sign
+    offsets = [(0,) * (params.n + basis.d)] + positive_offsets(
+        params.n + basis.d, radius)
     signs = _signs(kind)
     for i, s in enumerate(sites):
         for o in offsets:
@@ -307,12 +298,10 @@ def enumerate_singular_chains(basis: LatticeBasis, params: FrequencyParams,
     fitted = max((c.min_exponent() for c in chains), default=0.0)
     if exponent_bound is not None:
         for c in chains:
-            if c.length >= 2:
-                base = max(c.section_count, 2) * float(gamma)
-                if math.log(c.length) > exponent_bound * math.log(base) + 1e-12:
-                    raise IdentityViolation(
-                        f"chain of length {c.length} breaks the exponent bound "
-                        f"{exponent_bound}")
+            if c.breaks_exponent_bound(exponent_bound):
+                raise IdentityViolation(
+                    f"chain of length {c.length} breaks the exponent bound "
+                    f"{exponent_bound}")
     survey = ChainSurvey(chains=chains, gamma=gamma, site_count=len(sites),
                          truncated=truncated, fitted_exponent=fitted)
     if truncated and on_truncate == "raise":
@@ -611,10 +600,7 @@ def diophantine_check(omega_bar, gamma0, tau0, ell_max: int) -> DiophantineResul
     tau_int = int(tau0) if float(tau0) == int(tau0) else None
     best = None
     worst = None
-    zero = tuple([0] * n)
-    for ell in product(range(-ell_max, ell_max + 1), repeat=n):
-        if ell <= zero:
-            continue
+    for ell in positive_offsets(n, ell_max):
         dot = abs(sum(w * l for w, l in zip(omega_bar, ell)))
         sup = exact.sup_norm(ell)
         score = dot * (Fr(sup) ** tau_int if tau_int is not None

@@ -128,6 +128,31 @@ def test_homological_subcommand(tmp_path, lattice_file):
     assert (tmp_path / "out" / "matrix.json").exists()
 
 
+def test_config_relative_partition_file(tmp_path, lattice_file,
+                                        monkeypatch):
+    cfg_dir = tmp_path / "cfg"
+    assert main(["cluster", "--lattice", str(lattice_file), "--radius", "6",
+                 "--delta", "1/10", "--allow-delta-above-theorem",
+                 "--out-dir", str(cfg_dir)]) == 0
+    config = cfg_dir / "config.json"
+    config.write_text(json.dumps({
+        "kind": "homological", "out_dir": str(tmp_path / "out"),
+        "lattice": json.loads(lattice_file.read_text()),
+        "params": {"box_radius": 6, "delta": "1/10",
+                   "allow_delta_above_theorem": True, "entries": 30,
+                   "partition_file": "partition.json"}}))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["homological", "--config", str(config)]) == 0
+
+
+def test_threads_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", "--threads", "2", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "toruskit.cli", "--help"],

@@ -17,10 +17,14 @@ from toruskit.clusters import (
     phi,
     phi_distance,
     relation_link,
+    relation_links,
     verify_cluster_properties,
 )
+from toruskit.config import normalize
 from toruskit.errors import DeltaOutOfRange
+from toruskit.exact import format_rational
 from toruskit.lattice import new_lattice
+from toruskit.runner import run_experiment
 
 B1 = new_lattice([[1]])
 B2 = new_lattice([[1, 0], [0, 1]])
@@ -243,3 +247,77 @@ def test_invalid_chain_detected():
     assert not chain.is_valid(B1)
     dup = GammaChain(((0,), (1,), (0,)), 5)
     assert not dup.is_valid(B1)
+
+
+# (dimension, box radius) of the differential cases; the box stays small
+# because the oracle tests every pair of sites.
+DIFF_CASES = [(1, 12), (2, 4), (3, 2)]
+
+
+def random_sheared_rows(rng, d):
+    """Unit-ish diagonal with random rational shears above it."""
+    rows = [[Fr(0)] * d for _ in range(d)]
+    for i in range(d):
+        rows[i][i] = Fr(rng.randint(2, 6), rng.randint(2, 5))
+        for k in range(i + 1, d):
+            rows[i][k] = Fr(rng.randint(-4, 4), rng.randint(1, 5))
+    return rows
+
+
+def oracle_links(basis, radius, delta):
+    """Every pair of box sites, each tested by relation_link."""
+    sites = box_sites(radius, basis.d)
+    return [(i, k) for i in range(len(sites)) for k in range(i + 1, len(sites))
+            if relation_link(basis, sites[i], sites[k], delta)]
+
+
+def oracle_components(sites, links):
+    nbrs = {j: set() for j in sites}
+    for i, k in links:
+        nbrs[sites[i]].add(sites[k])
+        nbrs[sites[k]].add(sites[i])
+    seen, groups = set(), []
+    for j in sites:
+        if j in seen:
+            continue
+        stack, group = [j], []
+        seen.add(j)
+        while stack:
+            x = stack.pop()
+            group.append(x)
+            for y in nbrs[x] - seen:
+                seen.add(y)
+                stack.append(y)
+        groups.append(tuple(sorted(group)))
+    return sorted(groups)
+
+
+@pytest.mark.parametrize("mode", ["exact", "floating"])
+@pytest.mark.parametrize("d,radius", DIFF_CASES)
+def test_relation_links_match_all_pairs_oracle(d, radius, mode, tmp_path):
+    rng = random.Random(1000 * d + radius)
+    delta = Fr(1, 2)
+    for trial in range(2):
+        rows = random_sheared_rows(rng, d)
+        if mode == "floating":
+            rows = [[float(x) for x in row] for row in rows]
+        basis = new_lattice(rows, mode=mode)
+        expected = oracle_links(basis, radius, delta)
+        assert relation_links(basis, radius, delta) == expected
+        sites = box_sites(radius, d)
+        part = build_partition(basis, radius, delta, enforce_delta_bound=False)
+        assert [c.members for c in part.clusters] == \
+            oracle_components(sites, expected)
+
+        lattice = {"matrix": [[format_rational(x) if mode == "exact" else x
+                               for x in row] for row in rows], "mode": mode}
+        out = tmp_path / f"{trial}"
+        run_experiment(normalize({
+            "kind": "cluster", "cache": False, "out_dir": str(out),
+            "lattice": lattice,
+            "params": {"box_radius": radius, "delta": "1/2",
+                       "allow_delta_above_theorem": True,
+                       "edges_csv": True}}))
+        lines = (out / "edges.csv").read_text().splitlines()
+        assert lines == ["j1,j2"] + [
+            f"\"{list(sites[i])}\",\"{list(sites[k])}\"" for i, k in expected]

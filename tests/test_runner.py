@@ -36,7 +36,6 @@ def minimal_cluster(tmp_path, **overrides):
 def test_minimal_config_fills_defaults(tmp_path):
     cfg = normalize(minimal_cluster(tmp_path))
     assert cfg.seed == 0
-    assert cfg.threads == 1
     assert cfg.cache is True
     assert cfg.params["allow_delta_above_theorem"] is False
 
@@ -58,7 +57,7 @@ def test_malformed_rational_is_parse_error(tmp_path):
 
 
 def test_config_file_round_trip(tmp_path):
-    cfg = normalize(minimal_cluster(tmp_path, seed=7, threads=2))
+    cfg = normalize(minimal_cluster(tmp_path, seed=7))
     path = tmp_path / "config.json"
     dump_config(cfg, path)
     again = load_config(path)
@@ -134,6 +133,24 @@ def test_cache_is_used_and_correct(tmp_path):
     assert cache_files, "partition should have been cached"
     second = run_experiment(cfg)
     assert first.body_bytes() == second.body_bytes()
+
+
+@pytest.mark.parametrize("planted", [
+    {"clusters": []},
+    [],
+    {"box_radius": 10, "d": 1, "delta": "1/", "margin": 2, "clusters": []},
+])
+def test_wrong_shape_cache_entry_is_a_miss(tmp_path, planted):
+    cfg = normalize(minimal_cluster(tmp_path))
+    first = run_experiment(cfg)
+    cache_files = list(Path(os.environ["TORUSKIT_CACHE"]).glob("*.json"))
+    good = [path.read_text() for path in cache_files]
+    for path in cache_files:
+        path.write_text(json.dumps(planted))
+    second = run_experiment(cfg)
+    assert second.passed
+    assert second.body_bytes() == first.body_bytes()
+    assert [path.read_text() for path in cache_files] == good
 
 
 def test_atomic_write_keeps_target_on_failure(tmp_path, monkeypatch):

@@ -110,13 +110,6 @@ def test_enumerate_sites_nls_both_signs():
         assert abs(symbol_nls(B1, p, s.ell, s.j, s.a)) < 1
 
 
-def test_enumerate_sites_threads_match_serial():
-    p = params(mass="1/2")
-    serial = enumerate_singular_sites(B1, p, NLW, 15, 15)
-    threaded = enumerate_singular_sites(B1, p, NLW, 15, 15, threads=3)
-    assert serial == threaded
-
-
 def test_singular_chains_empty_box():
     p = params(mass="100")
     survey = enumerate_singular_chains(B1, p, NLW, 3, 3, 2)
