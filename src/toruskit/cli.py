@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import load_config, normalize, serialize
+from .config import load_config, normalize, read_json, serialize
 from .errors import (
     DeltaOutOfRange,
     GammaOutOfRange,
@@ -23,15 +23,6 @@ from .errors import (
     ValidationError,
 )
 from .runner import atomic_write_text, emit_plot_data, run_experiment
-
-
-def _read_json(path, what):
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"{what}: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{what}: {path}: {exc.msg} at line {exc.lineno}") from exc
 
 
 def _gamma_grid(spec: str):
@@ -145,9 +136,9 @@ def _assemble(args) -> dict:
     if args.no_cache:
         raw["cache"] = False
     if getattr(args, "lattice", None):
-        raw["lattice"] = _read_json(args.lattice, "lattice")
+        raw["lattice"] = read_json(args.lattice, "lattice")
     if getattr(args, "freq", None):
-        raw["frequency"] = _read_json(args.freq, "frequency")
+        raw["frequency"] = read_json(args.freq, "frequency")
     params = dict(raw.get("params") or {})
     k = args.kind
     if k in ("cluster", "chains", "homological") and args.radius is not None:

@@ -422,6 +422,7 @@ class ScalingRow:
     gamma: object
     length: int
     truncated: bool
+    expanded: int
 
 
 @dataclass
@@ -453,7 +454,7 @@ def chain_scaling_experiment(basis: LatticeBasis, gammas, box_radius: int,
         res = max_chain_length(basis, box_radius, gamma,
                                length_cap=length_cap, node_budget=node_budget,
                                on_truncate=on_truncate)
-        rows.append(ScalingRow(gamma, res.length, res.truncated))
+        rows.append(ScalingRow(gamma, res.length, res.truncated, res.expanded))
         witnesses.append(res.witness)
     pts = [(math.log(float(r.gamma)), math.log(r.length))
            for r in rows if r.length >= 1]

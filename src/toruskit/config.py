@@ -232,6 +232,16 @@ def normalize(raw: dict) -> ExperimentConfig:
     )
 
 
+def read_json(path, what):
+    """Load a JSON data file; unreadable or malformed files raise ParseError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ParseError(f"{what}: cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what}: {path}: {exc.msg} at line {exc.lineno}") from exc
+
+
 def load_config(path) -> ExperimentConfig:
     """Read and validate a config file."""
     text = Path(path).read_text()

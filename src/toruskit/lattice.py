@@ -9,8 +9,10 @@ mode exists for large enumerations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from . import exact
@@ -54,6 +56,19 @@ class LatticeBasis:
     def W_inverse_rows(self):
         # W^{-1} = V^T, no extra inversion needed
         return exact.mat_transpose(self.V_rows())
+
+    @cached_property
+    def gram(self):
+        """Integer Gram form ``(G, D)`` of an exact basis: ``W^T W = G / D``.
+
+        ``G`` is a tuple of int rows and ``D`` the least common denominator of
+        ``W^T W``; computed once per instance.  Floating bases have none.
+        """
+        if not self.exact:
+            return None
+        WtW = exact.mat_mul(exact.mat_transpose(self.W_rows()), self.W_rows())
+        D = math.lcm(*(x.denominator for row in WtW for x in row))
+        return tuple(tuple(int(x * D) for x in row) for row in WtW), D
 
     def to_dict(self):
         fmt = exact.format_rational if self.exact else (lambda x: x)
@@ -106,17 +121,33 @@ def _check_dim(basis: LatticeBasis, v, name: str = "j") -> None:
             f"{name} has length {len(v)}, lattice dimension is {basis.d}")
 
 
+def _gram_form(gram, y, y2):
+    # y^T G y2 / D over Python ints: one Fraction per call, not one per term
+    G, D = gram
+    return Fraction(sum(a * sum(g * b for g, b in zip(row, y2))
+                        for a, row in zip(y, G)), D)
+
+
 def mu(basis: LatticeBasis, j):
-    """Laplacian eigenvalue of mode j: squared euclidean length of W j."""
+    """Laplacian eigenvalue of integer mode j: squared euclidean length of W j.
+
+    Exact bases evaluate ``j^T G j / D`` from :attr:`LatticeBasis.gram`;
+    floating bases multiply by W.
+    """
     _check_dim(basis, j)
-    Wj = exact.mat_vec(basis.W_rows(), list(j))
-    return exact.norm_sq(Wj)
+    gram = basis.gram
+    if gram is not None:
+        return _gram_form(gram, j, j)
+    return exact.norm_sq(exact.mat_vec(basis.W_rows(), list(j)))
 
 
 def bilinear(basis: LatticeBasis, y, y2):
-    """Scalar product <W y, W y2>; polarization of :func:`mu`."""
+    """Scalar product <W y, W y2> of integer vectors; polarization of :func:`mu`."""
     _check_dim(basis, y, "y")
     _check_dim(basis, y2, "y2")
+    gram = basis.gram
+    if gram is not None:
+        return _gram_form(gram, y, y2)
     W = basis.W_rows()
     return exact.dot(exact.mat_vec(W, list(y)), exact.mat_vec(W, list(y2)))
 

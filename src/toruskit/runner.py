@@ -1,9 +1,9 @@
 """Experiment orchestration: dispatch, reports, caching, plot-data emission.
 
-Reports split into a ``meta`` part (wall time, timestamps) and a ``body``
-part that is a pure function of (config, seed): rerunning the same config
-yields byte-identical body serializations.  Output files are written
-atomically (temp file in the target directory, then rename).
+Reports split into a ``meta`` part (wall time, timestamps, work counters)
+and a ``body`` part that is a pure function of (config, seed): rerunning the
+same config yields byte-identical body serializations.  Output files are
+written atomically (temp file in the target directory, then rename).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .clusters import (
     relation_links,
     verify_cluster_properties,
 )
-from .config import ExperimentConfig, serialize
+from .config import ExperimentConfig, read_json, serialize
 from .errors import ParseError, ToruskitError, UnknownSeries
 from .homological import (
     BlockMatrix,
@@ -117,8 +117,14 @@ def cache_dir() -> Path | None:
     return home / ".cache" / "toruskit" if home else None
 
 
+# Part of every cache key.  Bump it whenever a partition builder's output
+# could change, so no entry computed by older code is ever served.
+CACHE_SCHEMA = 1
+
+
 def _cache_path(tag: str, payload: dict) -> Path:
-    canon = json.dumps({"tag": tag, "payload": payload, "v": __version__},
+    canon = json.dumps({"tag": tag, "payload": payload, "v": __version__,
+                        "schema": CACHE_SCHEMA},
                        sort_keys=True, separators=(",", ":"))
     return cache_dir() / f"{hashlib.sha256(canon.encode()).hexdigest()}.json"
 
@@ -139,7 +145,8 @@ def cached(tag: str, payload: dict, compute, enabled: bool):
 
 
 # ---------------------------------------------------------------------------
-# per-kind experiments (each returns checks, fitted, data, output files)
+# per-kind experiments (each returns checks, fitted, data, output files and
+# may record work counts in ``counters``, which go to the report's meta)
 
 
 def _partition_for(config: ExperimentConfig, basis, box_radius, delta_str,
@@ -167,7 +174,7 @@ def _partition_for(config: ExperimentConfig, basis, box_radius, delta_str,
         return ClusterPartition.from_dict(data)
 
 
-def _run_cluster(config: ExperimentConfig, out_dir: Path):
+def _run_cluster(config: ExperimentConfig, out_dir: Path, counters: dict):
     basis = config.basis()
     p = config.params
     # edges.csv lists the relation links; one scan also serves a cache miss
@@ -213,12 +220,15 @@ def _run_cluster(config: ExperimentConfig, out_dir: Path):
     return checks, fitted, data, outputs
 
 
-def _run_chains(config: ExperimentConfig, out_dir: Path):
+def _run_chains(config: ExperimentConfig, out_dir: Path, counters: dict):
     basis = config.basis()
     p = config.params
     result = chain_scaling_experiment(basis, p["gammas"], p["box_radius"],
                                       length_cap=p["length_cap"],
                                       node_budget=p["node_budget"])
+    counters.update(sites=(2 * p["box_radius"] + 1) ** basis.d,
+                    search_expanded=sum(r.expanded for r in result.rows),
+                    search_truncated=any(r.truncated for r in result.rows))
     replay_ok = all(w.is_valid(basis) for w in result.witnesses)
     lengths = [r.length for r in result.rows]
     monotone = all(a <= b for a, b in zip(lengths, lengths[1:]))
@@ -239,13 +249,15 @@ def _run_chains(config: ExperimentConfig, out_dir: Path):
     return checks, fitted, data, [csv_path.name]
 
 
-def _run_singular(config: ExperimentConfig, out_dir: Path):
+def _run_singular(config: ExperimentConfig, out_dir: Path, counters: dict):
     basis = config.basis()
     params = config.freq()
     p = config.params
     survey = enumerate_singular_chains(
         basis, params, p["symbol"], p["ell_radius"], p["j_radius"], p["gamma"],
         length_cap=p["length_cap"], node_budget=p["node_budget"])
+    counters.update(sites=survey.site_count, search_expanded=survey.expanded,
+                    search_truncated=survey.truncated)
     replay_ok = all(c.is_valid(basis, params, p["symbol"]) for c in survey.chains)
     bound = p["exponent_bound"]
     fitted_exp = survey.fitted_exponent
@@ -290,7 +302,7 @@ def _ls_slope_through_origin(xs, ys) -> float:
     return sxy / sxx if sxx else 0.0
 
 
-def _run_measure(config: ExperimentConfig, out_dir: Path):
+def _run_measure(config: ExperimentConfig, out_dir: Path, counters: dict):
     basis = config.basis()
     p = config.params
     wb = config.frequency["omega_bar"]
@@ -335,19 +347,30 @@ def _run_measure(config: ExperimentConfig, out_dir: Path):
     return checks, fitted, data, [csv_path.name]
 
 
-def _run_homological(config: ExperimentConfig, out_dir: Path):
+def _read_input(field: str, path, parse):
+    """``parse`` the JSON file at ``path``; bad content raises ParseError."""
+    raw = read_json(path, field)
+    try:
+        return parse(raw)
+    except (KeyError, TypeError, ValueError, ParseError) as exc:
+        raise ParseError(f"{field}: {path}: malformed content "
+                         f"({type(exc).__name__}: {exc})") from exc
+
+
+def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
     basis = config.basis()
     p = config.params
     if p.get("partition_file"):
-        raw = json.loads(Path(p["partition_file"]).read_text())
-        partition = ClusterPartition.from_dict(raw)
+        partition = _read_input("params.partition_file", p["partition_file"],
+                                ClusterPartition.from_dict)
     else:
         partition = _partition_for(config, basis, p["box_radius"], p["delta"],
                                    p["allow_delta_above_theorem"])
     delta = exact.parse_rational(p["delta"], "delta")
     if p.get("matrix_file"):
-        raw = json.loads(Path(p["matrix_file"]).read_text())
-        Q = BlockMatrix.from_triplets(raw["box_radius"], raw["d"], raw["entries"])
+        Q = _read_input("params.matrix_file", p["matrix_file"],
+                        lambda raw: BlockMatrix.from_triplets(
+                            raw["box_radius"], raw["d"], raw["entries"]))
     else:
         rng = random.Random(config.seed)
         Q = random_cross_cluster_matrix(partition, p["entries"], rng)
@@ -399,7 +422,7 @@ def _random_rational_matrix(rng, d):
             for _ in range(d)]
 
 
-def _run_verify(config: ExperimentConfig, out_dir: Path):
+def _run_verify(config: ExperimentConfig, out_dir: Path, counters: dict):
     p = config.params
     rng = random.Random(config.seed)
     dims = list(range(p["d_min"], p["d_max"] + 1))
@@ -518,7 +541,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunReport:
     start = time.time()
     target = Path(out_dir if out_dir is not None else config.out_dir)
     target.mkdir(parents=True, exist_ok=True)
-    checks, fitted, data, outputs = _RUNNERS[config.kind](config, target)
+    counters = {}
+    checks, fitted, data, outputs = _RUNNERS[config.kind](config, target,
+                                                          counters)
     body = {
         "artifact": {"name": "toruskit", "version": __version__},
         "kind": config.kind,
@@ -530,7 +555,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunReport:
         "outputs": outputs,
     }
     meta = {"wall_time_s": time.time() - start,
-            "created_unix": time.time()}
+            "created_unix": time.time(),
+            "counters": counters}
     report = RunReport(meta=meta, body=body)
     atomic_write_text(target / f"report-{config.kind}.json",
                       json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -68,19 +68,22 @@ def connected_components(adjacency):
     return comps
 
 
-def _reachable_count(adjacency, origin, visited):
-    """Nodes reachable from origin avoiding ``visited`` (origin excluded)."""
-    stack = [origin]
-    local = {origin}
-    count = 0
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in visited and w not in local:
-                local.add(w)
-                count += 1
-                stack.append(w)
-    return count
+def _reachable_count(masks, origin, visited):
+    """Nodes reachable from origin avoiding the ``visited`` bitmask.
+
+    ``masks[v]`` is the neighbour bitmask of node v; the search grows one
+    bitmask frontier by frontier and the origin is not counted.
+    """
+    reach = frontier = 1 << origin
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & ~(visited | reach)
+        reach |= frontier
+    return reach.bit_count() - 1
 
 
 def _dp_longest(adj, state_cap: int, length_cap=None):
@@ -129,7 +132,12 @@ def _dp_longest(adj, state_cap: int, length_cap=None):
 
 
 def _dfs_longest(adjacency, comp, best_len, length_cap, budget):
-    """Branch-and-bound DFS within one component; returns the improved best."""
+    """Branch-and-bound DFS within one component; returns the improved best.
+
+    A branch is cut when the nodes still reachable cannot beat the best
+    length; the visited set and the neighbour sets are int bitmasks.
+    """
+    masks = [sum(1 << w for w in nbrs) for nbrs in adjacency]
     best_path = None
     truncated = False
     expanded = 0
@@ -138,7 +146,7 @@ def _dfs_longest(adjacency, comp, best_len, length_cap, budget):
         if comp_size - 1 <= best_len or truncated:
             break
         path = [start]
-        visited = {start}
+        visited = 1 << start
         iters = [iter(adjacency[start])]
         while iters:
             if expanded >= budget or (length_cap is not None
@@ -148,12 +156,12 @@ def _dfs_longest(adjacency, comp, best_len, length_cap, budget):
             it = iters[-1]
             advanced = False
             for w in it:
-                if w in visited:
+                if visited >> w & 1:
                     continue
-                rest = _reachable_count(adjacency, w, visited)
+                rest = _reachable_count(masks, w, visited)
                 if len(path) + rest <= best_len:
                     continue
-                visited.add(w)
+                visited |= 1 << w
                 path.append(w)
                 iters.append(iter(adjacency[w]))
                 expanded += 1
@@ -164,7 +172,7 @@ def _dfs_longest(adjacency, comp, best_len, length_cap, budget):
                 break
             if not advanced:
                 iters.pop()
-                visited.discard(path.pop())
+                visited ^= 1 << path.pop()
     return best_len, best_path, truncated, expanded
 
 
@@ -172,11 +180,13 @@ def longest_path(adjacency, length_cap=None, node_budget=2_000_000,
                  dp_state_cap=1_000_000) -> PathSearchResult:
     """Exact longest simple path (in edges) over all components.
 
-    Small components are solved exactly by the layered mask DP; components
-    that overflow the DP state cap (typically dense ones, where a Hamiltonian
-    path is found quickly) fall back to branch-and-bound DFS with a
-    reachability bound.  Truncation via ``node_budget`` or ``length_cap`` is
-    honest: the best path found so far is returned and flagged.
+    Components of at most 64 nodes are solved exactly by the layered mask DP;
+    larger ones, and those that overflow the DP state cap (typically dense
+    ones, where a Hamiltonian path is found quickly), fall back to
+    branch-and-bound DFS.  Its bound counts the nodes still reachable from a
+    candidate by a bitmask flood fill, one big-int OR per reached node.
+    Truncation via ``node_budget`` or ``length_cap`` is honest: the best path
+    found so far is returned and flagged.
     """
     n = len(adjacency)
     if n == 0:

@@ -147,6 +147,24 @@ def test_config_relative_partition_file(tmp_path, lattice_file,
     assert main(["homological", "--config", str(config)]) == 0
 
 
+@pytest.mark.parametrize("flag, field, content", [
+    ("--partition", "params.partition_file", {"clusters": []}),
+    ("--matrix", "params.matrix_file", {"box_radius": 6, "d": 2}),
+])
+def test_malformed_homological_input_is_usage_error(tmp_path, lattice_file,
+                                                    capsys, flag, field,
+                                                    content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    code = main(["homological", "--lattice", str(lattice_file), "--radius",
+                 "6", "--delta", "1/10", "--allow-delta-above-theorem",
+                 "--entries", "30", flag, str(bad),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
 def test_threads_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["cluster", "--threads", "2", "--out-dir", str(tmp_path)])

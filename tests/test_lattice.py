@@ -84,6 +84,47 @@ def test_bilinear_properties():
         assert bilinear(basis, y, y2) == bilinear(basis, y2, y)
 
 
+def sheared_basis(rng, d):
+    # unit diagonal, rational entries above it: det 1, W far from diagonal
+    return new_lattice([[1 if i == k else
+                         Fr(rng.randint(-7, 7), rng.randint(1, 5)) if k > i
+                         else 0 for k in range(d)] for i in range(d)])
+
+
+def test_gram_form_matches_w_product_oracle():
+    # mu and bilinear run on the cached integer Gram form; the oracle is
+    # the plain Fraction product through W
+    rng = random.Random(17)
+    bases = [b for d in range(1, 5) for _ in range(6)
+             for b in (random_basis(rng, d), sheared_basis(rng, d))]
+    for basis in bases:
+        W = basis.W_rows()
+        G, D = basis.gram
+        assert all(isinstance(x, int) for row in G for x in row)
+        vecs = [[0] * basis.d, [-1] * basis.d]
+        vecs += [[rng.randint(-9, 9) for _ in range(basis.d)]
+                 for _ in range(12)]
+        for j in vecs:
+            assert mu(basis, j) == exact.norm_sq(exact.mat_vec(W, j))
+            assert isinstance(mu(basis, j), Fr)
+        for y, y2 in zip(vecs, vecs[1:] + vecs[:1]):
+            oracle = exact.dot(exact.mat_vec(W, y), exact.mat_vec(W, y2))
+            assert bilinear(basis, y, y2) == oracle
+            assert isinstance(bilinear(basis, y, y2), Fr)
+    with pytest.raises(DimensionMismatch):
+        bilinear(bases[0], (1,), (1, 2))
+
+
+def test_floating_basis_keeps_w_product():
+    basis = new_lattice([[1.0, 0.3], [0.0, 1.7]], mode="floating")
+    assert basis.gram is None
+    W = basis.W_rows()
+    for j in ((0, 0), (3, -4), (-2, 5)):
+        assert mu(basis, j) == exact.norm_sq(exact.mat_vec(W, list(j)))
+        assert bilinear(basis, j, (1, 2)) == exact.dot(
+            exact.mat_vec(W, list(j)), exact.mat_vec(W, [1, 2]))
+
+
 def test_mu_positive_exactly_off_zero():
     rng = random.Random(9)
     for _ in range(20):

@@ -153,6 +153,60 @@ def test_wrong_shape_cache_entry_is_a_miss(tmp_path, planted):
     assert [path.read_text() for path in cache_files] == good
 
 
+def test_cache_schema_is_part_of_the_key(tmp_path, monkeypatch):
+    import toruskit.runner as runner_mod
+
+    cfg = normalize(minimal_cluster(tmp_path))
+    run_experiment(cfg)
+    cache = Path(os.environ["TORUSKIT_CACHE"])
+    before = sorted(path.name for path in cache.glob("*.json"))
+    calls = []
+    real_build = runner_mod.build_partition
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "build_partition", counting_build)
+    run_experiment(cfg)
+    assert calls == []                      # same schema: a hit
+    monkeypatch.setattr(runner_mod, "CACHE_SCHEMA", runner_mod.CACHE_SCHEMA + 1)
+    run_experiment(cfg)
+    assert len(calls) == 1                  # bumped schema: a miss
+    after = sorted(path.name for path in cache.glob("*.json"))
+    assert len(after) == len(before) + 1
+
+
+@pytest.mark.parametrize("raw", [
+    {"kind": "singular", "lattice": {"matrix": [["1", "1/2"], ["0", "1"]]},
+     "frequency": {"omega_bar": ["1"], "gamma0": "1/2", "tau0": 1,
+                   "mass": "1"},
+     "params": {"symbol": "nls", "ell_radius": 4, "j_radius": 6, "gamma": 2,
+                "node_budget": 50}},
+    {"kind": "chains", "lattice": {"matrix": [["1"]]},
+     "params": {"box_radius": 20, "gammas": [2, 4]}},
+])
+def test_search_counters_in_meta_only(tmp_path, raw):
+    report = run_experiment(normalize(dict(raw, out_dir=str(tmp_path))))
+    counters = report.meta["counters"]
+    assert set(counters) == {"sites", "search_expanded", "search_truncated"}
+    assert counters["sites"] > 0 and counters["search_expanded"] > 0
+    if raw["kind"] == "singular":
+        assert counters["sites"] == report.body["data"]["site_count"]
+        assert counters["search_truncated"] == report.body["data"]["truncated"]
+    else:
+        assert counters["sites"] == 41
+    keys, stack = set(), [report.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            keys.update(node)
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    assert not keys & {"counters", "search_expanded", "search_truncated"}
+
+
 def test_atomic_write_keeps_target_on_failure(tmp_path, monkeypatch):
     target = tmp_path / "file.json"
     atomic_write_text(target, "original")

@@ -30,6 +30,7 @@ from toruskit.spacetime import (
     is_singular,
     max_cover_intervals,
     site_distance,
+    symbol,
     symbol_floor_membership,
     symbol_nls,
     symbol_nlw,
@@ -480,3 +481,60 @@ def test_site_ordering_is_lexicographic():
     p = params(mass="1/2")
     sites = enumerate_singular_sites(B1, p, NLS, 4, 2)
     assert sites == sorted(sites)
+
+
+def _double_loop_sites(basis, p, kind, ell_radius, j_radius):
+    # the plain O(|ells| |js|) scan: every (ell, j, a) tested on its own
+    from toruskit.clusters import box_sites
+
+    signs = (1,) if kind == NLW else (-1, 1)
+    rho = {j: mu(basis, j) + p.mass for j in box_sites(j_radius, basis.d)}
+    sites = []
+    for ell in box_sites(ell_radius, p.n):
+        y = p.omega_dot(ell) + p.theta
+        for j in rho:
+            for a in signs:
+                c = y * y if kind == NLW else a * y
+                if abs(rho[j] - c) < 1:
+                    sites.append(SpaceTimeSite(ell, j, a))
+    sites.sort()
+    return sites
+
+
+def test_bisect_scan_matches_double_loop():
+    # seed picked so that 23 of the 24 scans, the floating ones included,
+    # find sites
+    rng = random.Random(29)
+    for trial in range(12):
+        d = 1 + trial % 3
+        V = [[1 if i == k else Fr(rng.randint(-5, 5), rng.randint(1, 4))
+              if k > i else 0 for k in range(d)] for i in range(d)]
+        mode = "floating" if trial == 11 else "exact"
+        basis = new_lattice([[float(x) for x in r] for r in V]
+                            if mode == "floating" else V, mode=mode)
+        n = rng.randint(1, 2)
+        omega = [f"{rng.choice((-1, 1))}/{rng.randint(n + 1, 5)}"
+                 for _ in range(n)]
+        p = params(mass=f"{rng.randint(1, 9)}/{rng.randint(1, 4)}",
+                   lam=f"{rng.randint(2, 6)}/4",
+                   theta=f"{rng.randint(-3, 3)}/{rng.randint(1, 5)}",
+                   omega=omega, tau0=n)
+        for kind in (NLW, NLS):
+            radii = (rng.randint(2, 4), rng.randint(2, 6 if d < 3 else 3))
+            assert (enumerate_singular_sites(basis, p, kind, *radii)
+                    == _double_loop_sites(basis, p, kind, *radii))
+
+
+def test_bisect_scan_window_is_open():
+    # |symbol| == 1 exactly on both edges of the window is regular
+    p = params(mass="1")
+    for kind, inside, edges in (
+            (NLW, ((1,), (0,), 1), [((1,), (1,), 1), ((2,), (2,), 1)]),
+            (NLS, ((2,), (1,), 1), [((1,), (1,), 1), ((3,), (1,), 1)])):
+        sites = enumerate_singular_sites(B1, p, kind, 6, 6)
+        assert sites == _double_loop_sites(B1, p, kind, 6, 6)
+        assert symbol(B1, p, SpaceTimeSite(*inside), kind) == 0
+        assert SpaceTimeSite(*inside) in sites
+        for edge in edges:
+            assert abs(symbol(B1, p, SpaceTimeSite(*edge), kind)) == 1
+            assert SpaceTimeSite(*edge) not in sites
