@@ -233,23 +233,23 @@ def normalize(raw: dict) -> ExperimentConfig:
 
 
 def read_json(path, what):
-    """Load a JSON data file; unreadable or malformed files raise ParseError."""
+    """Load a JSON data file.
+
+    A missing, unreadable or non-UTF-8 file, a directory, or malformed JSON
+    raises ParseError naming ``what`` and the path.
+    """
     try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{what}: cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{what}: {path}: {exc.msg} at line {exc.lineno}") from exc
+        raise ParseError(f"{what}: {path}: {exc.msg} at line {exc.lineno}, "
+                         f"column {exc.colno}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
     """Read and validate a config file."""
-    text = Path(path).read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    config = normalize(raw)
+    config = normalize(read_json(path, "config"))
     # referenced files must exist; config-relative references are stored resolved
     base = Path(path).parent
     for name in ("matrix_file", "partition_file"):

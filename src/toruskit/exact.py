@@ -1,14 +1,21 @@
 """Exact rational linear algebra and small numeric utilities.
 
-Everything here operates on ``fractions.Fraction`` entries (lists of rows) so
-identities can be checked with no rounding at all.  Floating-point callers use
-the same routines with ``float`` entries; comparisons are then up to the
-caller's tolerance.
+Matrices are lists of rows.  When every entry is an ``int`` or a
+``fractions.Fraction``, ``det``, ``mat_rank``, ``mat_inverse``, ``compound``
+and ``mat_mul`` clear the matrix to integer rows over one common denominator
+and work in Python ints: one fraction-free (Bareiss) elimination serves the
+first three, compounds grow order by order by Laplace expansion, and a
+Fraction is built only for each returned entry.  Identities are therefore
+checked with no rounding at all.  Input holding floats goes through plain
+Gaussian elimination over the entries' own field (``_field_*``), whose
+results are compared up to the caller's tolerance; the tests run the same
+field routines on Fraction entries as the oracle of the integer kernel.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations
 
@@ -61,7 +68,190 @@ def mat_transpose(M):
     return [list(col) for col in zip(*M)]
 
 
+def _clear(M):
+    """Integer rows ``A``, denominator ``D`` and an all-int flag, ``M = A / D``.
+
+    ``None`` when some entry is neither an int nor a Fraction (a float).
+    """
+    ints = True
+    for row in M:
+        for x in row:
+            if not isinstance(x, int):
+                if not isinstance(x, Fraction):
+                    return None
+                ints = False
+    if ints:
+        return [list(row) for row in M], 1, True
+    D = math.lcm(*(x.denominator for row in M for x in row))
+    return [[x.numerator * (D // x.denominator) for x in row] for row in M], D, False
+
+
 def mat_mul(A, B):
+    """Product; exact factors multiply as cleared integer matrices."""
+    ca, cb = _clear(A), _clear(B)
+    if ca is None or cb is None:
+        return _field_mat_mul(A, B)
+    (IA, Da, ints_a), (IB, Db, ints_b) = ca, cb
+    cols = list(zip(*IB))
+    P = [[sum(map(operator.mul, row, col)) for col in cols] for row in IA]
+    if ints_a and ints_b:
+        return P
+    D = Da * Db
+    return [[Fraction(v, D) for v in row] for row in P]
+
+
+def mat_vec(M, v):
+    return [sum(row[t] * v[t] for t in range(len(v))) for row in M]
+
+
+def _bareiss(A, ncols, jordan=False):
+    """Fraction-free (Bareiss) elimination of the integer rows ``A`` in place.
+
+    Pivots are taken in the first ``ncols`` columns, skipping columns with no
+    pivot left.  Every update ``(p * x - f * y) // prev`` divides exactly, so
+    each entry stays a minor of the input.  ``jordan`` also clears the rows
+    above each pivot (Gauss-Jordan); the left block of a nonsingular square
+    system then ends as the last pivot times the identity.  Returns the rank,
+    the sign of the row swaps and the last pivot, which is ``sign * det``
+    for a nonsingular square ``A``.
+    """
+    rows = len(A)
+    rank, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        piv = next((r for r in range(rank, rows) if A[r][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            A[rank], A[piv] = A[piv], A[rank]
+            sign = -sign
+        P = A[rank]
+        p = P[c]
+        lo = 0 if jordan else c
+        for r in range(0 if jordan else rank + 1, rows):
+            if r == rank:
+                continue
+            R = A[r]
+            f = R[c]
+            A[r][lo:] = [(p * x - f * y) // prev for x, y in zip(R[lo:], P[lo:])]
+        prev = p
+        rank += 1
+    return rank, sign, prev
+
+
+def _minor_value(v, den, g, ints):
+    """The g-minor ``v / den``, ``den = D**g``, typed as the field ``det`` has it.
+
+    All-int input keeps ints up to order 2 and for a zero minor; every other
+    value is a Fraction.
+    """
+    if ints and (g <= 2 or not v):
+        return v
+    return Fraction(v, den)
+
+
+def det(M):
+    """Determinant; exact input goes through :func:`_bareiss` on cleared rows."""
+    n = len(M)
+    if n == 0:
+        return Fr(1)
+    if n == 1:
+        return M[0][0]
+    if n == 2:
+        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    cleared = _clear(M)
+    if cleared is None:
+        return _field_det(M)
+    A, D, ints = cleared
+    rank, sign, last = _bareiss(A, n)
+    return _minor_value(sign * last if rank == n else 0, D**n, n, ints)
+
+
+def mat_inverse(M):
+    """Inverse; raises ZeroDivisionError on singular input.
+
+    Exact input is solved fraction-free as ``[A | I]`` with ``M = A / D``:
+    ``M^-1 = D * R / c`` for the right block ``R`` and last pivot ``c``.
+    """
+    cleared = _clear(M)
+    if cleared is None:
+        return _field_mat_inverse(M)
+    A, D, _ = cleared
+    n = len(A)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    rank, _, c = _bareiss(aug, n, jordan=True)
+    if rank < n:
+        raise ZeroDivisionError("singular matrix")
+    return [[Fraction(D * x, c) for x in row[n:]] for row in aug]
+
+
+def mat_rank(M) -> int:
+    if not M:
+        return 0
+    cleared = _clear(M)
+    if cleared is None:
+        return _field_mat_rank(M)
+    return _bareiss(cleared[0], len(M[0]))[0]
+
+
+def submatrix(M, rows, cols):
+    return [[M[r][c] for c in cols] for r in rows]
+
+
+def index_tuples(n: int, g: int):
+    """Strictly increasing g-tuples from range(n), lexicographic order."""
+    return list(combinations(range(n), g))
+
+
+def _int_compound(A, g):
+    """All g-minors of the integer rows ``A``, keyed by (row, column) tuples.
+
+    Order k is built from order k - 1 by Laplace expansion along the first
+    row; an order-k minor only ever needs rows from ``g - k`` on.
+    """
+    p, q = len(A), len(A[0])
+    minors = {((), ()): 1}
+    for k in range(1, g + 1):
+        level = {}
+        for rs in combinations(range(g - k, p), k):
+            top, rest = A[rs[0]], rs[1:]
+            for cs in combinations(range(q), k):
+                total = 0
+                for t, c in enumerate(cs):
+                    a = top[c]
+                    if a:
+                        m = minors[rest, cs[:t] + cs[t + 1:]]
+                        total = total - a * m if t & 1 else total + a * m
+                level[rs, cs] = total
+        minors = level
+    return minors
+
+
+def compound(M, g):
+    """Matrix of all g x g minors, rows/cols indexed by increasing tuples.
+
+    ``g = 0`` yields the 1 x 1 matrix [1], the natural empty-minor convention.
+    Exact input is cleared to ``M = A / D`` and gives ``C_g(A) / D^g``.
+    """
+    if g == 0:
+        return [[Fr(1)]]
+    p, q = len(M), len(M[0])
+    row_t = index_tuples(p, g)
+    col_t = index_tuples(q, g)
+    cleared = _clear(M)
+    if cleared is None:
+        return [[det(submatrix(M, rs, cs)) for cs in col_t] for rs in row_t]
+    A, D, ints = cleared
+    minors = _int_compound(A, g)
+    den = D**g
+    return [[_minor_value(minors[rs, cs], den, g, ints) for cs in col_t]
+            for rs in row_t]
+
+
+# ---------------------------------------------------------------------------
+# field elimination: floating input, and the Fraction oracle of the tests
+
+
+def _field_mat_mul(A, B):
     n, k, m = len(A), len(B), len(B[0])
     out = []
     for i in range(n):
@@ -70,26 +260,9 @@ def mat_mul(A, B):
     return out
 
 
-def mat_vec(M, v):
-    return [sum(row[t] * v[t] for t in range(len(v))) for row in M]
-
-
-def _one_over(x):
-    """Exact reciprocal: Fractions for int/Fraction pivots, floats otherwise."""
-    if isinstance(x, (int, Fraction)):
-        return Fr(1) / Fr(x)
-    return 1.0 / x
-
-
-def det(M):
-    """Determinant by fraction-preserving Gaussian elimination."""
+def _field_det(M):
+    """Determinant by Gaussian elimination over the entries' own field."""
     n = len(M)
-    if n == 0:
-        return Fr(1)
-    if n == 1:
-        return M[0][0]
-    if n == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
     A = [list(row) for row in M]
     sign = 1
     acc = Fr(1)
@@ -105,7 +278,7 @@ def det(M):
             A[c], A[piv] = A[piv], A[c]
             sign = -sign
         acc = acc * A[c][c]
-        inv = _one_over(A[c][c])
+        inv = Fr(1) / A[c][c]
         for r in range(c + 1, n):
             if A[r][c] != 0:
                 f = A[r][c] * inv
@@ -114,8 +287,7 @@ def det(M):
     return sign * acc
 
 
-def mat_inverse(M):
-    """Inverse by Gauss-Jordan; raises ZeroDivisionError on singular input."""
+def _field_mat_inverse(M):
     n = len(M)
     A = [list(row) + [Fr(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
     for c in range(n):
@@ -127,7 +299,7 @@ def mat_inverse(M):
         if piv is None:
             raise ZeroDivisionError("singular matrix")
         A[c], A[piv] = A[piv], A[c]
-        ic = _one_over(A[c][c])
+        ic = Fr(1) / A[c][c]
         A[c] = [x * ic for x in A[c]]
         for r in range(n):
             if r != c and A[r][c] != 0:
@@ -136,9 +308,7 @@ def mat_inverse(M):
     return [row[n:] for row in A]
 
 
-def mat_rank(M) -> int:
-    if not M:
-        return 0
+def _field_mat_rank(M) -> int:
     A = [list(row) for row in M]
     rows, cols = len(A), len(A[0])
     rank = 0
@@ -151,7 +321,7 @@ def mat_rank(M) -> int:
         if piv is None:
             continue
         A[rank], A[piv] = A[piv], A[rank]
-        inv = _one_over(A[rank][c])
+        inv = Fr(1) / A[rank][c]
         for r in range(rank + 1, rows):
             if A[r][c] != 0:
                 f = A[r][c] * inv
@@ -160,28 +330,6 @@ def mat_rank(M) -> int:
         if rank == rows:
             break
     return rank
-
-
-def submatrix(M, rows, cols):
-    return [[M[r][c] for c in cols] for r in rows]
-
-
-def index_tuples(n: int, g: int):
-    """Strictly increasing g-tuples from range(n), lexicographic order."""
-    return list(combinations(range(n), g))
-
-
-def compound(M, g):
-    """Matrix of all g x g minors, rows/cols indexed by increasing tuples.
-
-    ``g = 0`` yields the 1 x 1 matrix [1], the natural empty-minor convention.
-    """
-    if g == 0:
-        return [[Fr(1)]]
-    p, q = len(M), len(M[0])
-    row_t = index_tuples(p, g)
-    col_t = index_tuples(q, g)
-    return [[det(submatrix(M, rs, cs)) for cs in col_t] for rs in row_t]
 
 
 def dot(u, v):

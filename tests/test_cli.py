@@ -165,6 +165,20 @@ def test_malformed_homological_input_is_usage_error(tmp_path, lattice_file,
     assert field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+def test_unreadable_config_is_usage_error(tmp_path, capsys, case):
+    path = tmp_path / "config.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not_utf8":
+        path.write_bytes(b'{"kind": "cluster\xff"}')
+    code = main(["cluster", "--config", str(path),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_threads_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["cluster", "--threads", "2", "--out-dir", str(tmp_path)])

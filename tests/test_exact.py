@@ -122,3 +122,141 @@ def test_merge_intervals_and_measure():
     assert merged == [(Fr(0), Fr(1)), (Fr(2), Fr(4))]
     assert exact.intervals_measure(merged) == Fr(3)
     assert exact.merge_intervals([]) == []
+
+
+# ---------------------------------------------------------------------------
+# the integer (Bareiss) kernel against the field-elimination oracle
+
+
+def as_fractions(M):
+    return [[Fr(x) for x in row] for row in M]
+
+
+def random_matrix(rng, p, q, kind, rank=None):
+    """Seeded p x q int or Fraction matrix, about a third of it zeros.
+
+    With ``rank`` the matrix is a product of p x rank and rank x q factors,
+    so it is singular or rank-deficient whenever rank < min(p, q).
+    """
+    def entry():
+        if rng.random() < 0.3:
+            return 0 if kind == "int" else Fr(0)
+        if kind == "int":
+            return rng.randint(-6, 6)
+        return Fr(rng.randint(-6, 6), rng.randint(1, 5))
+
+    if rank is None:
+        return [[entry() for _ in range(q)] for _ in range(p)]
+    left = [[entry() for _ in range(rank)] for _ in range(p)]
+    right = [[entry() for _ in range(q)] for _ in range(rank)]
+    zero = 0 if kind == "int" else Fr(0)
+    return [[sum((left[i][t] * right[t][j] for t in range(rank)), zero)
+             for j in range(q)] for i in range(p)]
+
+
+def seeded_cases(seed, trials, square):
+    """(kind, matrix) pairs for n = 0..7, full-rank and rank-capped."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        for n in range(8):
+            p, q = (n, n) if square else (n, rng.randint(0, 7))
+            for kind in ("int", "frac"):
+                rank = rng.choice([None, rng.randint(0, max(min(p, q) - 1, 0))])
+                yield kind, random_matrix(rng, p, q, kind, rank)
+
+
+def test_det_matches_field_oracle():
+    singular = 0
+    for _, M in seeded_cases(11, 6, square=True):
+        want = exact._field_det(as_fractions(M))
+        assert exact.det(M) == want
+        singular += want == 0
+    assert singular > 10
+
+
+def test_rank_matches_field_oracle_on_rectangular_input():
+    deficient = 0
+    for _, M in seeded_cases(12, 6, square=False):
+        want = exact._field_mat_rank(as_fractions(M)) if M else 0
+        assert exact.mat_rank(M) == want
+        deficient += bool(M) and want < min(len(M), len(M[0]))
+    assert deficient > 10
+
+
+def test_inverse_matches_field_oracle():
+    raised = 0
+    for _, M in seeded_cases(13, 6, square=True):
+        try:
+            want = exact._field_mat_inverse(as_fractions(M))
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                exact.mat_inverse(M)
+            raised += 1
+            continue
+        assert exact.mat_inverse(M) == want
+    assert raised > 10
+
+
+def test_compound_matches_per_minor_oracle_on_rectangular_input():
+    rng = random.Random(14)
+    for _ in range(40):
+        p, q = rng.randint(1, 7), rng.randint(1, 7)
+        kind = rng.choice(["int", "frac"])
+        rank = rng.choice([None, rng.randint(0, min(p, q))])
+        M = random_matrix(rng, p, q, kind, rank)
+        F = as_fractions(M)
+        for g in range(min(p, q) + 1):
+            want = [[exact._field_det(exact.submatrix(F, rs, cs))
+                     for cs in exact.index_tuples(q, g)]
+                    for rs in exact.index_tuples(p, g)]
+            assert exact.compound(M, g) == want
+
+
+def test_mat_mul_matches_field_oracle():
+    rng = random.Random(15)
+    for _ in range(60):
+        n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        A = random_matrix(rng, n, k, rng.choice(["int", "frac"]))
+        B = random_matrix(rng, k, m, rng.choice(["int", "frac"]))
+        assert exact.mat_mul(A, B) == exact._field_mat_mul(as_fractions(A),
+                                                           as_fractions(B))
+
+
+def test_return_types_are_pinned():
+    i2 = [[2, 1], [1, 3]]
+    i3 = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    s3 = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+
+    def halves(M):
+        return [[Fr(x, 2) for x in row] for row in M]
+
+    def floats(M):
+        return [[x + 0.25 for x in row] for row in M]
+
+    def types(M):
+        return {type(x) for row in M for x in row}
+
+    assert type(exact.det([])) is Fr
+    assert type(exact.det([[5]])) is int
+    assert type(exact.det(i2)) is int
+    assert type(exact.det(i3)) is Fr
+    assert type(exact.det(s3)) is int and exact.det(s3) == 0
+    for M in (i2, i3, s3):
+        assert type(exact.det(halves(M))) is Fr
+        assert type(exact.det(floats(M))) is float
+        for arg in (M, halves(M), floats(M)):
+            assert type(exact.mat_rank(arg)) is int
+    assert types(exact.mat_inverse(i3)) == {Fr}
+    assert types(exact.mat_inverse(halves(i3))) == {Fr}
+    assert types(exact.mat_inverse(floats(i3))) == {float}
+    assert [types(exact.compound(i3, g)) for g in range(4)] == [
+        {Fr}, {int}, {int}, {Fr}]
+    assert types(exact.compound(s3, 3)) == {int}
+    assert [types(exact.compound(halves(i3), g)) for g in range(4)] == [
+        {Fr}, {Fr}, {Fr}, {Fr}]
+    assert [types(exact.compound(floats(i3), g)) for g in range(4)] == [
+        {Fr}, {float}, {float}, {float}]
+    assert types(exact.mat_mul(i3, i3)) == {int}
+    assert types(exact.mat_mul(halves(i3), halves(i3))) == {Fr}
+    assert types(exact.mat_mul(i3, halves(i3))) == {Fr}
+    assert types(exact.mat_mul(floats(i3), floats(i3))) == {float}

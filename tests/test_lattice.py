@@ -125,6 +125,26 @@ def test_floating_basis_keeps_w_product():
             exact.mat_vec(W, list(j)), exact.mat_vec(W, [1, 2]))
 
 
+def test_floating_gram_identity_bits_are_unchanged():
+    # float.hex values of (det, image_norm_sq, lower_bound) from the field
+    # elimination that floating bases have always used
+    basis = new_lattice([[1.0, 0.3, -0.2], [0.1, 1.7, 0.4], [-0.5, 0.25, 1.3]],
+                        mode="floating")
+    cases = [
+        ([(1, 0, 2)],
+         ("0x1.251e37506982ap+3", "0x1.251e37506982ap+3", "0x1.9d673f5aa3803p-1")),
+        ([(1, 2, 0), (0, -1, 3)],
+         ("0x1.70575b42b8673p+4", "0x1.70575b42b8673p+4", "0x1.1de7b11d75218p+2")),
+        ([(1, 2, 0), (0, -1, 3), (2, 1, 1)],
+         ("0x1.2fc6dc5d53397p+4", "0x1.2fc6dc5d53399p+4", "0x1.2fc6dc5d53396p+4")),
+    ]
+    for fs, want in cases:
+        ident = gram_det_identity(basis, fs)
+        got = (ident.det, ident.image_norm_sq, ident.lower_bound)
+        assert all(type(x) is float for x in got)
+        assert tuple(x.hex() for x in got) == want
+
+
 def test_mu_positive_exactly_off_zero():
     rng = random.Random(9)
     for _ in range(20):
