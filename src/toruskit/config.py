@@ -33,6 +33,39 @@ def _require(cond, message):
         raise ValidationError(message)
 
 
+def _int(value) -> int:
+    # int() would truncate 2.5; a fractional count is refused
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
+def _int_list(values) -> list:
+    if not isinstance(values, list):
+        raise TypeError(values)
+    return [_int(v) for v in values]
+
+
+_EXPECTED = {_int: "an integer", float: "a number",
+             _int_list: "a list of integers"}
+
+
+def _param(raw: dict, key: str, default, cast=_int, where="params."):
+    """``cast`` of the field ``<where><key>``, or of ``default`` when absent.
+
+    A key whose default is None is optional and may be null.  A value that
+    ``cast`` refuses raises ParseError naming the field.
+    """
+    value = raw.get(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}{key}: expected {_EXPECTED[cast]}, "
+                         f"got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -89,7 +122,7 @@ def _normalize_frequency(raw) -> dict:
         "lambda": _rat_str(raw.get("lambda", 1), "frequency.lambda"),
         "theta": _rat_str(raw.get("theta", 0), "frequency.theta"),
         "mass": _rat_str(raw.get("mass", 1), "frequency.mass"),
-        "dio_ell_max": int(raw.get("dio_ell_max", 0)),
+        "dio_ell_max": _param(raw, "dio_ell_max", 0, where="frequency."),
     }
     # surface range errors now, field by field
     try:
@@ -110,11 +143,17 @@ def _check_delta(delta_str: str, d: int, allow_above: bool, fieldname: str):
                  f"{delta_max(d)}; set allow_delta_above_theorem to override")
 
 
+def _check_search(out: dict) -> None:
+    _require(out["node_budget"] >= 1, "params.node_budget: must be >= 1")
+    _require(out["length_cap"] is None or out["length_cap"] >= 1,
+             "params.length_cap: must be >= 1 when given")
+
+
 def _normalize_params(kind: str, raw: dict, d: int) -> dict:
     raw = dict(raw or {})
     if kind == "cluster":
         out = {
-            "box_radius": int(raw.get("box_radius", 16)),
+            "box_radius": _param(raw, "box_radius", 16),
             "delta": _rat_str(raw.get("delta", "1/100"), "params.delta"),
             "allow_delta_above_theorem": bool(raw.get("allow_delta_above_theorem", False)),
             "edges_csv": bool(raw.get("edges_csv", False)),
@@ -124,49 +163,45 @@ def _normalize_params(kind: str, raw: dict, d: int) -> dict:
         return out
     if kind == "chains":
         out = {
-            "box_radius": int(raw.get("box_radius", 50)),
-            "gammas": [int(g) for g in raw.get("gammas", [2, 4, 8])],
-            "length_cap": raw.get("length_cap"),
-            "node_budget": int(raw.get("node_budget", 2_000_000)),
+            "box_radius": _param(raw, "box_radius", 50),
+            "gammas": _param(raw, "gammas", [2, 4, 8], _int_list),
+            "length_cap": _param(raw, "length_cap", None),
+            "node_budget": _param(raw, "node_budget", 2_000_000),
         }
         _require(out["box_radius"] >= 1, "params.box_radius: must be >= 1")
         _require(out["gammas"], "params.gammas: must be nonempty")
         for g in out["gammas"]:
             _require(g >= 2, f"params.gammas: gamma {g} below 2")
-        if out["length_cap"] is not None:
-            out["length_cap"] = int(out["length_cap"])
+        _check_search(out)
         return out
     if kind == "singular":
         out = {
             "symbol": raw.get("symbol", NLW),
-            "ell_radius": int(raw.get("ell_radius", 20)),
-            "j_radius": int(raw.get("j_radius", 20)),
-            "gamma": int(raw.get("gamma", 2)),
-            "length_cap": raw.get("length_cap"),
-            "node_budget": int(raw.get("node_budget", 2_000_000)),
-            "exponent_bound": raw.get("exponent_bound"),
+            "ell_radius": _param(raw, "ell_radius", 20),
+            "j_radius": _param(raw, "j_radius", 20),
+            "gamma": _param(raw, "gamma", 2),
+            "length_cap": _param(raw, "length_cap", None),
+            "node_budget": _param(raw, "node_budget", 2_000_000),
+            "exponent_bound": _param(raw, "exponent_bound", None, float),
         }
         _require(out["symbol"] in (NLW, NLS),
                  f"params.symbol: must be '{NLW}' or '{NLS}'")
         _require(out["gamma"] >= 2, "params.gamma: must be >= 2")
         _require(out["ell_radius"] >= 1 and out["j_radius"] >= 1,
                  "params.*_radius: must be >= 1")
-        if out["length_cap"] is not None:
-            out["length_cap"] = int(out["length_cap"])
-        if out["exponent_bound"] is not None:
-            out["exponent_bound"] = float(out["exponent_bound"])
+        _check_search(out)
         return out
     if kind == "measure":
         grid = raw.get("gamma_grid")
         _require(isinstance(grid, list) and grid,
                  "params.gamma_grid: must be a nonempty list of rationals")
         out = {
-            "g": int(raw.get("g", 2)),
-            "tau": int(raw.get("tau", 6)),
-            "p_max": int(raw.get("p_max", 2)),
-            "m_max": int(raw.get("m_max", 2)),
+            "g": _param(raw, "g", 2),
+            "tau": _param(raw, "tau", 6),
+            "p_max": _param(raw, "p_max", 2),
+            "m_max": _param(raw, "m_max", 2),
             "gamma_grid": [_rat_str(x, "params.gamma_grid") for x in grid],
-            "doublings": int(raw.get("doublings", 0)),
+            "doublings": _param(raw, "doublings", 0),
         }
         for x in out["gamma_grid"]:
             _require(exact.parse_rational(x, "params.gamma_grid") > 0,
@@ -178,14 +213,14 @@ def _normalize_params(kind: str, raw: dict, d: int) -> dict:
         return out
     if kind == "homological":
         out = {
-            "box_radius": int(raw.get("box_radius", 16)),
+            "box_radius": _param(raw, "box_radius", 16),
             "delta": _rat_str(raw.get("delta", "1/100"), "params.delta"),
             "allow_delta_above_theorem": bool(raw.get("allow_delta_above_theorem", False)),
-            "entries": int(raw.get("entries", 200)),
+            "entries": _param(raw, "entries", 200),
             "matrix_file": raw.get("matrix_file"),
             "partition_file": raw.get("partition_file"),
-            "sigma": float(raw.get("sigma", 0.0)),
-            "decay_orders": [int(x) for x in raw.get("decay_orders", [1, 2, 4])],
+            "sigma": _param(raw, "sigma", 0.0, float),
+            "decay_orders": _param(raw, "decay_orders", [1, 2, 4], _int_list),
         }
         _require(out["box_radius"] >= 1, "params.box_radius: must be >= 1")
         _require(out["entries"] >= 0, "params.entries: must be >= 0")
@@ -193,13 +228,13 @@ def _normalize_params(kind: str, raw: dict, d: int) -> dict:
         return out
     if kind == "verify":
         out = {
-            "trials_compound": int(raw.get("trials_compound", 40)),
-            "trials_cauchy_binet": int(raw.get("trials_cauchy_binet", 100)),
-            "trials_gram": int(raw.get("trials_gram", 100)),
-            "trials_chain_det": int(raw.get("trials_chain_det", 40)),
-            "d_min": int(raw.get("d_min", 2)),
-            "d_max": int(raw.get("d_max", 4)),
-            "n_max": int(raw.get("n_max", 3)),
+            "trials_compound": _param(raw, "trials_compound", 40),
+            "trials_cauchy_binet": _param(raw, "trials_cauchy_binet", 100),
+            "trials_gram": _param(raw, "trials_gram", 100),
+            "trials_chain_det": _param(raw, "trials_chain_det", 40),
+            "d_min": _param(raw, "d_min", 2),
+            "d_max": _param(raw, "d_max", 4),
+            "n_max": _param(raw, "n_max", 3),
         }
         _require(1 <= out["d_min"] <= out["d_max"] <= 7,
                  "params.d_min/d_max: need 1 <= d_min <= d_max <= 7")
@@ -215,6 +250,10 @@ def normalize(raw: dict) -> ExperimentConfig:
     _require(kind in KINDS, f"kind: must be one of {', '.join(KINDS)}")
     lattice = _normalize_lattice(raw.get("lattice", {"matrix": [["1"]]}))
     d = len(lattice["matrix"])
+    # the homological solve divides exact Gaussian rationals by mu values
+    _require(kind != "homological" or lattice["mode"] == EXACT,
+             "lattice.mode: kind 'homological' needs an exact lattice, "
+             f"got {lattice['mode']!r}")
     frequency = None
     if raw.get("frequency") is not None:
         frequency = _normalize_frequency(raw["frequency"])
@@ -223,7 +262,7 @@ def normalize(raw: dict) -> ExperimentConfig:
     params = _normalize_params(kind, raw.get("params", {}), d)
     return ExperimentConfig(
         kind=kind,
-        seed=int(raw.get("seed", 0)),
+        seed=_param(raw, "seed", 0, where=""),
         out_dir=str(raw.get("out_dir", ".")),
         cache=bool(raw.get("cache", True)),
         lattice=lattice,

@@ -68,22 +68,23 @@ def connected_components(adjacency):
     return comps
 
 
-def _reachable_count(masks, origin, visited):
-    """Nodes reachable from origin avoiding the ``visited`` bitmask.
+def _reach_mask(masks, origin, visited):
+    """Bitmask of the nodes reachable from origin avoiding ``visited``.
 
     ``masks[v]`` is the neighbour bitmask of node v; the search grows one
-    bitmask frontier by frontier and the origin is not counted.
+    bitmask frontier by frontier and the origin is part of the result.
     """
-    reach = frontier = 1 << origin
+    frontier = 1 << origin
+    blocked = visited | frontier
     while frontier:
         grown = 0
         while frontier:
-            low = frontier & -frontier
-            grown |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & ~(visited | reach)
-        reach |= frontier
-    return reach.bit_count() - 1
+            v = frontier.bit_length() - 1
+            grown |= masks[v]
+            frontier ^= 1 << v
+        frontier = grown & ~blocked
+        blocked |= frontier
+    return blocked & ~visited
 
 
 def _dp_longest(adj, state_cap: int, length_cap=None):
@@ -134,8 +135,16 @@ def _dp_longest(adj, state_cap: int, length_cap=None):
 def _dfs_longest(adjacency, comp, best_len, length_cap, budget):
     """Branch-and-bound DFS within one component; returns the improved best.
 
-    A branch is cut when the nodes still reachable cannot beat the best
-    length; the visited set and the neighbour sets are int bitmasks.
+    A candidate is cut when the nodes still reachable from it cannot beat the
+    best length.  Each frame (tip ``u``, visited set ``V``) floods every
+    component of the unvisited graph next to ``u`` at most once and keeps
+    the reach masks: a candidate inside a stored mask reuses its count.  The
+    frame also keeps ``left``, the nodes of its region (the component flooded
+    when ``u`` was entered, minus ``u``) that no stored mask covers; an
+    unflooded candidate's component has at most ``left`` nodes, so it is cut
+    without a flood when even ``left`` cannot beat the best.  Neither shortcut
+    changes a decision of the exact count.  The visited set and the
+    neighbour sets are int bitmasks.
     """
     masks = [sum(1 << w for w in nbrs) for nbrs in adjacency]
     best_path = None
@@ -148,22 +157,38 @@ def _dfs_longest(adjacency, comp, best_len, length_cap, budget):
         path = [start]
         visited = 1 << start
         iters = [iter(adjacency[start])]
+        floods = [[]]
+        lefts = [len(adjacency) - 1]
         while iters:
             if expanded >= budget or (length_cap is not None
                                       and best_len >= length_cap):
                 truncated = True
                 break
             it = iters[-1]
+            stored = floods[-1]
+            # a candidate whose component has at most ``room`` nodes is cut
+            room = best_len - len(path) + 1
             advanced = False
             for w in it:
                 if visited >> w & 1:
                     continue
-                rest = _reachable_count(masks, w, visited)
-                if len(path) + rest <= best_len:
+                for reach in stored:
+                    if reach >> w & 1:
+                        break
+                else:
+                    if lefts[-1] <= room:
+                        continue
+                    reach = _reach_mask(masks, w, visited)
+                    stored.append(reach)
+                    lefts[-1] -= reach.bit_count()
+                size = reach.bit_count()
+                if size <= room:
                     continue
                 visited |= 1 << w
                 path.append(w)
                 iters.append(iter(adjacency[w]))
+                floods.append([])
+                lefts.append(size - 1)
                 expanded += 1
                 if len(path) - 1 > best_len:
                     best_len = len(path) - 1
@@ -172,6 +197,8 @@ def _dfs_longest(adjacency, comp, best_len, length_cap, budget):
                 break
             if not advanced:
                 iters.pop()
+                floods.pop()
+                lefts.pop()
                 visited ^= 1 << path.pop()
     return best_len, best_path, truncated, expanded
 
@@ -184,7 +211,10 @@ def longest_path(adjacency, length_cap=None, node_budget=2_000_000,
     larger ones, and those that overflow the DP state cap (typically dense
     ones, where a Hamiltonian path is found quickly), fall back to
     branch-and-bound DFS.  Its bound counts the nodes still reachable from a
-    candidate by a bitmask flood fill, one big-int OR per reached node.
+    candidate; a bitmask flood fill runs at most once per component of the
+    unvisited graph next to each DFS tip, and a candidate whose component
+    cannot beat the best even at the size of the tip's unflooded region is
+    cut without one.
     Truncation via ``node_budget`` or ``length_cap`` is honest: the best path
     found so far is returned and flagged.
     """

@@ -770,28 +770,41 @@ def chain_pair_bounds(basis: LatticeBasis, params: FrequencyParams,
     difference is compared with ``|q - q0|^2 gamma^2``; the reported constant
     is the smallest one making all bounds hold.  For the linear kind the
     theta-free consecutive-step inequality (budget ``2(m+1)``) is also
-    replayed.
+    replayed.  Exact bases take ``s0^T G`` from :attr:`LatticeBasis.gram`
+    once per anchor and one integer dot per pair; floating bases call
+    :func:`bilinear`.
     """
     sites = chain.sites
     gamma = chain.gamma
+    gram = basis.gram
+    if gram is not None:
+        G, D = gram
     mu_vals = [mu(basis, s.j) for s in sites]
     worst = None
     best_c = 0.0
     pair_count = 0
     for q0, s0 in enumerate(sites):
         x0 = params.omega_dot(s0.ell) + params.theta
+        if gram is not None:
+            anchor = [sum(a * g for a, g in zip(s0.j, col)) for col in zip(*G)]
         for q, s in enumerate(sites):
             if q == q0:
                 continue
             diff_j = tuple(a - b for a, b in zip(s.j, s0.j))
-            space = bilinear(basis, s0.j, diff_j)
-            if kind == NLW:
-                xq = params.omega_dot(s.ell) + params.theta
-                lhs = abs(-x0 * (xq - x0) + space)
-            else:
-                lhs = abs(space)
             denom = (q - q0) ** 2 * float(gamma) ** 2
-            ratio = float(lhs) / denom
+            if gram is None:
+                space = bilinear(basis, s0.j, diff_j)
+            else:
+                num = sum(a * b for a, b in zip(anchor, diff_j))
+                space = Fraction(num, D) if kind == NLW else None
+            if space is None:
+                # int true division rounds correctly, as float(Fraction) does
+                ratio = abs(num) / D / denom
+            else:
+                if kind == NLW:
+                    xq = params.omega_dot(s.ell) + params.theta
+                    space = -x0 * (xq - x0) + space
+                ratio = float(abs(space)) / denom
             pair_count += 1
             if ratio > best_c:
                 best_c = ratio

@@ -197,3 +197,46 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_floating_homological_is_usage_error(tmp_path, capsys):
+    lattice = tmp_path / "floating.json"
+    lattice.write_text(json.dumps({"matrix": [[1.0, 0.37], [0.0, 1.21]],
+                                   "mode": "floating"}))
+    code = main(["homological", "--lattice", str(lattice), "--radius", "4",
+                 "--delta", "1/10", "--allow-delta-above-theorem",
+                 "--entries", "10", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "lattice.mode" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, key, value, error", [
+    ("singular", "node_budget", "abc", "expected an integer"),
+    ("singular", "node_budget", None, "expected an integer"),
+    ("singular", "node_budget", 0, "must be >= 1"),
+    ("singular", "length_cap", "x", "expected an integer"),
+    ("singular", "length_cap", 0, "must be >= 1"),
+    ("singular", "exponent_bound", "big", "expected a number"),
+    ("chains", "node_budget", 2.5, "expected an integer"),
+    ("chains", "length_cap", -3, "must be >= 1"),
+    ("chains", "gammas", 4, "expected a list of integers"),
+    ("chains", "gammas", [2, "x"], "expected a list of integers"),
+    ("cluster", "box_radius", [3], "expected an integer"),
+    ("homological", "sigma", "wide", "expected a number"),
+    ("verify", "d_max", float("inf"), "expected an integer"),
+])
+def test_bad_numeric_param_is_usage_error(tmp_path, capsys, kind, key, value,
+                                          error):
+    raw = {"kind": kind, "out_dir": str(tmp_path / "out"),
+           "lattice": {"matrix": [["1"]]}, "params": {key: value}}
+    if kind == "singular":
+        raw["frequency"] = {"omega_bar": ["1"], "gamma0": "1/2", "tau0": 1}
+    if kind in ("cluster", "homological"):
+        raw["params"].update(delta="1/10", allow_delta_above_theorem=True)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    code = main([kind, "--config", str(config)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"params.{key}: {error}" in err and "Traceback" not in err

@@ -5,21 +5,20 @@ import random
 import pytest
 
 from toruskit import search
-from toruskit.search import _reachable_count, longest_path
+from toruskit.search import _dfs_longest, _reach_mask, longest_path
 
 
-def _set_reachable_count(adjacency, origin, visited):
+def _set_reach(adjacency, origin, visited):
+    # the nodes reachable from origin avoiding visited, origin included
     stack = [origin]
     local = {origin}
-    count = 0
     while stack:
         v = stack.pop()
         for w in adjacency[v]:
             if w not in visited and w not in local:
                 local.add(w)
-                count += 1
                 stack.append(w)
-    return count
+    return local
 
 
 def _set_dfs_longest(adjacency, comp, best_len, length_cap, budget):
@@ -44,7 +43,7 @@ def _set_dfs_longest(adjacency, comp, best_len, length_cap, budget):
             for w in it:
                 if w in visited:
                     continue
-                rest = _set_reachable_count(adjacency, w, visited)
+                rest = len(_set_reach(adjacency, w, visited)) - 1
                 if len(path) + rest <= best_len:
                     continue
                 visited.add(w)
@@ -74,10 +73,51 @@ def random_graph(rng, n, chords=True):
         if u != v:
             adjacency[u].add(v)
             adjacency[v].add(u)
+    return _relabel(rng, adjacency)
+
+
+def caterpillar(rng, spine, chords=0):
+    """A path with pendant branches of one to three nodes, sorted lists.
+
+    Stepping along the spine past a branch splits the unvisited region into
+    the rest of the spine and the branch.
+    """
+    adjacency = [set() for _ in range(spine)]
+
+    def link(u, v):
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+
+    for v in range(1, spine):
+        link(v - 1, v)
+    for v in range(spine):
+        if rng.random() < 0.6:
+            tip = v
+            for _ in range(rng.randint(1, 3)):
+                adjacency.append(set())
+                link(tip, len(adjacency) - 1)
+                tip = len(adjacency) - 1
+    for _ in range(chords):
+        u, v = rng.randrange(spine), rng.randrange(spine)
+        if u != v:
+            link(u, v)
+    return _relabel(rng, adjacency)
+
+
+def _relabel(rng, adjacency):
+    n = len(adjacency)
     order = list(range(n))
     rng.shuffle(order)
     return [sorted(order[w] for w in adjacency[order.index(v)])
             for v in range(n)]
+
+
+def assert_dfs_matches_set_dfs(adjacency, best_len, length_cap, budget):
+    comp = list(range(len(adjacency)))
+    fast = _dfs_longest(adjacency, comp, best_len, length_cap, budget)
+    plain = _set_dfs_longest(adjacency, comp, best_len, length_cap, budget)
+    assert fast == plain
+    return fast
 
 
 def test_reachable_count_matches_set_flood_fill():
@@ -91,8 +131,8 @@ def test_reachable_count_matches_set_flood_fill():
             origin = rng.randrange(n)
             visited.discard(origin)
             mask = sum(1 << v for v in visited)
-            assert (_reachable_count(masks, origin, mask)
-                    == _set_reachable_count(adjacency, origin, visited))
+            assert _reach_mask(masks, origin, mask) == sum(
+                1 << v for v in _set_reach(adjacency, origin, visited))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -116,3 +156,63 @@ def test_bitset_dfs_matches_set_dfs(seed, monkeypatch):
         assert len(set(fast.path)) == len(fast.path)
         assert all(b in adjacency[a] for a, b in zip(fast.path, fast.path[1:]))
         assert fast.truncated == chords
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dfs_matches_set_dfs_from_a_positive_best(seed):
+    # a caller passes the best length of the components searched before
+    rng = random.Random(100 + seed)
+    for chords in (False, True):
+        adjacency = random_graph(rng, rng.randint(20, 60), chords)
+        for best_len in (1, 5, 12, 30):
+            assert_dfs_matches_set_dfs(adjacency, best_len, None, 3000)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dfs_matches_set_dfs_on_paths_with_pendant_branches(seed):
+    rng = random.Random(200 + seed)
+    improved = 0
+    # the trees are searched to the end, the graphs with chords are cut
+    for spine, chords in ((15, 0), (30, 0), (30, 4), (50, 10)):
+        adjacency = caterpillar(rng, spine, chords)
+        full = 2_000_000 if chords == 0 else 5000
+        for best_len, budget in ((0, full), (0, 300), (spine // 2, full)):
+            length, path, _, _ = assert_dfs_matches_set_dfs(
+                adjacency, best_len, None, budget)
+            improved += path is not None
+    assert improved
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dfs_matches_set_dfs_under_a_length_cap(seed):
+    rng = random.Random(300 + seed)
+    for length_cap in (1, 3, 8, 12, 40):
+        for adjacency in (random_graph(rng, rng.randint(20, 60)),
+                          caterpillar(rng, 25, 3)):
+            length, _, truncated, _ = assert_dfs_matches_set_dfs(
+                adjacency, 0, length_cap, 20_000)
+            if length >= length_cap:
+                assert truncated
+
+
+def test_dfs_floods_less_than_one_per_candidate(monkeypatch):
+    # the set DFS floods once per candidate; the bitset DFS reuses a frame's
+    # reach masks and cuts by the region left, with the same outcome
+    rng = random.Random(7)
+    adjacency = caterpillar(rng, 40, 6)
+    comp = list(range(len(adjacency)))
+    counts = {"fast": 0, "plain": 0}
+
+    def counted(name, flood):
+        def wrapper(*args):
+            counts[name] += 1
+            return flood(*args)
+        return wrapper
+
+    monkeypatch.setattr(search, "_reach_mask",
+                        counted("fast", search._reach_mask))
+    monkeypatch.setitem(globals(), "_set_reach", counted("plain", _set_reach))
+    fast = _dfs_longest(adjacency, comp, 0, None, 5000)
+    plain = _set_dfs_longest(adjacency, comp, 0, None, 5000)
+    assert fast == plain
+    assert 0 < counts["fast"] < counts["plain"]

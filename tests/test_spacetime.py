@@ -464,6 +464,81 @@ def test_chain_pair_bounds_trivial_and_nls():
                 assert float(lhs) <= denom_bound * (q - q0) ** 2 * 4 + 1e-9
 
 
+def _bilinear_pair_bounds(basis, params, chain, kind):
+    # the pair replay with one bilinear call per pair, and the step replay
+    sites = chain.sites
+    worst, best_c = None, 0.0
+    for q0, s0 in enumerate(sites):
+        x0 = params.omega_dot(s0.ell) + params.theta
+        for q, s in enumerate(sites):
+            if q == q0:
+                continue
+            space = bilinear(basis, s0.j,
+                             tuple(a - b for a, b in zip(s.j, s0.j)))
+            if kind == NLW:
+                xq = params.omega_dot(s.ell) + params.theta
+                lhs = abs(-x0 * (xq - x0) + space)
+            else:
+                lhs = abs(space)
+            ratio = float(lhs) / ((q - q0) ** 2 * float(chain.gamma) ** 2)
+            if ratio > best_c:
+                best_c, worst = ratio, (q0, q)
+    mu_vals = [mu(basis, s.j) for s in sites]
+    step_ok, max_gap = None, 0.0
+    if len(sites) >= 2:
+        step_ok = True if kind == NLS else None
+        for q in range(len(sites) - 1):
+            max_gap = max(max_gap, float(abs(mu_vals[q + 1] - mu_vals[q])))
+            if kind == NLS:
+                s, s2 = sites[q], sites[q + 1]
+                wdl = params.omega_dot(tuple(a - b for a, b in
+                                             zip(s2.ell, s.ell)))
+                if s.a == s2.a:
+                    val = abs((mu_vals[q + 1] - mu_vals[q]) - s.a * wdl)
+                else:
+                    val = abs((mu_vals[q + 1] + mu_vals[q]) - s2.a * wdl)
+                if val > 2 * (abs(params.mass) + 1):
+                    step_ok = False
+    n = len(sites)
+    return {"empirical_constant": best_c,
+            "worst_pair": list(worst) if worst else None,
+            "pair_count": n * (n - 1), "step_bound_ok": step_ok,
+            "max_step_mu_gap": max_gap}
+
+
+def _random_chain(rng, d, kind, length, gamma):
+    # a walk of sites with steps of sup-norm at most gamma, far from the origin
+    from toruskit.spacetime import SingularChain
+
+    ell, j = (rng.randint(-40, 40),), [rng.randint(-900, 900) for _ in range(d)]
+    sites = []
+    for _ in range(length):
+        a = 1 if kind == NLW else rng.choice((-1, 1))
+        sites.append(SpaceTimeSite(ell, tuple(j), a))
+        ell = (ell[0] + rng.randint(-gamma, gamma),)
+        j = [x + rng.randint(-gamma, gamma) for x in j]
+    return SingularChain(tuple(sites), gamma)
+
+
+@pytest.mark.parametrize("kind", [NLS, NLW])
+def test_chain_pair_bounds_match_bilinear_replay(kind):
+    rng = random.Random(11)
+    bases = [B1, new_lattice([["3/7"]]), new_lattice([[1, "2/3"], [0, 1]]),
+             new_lattice([["5/3", "-1/4", 0], [0, "7/9", "1/2"], [0, 0, 3]]),
+             new_lattice([[1.0, 0.37], [0.0, 1.21]], mode="floating"),
+             new_lattice([[0.9, 0.0, 0.1], [0.2, 1.3, 0.0], [0.0, 0.4, 0.7]],
+                         mode="floating")]
+    plist = [params(mass="1/2", theta="1/3"), params(mass="7", lam="3/4"),
+             params(mass="2/5", lam="2/3", theta="-5/7")]
+    for basis in bases:
+        for p in plist:
+            for length in (1, 2, 5, 12):
+                chain = _random_chain(rng, basis.d, kind, length,
+                                      rng.choice((2, 3)))
+                assert (chain_pair_bounds(basis, p, chain, kind).to_dict()
+                        == _bilinear_pair_bounds(basis, p, chain, kind))
+
+
 def test_frequency_params_validation():
     with pytest.raises(ValidationError):
         FrequencyParams.create(("2",), "1/2", 1)        # |wbar|_1 > 1
