@@ -50,20 +50,24 @@ _EXPECTED = {_int: "an integer", float: "a number",
              _int_list: "a list of integers"}
 
 
+def _cast(value, cast, field: str):
+    """``cast(value)``; a value that ``cast`` refuses raises ParseError naming ``field``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{field}: expected {_EXPECTED[cast]}, "
+                         f"got {value!r}") from exc
+
+
 def _param(raw: dict, key: str, default, cast=_int, where="params."):
     """``cast`` of the field ``<where><key>``, or of ``default`` when absent.
 
-    A key whose default is None is optional and may be null.  A value that
-    ``cast`` refuses raises ParseError naming the field.
+    A key whose default is None is optional and may be null.
     """
     value = raw.get(key, default)
     if value is None and default is None:
         return None
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}{key}: expected {_EXPECTED[cast]}, "
-                         f"got {value!r}") from exc
+    return _cast(value, cast, f"{where}{key}")
 
 
 @dataclass(frozen=True)
@@ -102,10 +106,11 @@ def _normalize_lattice(raw) -> dict:
         rows = [[_rat_str(x, f"lattice.matrix[{i}][{j}]")
                  for j, x in enumerate(r)] for i, r in enumerate(matrix)]
     else:
-        rows = [[float(x) for x in r] for r in matrix]
+        rows = [[_cast(x, float, f"lattice.matrix[{i}][{j}]")
+                 for j, x in enumerate(r)] for i, r in enumerate(matrix)]
     out = {"matrix": rows, "mode": mode}
     if "tolerance" in raw:
-        out["tolerance"] = float(raw["tolerance"])
+        out["tolerance"] = _cast(raw["tolerance"], float, "lattice.tolerance")
     return out
 
 
@@ -150,7 +155,10 @@ def _check_search(out: dict) -> None:
 
 
 def _normalize_params(kind: str, raw: dict, d: int) -> dict:
-    raw = dict(raw or {})
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ParseError(f"params: expected an object, got {raw!r}")
     if kind == "cluster":
         out = {
             "box_radius": _param(raw, "box_radius", 16),

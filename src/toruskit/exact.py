@@ -345,7 +345,7 @@ def frobenius_sq(M):
 
 
 def sup_norm(v) -> int:
-    return max(abs(x) for x in v) if v else 0
+    return max(map(abs, v), default=0)
 
 
 def op_norm_float(M) -> float:
@@ -406,36 +406,88 @@ def ceil_pow(base: int, delta) -> int:
     return c
 
 
+def _iroot(n: int, q: int) -> int:
+    """Largest integer r with ``r**q <= n`` (n >= 0, q >= 1), by Newton steps."""
+    if n < 2 or q == 1:
+        return n
+    r = 1 << -(-n.bit_length() // q)  # r**q > n
+    while True:
+        t = ((q - 1) * r + n // r ** (q - 1)) // q
+        if t >= r:
+            return r
+        r = t
+
+
+def scaled_ceil_pow(D: int, delta):
+    """``s -> ceil(D * s**delta)`` over integers ``s >= 0``, memoised per s.
+
+    For ``delta = p/q >= 0`` this is the ceiling of the integer q-th root of
+    ``D**q * s**p``, so an integer x satisfies ``x >= D * s**delta`` exactly
+    when ``x >= ceil(D * s**delta)``.  Returns None when delta is not a
+    rational >= 0; callers then compare with :func:`ge_pow`.
+    """
+    ratio = _as_ratio(delta)
+    if ratio is None or ratio[0] < 0:
+        return None
+    p, q = ratio
+    Dq = D**q
+    memo = {}
+
+    def ceil_at(s: int) -> int:
+        c = memo.get(s)
+        if c is None:
+            n = Dq * s**p
+            r = _iroot(n, q)
+            c = memo[s] = r if r**q == n else r + 1
+        return c
+
+    return ceil_at
+
+
 # ---------------------------------------------------------------------------
 # complex rationals for exact block matrices
 
 
 class QQi:
-    """Gaussian rational: exact complex number with Fraction parts."""
+    """Gaussian rational: exact complex number with Fraction parts.
+
+    An ``int`` or ``Fraction`` operand is a real scalar: it is added to the
+    real part, or scales both parts (``QQi(re / g, im / g)``), without the
+    general complex product or quotient.  Parts that already are Fractions
+    are stored as given.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fr(re)
-        self.im = Fr(im)
+        self.re = re if type(re) is Fraction else Fr(re)
+        self.im = im if type(im) is Fraction else Fr(im)
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QQi(self.re + other, self.im)
         other = _coerce(other)
         return QQi(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QQi(self.re - other, self.im)
         other = _coerce(other)
         return QQi(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QQi(other - self.re, -self.im)
         return _coerce(other) - self
 
     def __neg__(self):
         return QQi(-self.re, -self.im)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QQi(self.re * other, self.im * other)
         other = _coerce(other)
         return QQi(self.re * other.re - self.im * other.im,
                    self.re * other.im + self.im * other.re)
@@ -443,6 +495,10 @@ class QQi:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                raise ZeroDivisionError("division by zero QQi")
+            return QQi(self.re / other, self.im / other)
         other = _coerce(other)
         den = other.re * other.re + other.im * other.im
         if den == 0:
@@ -457,7 +513,11 @@ class QQi:
         return self.re * self.re + self.im * self.im
 
     def __abs__(self) -> float:
-        return math.sqrt(float(self.abs2()))
+        # float(abs2()) from integers: int / int rounds correctly, so this is
+        # the same float without building the Fraction sum
+        a, b = self.re.numerator, self.re.denominator
+        c, d = self.im.numerator, self.im.denominator
+        return math.sqrt((a * a * d * d + c * c * b * b) / (b * b * d * d))
 
     def __eq__(self, other):
         try:

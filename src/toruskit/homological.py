@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import exact
 from .errors import BoxMismatch, IntraClusterEntry
 from .clusters import ClusterPartition
-from .lattice import LatticeBasis, mu
+from .lattice import LatticeBasis, mu, mu_numerator
 
 Fr = Fraction
 
@@ -50,7 +50,7 @@ class BlockMatrix:
             raise BoxMismatch("adding block matrices from different boxes")
         out = dict(self.entries)
         for k, v in other.entries.items():
-            w = out.get(k, 0) + v
+            w = out[k] + v if k in out else v
             if exact.value_is_zero(w):
                 out.pop(k, None)
             else:
@@ -124,6 +124,48 @@ def gap_above_threshold(gap, s: int, delta) -> bool:
     return exact.ge_pow(4 * abs(gap), s, delta)
 
 
+def gap_numerators(basis: LatticeBasis, keys):
+    """Eigenvalue gaps of the index pairs ``keys`` as ``(gaps, D)``.
+
+    For an exact basis ``gaps[j, j']`` is the integer ``n_j' - n_j`` with
+    ``mu(j') - mu(j) = gaps[j, j'] / D``: each distinct site's numerator
+    (:func:`toruskit.lattice.mu_numerator`) is evaluated once.  A floating
+    basis has no integer form; its gaps are the float ``mu`` differences and
+    ``D`` is None.
+    """
+    if basis.gram is None:
+        return {(j, j2): mu(basis, j2) - mu(basis, j) for j, j2 in keys}, None
+    n = {}
+    gaps = {}
+    for j, j2 in keys:
+        a = n.get(j)
+        if a is None:
+            a = n[j] = mu_numerator(basis, j)
+        b = n.get(j2)
+        if b is None:
+            b = n[j2] = mu_numerator(basis, j2)
+        gaps[j, j2] = b - a
+    return gaps, basis.gram[1]
+
+
+def _gap_value(g, D):
+    return g if D is None else Fraction(g, D)
+
+
+def gap_clears(D, delta):
+    """Predicate ``clears(g, s)``: ``|g / D| >= s**delta / 4`` for a gap numerator.
+
+    With the integer numerators of :func:`gap_numerators` and a rational
+    ``delta >= 0`` this is the integer compare ``4 |g| >= ceil(D s**delta)``
+    (:func:`toruskit.exact.scaled_ceil_pow`); floating gaps and any other
+    ``delta`` go through :func:`gap_above_threshold`.
+    """
+    ceil = None if D is None else exact.scaled_ceil_pow(D, delta)
+    if ceil is None:
+        return lambda g, s: gap_above_threshold(_gap_value(g, D), s, delta)
+    return lambda g, s: 4 * abs(g) >= ceil(s)
+
+
 def solve_homological(basis: LatticeBasis, W_ND: BlockMatrix,
                       partition: ClusterPartition, delta) -> HomologicalSolution:
     """Solve the commutator equation for a cross-cluster interaction.
@@ -131,19 +173,23 @@ def solve_homological(basis: LatticeBasis, W_ND: BlockMatrix,
     Where the eigenvalue gap clears ``(|j|+|j'|)**delta / 4`` the entry is
     divided by the gap (building X); elsewhere it is moved, negated, into the
     remainder R.  The identity ``gap * X = W + R`` then holds entrywise with
-    no error term.
+    no error term.  On an exact basis the gaps are integer numerators over
+    the Gram denominator (:func:`gap_numerators`), the threshold test is an
+    integer compare (:func:`gap_clears`) and a kept entry is divided by the
+    rational gap as a real scalar.
     """
     if W_ND.box_radius != partition.box_radius or W_ND.d != partition.d:
         raise BoxMismatch("matrix and partition on different boxes")
+    gaps, D = gap_numerators(basis, W_ND.entries)
+    clears = gap_clears(D, delta)
     x_entries = {}
     r_entries = {}
     for (j, j2), w in W_ND.entries.items():
         if partition.assignment[j] == partition.assignment[j2]:
             raise IntraClusterEntry(f"entry {(j, j2)} is intra-cluster")
-        gap = mu(basis, j2) - mu(basis, j)
-        s = exact.sup_norm(j) + exact.sup_norm(j2)
-        if gap_above_threshold(gap, s, delta):
-            x_entries[(j, j2)] = w / gap
+        g = gaps[j, j2]
+        if clears(g, exact.sup_norm(j) + exact.sup_norm(j2)):
+            x_entries[(j, j2)] = w / _gap_value(g, D)
         else:
             r_entries[(j, j2)] = -w
     return HomologicalSolution(
@@ -155,13 +201,19 @@ def solve_homological(basis: LatticeBasis, W_ND: BlockMatrix,
 
 def homological_residual(basis: LatticeBasis, W_ND: BlockMatrix,
                          solution: HomologicalSolution):
-    """First nonzero value of gap*X - W - R over the joint support, else None."""
-    keys = set(W_ND.entries) | set(solution.X.entries) | set(solution.R.entries)
-    for j, j2 in sorted(keys):
-        gap = mu(basis, j2) - mu(basis, j)
-        res = gap * solution.X.get(j, j2) - W_ND.get(j, j2) - solution.R.get(j, j2)
+    """First nonzero value of gap*X - W - R over the joint support, else None.
+
+    An independent exact recomputation: the gaps are rebuilt here by
+    :func:`gap_numerators` and every entry is checked, none assumed.
+    """
+    W, X, R = W_ND.entries, solution.X.entries, solution.R.entries
+    keys = set(W) | set(X) | set(R)
+    gaps, D = gap_numerators(basis, keys)
+    for key in sorted(keys):
+        gap = _gap_value(gaps[key], D)
+        res = X.get(key, 0) * gap - W.get(key, 0) - R.get(key, 0)
         if not exact.value_is_zero(res):
-            return (j, j2), res
+            return key, res
     return None
 
 
@@ -261,13 +313,18 @@ def verify_remainder_support(solution: HomologicalSolution,
 
     Returns the violating index pairs (empty whenever the partition separation
     holds, since near pairs with small eigenvalue gaps would have been linked).
+    For a rational ``delta >= 0`` the test is the integer compare
+    ``2 |j-j'| >= ceil((|j|+|j'|)**delta)`` (:func:`toruskit.exact.scaled_ceil_pow`
+    with ``D = 1``); any other ``delta`` goes through :func:`toruskit.exact.ge_pow`.
     """
     delta = solution.delta if delta is None else delta
+    ceil = exact.scaled_ceil_pow(1, delta)
     bad = []
     for (j, j2) in solution.R.support():
         off = max(abs(x - y) for x, y in zip(j, j2))
         s = exact.sup_norm(j) + exact.sup_norm(j2)
-        if not exact.ge_pow(2 * off, s, delta):
+        if not (2 * off >= ceil(s) if ceil is not None
+                else exact.ge_pow(2 * off, s, delta)):
             bad.append((j, j2))
     return bad
 

@@ -10,6 +10,7 @@ mode exists for large enumerations.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -121,11 +122,15 @@ def _check_dim(basis: LatticeBasis, v, name: str = "j") -> None:
             f"{name} has length {len(v)}, lattice dimension is {basis.d}")
 
 
+def _gram_int(G, y, y2) -> int:
+    # y^T G y2 over Python ints: the one kernel behind mu, bilinear and
+    # mu_numerator
+    return sum(a * sum(map(operator.mul, row, y2)) for a, row in zip(y, G))
+
+
 def _gram_form(gram, y, y2):
-    # y^T G y2 / D over Python ints: one Fraction per call, not one per term
     G, D = gram
-    return Fraction(sum(a * sum(g * b for g, b in zip(row, y2))
-                        for a, row in zip(y, G)), D)
+    return Fraction(_gram_int(G, y, y2), D)
 
 
 def mu(basis: LatticeBasis, j):
@@ -139,6 +144,19 @@ def mu(basis: LatticeBasis, j):
     if gram is not None:
         return _gram_form(gram, j, j)
     return exact.norm_sq(exact.mat_vec(basis.W_rows(), list(j)))
+
+
+def mu_numerator(basis: LatticeBasis, j) -> int:
+    """Integer numerator ``n_j = j^T G j`` of an exact basis: ``mu(j) = n_j / D``.
+
+    ``(G, D)`` is :attr:`LatticeBasis.gram`; a floating basis has no integer
+    form and raises TypeError.
+    """
+    _check_dim(basis, j)
+    gram = basis.gram
+    if gram is None:
+        raise TypeError("mu_numerator needs an exact basis")
+    return _gram_int(gram[0], j, j)
 
 
 def bilinear(basis: LatticeBasis, y, y2):

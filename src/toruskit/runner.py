@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, exact, lattice
+from . import __version__, exact
 from .clusters import (
     ClusterPartition,
     box_sites,
@@ -40,7 +40,8 @@ from .homological import (
     commutator,
     decay_profile,
     dn_split,
-    gap_above_threshold,
+    gap_clears,
+    gap_numerators,
     homological_residual,
     norm_equivalence_constants,
     random_cross_cluster_matrix,
@@ -382,10 +383,14 @@ def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
     disjoint = not (set(solution.X.entries) & set(solution.R.entries))
     covered = (set(solution.X.entries) | set(solution.R.entries)
                == set(q_nd.entries))
-    gap_ok = all(gap_above_threshold(
-        lattice.mu(basis, j2) - lattice.mu(basis, j),
-        exact.sup_norm(j) + exact.sup_norm(j2), delta)
-        for j, j2 in solution.X.support())
+    gaps, D = gap_numerators(basis, solution.X.entries)
+    clears = gap_clears(D, delta)
+    gap_ok = all(clears(g, exact.sup_norm(j) + exact.sup_norm(j2))
+                 for (j, j2), g in gaps.items())
+    counters.update(entries=len(Q.entries), cross_entries=len(q_nd.entries),
+                    x_entries=len(solution.X.entries),
+                    r_entries=len(solution.R.entries),
+                    gap_sites=len({j for key in q_nd.entries for j in key}))
     weight = cluster_weight_operator(partition)
     comm = commutator(q_d, weight)
     c_norm, C_norm = norm_equivalence_constants(partition)

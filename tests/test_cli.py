@@ -240,3 +240,34 @@ def test_bad_numeric_param_is_usage_error(tmp_path, capsys, kind, key, value,
     assert code == 2
     err = capsys.readouterr().err
     assert f"params.{key}: {error}" in err and "Traceback" not in err
+
+
+def test_params_not_an_object_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kind": "cluster", "params": [1, 2]}))
+    code = main(["cluster", "--config", str(config),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "params: expected an object" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("lattice, field", [
+    ({"matrix": [[1.0, "a"], [0, 1]], "mode": "floating"},
+     "lattice.matrix[0][1]"),
+    ({"matrix": [[1.0, 0], [None, 1]], "mode": "floating"},
+     "lattice.matrix[1][0]"),
+    ({"matrix": [[1.0, 0], [0, 1]], "mode": "floating", "tolerance": "tight"},
+     "lattice.tolerance"),
+    ({"matrix": [["1", "0"], ["0", "1"]], "tolerance": None},
+     "lattice.tolerance"),
+])
+def test_bad_lattice_number_is_usage_error(tmp_path, capsys, lattice, field):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kind": "cluster", "lattice": lattice,
+                                  "params": {"box_radius": 3}}))
+    code = main(["cluster", "--config", str(config),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{field}: expected a number" in err and "Traceback" not in err

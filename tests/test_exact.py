@@ -104,6 +104,70 @@ def test_floor_and_ceil_pow():
     assert exact.ceil_pow(1024, Fr(1, 2)) == 32
 
 
+def test_scaled_ceil_pow_matches_ge_pow():
+    rng = random.Random(7)
+    for _ in range(400):
+        delta = Fr(rng.randint(0, 150), rng.randint(1, 100))
+        D = rng.choice([1, 2, 4, 12, rng.randint(1, 10**6)])
+        s = rng.choice([0, 1, rng.randint(0, 64), rng.randint(0, 10**4)])
+        c = exact.scaled_ceil_pow(D, delta)(s)
+        # c is the least integer >= D s^delta: it passes the exact test, c - 1 fails
+        assert exact.ge_pow(Fr(c, D), s, delta)
+        assert c == 0 or not exact.ge_pow(Fr(c - 1, D), s, delta)
+        # the gap test 4|g| >= c agrees with ge_pow on |g / D| >= s^delta / 4
+        # at the edges 4|g| = c - 1 and 4|g| = c, and at random numerators
+        for x in (c - 1, c, rng.randint(0, 2 * c + 8)):
+            if x >= 0:
+                assert (x >= c) == exact.ge_pow(Fr(x, D), s, delta)
+
+
+def test_scaled_ceil_pow_edges():
+    assert exact.scaled_ceil_pow(5, Fr(1, 10))(0) == 0
+    assert exact.scaled_ceil_pow(5, 0)(0) == 5        # 0**0 == 1, as in ge_pow
+    assert exact.scaled_ceil_pow(1, Fr(1, 2))(1024) == 32
+    assert exact.scaled_ceil_pow(1, Fr(1, 2))(1025) == 33
+    assert exact.scaled_ceil_pow(1, Fr(1, 10))(128) == exact.ceil_pow(128, Fr(1, 10))
+    assert exact.scaled_ceil_pow(3, Fr(-1, 2)) is None
+    assert exact.scaled_ceil_pow(3, 0.1) is None
+    for n in range(200):
+        for q in (1, 2, 3, 7):
+            r = exact._iroot(n, q)
+            assert r**q <= n < (r + 1) ** q
+
+
+def test_qqi_real_scalar_path_matches_general_path():
+    rng = random.Random(11)
+    for _ in range(200):
+        a = exact.QQi(Fr(rng.randint(-50, 50), rng.randint(1, 30)),
+                      Fr(rng.randint(-50, 50), rng.randint(1, 30)))
+        g = rng.choice([rng.randint(-9, 9) or 1,
+                        Fr(rng.randint(-99, 99) or 1, rng.randint(1, 40))])
+        G = exact.QQi(g, 0)
+        for fast, general in ((a * g, a * G), (g * a, G * a), (a / g, a / G),
+                              (a + g, a + G), (g + a, G + a),
+                              (a - g, a - G), (g - a, G - a)):
+            assert type(fast.re) is Fr and type(fast.im) is Fr
+            assert (fast.re, fast.im) == (general.re, general.im)
+    with pytest.raises(ZeroDivisionError):
+        exact.QQi(1, 1) / 0
+    with pytest.raises(ZeroDivisionError):
+        exact.QQi(1, 1) / Fr(0)
+    # a Fraction part is stored as given; other parts are converted
+    half = Fr(1, 2)
+    assert exact.QQi(half, 3).re is half and type(exact.QQi(half, 3).im) is Fr
+
+
+def test_qqi_abs_matches_fraction_oracle():
+    import math
+
+    rng = random.Random(13)
+    for _ in range(2000):
+        parts = [Fr(rng.randint(-10**rng.randint(0, 25), 10**rng.randint(0, 25)),
+                    rng.randint(1, 10**rng.randint(0, 25))) for _ in range(2)]
+        q = exact.QQi(*parts)
+        assert abs(q) == math.sqrt(float(q.abs2()))
+
+
 def test_qqi_arithmetic():
     a = exact.QQi(Fr(1, 2), Fr(-3, 4))
     b = exact.QQi(Fr(2), Fr(1, 3))

@@ -1,18 +1,22 @@
 """Block splitting, homological solves, weight operator, decay diagnostics."""
 
+import json
 import random
 from fractions import Fraction as Fr
 
 import pytest
 
-from toruskit.exact import QQi
-from toruskit.errors import BoxMismatch, IntraClusterEntry
+from toruskit.exact import QQi, ge_pow
+from toruskit.errors import BoxMismatch, IntraClusterEntry, SingularGenerators
 from toruskit.homological import (
     BlockMatrix,
     cluster_weight_operator,
     commutator,
     decay_profile,
     dn_split,
+    gap_above_threshold,
+    gap_numerators,
+    HomologicalSolution,
     homological_residual,
     norm_equivalence_constants,
     random_cross_cluster_matrix,
@@ -178,3 +182,155 @@ def test_triplet_round_trip():
     Q = random_cross_cluster_matrix(part, 30, rng)
     again = BlockMatrix.from_triplets(8, 2, Q.to_triplets())
     assert again == Q
+
+
+# ---------------------------------------------------------------------------
+# the integer gap path against the per-pair path it replaced: mu differences,
+# gap_above_threshold and the general complex quotient
+
+
+def _sup(j):
+    return max(abs(x) for x in j)
+
+
+def _oracle_solve(basis, W, delta):
+    x_entries, r_entries = {}, {}
+    for (j, j2), w in W.entries.items():
+        gap = mu(basis, j2) - mu(basis, j)
+        if gap_above_threshold(gap, _sup(j) + _sup(j2), delta):
+            x_entries[(j, j2)] = w / QQi(gap) if isinstance(w, QQi) else w / gap
+        else:
+            r_entries[(j, j2)] = -w
+    return x_entries, r_entries
+
+
+def _as_qqi(v):
+    return v if isinstance(v, QQi) else QQi(v)
+
+
+def _oracle_residual(basis, W, sol):
+    keys = set(W.entries) | set(sol.X.entries) | set(sol.R.entries)
+    for j, j2 in sorted(keys):
+        gap = QQi(mu(basis, j2) - mu(basis, j))
+        res = (gap * _as_qqi(sol.X.get(j, j2)) - _as_qqi(W.get(j, j2))
+               - _as_qqi(sol.R.get(j, j2)))
+        if res:
+            return (j, j2), res
+    return None
+
+
+def _dense_rational(rng, d):
+    while True:
+        rows = [[Fr(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(d)]
+                for _ in range(d)]
+        try:
+            return new_lattice(rows)
+        except SingularGenerators:
+            continue
+
+
+def _bases():
+    rng = random.Random(2024)
+    return [
+        ("d1-scaled", new_lattice([[Fr(3, 2)]]), 12),
+        ("d1-dense", _dense_rational(rng, 1), 12),
+        ("d2-sheared", new_lattice([[1, Fr(1, 2)], [0, 1]]), 6),
+        ("d2-diagonal", new_lattice([[1, 0], [0, Fr(3, 2)]]), 6),
+        ("d2-dense", _dense_rational(rng, 2), 6),
+        ("d3-sheared", new_lattice([[1, Fr(1, 3), 0], [0, 1, Fr(2, 5)],
+                                    [0, 0, 1]]), 2),
+        ("d3-diagonal", new_lattice([[2, 0, 0], [0, Fr(1, 2), 0],
+                                     [0, 0, Fr(5, 3)]]), 2),
+        ("d3-dense", _dense_rational(rng, 3), 2),
+    ]
+
+
+BASES = _bases()
+
+
+@pytest.mark.parametrize("name, basis, radius", BASES,
+                         ids=[b[0] for b in BASES])
+@pytest.mark.parametrize("delta", [Fr(1, 10), Fr(1, 3), Fr(7, 9)])
+def test_integer_gap_path_matches_per_pair_oracle(name, basis, radius, delta):
+    part = build_partition(basis, radius, delta, enforce_delta_bound=False)
+    rng = random.Random(f"{name} {delta}")
+    Q = random_cross_cluster_matrix(part, 80, rng)
+    # mix the value types: QQi, Fraction and int entries
+    items = {}
+    for i, (key, v) in enumerate(sorted(Q.entries.items())):
+        items[key] = (v, v.re, v.re.numerator)[i % 3]
+    W = BlockMatrix.from_entries(radius, basis.d, items)
+    sol = solve_homological(basis, W, part, delta)
+    x_oracle, r_oracle = _oracle_solve(basis, W, delta)
+    assert sol.X.entries == x_oracle and sol.R.entries == r_oracle
+    for got, want in ((sol.X.entries, x_oracle), (sol.R.entries, r_oracle)):
+        assert all(type(got[k]) is type(want[k]) for k in want)
+    assert homological_residual(basis, W, sol) is None
+    assert _oracle_residual(basis, W, sol) is None
+    assert verify_remainder_support(sol) == [
+        key for key in sorted(sol.R.entries)
+        if not ge_pow(2 * max(abs(a - b) for a, b in zip(*key)),
+                      _sup(key[0]) + _sup(key[1]), delta)]
+    # a corrupted solution: both recomputations name the same first entry
+    if sol.X.entries:
+        key = sorted(sol.X.entries)[len(sol.X.entries) // 2]
+        bad_x = dict(sol.X.entries)
+        bad_x[key] = bad_x[key] + Fr(1, 7)
+        bad = HomologicalSolution(BlockMatrix(radius, basis.d, bad_x), sol.R,
+                                  delta)
+        got = homological_residual(basis, W, bad)
+        want = _oracle_residual(basis, W, bad)
+        assert got is not None and got[0] == want[0] == key
+        assert _as_qqi(got[1]) == want[1]
+
+
+def test_gap_numerators_evaluate_each_site_once(monkeypatch):
+    import toruskit.homological as hom
+
+    calls = []
+    real = hom.mu_numerator
+    monkeypatch.setattr(hom, "mu_numerator",
+                        lambda basis, j: calls.append(j) or real(basis, j))
+    keys = [((0, 1), (2, 3)), ((2, 3), (0, 1)), ((0, 1), (4, 0))]
+    gaps, D = gap_numerators(B2, keys)
+    assert sorted(calls) == [(0, 1), (2, 3), (4, 0)]
+    assert D == 1 and gaps == {((0, 1), (2, 3)): 12, ((2, 3), (0, 1)): -12,
+                               ((0, 1), (4, 0)): 15}
+    for (j, j2), g in gaps.items():
+        assert Fr(g, D) == mu(B2, j2) - mu(B2, j)
+
+
+def test_float_matrix_file_runs_every_check(tmp_path):
+    """Complex entries read from a matrix file go through the generic path."""
+    from toruskit.config import normalize
+    from toruskit.runner import run_experiment
+
+    sheared = [["1", "1/2"], ["0", "1"]]
+    basis = new_lattice(sheared)
+    part = build_partition(basis, 6, DELTA, enforce_delta_bound=False)
+    rng = random.Random(5)
+    Q = random_cross_cluster_matrix(part, 40, rng)
+    rows = [{"j": list(j), "j_prime": list(j2),
+             "re": rng.uniform(-2, 2), "im": rng.uniform(-2, 2)}
+            for j, j2 in sorted(Q.entries)]
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"box_radius": 6, "d": 2, "entries": rows}))
+    raw = {"kind": "homological", "out_dir": str(tmp_path / "out"),
+           "cache": False, "lattice": {"matrix": sheared},
+           "params": {"box_radius": 6, "delta": "1/10",
+                      "allow_delta_above_theorem": True,
+                      "matrix_file": str(path)}}
+    report = run_experiment(normalize(raw))
+    checks = {c["name"]: c["passed"] for c in report.body["checks"]}
+    assert len(checks) == 6
+    # float division rounds, so the exact entrywise identity holds exactly
+    # when the per-pair path finds no residual; every other check passes
+    W = dn_split(BlockMatrix.from_triplets(6, 2, rows), part)[1]
+    x_oracle, r_oracle = _oracle_solve(basis, W, DELTA)
+    assert x_oracle and all(isinstance(v, complex) for v in x_oracle.values())
+    sol = solve_homological(basis, W, part, DELTA)
+    assert sol.X.entries == x_oracle and sol.R.entries == r_oracle
+    oracle_ok = all((mu(basis, j2) - mu(basis, j)) * x - W.get(j, j2) == 0
+                    for (j, j2), x in x_oracle.items())
+    assert checks.pop("homological_identity_entrywise") == oracle_ok
+    assert all(checks.values()), checks

@@ -207,6 +207,39 @@ def test_search_counters_in_meta_only(tmp_path, raw):
     assert not keys & {"counters", "search_expanded", "search_truncated"}
 
 
+def test_homological_counters_in_meta_only(tmp_path):
+    raw = {"kind": "homological", "out_dir": str(tmp_path), "seed": 2,
+           "lattice": {"matrix": [["1", "1/2"], ["0", "1"]]},
+           "params": {"box_radius": 6, "delta": "1/10",
+                      "allow_delta_above_theorem": True, "entries": 80}}
+    report = run_experiment(normalize(raw))
+    counters = report.meta["counters"]
+    assert set(counters) == {"entries", "cross_entries", "x_entries",
+                             "r_entries", "gap_sites"}
+    data = report.body["data"]
+    assert counters["entries"] == data["entry_count"] == 80
+    for key in ("cross_entries", "x_entries", "r_entries"):
+        assert counters[key] == data[key]
+    assert counters["x_entries"] + counters["r_entries"] == 80
+    matrix = json.loads((tmp_path / "matrix.json").read_text())
+    sites = {tuple(e[k]) for e in matrix["entries"] for k in ("j", "j_prime")}
+    assert counters["gap_sites"] == len(sites)
+    # the body echoes the entry counts as results, but never the counter
+    # block or the gap-table size
+    keys, stack = set(), [report.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            keys.update(node)
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    assert not keys & {"counters", "gap_sites"}
+    # the body stays a pure function of the config
+    again = run_experiment(normalize(raw))
+    assert again.body_bytes() == report.body_bytes()
+
+
 def test_atomic_write_keeps_target_on_failure(tmp_path, monkeypatch):
     target = tmp_path / "file.json"
     atomic_write_text(target, "original")
