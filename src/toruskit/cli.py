@@ -9,7 +9,6 @@ from flags; flags win over the loaded config.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .errors import (
     UnknownSeries,
     ValidationError,
 )
-from .runner import atomic_write_text, emit_plot_data, run_experiment
+from .runner import atomic_write_json, emit_plot_data, run_experiment
 
 
 def _gamma_grid(spec: str):
@@ -217,8 +216,7 @@ def main(argv=None) -> int:
         detail = f" - {check['detail']}" if check.get("detail") else ""
         print(f"[{tag}] {check['name']}{detail}")
     if args.out:
-        atomic_write_text(Path(args.out),
-                          json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        atomic_write_json(Path(args.out), report.to_dict())
     for series in args.plot:
         try:
             path = emit_plot_data(report, series, config.out_dir)

@@ -11,6 +11,7 @@ the eigenvalue gap.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 from . import exact
 from .errors import DeltaOutOfRange, SearchTruncated
-from .lattice import LatticeBasis, mu
+from .lattice import LatticeBasis, mu, mu_numerator
 from .search import PathSearchResult, UnionFind, longest_path
 
 Fr = Fraction
@@ -45,8 +46,12 @@ def phi(basis: LatticeBasis, j) -> PhiPoint:
     return PhiPoint(jt, mu(basis, jt))
 
 
+def _spatial(j, j2) -> int:
+    return max(map(abs, map(operator.sub, j, j2)))
+
+
 def _phi_sup(j, j2, mu_j, mu_j2):
-    spatial = max(abs(a - b) for a, b in zip(j, j2))
+    spatial = _spatial(j, j2)
     gap = mu_j2 - mu_j
     return max(Fr(spatial) if isinstance(gap, Fraction) else float(spatial),
                abs(gap))
@@ -64,14 +69,10 @@ def is_gamma_link(basis: LatticeBasis, j, j2, gamma) -> bool:
     return phi_distance(basis, j, j2) <= gamma
 
 
-def _relation_rule(j, j2, mu_j, mu_j2, delta) -> bool:
-    s = exact.sup_norm(j) + exact.sup_norm(j2)
-    return exact.le_pow(_phi_sup(j, j2, mu_j, mu_j2), s, delta)
-
-
 def relation_link(basis: LatticeBasis, j, j2, delta) -> bool:
     """One step of the cluster relation: Phi-gap at most (|j|+|j2|)**delta."""
-    return _relation_rule(j, j2, mu(basis, j), mu(basis, j2), delta)
+    s = exact.sup_norm(j) + exact.sup_norm(j2)
+    return exact.le_pow(phi_distance(basis, j, j2), s, delta)
 
 
 @dataclass(frozen=True)
@@ -111,20 +112,34 @@ def positive_offsets(d: int, radius: int) -> list:
             if o > (0,) * d]
 
 
-def box_pairs(box_radius: int, d: int, link_radius: int):
+def _offset_runs(box_radius: int, d: int, link_radius: int):
+    """Per positive offset ``o``, in order: ``(|o|, step, starts)``.
+
+    ``starts`` lists, ascending, the indices i into ``box_sites(box_radius,
+    d)`` whose site plus ``o`` is still in the box; that site has index
+    ``i + step``, because the box is row-major.  Every box pair joined by an
+    offset of sup-norm at most ``link_radius`` lies in exactly one run.
+    """
+    L = 2 * box_radius + 1
+    strides = [L ** (d - 1 - t) for t in range(d)]
+    for o in positive_offsets(d, link_radius):
+        # zero-based coordinates c with 0 <= c + a < L, axis by axis
+        starts = [0]
+        for a, stride in zip(o, strides):
+            starts = [i + c * stride for i in starts
+                      for c in range(max(0, -a), min(L, L - a))]
+        yield exact.sup_norm(o), sum(map(operator.mul, o, strides)), starts
+
+
+def box_pairs(box_radius: int, d: int, link_radius: int) -> list:
     """Index pairs (i, k) into ``box_sites(box_radius, d)``, site first.
 
     ``sites[k] - sites[i]`` is one of the :func:`positive_offsets` of sup-norm
-    at most ``link_radius``; a site's offsets come in lexicographic order.
+    at most ``link_radius``; a site's offsets come in lexicographic order,
+    which is the order of k.
     """
-    sites = box_sites(box_radius, d)
-    index = {j: i for i, j in enumerate(sites)}
-    offsets = positive_offsets(d, link_radius)
-    for i, j in enumerate(sites):
-        for o in offsets:
-            k = index.get(tuple(a + b for a, b in zip(j, o)))
-            if k is not None:
-                yield i, k
+    return sorted((i, i + step) for _, step, starts
+                  in _offset_runs(box_radius, d, link_radius) for i in starts)
 
 
 def max_chain_length(basis: LatticeBasis, box_radius: int, gamma,
@@ -144,10 +159,14 @@ def max_chain_length(basis: LatticeBasis, box_radius: int, gamma,
     mus = [mu(basis, j) for j in sites]
     link_radius = min(int(math.floor(float(gamma))), 2 * box_radius)
     adjacency = [[] for _ in sites]
-    for i, k in box_pairs(box_radius, basis.d, link_radius):
-        if _phi_sup(sites[i], sites[k], mus[i], mus[k]) <= gamma:
-            adjacency[i].append(k)
-            adjacency[k].append(i)
+    for spatial, step, starts in _offset_runs(box_radius, basis.d, link_radius):
+        if spatial > gamma:
+            continue
+        for i in starts:
+            k = i + step
+            if abs(mus[k] - mus[i]) <= gamma:
+                adjacency[i].append(k)
+                adjacency[k].append(i)
     adjacency = [sorted(nbrs) for nbrs in adjacency]
     raw: PathSearchResult = longest_path(adjacency, length_cap=length_cap,
                                          node_budget=node_budget)
@@ -174,8 +193,7 @@ class ClusterInfo:
     def diameter(self) -> int:
         if len(self.members) < 2:
             return 0
-        return max(max(abs(a - b) for a, b in zip(x, y))
-                   for i, x in enumerate(self.members)
+        return max(_spatial(x, y) for i, x in enumerate(self.members)
                    for y in self.members[i + 1:])
 
 
@@ -251,13 +269,53 @@ def _link_radius(box_radius: int, delta) -> int:
     return max(1, exact.floor_pow(2 * box_radius, delta))
 
 
-def relation_links(basis: LatticeBasis, box_radius: int, delta) -> list:
-    """The :func:`box_pairs` that :func:`relation_link` accepts, in order."""
+def _box_table(basis: LatticeBasis, box_radius: int, delta):
+    """Box sites, their sup norms and ``mu = n / D``, and a test ``within``.
+
+    ``within(x, s)`` decides ``x / D <= s**delta``.  An exact basis with a
+    rational delta compares integers, ``x <= T[s]`` with
+    ``T[s] = floor(D * s**delta)`` (:func:`toruskit.exact.scaled_floor_pow`);
+    a floating basis (``n`` the float eigenvalues, ``D = 1``) or any other
+    delta compares ``x / D`` in floats, as :func:`toruskit.exact.le_pow` does.
+    """
     sites = box_sites(box_radius, basis.d)
-    mus = [mu(basis, j) for j in sites]
-    return [(i, k) for i, k in box_pairs(box_radius, basis.d,
-                                         _link_radius(box_radius, delta))
-            if _relation_rule(sites[i], sites[k], mus[i], mus[k], delta)]
+    sup = [exact.sup_norm(j) for j in sites]
+    gram = basis.gram
+    if gram is None:
+        n, D, floor = [mu(basis, j) for j in sites], 1, None
+    else:
+        n, D = [mu_numerator(basis, j) for j in sites], gram[1]
+        floor = exact.scaled_floor_pow(D, delta)
+    if floor is None:
+        T = [float(s) ** float(delta) for s in range(2 * box_radius + 1)]
+
+        def within(x, s):
+            return x / D <= T[s]
+    else:
+        T = [floor(s) for s in range(2 * box_radius + 1)]
+
+        def within(x, s):
+            return x <= T[s]
+    return sites, n, sup, D, within
+
+
+def relation_links(basis: LatticeBasis, box_radius: int, delta) -> list:
+    """The :func:`box_pairs` that :func:`relation_link` accepts, in order.
+
+    One table serves the whole box (:func:`_box_table`): a pair is linked
+    when ``max(D*|j2-j|, |n_j2 - n_j|) / D <= (|j|+|j2|)**delta``, which is
+    :func:`relation_link`'s test with ``mu = n / D``.
+    """
+    _, n, sup, D, within = _box_table(basis, box_radius, delta)
+    links = []
+    for spatial, step, starts in _offset_runs(box_radius, basis.d,
+                                              _link_radius(box_radius, delta)):
+        Ds = D * spatial
+        links += [(i, i + step) for i in starts
+                  if within(max(Ds, abs(n[i + step] - n[i])),
+                            sup[i] + sup[i + step])]
+    links.sort()
+    return links
 
 
 def group_links(box_radius: int, d: int, delta, links) -> ClusterPartition:
@@ -347,29 +405,35 @@ def verify_cluster_properties(basis: LatticeBasis, partition: ClusterPartition,
 
     Cross-cluster pairs (both clusters interior) must satisfy
     ``|j1-j2| + |mu_1-mu_2| > (|j1|+|j2|)**delta``; any violation is an
-    implementation bug and is returned as data.  Dyadicity is
-    ``M_alpha <= 2*m_alpha`` above a threshold which is fitted (the largest
-    interior M_alpha violating the 2:1 rule) unless overridden.  The growth
-    constant of intra-cluster spreads is fitted and reported, never assumed.
+    implementation bug and is returned as data.  The scan shares
+    :func:`relation_links`' table: on an exact basis with a rational delta a
+    violation is the integer test
+    ``D*|j1-j2| + |n_1-n_2| <= floor(D * (|j1|+|j2|)**delta)``.  Dyadicity
+    is ``M_alpha <= 2*m_alpha`` above a threshold which is fitted (the
+    largest interior M_alpha violating the 2:1 rule) unless overridden.  The
+    growth constant of intra-cluster spreads is fitted in floats and
+    reported, never assumed; each spread is the float of its exact value.
     """
     N, d, delta = partition.box_radius, partition.d, partition.delta
     interior = {c.id for c in partition.clusters if not c.boundary}
-    sites = box_sites(N, d)
-    mu_cache = {j: mu(basis, j) for j in sites}
-    violations = []
+    sites, n, sup, D, within = _box_table(basis, N, delta)
+    # each site's cluster id when that cluster is interior, else None
+    inner = [c if c in interior else None
+             for c in map(partition.assignment.get, sites)]
+    found = []
     pairs = 0
-    for i, k in box_pairs(N, d, _link_radius(N, delta)):
-        j, j2 = sites[i], sites[k]
-        cid, cid2 = partition.assignment[j], partition.assignment.get(j2)
-        if cid2 == cid or cid not in interior or cid2 not in interior:
-            continue
-        pairs += 1
-        spread = max(abs(a - b) for a, b in zip(j, j2)) \
-            + abs(mu_cache[j] - mu_cache[j2])
-        s = exact.sup_norm(j) + exact.sup_norm(j2)
+    for spatial, step, starts in _offset_runs(N, d, _link_radius(N, delta)):
+        cross = [i for i in starts if inner[i] is not None
+                 and inner[i + step] is not None and inner[i] != inner[i + step]]
+        pairs += len(cross)
         # separation demands spread > s**delta; record failures
-        if exact.le_pow(spread, s, delta):
-            violations.append((j, j2))
+        Ds = D * spatial
+        found += [(i, i + step) for i in cross
+                  if within(Ds + abs(n[i + step] - n[i]), sup[i] + sup[i + step])]
+    found.sort()
+    violations = [(sites[i], sites[k]) for i, k in found]
+
+    num = dict(zip(sites, n))
 
     exponent = (chain_exponent(d) + 1) * float(delta)
     fitted_c = 0.0
@@ -383,8 +447,8 @@ def verify_cluster_properties(basis: LatticeBasis, partition: ClusterPartition,
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
                 j, j2 = members[a], members[b]
-                spread = float(max(abs(x - y) for x, y in zip(j, j2))
-                               + abs(mu_cache[j] - mu_cache[j2]))
+                # int / int rounds correctly: the float of the exact spread
+                spread = (D * _spatial(j, j2) + abs(num[j] - num[j2])) / D
                 s = exact.sup_norm(j) + exact.sup_norm(j2)
                 ratio = spread / float(s) ** exponent
                 fitted_c = max(fitted_c, ratio)

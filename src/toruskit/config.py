@@ -321,4 +321,6 @@ def serialize(config: ExperimentConfig) -> dict:
 
 
 def dump_config(config: ExperimentConfig, path) -> None:
-    Path(path).write_text(json.dumps(serialize(config), indent=2, sort_keys=True) + "\n")
+    from .runner import atomic_write_json  # runner imports this module
+
+    atomic_write_json(path, serialize(config))

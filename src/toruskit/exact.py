@@ -101,7 +101,10 @@ def mat_mul(A, B):
 
 
 def mat_vec(M, v):
-    return [sum(row[t] * v[t] for t in range(len(v))) for row in M]
+    """``M v``; exact input goes through :func:`mat_mul`'s integer product."""
+    if not v:
+        return [0 for _ in M]
+    return [r[0] for r in mat_mul(M, [[x] for x in v])]
 
 
 def _bareiss(A, ncols, jordan=False):
@@ -391,19 +394,24 @@ def ge_pow(x, base: int, delta) -> bool:
 
 
 def floor_pow(base: int, delta) -> int:
-    """Largest integer r with r <= base**delta (delta in (0,1), base >= 0)."""
-    r = 0
-    while le_pow(r + 1, base, delta):
-        r += 1
-    return r
+    """Largest integer r with r <= base**delta (base >= 0).
+
+    The ``D = 1`` view of :func:`scaled_floor_pow` for a rational
+    ``delta >= 0``; any other ``delta`` is compared in floats, as
+    :func:`le_pow` does.
+    """
+    floor = scaled_floor_pow(1, delta)
+    if floor is None:
+        return math.floor(float(base) ** float(delta))
+    return floor(base)
 
 
 def ceil_pow(base: int, delta) -> int:
-    """Smallest integer c with c >= base**delta."""
-    c = 0
-    while not ge_pow(c, base, delta):
-        c += 1
-    return c
+    """Smallest integer c with c >= base**delta (conventions of :func:`floor_pow`)."""
+    ceil = scaled_ceil_pow(1, delta)
+    if ceil is None:
+        return math.ceil(float(base) ** float(delta))
+    return ceil(base)
 
 
 def _iroot(n: int, q: int) -> int:
@@ -418,14 +426,9 @@ def _iroot(n: int, q: int) -> int:
         r = t
 
 
-def scaled_ceil_pow(D: int, delta):
-    """``s -> ceil(D * s**delta)`` over integers ``s >= 0``, memoised per s.
-
-    For ``delta = p/q >= 0`` this is the ceiling of the integer q-th root of
-    ``D**q * s**p``, so an integer x satisfies ``x >= D * s**delta`` exactly
-    when ``x >= ceil(D * s**delta)``.  Returns None when delta is not a
-    rational >= 0; callers then compare with :func:`ge_pow`.
-    """
+def _scaled_root(D: int, delta, up: bool):
+    # s -> the integer q-th root of D**q * s**p, memoised per s and rounded
+    # up when ``up`` and inexact: the one root behind both views below
     ratio = _as_ratio(delta)
     if ratio is None or ratio[0] < 0:
         return None
@@ -433,15 +436,39 @@ def scaled_ceil_pow(D: int, delta):
     Dq = D**q
     memo = {}
 
-    def ceil_at(s: int) -> int:
-        c = memo.get(s)
-        if c is None:
+    def root_at(s: int) -> int:
+        r = memo.get(s)
+        if r is None:
             n = Dq * s**p
             r = _iroot(n, q)
-            c = memo[s] = r if r**q == n else r + 1
-        return c
+            if up and r**q != n:
+                r += 1
+            memo[s] = r
+        return r
 
-    return ceil_at
+    return root_at
+
+
+def scaled_floor_pow(D: int, delta):
+    """``s -> floor(D * s**delta)`` over integers ``s >= 0``, memoised per s.
+
+    For ``delta = p/q >= 0`` this is the integer q-th root of
+    ``D**q * s**p``, so an integer x satisfies ``x <= D * s**delta`` exactly
+    when ``x <= floor(D * s**delta)``.  Returns None when delta is not a
+    rational >= 0; callers then compare with :func:`le_pow`.
+    """
+    return _scaled_root(D, delta, up=False)
+
+
+def scaled_ceil_pow(D: int, delta):
+    """``s -> ceil(D * s**delta)`` over integers ``s >= 0``, memoised per s.
+
+    The ceiling of the root of :func:`scaled_floor_pow`: an integer x
+    satisfies ``x >= D * s**delta`` exactly when ``x >= ceil(D * s**delta)``.
+    Returns None when delta is not a rational >= 0; callers then compare
+    with :func:`ge_pow`.
+    """
+    return _scaled_root(D, delta, up=True)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
-from .errors import BoxMismatch, IntraClusterEntry
+from .errors import BoxMismatch, IntraClusterEntry, ParseError
 from .clusters import ClusterPartition
 from .lattice import LatticeBasis, mu, mu_numerator
 
@@ -80,18 +80,29 @@ class BlockMatrix:
 
     @staticmethod
     def from_triplets(box_radius: int, d: int, rows) -> "BlockMatrix":
+        """Read triplet rows; every value becomes an exact :class:`QQi`.
+
+        A ``re``/``im`` part is a rational, as
+        :func:`toruskit.exact.parse_rational` reads it, or a finite float
+        taken at its exact binary value; a NaN or infinite part raises
+        ParseError naming ``entries[i].re`` or ``entries[i].im``.
+        """
         items = {}
-        for rec in rows:
+        for i, rec in enumerate(rows):
             j = tuple(int(x) for x in rec["j"])
             j2 = tuple(int(x) for x in rec["j_prime"])
-            re, im = rec["re"], rec["im"]
-            if isinstance(re, (str, int)) and isinstance(im, (str, int)):
-                v = exact.QQi(exact.parse_rational(re, "re"),
-                              exact.parse_rational(im, "im"))
-            else:
-                v = complex(float(re), float(im))
-            items[(j, j2)] = v
+            items[(j, j2)] = exact.QQi(
+                *(_exact_part(rec[key], f"entries[{i}].{key}")
+                  for key in ("re", "im")))
         return BlockMatrix.from_entries(box_radius, d, items)
+
+
+def _exact_part(x, field: str) -> Fraction:
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ParseError(f"{field}: {x!r} is not a finite number")
+        return Fraction(x)
+    return exact.parse_rational(x, field)
 
 
 def dn_split(Q: BlockMatrix, partition: ClusterPartition):

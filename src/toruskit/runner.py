@@ -15,7 +15,7 @@ import os
 import random
 import tempfile
 import time
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -88,13 +88,15 @@ def _check(name: str, passed: bool, detail: str = "", witness=None) -> dict:
     return entry
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_file(path: Path):
+    # a temp file in the target directory, renamed over ``path`` on success
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -102,8 +104,93 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: Path, text: str) -> None:
+    with _atomic_file(path) as handle:
+        handle.write(text)
+
+
+_encode_scalar = json.JSONEncoder().encode
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _scalar_text(obj):
+    # the JSON text of a non-container, None for a dict, list or tuple
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (dict, list, tuple)):
+        return None
+    return _encode_scalar(obj)
+
+
+def _json_key(key) -> str:
+    # dumps' key coercion: numbers, bools and None become strings
+    if not isinstance(key, str):
+        if not isinstance(key, (int, float)) and key is not None:
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = _encode_scalar(key)
+    return _encode_str(key) + ": "
+
+
+def _write_json(write, obj, newline: str) -> None:
+    # json.dumps(obj, indent=2, sort_keys=True) piece by piece; ``newline``
+    # is a newline and the indentation of the enclosing level
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            head = sep + _json_key(key)
+            text = _scalar_text(value)
+            if text is None:
+                write(head)
+                _write_json(write, value, inner)
+            else:
+                write(head + text)
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in obj):
+            write("[" + inner + ("," + inner).join(map(int.__repr__, obj))
+                  + newline + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            text = _scalar_text(value)
+            if text is None:
+                write(sep)
+                _write_json(write, value, inner)
+            else:
+                write(sep + text)
+            sep = "," + inner
+        write(newline + "]")
+    else:
+        write(_scalar_text(obj))
+
+
 def atomic_write_json(path: Path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``.
+
+    The text is streamed to the file as it is encoded, so no copy of the
+    whole document is held in memory.
+    """
+    with _atomic_file(path) as handle:
+        _write_json(handle.write, payload, "\n")
+        handle.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +238,26 @@ def cached(tag: str, payload: dict, compute, enabled: bool):
 
 
 def _partition_for(config: ExperimentConfig, basis, box_radius, delta_str,
-                   allow_above, links=None) -> ClusterPartition:
-    # a miss groups the box's relation ``links`` when the caller has them
+                   allow_above, counters: dict, links=None) -> ClusterPartition:
+    # a miss groups the box's relation ``links`` when the caller has them;
+    # counters["partition_cache"] records off, hit or miss
     delta = exact.parse_rational(delta_str, "delta")
 
-    def compute():
+    def build():
         if links is None:
             return build_partition(basis, box_radius, delta,
-                                   enforce_delta_bound=not allow_above).to_dict()
+                                   enforce_delta_bound=not allow_above)
         check_delta(basis.d, delta, not allow_above)
-        return group_links(box_radius, basis.d, delta, links).to_dict()
+        return group_links(box_radius, basis.d, delta, links)
+
+    if not config.cache or cache_dir() is None:
+        counters["partition_cache"] = "off"
+        return build()
+    counters["partition_cache"] = "hit"
+
+    def compute():
+        counters["partition_cache"] = "miss"
+        return build().to_dict()
 
     payload = {"lattice": config.lattice, "box_radius": box_radius,
                "delta": delta_str}
@@ -183,9 +280,13 @@ def _run_cluster(config: ExperimentConfig, out_dir: Path, counters: dict):
                             exact.parse_rational(p["delta"], "delta"))
              if p["edges_csv"] else None)
     partition = _partition_for(config, basis, p["box_radius"], p["delta"],
-                               p["allow_delta_above_theorem"], links)
+                               p["allow_delta_above_theorem"], counters, links)
     report = verify_cluster_properties(basis, partition)
     expected = (2 * p["box_radius"] + 1) ** basis.d
+    counters.update(sites=expected, clusters=len(partition.clusters),
+                    cross_pairs=report.pairs_checked)
+    if links is not None:
+        counters["links"] = len(links)
     checks = [
         _check("partition_covers_box_once",
                len(partition.assignment) == expected,
@@ -366,7 +467,7 @@ def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
                                 ClusterPartition.from_dict)
     else:
         partition = _partition_for(config, basis, p["box_radius"], p["delta"],
-                                   p["allow_delta_above_theorem"])
+                                   p["allow_delta_above_theorem"], counters)
     delta = exact.parse_rational(p["delta"], "delta")
     if p.get("matrix_file"):
         Q = _read_input("params.matrix_file", p["matrix_file"],
@@ -467,9 +568,9 @@ def _run_verify(config: ExperimentConfig, out_dir: Path, counters: dict):
                 basis = None
         fs = _independent_int_vectors(rng, d, g)
         ident = gram_det_identity(basis, fs)
-        direct = exact.det([[sum(a * b for a, b in zip(
-            exact.mat_vec(basis.W_rows(), f1), exact.mat_vec(basis.W_rows(), f2)))
-            for f2 in fs] for f1 in fs])
+        # the columns W f_i from one cleared product, then their Gram matrix
+        images = exact.mat_mul(basis.W_rows(), exact.mat_transpose(fs))
+        direct = exact.det(exact.mat_mul(exact.mat_transpose(images), images))
         if ident.det != direct:
             failures["gram"] += 1
 
@@ -549,6 +650,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunReport:
     counters = {}
     checks, fitted, data, outputs = _RUNNERS[config.kind](config, target,
                                                           counters)
+    counters["bytes_written"] = sum((target / name).stat().st_size
+                                    for name in outputs)
     body = {
         "artifact": {"name": "toruskit", "version": __version__},
         "kind": config.kind,
@@ -563,8 +666,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunReport:
             "created_unix": time.time(),
             "counters": counters}
     report = RunReport(meta=meta, body=body)
-    atomic_write_text(target / f"report-{config.kind}.json",
-                      json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    atomic_write_json(target / f"report-{config.kind}.json", report.to_dict())
     return report
 
 

@@ -1,12 +1,17 @@
 """Chains, cluster partitions and their verification."""
 
+import dataclasses
+import math
 import random
 from fractions import Fraction as Fr
 
 import pytest
 
 from toruskit.clusters import (
+    ClusterInfo,
+    ClusterPartition,
     GammaChain,
+    box_pairs,
     box_sites,
     build_partition,
     chain_exponent,
@@ -16,14 +21,15 @@ from toruskit.clusters import (
     max_chain_length,
     phi,
     phi_distance,
+    positive_offsets,
     relation_link,
     relation_links,
     verify_cluster_properties,
 )
 from toruskit.config import normalize
 from toruskit.errors import DeltaOutOfRange
-from toruskit.exact import format_rational
-from toruskit.lattice import new_lattice
+from toruskit.exact import format_rational, le_pow, sup_norm
+from toruskit.lattice import mu, new_lattice
 from toruskit.runner import run_experiment
 
 B1 = new_lattice([[1]])
@@ -251,6 +257,20 @@ def test_invalid_chain_detected():
 
 # (dimension, box radius) of the differential cases; the box stays small
 # because the oracle tests every pair of sites.
+@pytest.mark.parametrize("radius,d,link", [(0, 1, 1), (0, 2, 1), (3, 1, 1),
+                                            (3, 1, 6), (2, 2, 1), (2, 2, 3),
+                                            (2, 2, 4), (1, 3, 2), (2, 3, 1)])
+def test_box_pairs_match_site_then_offset_oracle(radius, d, link):
+    # the box scan as a dict lookup per site and offset, in that order
+    sites = box_sites(radius, d)
+    index = {j: i for i, j in enumerate(sites)}
+    expected = [(i, index[k]) for i, j in enumerate(sites)
+                for k in (tuple(a + b for a, b in zip(j, o))
+                          for o in positive_offsets(d, link))
+                if k in index]
+    assert box_pairs(radius, d, link) == expected
+
+
 DIFF_CASES = [(1, 12), (2, 4), (3, 2)]
 
 
@@ -321,3 +341,96 @@ def test_relation_links_match_all_pairs_oracle(d, radius, mode, tmp_path):
         lines = (out / "edges.csv").read_text().splitlines()
         assert lines == ["j1,j2"] + [
             f"\"{list(sites[i])}\",\"{list(sites[k])}\"" for i, k in expected]
+
+
+@pytest.mark.parametrize("mode", ["exact", "floating"])
+def test_relation_links_float_delta_match_oracle(mode):
+    # a non-rational delta compares in floats on either kind of basis
+    rows = random_sheared_rows(random.Random(5), 2)
+    if mode == "floating":
+        rows = [[float(x) for x in row] for row in rows]
+    basis = new_lattice(rows, mode=mode)
+    assert relation_links(basis, 4, 0.5) == oracle_links(basis, 4, 0.5)
+
+
+def oracle_verify(basis, part):
+    """verify_cluster_properties' separation scan and growth fit, per pair.
+
+    Every pair of box sites with spatial gap at most the link radius, in
+    site order (the order of box_pairs), on Fraction (or float) eigenvalues
+    compared by le_pow.
+    """
+    N, d, delta = part.box_radius, part.d, part.delta
+    interior = {c.id for c in part.clusters if not c.boundary}
+    sites = box_sites(N, d)
+    mus = {j: mu(basis, j) for j in sites}
+    link = 1
+    while le_pow(link + 1, 2 * N, delta):
+        link += 1
+    violations, pairs = [], 0
+    for i, j in enumerate(sites):
+        for j2 in sites[i + 1:]:
+            spatial = max(abs(a - b) for a, b in zip(j, j2))
+            a, b = part.assignment[j], part.assignment[j2]
+            if spatial > link or a == b or a not in interior or b not in interior:
+                continue
+            pairs += 1
+            spread = spatial + abs(mus[j] - mus[j2])
+            if le_pow(spread, sup_norm(j) + sup_norm(j2), delta):
+                violations.append((j, j2))
+    exponent = (chain_exponent(d) + 1) * float(delta)
+    fitted_c = fitted_e = 0.0
+    for c in part.clusters:
+        if c.boundary:
+            continue
+        for a, j in enumerate(c.members):
+            for j2 in c.members[a + 1:]:
+                spread = float(max(abs(x - y) for x, y in zip(j, j2))
+                               + abs(mus[j] - mus[j2]))
+                s = sup_norm(j) + sup_norm(j2)
+                fitted_c = max(fitted_c, spread / float(s) ** exponent)
+                if s >= 2 and spread > 0:
+                    fitted_e = max(fitted_e, math.log(spread) / math.log(s))
+    return violations, pairs, fitted_c, fitted_e
+
+
+def singleton_partition(radius, d, delta):
+    """Every box site its own interior cluster: every scanned pair is cross."""
+    sites = box_sites(radius, d)
+    return ClusterPartition(
+        box_radius=radius, d=d, delta=delta, margin=0,
+        assignment={j: i for i, j in enumerate(sites)},
+        clusters=tuple(ClusterInfo(id=i, members=(j,), m_alpha=sup_norm(j),
+                                   M_alpha=sup_norm(j), boundary=False)
+                       for i, j in enumerate(sites)))
+
+
+@pytest.mark.parametrize("mode", ["exact", "floating"])
+@pytest.mark.parametrize("d,radius,delta", [(1, 40, Fr(1, 3)),
+                                            (2, 8, Fr(1, 4)),
+                                            (3, 2, Fr(1, 2))])
+def test_verify_matches_per_pair_oracle(d, radius, delta, mode):
+    rng = random.Random(77 * d + radius)
+    rows = random_sheared_rows(rng, d)
+    # long generators: small eigenvalue gaps, so the singletons collide
+    long_rows = [[8 * x for x in row] for row in rows]
+    if mode == "floating":
+        rows, long_rows = ([[float(x) for x in row] for row in r]
+                           for r in (rows, long_rows))
+    basis = new_lattice(long_rows, mode=mode)
+    adversarial = singleton_partition(radius, d, delta)
+    rep = verify_cluster_properties(basis, adversarial)
+    violations, pairs, _, _ = oracle_verify(basis, adversarial)
+    assert violations, "the adversarial partition should show violations"
+    assert rep.separation_violations == violations
+    assert rep.pairs_checked == pairs
+    # a built partition with every cluster taken as interior runs the
+    # growth fit over each cluster's pairs as well
+    basis = new_lattice(rows, mode=mode)
+    built = build_partition(basis, radius, delta, enforce_delta_bound=False)
+    built = dataclasses.replace(built, clusters=tuple(
+        dataclasses.replace(c, boundary=False) for c in built.clusters))
+    rep = verify_cluster_properties(basis, built)
+    assert rep.fitted_constant > 0
+    assert (rep.separation_violations, rep.pairs_checked,
+            rep.fitted_constant, rep.fitted_exponent) == oracle_verify(basis, built)

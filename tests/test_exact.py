@@ -135,6 +135,55 @@ def test_scaled_ceil_pow_edges():
             assert r**q <= n < (r + 1) ** q
 
 
+def _loop_floor_pow(base, delta):
+    # the linear scans floor_pow and ceil_pow once were: the oracle
+    r = 0
+    while exact.le_pow(r + 1, base, delta):
+        r += 1
+    return r
+
+
+def _loop_ceil_pow(base, delta):
+    c = 0
+    while not exact.ge_pow(c, base, delta):
+        c += 1
+    return c
+
+
+def test_scaled_floor_and_ceil_views_match_pow_tests():
+    rng = random.Random(13)
+    for _ in range(400):
+        delta = Fr(rng.randint(0, 150), rng.randint(1, 100))
+        D = rng.choice([1, 2, 12, rng.randint(1, 10**6)])
+        s = rng.choice([0, 1, rng.randint(0, 64), rng.randint(0, 10**4)])
+        f = exact.scaled_floor_pow(D, delta)(s)
+        c = exact.scaled_ceil_pow(D, delta)(s)
+        # one root: the views agree exactly when D * s**delta is an integer
+        assert c == f + (not exact.ge_pow(Fr(f, D), s, delta))
+        # x <= T[s] = floor(D s^delta) decides x / D <= s^delta: at the
+        # edges x = T[s] and T[s] + 1, and at a random numerator
+        for x in (f, f + 1, rng.randint(0, 2 * f + 8)):
+            assert (x <= f) == exact.le_pow(Fr(x, D), s, delta)
+        if D == 1 and s <= 4096 and delta <= 1:
+            assert exact.floor_pow(s, delta) == f == _loop_floor_pow(s, delta)
+            assert exact.ceil_pow(s, delta) == c == _loop_ceil_pow(s, delta)
+    assert exact.scaled_floor_pow(5, Fr(1, 10))(0) == 0
+    assert exact.scaled_floor_pow(5, 0)(0) == 5        # 0**0 == 1, as in le_pow
+    assert exact.scaled_floor_pow(1, Fr(1, 2))(1023) == 31
+    assert exact.scaled_floor_pow(1, Fr(1, 2))(1024) == 32
+    assert exact.scaled_floor_pow(3, Fr(-1, 2)) is None
+    assert exact.scaled_floor_pow(3, 0.1) is None
+
+
+def test_floor_and_ceil_pow_float_delta_match_loops():
+    rng = random.Random(17)
+    for _ in range(200):
+        delta = rng.uniform(0.01, 0.99)
+        base = rng.choice([0, 1, rng.randint(2, 64), rng.randint(2, 10**4)])
+        assert exact.floor_pow(base, delta) == _loop_floor_pow(base, delta)
+        assert exact.ceil_pow(base, delta) == _loop_ceil_pow(base, delta)
+
+
 def test_qqi_real_scalar_path_matches_general_path():
     rng = random.Random(11)
     for _ in range(200):
@@ -284,6 +333,27 @@ def test_mat_mul_matches_field_oracle():
         B = random_matrix(rng, k, m, rng.choice(["int", "frac"]))
         assert exact.mat_mul(A, B) == exact._field_mat_mul(as_fractions(A),
                                                            as_fractions(B))
+
+
+def _loop_mat_vec(M, v):
+    # mat_vec before the cleared-integer path: the oracle
+    return [sum(row[t] * v[t] for t in range(len(v))) for row in M]
+
+
+def test_mat_vec_matches_loop_oracle():
+    rng = random.Random(19)
+    for _ in range(80):
+        n, k = rng.randint(1, 6), rng.randint(1, 6)
+        kind = rng.choice(["int", "frac", "float"])
+        M = random_matrix(rng, n, k, "int" if kind == "int" else "frac")
+        if kind == "float":
+            M = [[float(x) + 0.25 for x in row] for row in M]
+        v = [row[0] for row in random_matrix(rng, k, 1, rng.choice(["int", "frac"]))]
+        got, want = exact.mat_vec(M, v), _loop_mat_vec(M, v)
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+    assert exact.mat_vec([[1, 2], [3, 4]], []) == [0, 0]
+    assert exact.mat_vec([], [1, 2]) == []
 
 
 def test_return_types_are_pinned():

@@ -301,36 +301,61 @@ def test_gap_numerators_evaluate_each_site_once(monkeypatch):
 
 
 def test_float_matrix_file_runs_every_check(tmp_path):
-    """Complex entries read from a matrix file go through the generic path."""
+    """Float entries of a matrix file are read at their exact binary value.
+
+    Read as complex floats they made the exact entrywise identity fail on a
+    correct solve (seeds 5 and 6 did).
+    """
     from toruskit.config import normalize
     from toruskit.runner import run_experiment
 
     sheared = [["1", "1/2"], ["0", "1"]]
     basis = new_lattice(sheared)
     part = build_partition(basis, 6, DELTA, enforce_delta_bound=False)
-    rng = random.Random(5)
-    Q = random_cross_cluster_matrix(part, 40, rng)
-    rows = [{"j": list(j), "j_prime": list(j2),
-             "re": rng.uniform(-2, 2), "im": rng.uniform(-2, 2)}
-            for j, j2 in sorted(Q.entries)]
+    for seed in (5, 6, 7):
+        rng = random.Random(seed)
+        Q = random_cross_cluster_matrix(part, 40, rng)
+        rows = [{"j": list(j), "j_prime": list(j2),
+                 "re": rng.uniform(-2, 2), "im": rng.uniform(-2, 2)}
+                for j, j2 in sorted(Q.entries)]
+        W = BlockMatrix.from_triplets(6, 2, rows)
+        assert all(W.get(r["j"], r["j_prime"]) == QQi(Fr(r["re"]), Fr(r["im"]))
+                   for r in rows)
+        x_oracle, r_oracle = _oracle_solve(basis, dn_split(W, part)[1], DELTA)
+        sol = solve_homological(basis, dn_split(W, part)[1], part, DELTA)
+        assert x_oracle and (sol.X.entries, sol.R.entries) == (x_oracle, r_oracle)
+        path = tmp_path / f"matrix{seed}.json"
+        path.write_text(json.dumps({"box_radius": 6, "d": 2, "entries": rows}))
+        raw = {"kind": "homological", "out_dir": str(tmp_path / f"out{seed}"),
+               "cache": False, "lattice": {"matrix": sheared},
+               "params": {"box_radius": 6, "delta": "1/10",
+                          "allow_delta_above_theorem": True,
+                          "matrix_file": str(path)}}
+        report = run_experiment(normalize(raw))
+        checks = {c["name"]: c["passed"] for c in report.body["checks"]}
+        assert len(checks) == 6 and all(checks.values()), checks
+
+
+@pytest.mark.parametrize("part,bad", [("re", float("nan")),
+                                      ("im", float("inf")),
+                                      ("re", float("-inf"))])
+def test_non_finite_matrix_entry_names_its_field(tmp_path, capsys, part, bad):
+    from toruskit.cli import main
+    from toruskit.errors import ParseError
+
+    rows = [{"j": [0, 0], "j_prime": [1, 0], "re": 1.5, "im": 0},
+            {"j": [0, 0], "j_prime": [2, 0], "re": 0.5, "im": 2}]
+    rows[1][part] = bad
     path = tmp_path / "matrix.json"
-    path.write_text(json.dumps({"box_radius": 6, "d": 2, "entries": rows}))
-    raw = {"kind": "homological", "out_dir": str(tmp_path / "out"),
-           "cache": False, "lattice": {"matrix": sheared},
-           "params": {"box_radius": 6, "delta": "1/10",
-                      "allow_delta_above_theorem": True,
-                      "matrix_file": str(path)}}
-    report = run_experiment(normalize(raw))
-    checks = {c["name"]: c["passed"] for c in report.body["checks"]}
-    assert len(checks) == 6
-    # float division rounds, so the exact entrywise identity holds exactly
-    # when the per-pair path finds no residual; every other check passes
-    W = dn_split(BlockMatrix.from_triplets(6, 2, rows), part)[1]
-    x_oracle, r_oracle = _oracle_solve(basis, W, DELTA)
-    assert x_oracle and all(isinstance(v, complex) for v in x_oracle.values())
-    sol = solve_homological(basis, W, part, DELTA)
-    assert sol.X.entries == x_oracle and sol.R.entries == r_oracle
-    oracle_ok = all((mu(basis, j2) - mu(basis, j)) * x - W.get(j, j2) == 0
-                    for (j, j2), x in x_oracle.items())
-    assert checks.pop("homological_identity_entrywise") == oracle_ok
-    assert all(checks.values()), checks
+    path.write_text(json.dumps({"box_radius": 3, "d": 2, "entries": rows}))
+    with pytest.raises(ParseError, match=rf"entries\[1\]\.{part}"):
+        BlockMatrix.from_triplets(3, 2, json.loads(path.read_text())["entries"])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "kind": "homological", "out_dir": str(tmp_path / "out"),
+        "cache": False, "lattice": {"matrix": [["1", "1/2"], ["0", "1"]]},
+        "params": {"box_radius": 3, "delta": "1/10",
+                   "allow_delta_above_theorem": True,
+                   "matrix_file": str(path)}}))
+    assert main(["homological", "--config", str(config)]) == 2
+    assert f"entries[1].{part}" in capsys.readouterr().err

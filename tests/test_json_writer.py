@@ -1,0 +1,145 @@
+"""The streaming JSON writer against ``json.dumps(indent=2, sort_keys=True)``."""
+
+import enum
+import json
+import random
+
+import pytest
+
+import toruskit.runner as runner
+from toruskit.config import dump_config, normalize, serialize
+from toruskit.runner import atomic_write_json, run_experiment
+
+
+def dumps(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+SHEAR = {"matrix": [["1", "1/2"], ["0", "1"]]}
+
+# one small config per experiment kind
+KINDS = [
+    {"kind": "cluster", "lattice": SHEAR,
+     "params": {"box_radius": 6, "delta": "1/10",
+                "allow_delta_above_theorem": True, "edges_csv": True}},
+    {"kind": "chains", "lattice": {"matrix": [["1"]]},
+     "params": {"box_radius": 12, "gammas": [2, 4]}},
+    {"kind": "singular", "lattice": {"matrix": [["1"]]},
+     "frequency": {"omega_bar": ["1"], "gamma0": "1/2", "tau0": 1,
+                   "mass": "1/2"},
+     "params": {"symbol": "nlw", "ell_radius": 3, "j_radius": 3, "gamma": 2}},
+    {"kind": "measure", "lattice": {"matrix": [["1", "0"], ["0", "1"]]},
+     "frequency": {"omega_bar": ["1"], "gamma0": "1/2", "tau0": 1},
+     "params": {"g": 2, "tau": 6, "p_max": 1, "m_max": 1,
+                "gamma_grid": ["1/200", "1/50"]}},
+    {"kind": "homological", "lattice": SHEAR,
+     "params": {"box_radius": 6, "delta": "1/10",
+                "allow_delta_above_theorem": True, "entries": 40}},
+    {"kind": "verify",
+     "params": {"trials_compound": 2, "trials_cauchy_binet": 2,
+                "trials_gram": 2, "trials_chain_det": 2,
+                "d_min": 2, "d_max": 3}},
+]
+
+
+@pytest.mark.parametrize("raw", KINDS, ids=[r["kind"] for r in KINDS])
+def test_every_written_payload_matches_dumps(tmp_path, monkeypatch, raw):
+    monkeypatch.setenv("TORUSKIT_CACHE", str(tmp_path / "cache"))
+    written = []
+
+    def record(path, payload):
+        written.append((path, payload))
+        atomic_write_json(path, payload)
+
+    monkeypatch.setattr(runner, "atomic_write_json", record)
+    config = normalize(dict(raw, out_dir=str(tmp_path / "out")))
+    report = run_experiment(config)
+    assert report.passed
+    names = {path.name for path, _ in written}
+    # the report, every JSON output, and the cache fill of a partition
+    assert f"report-{raw['kind']}.json" in names
+    assert {n for n in report.body["outputs"] if n.endswith(".json")} <= names
+    if raw["kind"] in ("cluster", "homological"):
+        assert any(path.parent.name == "cache" for path, _ in written)
+    for path, payload in written:
+        assert path.read_bytes() == dumps(payload), path.name
+    report_file = tmp_path / "out" / f"report-{raw['kind']}.json"
+    assert report_file.read_bytes() == dumps(report.to_dict())
+    # dump_config goes through the same writer
+    dump_config(config, tmp_path / "config.json")
+    assert (tmp_path / "config.json").read_bytes() == dumps(serialize(config))
+
+
+class Colour(enum.IntEnum):
+    RED = 3
+
+
+class Real(float):
+    pass
+
+
+ODD_STRINGS = ["", "plain", 'quote " and \\ backslash', "tab\tnew\nline\r",
+               "\x00\x1f\x7f", "é", "€ sign", "\U0001F600", "\ud800",
+               "</script>", "slash/"]
+ODD_FLOATS = [0.0, -0.0, 1.5, -2.25e-300, 1e300, 5e-324, 0.1,
+              float("nan"), float("inf"), float("-inf"), Real(2.5)]
+ODD_INTS = [0, -1, 7, 2**63, -(2**64) - 1, 10**40, Colour.RED]
+
+
+def random_payload(rng, depth=0):
+    kind = rng.choice(["scalar"] * 3 + ["list", "tuple", "dict", "ints"]
+                      if depth < 5 else ["scalar"])
+    if kind == "scalar":
+        pool = rng.choice([ODD_STRINGS, ODD_FLOATS, ODD_INTS,
+                           [None, True, False]])
+        return rng.choice(pool)
+    if kind == "ints":
+        # all-int lists take the writer's one-join path; a bool or an int
+        # subclass among them must not
+        items = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 6))]
+        if items and rng.random() < 0.3:
+            items[rng.randrange(len(items))] = rng.choice([True, Colour.RED])
+        return items
+    size = rng.randint(0, 4)
+    if kind == "dict":
+        if rng.random() < 0.2:
+            # dumps' key coercion: numbers, bools and None become strings
+            keys = rng.sample([1, -3, 2.5, float("inf"), True, 10**20], size)
+        else:
+            keys = [rng.choice(ODD_STRINGS) + str(i) for i in range(size)]
+        return {k: random_payload(rng, depth + 1) for k in keys}
+    items = [random_payload(rng, depth + 1) for _ in range(size)]
+    return tuple(items) if kind == "tuple" else items
+
+
+def test_random_payloads_match_dumps(tmp_path):
+    rng = random.Random(29)
+    path = tmp_path / "payload.json"
+    for _ in range(300):
+        payload = random_payload(rng)
+        atomic_write_json(path, payload)
+        assert path.read_bytes() == dumps(payload)
+    for payload in ({"k": None}, [[[]]], {"": {}}, [()], (), {}):
+        atomic_write_json(path, payload)
+        assert path.read_bytes() == dumps(payload)
+
+
+def test_deep_nesting_matches_dumps(tmp_path):
+    payload = []
+    for level in range(150):
+        payload = {"level": level, "next": payload} if level % 2 else [payload]
+    path = tmp_path / "deep.json"
+    atomic_write_json(path, payload)
+    assert path.read_bytes() == dumps(payload)
+
+
+@pytest.mark.parametrize("payload", [{"a": {1, 2}}, [object()], {(1, 2): 3}])
+def test_unserializable_payload_raises_and_keeps_target(tmp_path, payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, indent=2, sort_keys=True)
+    target = tmp_path / "out.json"
+    target.write_text("original")
+    with pytest.raises(TypeError):
+        atomic_write_json(target, payload)
+    assert target.read_text() == "original"
+    assert not list(tmp_path.glob(".tmp-*"))

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -177,6 +179,23 @@ def test_cache_schema_is_part_of_the_key(tmp_path, monkeypatch):
     assert len(after) == len(before) + 1
 
 
+def _body_keys(body):
+    keys, stack = set(), [body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            keys.update(node)
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    return keys
+
+
+def _output_bytes(report, out_dir):
+    return sum((Path(out_dir) / name).stat().st_size
+               for name in report.body["outputs"])
+
+
 @pytest.mark.parametrize("raw", [
     {"kind": "singular", "lattice": {"matrix": [["1", "1/2"], ["0", "1"]]},
      "frequency": {"omega_bar": ["1"], "gamma0": "1/2", "tau0": 1,
@@ -189,22 +208,17 @@ def test_cache_schema_is_part_of_the_key(tmp_path, monkeypatch):
 def test_search_counters_in_meta_only(tmp_path, raw):
     report = run_experiment(normalize(dict(raw, out_dir=str(tmp_path))))
     counters = report.meta["counters"]
-    assert set(counters) == {"sites", "search_expanded", "search_truncated"}
+    assert set(counters) == {"sites", "search_expanded", "search_truncated",
+                             "bytes_written"}
+    assert counters["bytes_written"] == _output_bytes(report, tmp_path)
     assert counters["sites"] > 0 and counters["search_expanded"] > 0
     if raw["kind"] == "singular":
         assert counters["sites"] == report.body["data"]["site_count"]
         assert counters["search_truncated"] == report.body["data"]["truncated"]
     else:
         assert counters["sites"] == 41
-    keys, stack = set(), [report.body]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, dict):
-            keys.update(node)
-            stack.extend(node.values())
-        elif isinstance(node, list):
-            stack.extend(node)
-    assert not keys & {"counters", "search_expanded", "search_truncated"}
+    assert not _body_keys(report.body) & {"counters", "search_expanded",
+                                          "search_truncated", "bytes_written"}
 
 
 def test_homological_counters_in_meta_only(tmp_path):
@@ -215,7 +229,10 @@ def test_homological_counters_in_meta_only(tmp_path):
     report = run_experiment(normalize(raw))
     counters = report.meta["counters"]
     assert set(counters) == {"entries", "cross_entries", "x_entries",
-                             "r_entries", "gap_sites"}
+                             "r_entries", "gap_sites", "partition_cache",
+                             "bytes_written"}
+    assert counters["partition_cache"] == "miss"
+    assert counters["bytes_written"] == (tmp_path / "matrix.json").stat().st_size
     data = report.body["data"]
     assert counters["entries"] == data["entry_count"] == 80
     for key in ("cross_entries", "x_entries", "r_entries"):
@@ -225,19 +242,66 @@ def test_homological_counters_in_meta_only(tmp_path):
     sites = {tuple(e[k]) for e in matrix["entries"] for k in ("j", "j_prime")}
     assert counters["gap_sites"] == len(sites)
     # the body echoes the entry counts as results, but never the counter
-    # block or the gap-table size
-    keys, stack = set(), [report.body]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, dict):
-            keys.update(node)
-            stack.extend(node.values())
-        elif isinstance(node, list):
-            stack.extend(node)
-    assert not keys & {"counters", "gap_sites"}
+    # block, the gap-table size or the cache state
+    assert not _body_keys(report.body) & {"counters", "gap_sites",
+                                          "partition_cache", "bytes_written"}
     # the body stays a pure function of the config
     again = run_experiment(normalize(raw))
     assert again.body_bytes() == report.body_bytes()
+    assert again.meta["counters"]["partition_cache"] == "hit"
+
+
+@pytest.mark.parametrize("edges_csv,cache", [(True, False), (False, True)])
+def test_cluster_counters_in_meta_only(tmp_path, edges_csv, cache):
+    raw = {"kind": "cluster", "out_dir": str(tmp_path / "out"), "cache": cache,
+           "lattice": {"matrix": [["1", "1/2"], ["0", "1"]]},
+           "params": {"box_radius": 6, "delta": "1/10",
+                      "allow_delta_above_theorem": True,
+                      "edges_csv": edges_csv}}
+    report = run_experiment(normalize(raw))
+    counters = report.meta["counters"]
+    data = report.body["data"]
+    expected = {"sites", "clusters", "cross_pairs", "partition_cache",
+                "bytes_written"}
+    assert set(counters) == expected | ({"links"} if edges_csv else set())
+    assert counters["sites"] == 13 ** 2
+    assert counters["clusters"] == (data["interior_clusters"]
+                                    + data["boundary_clusters"])
+    assert counters["cross_pairs"] == data["pairs_checked"]
+    assert counters["partition_cache"] == ("miss" if cache else "off")
+    assert counters["bytes_written"] == _output_bytes(report, tmp_path / "out")
+    if edges_csv:
+        edges = (tmp_path / "out" / "edges.csv").read_text().splitlines()
+        assert counters["links"] == len(edges) - 1
+    assert not _body_keys(report.body) & {
+        "counters", "links", "clusters", "cross_pairs", "partition_cache",
+        "bytes_written"}
+    again = run_experiment(normalize(raw))
+    assert again.body_bytes() == report.body_bytes()
+    assert again.meta["counters"]["partition_cache"] == ("hit" if cache
+                                                         else "off")
+
+
+def test_exact_cluster_run_leaves_numpy_unimported(tmp_path):
+    # importing numpy adds about 13 MB of resident memory to a process, and
+    # the exact cluster path needs none of it
+    script = (
+        "import json, sys\n"
+        "from toruskit.config import normalize\n"
+        "from toruskit.runner import run_experiment\n"
+        "raw = json.loads(sys.argv[1])\n"
+        "assert run_experiment(normalize(raw)).passed\n"
+        "print('numpy' in sys.modules)\n")
+    raw = {"kind": "cluster", "out_dir": str(tmp_path / "out"), "cache": False,
+           "lattice": {"matrix": [["1", "1/2"], ["0", "1"]]},
+           "params": {"box_radius": 6, "delta": "1/10",
+                      "allow_delta_above_theorem": True, "edges_csv": True}}
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(raw)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_atomic_write_keeps_target_on_failure(tmp_path, monkeypatch):
