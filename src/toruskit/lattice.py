@@ -226,9 +226,6 @@ class GramIdentity:
     image_norm_sq: object     # |C_g(W) p|^2, equals det exactly in exact mode
     lower_bound: object       # certified positive floor |p|^2 / frob(C_g(W^-1))^2
 
-    def as_pair(self):
-        return self.det, self.p
-
 
 def gram_det_identity(basis: LatticeBasis, fs) -> GramIdentity:
     """Gram determinant of integer vectors against the minor-vector identity.

@@ -33,7 +33,7 @@ from .clusters import (
     verify_cluster_properties,
 )
 from .config import ExperimentConfig, read_json, serialize
-from .errors import ParseError, ToruskitError, UnknownSeries
+from .errors import ParseError, ToruskitError, UnknownSeries, ValidationError
 from .homological import (
     BlockMatrix,
     cluster_weight_operator,
@@ -197,12 +197,9 @@ def atomic_write_json(path: Path, payload) -> None:
 # caching keyed by content hash
 
 
-def cache_dir() -> Path | None:
+def cache_dir() -> Path:
     env = os.environ.get("TORUSKIT_CACHE")
-    if env:
-        return Path(env)
-    home = Path.home()
-    return home / ".cache" / "toruskit" if home else None
+    return Path(env) if env else Path.home() / ".cache" / "toruskit"
 
 
 # Part of every cache key.  Bump it whenever a partition builder's output
@@ -218,7 +215,7 @@ def _cache_path(tag: str, payload: dict) -> Path:
 
 
 def cached(tag: str, payload: dict, compute, enabled: bool):
-    if not enabled or cache_dir() is None:
+    if not enabled:
         return compute()
     path = _cache_path(tag, payload)
     if path.exists():
@@ -250,7 +247,7 @@ def _partition_for(config: ExperimentConfig, basis, box_radius, delta_str,
         check_delta(basis.d, delta, not allow_above)
         return group_links(box_radius, basis.d, delta, links)
 
-    if not config.cache or cache_dir() is None:
+    if not config.cache:
         counters["partition_cache"] = "off"
         return build()
     counters["partition_cache"] = "hit"
@@ -345,9 +342,7 @@ def _run_chains(config: ExperimentConfig, out_dir: Path, counters: dict):
                          "truncated": r.truncated} for r in result.rows],
             "witnesses": [[list(j) for j in w.sites] for w in result.witnesses]}
     fitted = {"slope": result.slope, "slope_bound": result.slope_bound}
-    csv_path = out_dir / "chain_scaling.csv"
-    lines = ["gamma,max_length"] + [f"{r.gamma},{r.length}" for r in result.rows]
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
+    csv_path = _write_series("chain_scaling", data["scaling"], out_dir)
     return checks, fitted, data, [csv_path.name]
 
 
@@ -390,11 +385,7 @@ def _run_singular(config: ExperimentConfig, out_dir: Path, counters: dict):
         "pair_bounds": [r.to_dict() for r in pair_reports],
     }
     fitted = {"exponent": fitted_exp, "pair_constant": pair_c}
-    csv_path = out_dir / "singular_chains.csv"
-    lines = ["length,section_count,min_exponent"]
-    lines += [f"{c.length},{c.section_count},{c.min_exponent()}"
-              for c in survey.chains]
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
+    csv_path = _write_series("singular_chains", data["chains"], out_dir)
     return checks, fitted, data, [csv_path.name]
 
 
@@ -442,10 +433,7 @@ def _run_measure(config: ExperimentConfig, out_dir: Path, counters: dict):
     ]
     fitted = {"slopes": slopes}
     data = {"curve": curve}
-    csv_path = out_dir / "measure_curve.csv"
-    lines = ["gamma,excluded_measure"]
-    lines += [f"{row['gamma']},{row['excluded_measure']}" for row in curve]
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
+    csv_path = _write_series("measure_curve", curve, out_dir)
     return checks, fitted, data, [csv_path.name]
 
 
@@ -646,7 +634,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunReport:
     """Dispatch a validated config, write outputs atomically, return the report."""
     start = time.time()
     target = Path(out_dir if out_dir is not None else config.out_dir)
-    target.mkdir(parents=True, exist_ok=True)
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"out_dir: cannot create {target}: {exc}") from exc
     counters = {}
     checks, fitted, data, outputs = _RUNNERS[config.kind](config, target,
                                                           counters)
@@ -686,15 +677,20 @@ _SERIES = {
 }
 
 
+def _write_series(series: str, rows, out_dir) -> Path:
+    # <out_dir>/<series>.csv: the series' header, then one line per data row
+    _, header, fmt = _SERIES[series]
+    path = Path(out_dir) / f"{series}.csv"
+    atomic_write_text(path, "\n".join([header] + [fmt(r) for r in rows]) + "\n")
+    return path
+
+
 def emit_plot_data(report: RunReport, series: str, out_dir) -> Path:
     """Write one CSV per requested series from a run report."""
     if series not in _SERIES:
         raise UnknownSeries(f"no series named {series!r}; "
                             f"known: {', '.join(sorted(_SERIES))}")
-    key, header, fmt = _SERIES[series]
-    rows = report.body["data"].get(key)
+    rows = report.body["data"].get(_SERIES[series][0])
     if rows is None:
         raise UnknownSeries(f"series {series!r} absent from this report kind")
-    path = Path(out_dir) / f"{series}.csv"
-    atomic_write_text(path, "\n".join([header] + [fmt(r) for r in rows]) + "\n")
-    return path
+    return _write_series(series, rows, out_dir)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# the most (mask, endpoint) states the longest-path DP holds for one component
+DP_STATE_CAP = 1_000_000
+
 
 class UnionFind:
     """Disjoint sets over 0..n-1 with path compression and union by size."""
@@ -87,11 +90,11 @@ def _reach_mask(masks, origin, visited):
     return blocked & ~visited
 
 
-def _dp_longest(adj, state_cap: int, length_cap=None):
+def _dp_longest(adj, length_cap=None):
     """Exact longest path by layered DP over (visited-mask, endpoint) states.
 
     Returns (length, path, truncated, states) or None when the state count
-    would exceed ``state_cap`` (caller falls back to branch-and-bound DFS).
+    would exceed ``DP_STATE_CAP`` (caller falls back to branch-and-bound DFS).
     States of one layer share the mask popcount, so layers never overlap and
     reconstruction walks the layers backwards.
     """
@@ -113,7 +116,7 @@ def _dp_longest(adj, state_cap: int, length_cap=None):
         if not nxt:
             break
         total += len(nxt)
-        if total > state_cap:
+        if total > DP_STATE_CAP:
             return None
         layers.append(nxt)
     code = min(layers[-1])
@@ -203,8 +206,8 @@ def _dfs_longest(adjacency, comp, best_len, length_cap, budget):
     return best_len, best_path, truncated, expanded
 
 
-def longest_path(adjacency, length_cap=None, node_budget=2_000_000,
-                 dp_state_cap=1_000_000) -> PathSearchResult:
+def longest_path(adjacency, length_cap=None,
+                 node_budget=2_000_000) -> PathSearchResult:
     """Exact longest simple path (in edges) over all components.
 
     Components of at most 64 nodes are solved exactly by the layered mask DP;
@@ -234,7 +237,7 @@ def longest_path(adjacency, length_cap=None, node_budget=2_000_000,
         sub = [[local[w] for w in adjacency[v] if w in local] for v in comp]
         solved = None
         if comp_size <= 64:
-            solved = _dp_longest(sub, dp_state_cap, length_cap=length_cap)
+            solved = _dp_longest(sub, length_cap=length_cap)
         if solved is not None:
             length, sub_path, comp_trunc, states = solved
             expanded += states

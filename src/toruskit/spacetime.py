@@ -409,8 +409,11 @@ class ChainDetIdentity:
         return self.eta - lam * lam * self.zeta
 
 
-def chain_det_identity(data: ChainBilinearData,
-                       lambdas=(Fr(1, 2), Fr(1), Fr(3, 2))) -> ChainDetIdentity:
+# the three spreads at which chain_det_identity evaluates det A(lam)
+_LAMBDAS = (Fr(1, 2), Fr(1), Fr(3, 2))
+
+
+def chain_det_identity(data: ChainBilinearData) -> ChainDetIdentity:
     """Expand det A(lam) into minor data and verify it at three spreads.
 
     ``p`` collects the g x g minors of the space differences; each ``m``
@@ -422,8 +425,6 @@ def chain_det_identity(data: ChainBilinearData,
     """
     basis, params, g = data.basis, data.params, data.g
     d, n = basis.d, params.n
-    if len(set(lambdas)) < 3:
-        raise ValidationError("need three distinct evaluation points")
     K_cols = exact.mat_transpose([list(k) for k in data.k_vectors])  # d x g
     if g <= d:
         p = tuple(int(exact.det(exact.submatrix(K_cols, sel, range(g))))
@@ -452,7 +453,7 @@ def chain_det_identity(data: ChainBilinearData,
     zeta = exact.norm_sq(exact.mat_vec(cw1, omega_x_m))
 
     residual = Fr(0) if basis.exact else 0.0
-    for lam in lambdas:
+    for lam in _LAMBDAS:
         lhs = data.det_A(lam)
         rhs = eta - lam * lam * zeta
         diff = abs(lhs - rhs)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from toruskit.cli import main
+from toruskit.cli import build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -271,3 +271,110 @@ def test_bad_lattice_number_is_usage_error(tmp_path, capsys, lattice, field):
     assert code == 2
     err = capsys.readouterr().err
     assert f"{field}: expected a number" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["chains", "--gammas", "2,x"], "--gammas"),
+    (["singular", "--box", "40"], "--box"),
+    (["singular", "--box", "4,x"], "--box"),
+    (["measure", "--gamma-grid", "1/0:1:3"], "--gamma-grid"),
+    (["measure", "--gamma-grid", "a:b:3"], "--gamma-grid"),
+    (["measure", "--gamma-grid", "1:2:x"], "--gamma-grid"),
+    (["measure", "--gamma-grid", "1.5/2:1:3"], "--gamma-grid"),
+    (["measure", "--gamma-grid", "2:1:3"], "--gamma-grid"),
+    (["measure", "--gamma-grid", "1:2:1"], "--gamma-grid"),
+    (["verify", "--trials", "x"], "--trials"),
+    (["cluster", "--radius", "x"], "--radius"),
+])
+def test_malformed_flag_value_is_usage_error(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("end", ["1/3000", "1/30", "0.03", "1/7", "2.5",
+                                 "3", "22/7", "1e-3"])
+def test_gamma_grid_ends_give_the_same_floats(end):
+    # the ends were once read as float(num) / float(den) or float(text);
+    # an exact rational rounded once gives the same float
+    def old(text):
+        if "/" in text:
+            num, den = text.split("/")
+            return float(num) / float(den)
+        return float(text)
+
+    lo = old("1/10000")
+    ratio = (old(end) / lo) ** (1.0 / 3)
+    args = build_parser().parse_args(["measure", "--gamma-grid",
+                                      f"1/10000:{end}:4"])
+    assert vars(args)["params.gamma_grid"] == [repr(lo * ratio**i)
+                                               for i in range(4)]
+
+
+def test_config_plus_flags_match_the_equivalent_config(tmp_path, lattice_file,
+                                                       freq_file):
+    base = json.loads(_singular_config(tmp_path, lattice_file,
+                                       freq_file).read_text())
+    base["params"].pop("exponent_bound")
+    base_path = tmp_path / "base.json"
+    base_path.write_text(json.dumps(base))
+    equivalent = dict(base, seed=3, cache=False,
+                      out_dir=str(tmp_path / "by-config"),
+                      params=dict(base["params"], ell_radius=8, j_radius=7))
+    equivalent_path = tmp_path / "equivalent.json"
+    equivalent_path.write_text(json.dumps(equivalent))
+
+    assert main(["--seed", "3", "singular", "--config", str(base_path),
+                 "--box", "8,7", "--no-cache",
+                 "--out-dir", str(tmp_path / "by-flags")]) == 0
+    assert main(["singular", "--config", str(equivalent_path)]) == 0
+
+    def body(name):
+        out = tmp_path / name
+        report = json.loads((out / "report-singular.json").read_text())
+        report["body"]["config"].pop("out_dir")
+        return report["body"], (out / "singular_chains.csv").read_bytes()
+
+    flags, config = body("by-flags"), body("by-config")
+    assert flags == config
+    assert flags[0]["config"]["cache"] is False
+    assert flags[0]["config"]["params"]["ell_radius"] == 8
+    assert not (tmp_path / "cache").exists()
+
+
+def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()
+    code = main(["verify", "--trials", "1", "--dmax", "2",
+                 "--out", str(target), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"--out: cannot write {target}" in err and "Traceback" not in err
+    assert list(target.iterdir()) == []
+    assert not list(tmp_path.glob(".tmp-*"))
+
+
+def test_out_dir_naming_a_file_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("kept")
+    code = main(["verify", "--trials", "1", "--dmax", "2",
+                 "--out-dir", str(target)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"out_dir: cannot create {target}" in err and "Traceback" not in err
+    assert target.read_text() == "kept"
+
+
+def test_theta_on_a_frequency_file_that_is_not_an_object(tmp_path,
+                                                          lattice_file,
+                                                          capsys):
+    freq = tmp_path / "freq.json"
+    freq.write_text("[1, 2]")
+    code = main(["singular", "--lattice", str(lattice_file), "--freq",
+                 str(freq), "--theta", "1/3", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "frequency: expected an object" in err and "Traceback" not in err

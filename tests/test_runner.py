@@ -385,3 +385,34 @@ def test_wall_time_not_in_body(tmp_path):
 def test_cache_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("TORUSKIT_CACHE", str(tmp_path / "elsewhere"))
     assert cache_dir() == tmp_path / "elsewhere"
+
+
+@pytest.mark.parametrize("raw, series, header, fields", [
+    ({"kind": "chains", "lattice": {"matrix": [["1"]]},
+      "params": {"box_radius": 20, "gammas": [2, 4]}},
+     "chain_scaling", "gamma,max_length", ("scaling", "gamma", "max_length")),
+    ({"kind": "singular", "lattice": {"matrix": [["1", "1/2"], ["0", "1"]]},
+      "frequency": {"omega_bar": ["1"], "gamma0": "1/2", "tau0": 1,
+                    "mass": "1"},
+      "params": {"symbol": "nls", "ell_radius": 2, "j_radius": 3,
+                 "gamma": 2, "node_budget": 50}},
+     "singular_chains", "length,section_count,min_exponent",
+     ("chains", "length", "section_count", "min_exponent")),
+    ({"kind": "measure", "lattice": {"matrix": [["1"]]},
+      "frequency": {"omega_bar": ["1"], "gamma0": "1/2", "tau0": 1},
+      "params": {"gamma_grid": ["1/3000", "1/300", "1/30"], "p_max": 1,
+                 "m_max": 1}},
+     "measure_curve", "gamma,excluded_measure",
+     ("curve", "gamma", "excluded_measure")),
+])
+def test_run_csv_is_the_plot_series(tmp_path, raw, series, header, fields):
+    # the CSV a run writes and the one emit_plot_data writes share one format
+    report = run_experiment(normalize(dict(raw, out_dir=str(tmp_path / "run"))))
+    written = (tmp_path / "run" / f"{series}.csv").read_bytes()
+    key, *columns = fields
+    rows = report.body["data"][key]
+    assert rows
+    expected = [header] + [",".join(str(row[c]) for c in columns)
+                           for row in rows]
+    assert written == ("\n".join(expected) + "\n").encode()
+    assert emit_plot_data(report, series, tmp_path).read_bytes() == written
