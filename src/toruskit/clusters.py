@@ -99,6 +99,7 @@ class ChainSearchResult:
     witness: GammaChain
     truncated: bool
     expanded: int
+    floods: int
 
 
 def box_sites(radius: int, d: int):
@@ -171,7 +172,8 @@ def max_chain_length(basis: LatticeBasis, box_radius: int, gamma,
     raw: PathSearchResult = longest_path(adjacency, length_cap=length_cap,
                                          node_budget=node_budget)
     witness = GammaChain(tuple(sites[i] for i in raw.path), gamma)
-    result = ChainSearchResult(raw.length, witness, raw.truncated, raw.expanded)
+    result = ChainSearchResult(raw.length, witness, raw.truncated, raw.expanded,
+                               raw.floods)
     if raw.truncated and on_truncate == "raise":
         raise SearchTruncated("chain search truncated", result=result)
     return result
@@ -487,6 +489,7 @@ class ScalingRow:
     length: int
     truncated: bool
     expanded: int
+    floods: int
 
 
 @dataclass
@@ -518,7 +521,8 @@ def chain_scaling_experiment(basis: LatticeBasis, gammas, box_radius: int,
         res = max_chain_length(basis, box_radius, gamma,
                                length_cap=length_cap, node_budget=node_budget,
                                on_truncate=on_truncate)
-        rows.append(ScalingRow(gamma, res.length, res.truncated, res.expanded))
+        rows.append(ScalingRow(gamma, res.length, res.truncated, res.expanded,
+                               res.floods))
         witnesses.append(res.witness)
     pts = [(math.log(float(r.gamma)), math.log(r.length))
            for r in rows if r.length >= 1]

@@ -37,6 +37,9 @@ def parse_rational(value, field: str = "value") -> Fraction:
         return Fr(value)
     if isinstance(value, float):
         # JSON numbers arrive as floats; treat the decimal literal as exact.
+        # Python's json also reads NaN and Infinity, which no rational is.
+        if not math.isfinite(value):
+            raise ParseError(f"{field}: not a finite number: {value!r}")
         return Fr(repr(value))
     if isinstance(value, str):
         text = value.strip()

@@ -327,6 +327,7 @@ def _run_chains(config: ExperimentConfig, out_dir: Path, counters: dict):
                                       node_budget=p["node_budget"])
     counters.update(sites=(2 * p["box_radius"] + 1) ** basis.d,
                     search_expanded=sum(r.expanded for r in result.rows),
+                    search_floods=sum(r.floods for r in result.rows),
                     search_truncated=any(r.truncated for r in result.rows))
     replay_ok = all(w.is_valid(basis) for w in result.witnesses)
     lengths = [r.length for r in result.rows]
@@ -354,6 +355,7 @@ def _run_singular(config: ExperimentConfig, out_dir: Path, counters: dict):
         basis, params, p["symbol"], p["ell_radius"], p["j_radius"], p["gamma"],
         length_cap=p["length_cap"], node_budget=p["node_budget"])
     counters.update(sites=survey.site_count, search_expanded=survey.expanded,
+                    search_floods=survey.floods,
                     search_truncated=survey.truncated)
     replay_ok = all(c.is_valid(basis, params, p["symbol"]) for c in survey.chains)
     bound = p["exponent_bound"]

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 # the most (mask, endpoint) states the longest-path DP holds for one component
 DP_STATE_CAP = 1_000_000
+# the most visited sets each of the two generations of the DFS flood memo holds
+FLOOD_MEMO = 512
 
 
 class UnionFind:
@@ -41,12 +43,16 @@ class UnionFind:
 
 @dataclass
 class PathSearchResult:
-    """Longest simple path found; ``length`` counts edges."""
+    """Longest simple path found; ``length`` counts edges.
+
+    ``floods`` counts the flood fills the DFS ran (the DP runs none).
+    """
 
     length: int
     path: tuple
     truncated: bool
     expanded: int
+    floods: int
 
 
 def connected_components(adjacency):
@@ -148,11 +154,22 @@ def _dfs_longest(adjacency, comp, best_len, length_cap, budget):
     without a flood when even ``left`` cannot beat the best.  Neither shortcut
     changes a decision of the exact count.  The visited set and the
     neighbour sets are int bitmasks.
+
+    The search reaches one visited set in many orders, so a flood memo maps
+    each visited set to the masks already flooded for it, and a candidate
+    inside one of them is not flooded again.  A reused mask is the mask a
+    flood would return, so no decision changes.  The memo has two
+    generations of at most ``FLOOD_MEMO`` visited sets each: a hit in
+    ``older`` moves back to ``recent``, and a full ``recent`` replaces
+    ``older``.  Returns (best length, best path, truncated, expanded,
+    floods).
     """
     masks = [sum(1 << w for w in nbrs) for nbrs in adjacency]
     best_path = None
     truncated = False
     expanded = 0
+    floods_run = 0
+    recent, older = {}, {}
     comp_size = len(comp)
     for start in comp:
         if comp_size - 1 <= best_len or truncated:
@@ -181,7 +198,19 @@ def _dfs_longest(adjacency, comp, best_len, length_cap, budget):
                 else:
                     if lefts[-1] <= room:
                         continue
-                    reach = _reach_mask(masks, w, visited)
+                    known = recent.get(visited)
+                    if known is None:
+                        known = older.pop(visited, [])
+                        if len(recent) >= FLOOD_MEMO:
+                            older, recent = recent, {}
+                        recent[visited] = known
+                    for reach in known:
+                        if reach >> w & 1:
+                            break
+                    else:
+                        reach = _reach_mask(masks, w, visited)
+                        known.append(reach)
+                        floods_run += 1
                     stored.append(reach)
                     lefts[-1] -= reach.bit_count()
                 size = reach.bit_count()
@@ -203,7 +232,7 @@ def _dfs_longest(adjacency, comp, best_len, length_cap, budget):
                 floods.pop()
                 lefts.pop()
                 visited ^= 1 << path.pop()
-    return best_len, best_path, truncated, expanded
+    return best_len, best_path, truncated, expanded, floods_run
 
 
 def longest_path(adjacency, length_cap=None,
@@ -217,17 +246,21 @@ def longest_path(adjacency, length_cap=None,
     candidate; a bitmask flood fill runs at most once per component of the
     unvisited graph next to each DFS tip, and a candidate whose component
     cannot beat the best even at the size of the tip's unflooded region is
-    cut without one.
+    cut without one.  A flood memo keyed by the visited set, bounded to
+    ``2 * FLOOD_MEMO`` sets per component, reuses the masks of a visited set
+    the DFS reached before in another order; ``floods`` counts the fills
+    that ran.
     Truncation via ``node_budget`` or ``length_cap`` is honest: the best path
     found so far is returned and flagged.
     """
     n = len(adjacency)
     if n == 0:
-        return PathSearchResult(0, (), False, 0)
+        return PathSearchResult(0, (), False, 0, 0)
     best_len = 0
     best_path = (0,)
     truncated = False
     expanded = 0
+    floods = 0
 
     for comp in connected_components(adjacency):
         comp_size = len(comp)
@@ -246,10 +279,11 @@ def longest_path(adjacency, length_cap=None,
                 best_len = length
                 best_path = tuple(comp[i] for i in sub_path)
         else:
-            length, sub_path, comp_trunc, spent = _dfs_longest(
+            length, sub_path, comp_trunc, spent, flooded = _dfs_longest(
                 sub, list(range(comp_size)), best_len, length_cap,
                 max(0, node_budget - expanded))
             expanded += spent
+            floods += flooded
             truncated = truncated or comp_trunc
             if sub_path is not None and length > best_len:
                 best_len = length
@@ -260,4 +294,4 @@ def longest_path(adjacency, length_cap=None,
         if expanded >= node_budget:
             truncated = True
             break
-    return PathSearchResult(best_len, best_path, truncated, expanded)
+    return PathSearchResult(best_len, best_path, truncated, expanded, floods)

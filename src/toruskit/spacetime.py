@@ -228,6 +228,7 @@ class ChainSurvey:
     truncated: bool
     fitted_exponent: float
     expanded: int             # search nodes and DP states over all components
+    floods: int               # DFS flood fills over all components
 
     def max_length(self) -> int:
         return max((c.length for c in self.chains), default=0)
@@ -275,6 +276,7 @@ def enumerate_singular_chains(basis: LatticeBasis, params: FrequencyParams,
     chains = []
     truncated = False
     expanded = 0
+    floods = 0
     for comp in connected_components(adjacency):
         sub_index = {v: t for t, v in enumerate(comp)}
         sub_adj = [[sub_index[w] for w in adjacency[v] if w in sub_index]
@@ -283,6 +285,7 @@ def enumerate_singular_chains(basis: LatticeBasis, params: FrequencyParams,
                            node_budget=node_budget)
         truncated = truncated or res.truncated
         expanded += res.expanded
+        floods += res.floods
         path = [comp[t] for t in res.path]
         if res.truncated:
             # a budget-cut path may still be extendable; grow it greedily so
@@ -314,7 +317,7 @@ def enumerate_singular_chains(basis: LatticeBasis, params: FrequencyParams,
                     f"{exponent_bound}")
     survey = ChainSurvey(chains=chains, gamma=gamma, site_count=len(sites),
                          truncated=truncated, fitted_exponent=fitted,
-                         expanded=expanded)
+                         expanded=expanded, floods=floods)
     if truncated and on_truncate == "raise":
         raise SearchTruncated("chain survey truncated", result=survey)
     return survey
@@ -781,11 +784,12 @@ def chain_pair_bounds(basis: LatticeBasis, params: FrequencyParams,
     if gram is not None:
         G, D = gram
     mu_vals = [mu(basis, s.j) for s in sites]
+    xs = [params.omega_dot(s.ell) + params.theta for s in sites]
     worst = None
     best_c = 0.0
     pair_count = 0
     for q0, s0 in enumerate(sites):
-        x0 = params.omega_dot(s0.ell) + params.theta
+        x0 = xs[q0]
         if gram is not None:
             anchor = [sum(a * g for a, g in zip(s0.j, col)) for col in zip(*G)]
         for q, s in enumerate(sites):
@@ -803,8 +807,7 @@ def chain_pair_bounds(basis: LatticeBasis, params: FrequencyParams,
                 ratio = abs(num) / D / denom
             else:
                 if kind == NLW:
-                    xq = params.omega_dot(s.ell) + params.theta
-                    space = -x0 * (xq - x0) + space
+                    space = -x0 * (xs[q] - x0) + space
                 ratio = float(abs(space)) / denom
             pair_count += 1
             if ratio > best_c:

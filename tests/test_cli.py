@@ -1,6 +1,7 @@
 """Command line interface: flags, exit codes, outputs."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -271,6 +272,24 @@ def test_bad_lattice_number_is_usage_error(tmp_path, capsys, lattice, field):
     assert code == 2
     err = capsys.readouterr().err
     assert f"{field}: expected a number" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw, field", [
+    ({"kind": "singular",
+      "frequency": {"omega_bar": ["1"], "gamma0": math.nan, "tau0": 1},
+      "params": {"ell_radius": 2, "j_radius": 2}}, "frequency.gamma0"),
+    ({"kind": "cluster", "lattice": {"matrix": [[1, 0], [0, math.inf]]},
+      "params": {"box_radius": 3}}, "lattice.matrix[1][1]"),
+])
+def test_non_finite_rational_is_usage_error(tmp_path, capsys, raw, field):
+    # Python's json writes and reads NaN and Infinity
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    code = main([raw["kind"], "--config", str(config),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{field}: not a finite number" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, flag", [

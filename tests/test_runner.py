@@ -208,8 +208,8 @@ def _output_bytes(report, out_dir):
 def test_search_counters_in_meta_only(tmp_path, raw):
     report = run_experiment(normalize(dict(raw, out_dir=str(tmp_path))))
     counters = report.meta["counters"]
-    assert set(counters) == {"sites", "search_expanded", "search_truncated",
-                             "bytes_written"}
+    assert set(counters) == {"sites", "search_expanded", "search_floods",
+                             "search_truncated", "bytes_written"}
     assert counters["bytes_written"] == _output_bytes(report, tmp_path)
     assert counters["sites"] > 0 and counters["search_expanded"] > 0
     if raw["kind"] == "singular":
@@ -218,7 +218,8 @@ def test_search_counters_in_meta_only(tmp_path, raw):
     else:
         assert counters["sites"] == 41
     assert not _body_keys(report.body) & {"counters", "search_expanded",
-                                          "search_truncated", "bytes_written"}
+                                          "search_floods", "search_truncated",
+                                          "bytes_written"}
 
 
 def test_homological_counters_in_meta_only(tmp_path):

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from toruskit import search
-from toruskit.search import _dfs_longest, _reach_mask, longest_path
+from toruskit import clusters, search
+from toruskit.lattice import new_lattice
+from toruskit.search import (FLOOD_MEMO, _dfs_longest, _reach_mask,
+                             connected_components, longest_path)
 
 
 def _set_reach(adjacency, origin, visited):
@@ -22,10 +24,12 @@ def _set_reach(adjacency, origin, visited):
 
 
 def _set_dfs_longest(adjacency, comp, best_len, length_cap, budget):
-    # branch-and-bound DFS with Python sets for the visited nodes
+    # branch-and-bound DFS with Python sets for the visited nodes; it floods
+    # once per candidate
     best_path = None
     truncated = False
     expanded = 0
+    floods = 0
     comp_size = len(comp)
     for start in comp:
         if comp_size - 1 <= best_len or truncated:
@@ -44,6 +48,7 @@ def _set_dfs_longest(adjacency, comp, best_len, length_cap, budget):
                 if w in visited:
                     continue
                 rest = len(_set_reach(adjacency, w, visited)) - 1
+                floods += 1
                 if len(path) + rest <= best_len:
                     continue
                 visited.add(w)
@@ -58,7 +63,7 @@ def _set_dfs_longest(adjacency, comp, best_len, length_cap, budget):
             if not advanced:
                 iters.pop()
                 visited.discard(path.pop())
-    return best_len, best_path, truncated, expanded
+    return best_len, best_path, truncated, expanded, floods
 
 
 def random_graph(rng, n, chords=True):
@@ -116,7 +121,8 @@ def assert_dfs_matches_set_dfs(adjacency, best_len, length_cap, budget):
     comp = list(range(len(adjacency)))
     fast = _dfs_longest(adjacency, comp, best_len, length_cap, budget)
     plain = _set_dfs_longest(adjacency, comp, best_len, length_cap, budget)
-    assert fast == plain
+    # length, path, truncated and expanded; the flood counts differ
+    assert fast[:4] == plain[:4]
     return fast
 
 
@@ -177,7 +183,7 @@ def test_dfs_matches_set_dfs_on_paths_with_pendant_branches(seed):
         adjacency = caterpillar(rng, spine, chords)
         full = 2_000_000 if chords == 0 else 5000
         for best_len, budget in ((0, full), (0, 300), (spine // 2, full)):
-            length, path, _, _ = assert_dfs_matches_set_dfs(
+            length, path, *_ = assert_dfs_matches_set_dfs(
                 adjacency, best_len, None, budget)
             improved += path is not None
     assert improved
@@ -189,7 +195,7 @@ def test_dfs_matches_set_dfs_under_a_length_cap(seed):
     for length_cap in (1, 3, 8, 12, 40):
         for adjacency in (random_graph(rng, rng.randint(20, 60)),
                           caterpillar(rng, 25, 3)):
-            length, _, truncated, _ = assert_dfs_matches_set_dfs(
+            length, _, truncated, *_ = assert_dfs_matches_set_dfs(
                 adjacency, 0, length_cap, 20_000)
             if length >= length_cap:
                 assert truncated
@@ -214,5 +220,58 @@ def test_dfs_floods_less_than_one_per_candidate(monkeypatch):
     monkeypatch.setitem(globals(), "_set_reach", counted("plain", _set_reach))
     fast = _dfs_longest(adjacency, comp, 0, None, 5000)
     plain = _set_dfs_longest(adjacency, comp, 0, None, 5000)
-    assert fast == plain
+    assert fast[:4] == plain[:4]
     assert 0 < counts["fast"] < counts["plain"]
+    assert (fast[4], plain[4]) == (counts["fast"], counts["plain"])
+
+
+@pytest.mark.parametrize("memo", [FLOOD_MEMO, 1, 8])
+def test_flood_memo_generations_rotate(memo, monkeypatch):
+    # more than two generations of distinct visited sets: the memo drops
+    # ``older`` and moves hits back to ``recent``, and the search stays that
+    # of the set DFS
+    seen = set()  # the distinct visited sets flooded for
+    flood = search._reach_mask
+
+    def wrapper(masks, origin, visited):
+        seen.add(visited)
+        return flood(masks, origin, visited)
+
+    monkeypatch.setattr(search, "_reach_mask", wrapper)
+    monkeypatch.setattr(search, "FLOOD_MEMO", memo)
+    rng = random.Random(11)
+    for n in (70, 90):
+        adjacency = random_graph(rng, n)
+        seen.clear()
+        assert_dfs_matches_set_dfs(adjacency, 0, None, 3000)
+        assert len(seen) > 2 * FLOOD_MEMO >= 2 * memo
+
+
+def _chain_graph(shear, box_radius, gamma):
+    # the largest component of the gamma-link graph max_chain_length searches
+    captured = []
+
+    def capture(adjacency, **kwargs):
+        captured.append(adjacency)
+        return longest_path([])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clusters, "longest_path", capture)
+        clusters.max_chain_length(new_lattice([["1", shear], ["0", "1"]]),
+                                  box_radius, gamma)
+    adjacency, = captured
+    comp = max(connected_components(adjacency), key=len)
+    local = {v: i for i, v in enumerate(comp)}
+    return [[local[w] for w in adjacency[v] if w in local] for v in comp]
+
+
+@pytest.mark.parametrize("shear, gamma", [("1/2", 3), ("2/3", 4)])
+def test_flood_memo_on_a_chain_graph(shear, gamma):
+    # a gamma-link graph reaches one visited set in many orders, so most
+    # candidates reuse a memo mask
+    adjacency = _chain_graph(shear, 4, gamma)
+    assert len(adjacency) > 64
+    _, _, truncated, expanded, floods = assert_dfs_matches_set_dfs(
+        adjacency, 0, None, 3000)
+    assert truncated and expanded == 3000
+    assert 0 < floods < expanded / 2
