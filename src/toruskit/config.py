@@ -9,6 +9,7 @@ in the README.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -51,12 +52,19 @@ _EXPECTED = {_int: "an integer", float: "a number",
 
 
 def _cast(value, cast, field: str):
-    """``cast(value)``; a value that ``cast`` refuses raises ParseError naming ``field``."""
+    """``cast(value)``; a value that ``cast`` refuses raises ParseError naming ``field``.
+
+    A float must be finite: ``float`` reads ``NaN`` and ``Infinity``, which
+    no float field means and every comparison would then pass or fail blindly.
+    """
     try:
-        return cast(value)
+        result = cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{field}: expected {_EXPECTED[cast]}, "
                          f"got {value!r}") from exc
+    if isinstance(result, float) and not math.isfinite(result):
+        raise ParseError(f"{field}: not a finite number")
+    return result
 
 
 def _param(raw: dict, key: str, default, cast=_int, where="params."):
@@ -318,9 +326,3 @@ def serialize(config: ExperimentConfig) -> dict:
         "frequency": config.frequency,
         "params": config.params,
     }
-
-
-def dump_config(config: ExperimentConfig, path) -> None:
-    from .runner import atomic_write_json  # runner imports this module
-
-    atomic_write_json(path, serialize(config))

@@ -63,10 +63,6 @@ def format_rational(x) -> str:
 # matrices as list-of-rows
 
 
-def identity_matrix(n, one=Fr(1), zero=Fr(0)):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def mat_transpose(M):
     return [list(col) for col in zip(*M)]
 
@@ -352,16 +348,6 @@ def frobenius_sq(M):
 
 def sup_norm(v) -> int:
     return max(map(abs, v), default=0)
-
-
-def op_norm_float(M) -> float:
-    """Spectral norm of a rational/float matrix, evaluated in floats."""
-    import numpy as np
-
-    arr = np.array([[float(x) for x in row] for row in M], dtype=float)
-    if arr.size == 0:
-        return 0.0
-    return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
 # ---------------------------------------------------------------------------

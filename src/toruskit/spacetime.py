@@ -4,16 +4,20 @@ Sites are indexed by ``(ell, j, a)`` with ``ell`` the time-Fourier index,
 ``j`` the space mode and ``a`` a sign (fixed +1 for the wave kind).  The wave
 symbol is ``-(lam*wbar.ell + theta)^2 + mu_j + m`` and the Schroedinger symbol
 ``-a (lam*wbar.ell + theta) + mu_j + m``; a site is singular when the symbol
-has modulus below 1.  Everything identity-grade runs on Fractions.
+has modulus below 1.  On an exact basis every symbol is one integer over a
+fixed denominator (:class:`_Symbols`); everything identity-grade is exact.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
+from numbers import Rational
 from typing import NamedTuple
 
 from . import exact
@@ -26,7 +30,7 @@ from .errors import (
     SearchTruncated,
     ValidationError,
 )
-from .lattice import LatticeBasis, bilinear, mu
+from .lattice import LatticeBasis, bilinear, mu, mu_numerator
 from .search import longest_path
 
 Fr = Fraction
@@ -98,6 +102,20 @@ class FrequencyParams:
             raise DimensionMismatch("ell length disagrees with n")
         return self.lam * sum(w * l for w, l in zip(self.omega_bar, ell))
 
+    @cached_property
+    def integer_form(self):
+        """``(W, T, E)`` with ``lam*omega_bar = W/E`` and ``theta = T/E``.
+
+        ``E`` is the least common denominator, so ``y(ell) = lam*wbar.ell +
+        theta`` is ``(W.ell + T)/E`` with one integer dot product.  None
+        unless lambda, omega_bar, theta and the mass are all rational.
+        """
+        values = (*self.omega(), self.theta)
+        if not all(isinstance(x, Rational) for x in (*values, self.mass)):
+            return None
+        E = math.lcm(*(x.denominator for x in values))
+        return tuple(int(x * E) for x in values[:-1]), int(self.theta * E), E
+
     def to_dict(self):
         f = exact.format_rational
         return {"omega_bar": [f(w) for w in self.omega_bar],
@@ -140,9 +158,68 @@ def symbol(basis, params, site: SpaceTimeSite, kind: str):
     return symbol_nls(basis, params, site.ell, site.j, site.a)
 
 
+class _Symbols:
+    """The symbols of an exact basis as integer numerators over one ``L``.
+
+    With ``(G, D) = basis.gram`` and ``(W, T, E) = params.integer_form``,
+    ``y(ell) = Y/E`` with ``Y = W.ell + T``, and ``mu_j + m = rho/L`` with
+    ``rho = (j^T G j) L/D + m L``.  The symbol is ``(rho - c)/L`` with centre
+    ``c = a Y L/E`` (Schroedinger, ``L = lcm(D, E, den m)``) or
+    ``c = Y^2 L/E^2`` (wave, ``L = lcm(D, E^2, den m)``).  A kind other than
+    the wave kind is the Schroedinger kind, as in :func:`symbol`.
+    """
+
+    def __init__(self, basis: LatticeBasis, params: FrequencyParams, kind):
+        self.basis = basis
+        self.G, self.D = basis.gram
+        self.W, self.T, self.E = params.integer_form
+        self.wave = kind == NLW
+        scale = self.E ** 2 if self.wave else self.E
+        self.L = math.lcm(self.D, scale, params.mass.denominator)
+        self.per_D, self.per_E = self.L // self.D, self.L // scale
+        self.mass_L = int(params.mass * self.L)
+
+    def y(self, ell) -> int:
+        if len(ell) != len(self.W):
+            raise DimensionMismatch("ell length disagrees with n")
+        return sum(map(operator.mul, self.W, ell)) + self.T
+
+    def rho(self, j) -> int:
+        return mu_numerator(self.basis, j) * self.per_D + self.mass_L
+
+    def center(self, Y: int, a: int) -> int:
+        return Y * Y * self.per_E if self.wave else a * Y * self.per_E
+
+    def value(self, site: SpaceTimeSite) -> int:
+        """``L`` times the symbol at ``site``."""
+        if not self.wave and site.a not in (1, -1):
+            raise ValidationError("sign a must be +1 or -1")
+        return self.rho(site.j) - self.center(self.y(site.ell), site.a)
+
+
+def _symbols(basis: LatticeBasis, params: FrequencyParams, kind):
+    """The integer symbols, or None for a floating basis or float scalars."""
+    if basis.gram is None or params.integer_form is None:
+        return None
+    return _Symbols(basis, params, kind)
+
+
+def _sublevel_test(basis, params, kind: str, bound=1):
+    """Predicate ``site -> |symbol(site)| < bound`` for a rational bound.
+
+    On an exact basis it compares ``|L symbol| * den(bound)`` with
+    ``num(bound) * L`` in integers; a floating basis evaluates :func:`symbol`.
+    """
+    sym = _symbols(basis, params, kind)
+    if sym is None:
+        return lambda site: abs(symbol(basis, params, site, kind)) < bound
+    num, den = bound.numerator * sym.L, bound.denominator
+    return lambda site: abs(sym.value(site)) * den < num
+
+
 def is_singular(basis, params, site: SpaceTimeSite, kind: str) -> bool:
     """Strict sublevel test |symbol| < 1; boundary values are regular."""
-    return abs(symbol(basis, params, site, kind)) < 1
+    return _sublevel_test(basis, params, kind)(site)
 
 
 def enumerate_singular_sites(basis: LatticeBasis, params: FrequencyParams,
@@ -151,27 +228,36 @@ def enumerate_singular_sites(basis: LatticeBasis, params: FrequencyParams,
 
     A site is singular when ``rho_j = mu_j + mass`` lies in the open window
     ``(c - 1, c + 1)``, with ``c = y^2`` (wave) or ``c = a*y`` (Schroedinger)
-    and ``y = lam*wbar.ell + theta``.  The modes are sorted once by exact
-    ``rho``; each (ell, sign) then bisects its window, so the scan costs
-    O(|js| log|js| + |ells| log|js| + output) instead of O(|ells| |js|).
+    and ``y = lam*wbar.ell + theta``.  The modes are sorted once by ``rho``;
+    each (ell, sign) then bisects its window, so the scan costs
+    O(|js| log|js| + |ells| log|js| + output) instead of O(|ells| |js|).  An
+    exact basis scans the integer numerators of :class:`_Symbols` and the
+    window ``(c - L, c + L)``; a floating basis compares float ``rho`` with
+    exact Fraction windows.
     """
     signs = _signs(kind)
     ells = box_sites(ell_radius, params.n)
     js = box_sites(j_radius, basis.d)
-    rho = [mu(basis, j) + params.mass for j in js]
-    # the float presort leaves the exact sort one run of ~|js| comparisons
-    order = sorted(range(len(js)), key=lambda i: float(rho[i]))
-    order.sort(key=rho.__getitem__)
+    sym = _symbols(basis, params, kind)
+    if sym is None:
+        rho = [mu(basis, j) + params.mass for j in js]
+        ys = [params.omega_dot(ell) + params.theta for ell in ells]
+        unit = 1
+        center = (lambda y, a: y * y) if kind == NLW else (lambda y, a: a * y)
+    else:
+        rho = [sym.rho(j) for j in js]
+        ys = [sym.y(ell) for ell in ells]
+        unit, center = sym.L, sym.center
+    order = sorted(range(len(js)), key=rho.__getitem__)
     rhos = [rho[i] for i in order]
 
     sites = []
-    for ell in ells:
-        y = params.omega_dot(ell) + params.theta
+    for ell, y in zip(ells, ys):
         for a in signs:
-            c = y * y if kind == NLW else a * y
-            # strict window: |rho - c| = 1 is regular
-            lo = bisect_right(rhos, c - 1)
-            hi = bisect_left(rhos, c + 1, lo)
+            c = center(y, a)
+            # strict window: |rho - c| = unit is regular
+            lo = bisect_right(rhos, c - unit)
+            hi = bisect_left(rhos, c + unit, lo)
             sites.extend(SpaceTimeSite(ell, js[i], a) for i in order[lo:hi])
     sites.sort()
     return sites
@@ -214,7 +300,7 @@ class SingularChain:
     def is_valid(self, basis, params, kind) -> bool:
         if len(set(self.sites)) != len(self.sites):
             return False
-        if any(not is_singular(basis, params, s, kind) for s in self.sites):
+        if not all(map(_sublevel_test(basis, params, kind), self.sites)):
             return False
         return all(site_distance(a, b) <= self.gamma
                    for a, b in zip(self.sites, self.sites[1:]))
@@ -249,27 +335,7 @@ def enumerate_singular_chains(basis: LatticeBasis, params: FrequencyParams,
     breaking ``L <= (max(K,2)*gamma)^bound`` raise IdentityViolation.
     """
     sites = enumerate_singular_sites(basis, params, kind, ell_radius, j_radius)
-    index = {s: i for i, s in enumerate(sites)}
-    radius = int(math.floor(float(gamma)))
-    adjacency = [[] for _ in sites]
-    # a link is found once, from its smaller site: a positive offset always
-    # leads to a larger site, offset zero only to a larger sign
-    offsets = [(0,) * (params.n + basis.d)] + positive_offsets(
-        params.n + basis.d, radius)
-    signs = _signs(kind)
-    for i, s in enumerate(sites):
-        for o in offsets:
-            ell2 = tuple(a + b for a, b in zip(s.ell, o[:params.n]))
-            j2 = tuple(a + b for a, b in zip(s.j, o[params.n:]))
-            for a2 in signs:
-                cand = SpaceTimeSite(ell2, j2, a2)
-                k = index.get(cand)
-                if k is None or k <= i:
-                    continue
-                if site_distance(s, cand) <= gamma:
-                    adjacency[i].append(k)
-                    adjacency[k].append(i)
-    adjacency = [sorted(nbrs) for nbrs in adjacency]
+    adjacency = _link_graph(sites, gamma)
 
     from .search import connected_components
 
@@ -321,6 +387,49 @@ def enumerate_singular_chains(basis: LatticeBasis, params: FrequencyParams,
     if truncated and on_truncate == "raise":
         raise SearchTruncated("chain survey truncated", result=survey)
     return survey
+
+
+def _link_graph(sites, gamma) -> list:
+    """Sorted adjacency lists of the ``gamma``-link graph on sorted sites.
+
+    Sites are grouped by their point ``ell + j``.  The signs of one point
+    are a sign flip, distance 1, apart; two points are the sup norm of their
+    offset apart, so each pair of points one positive offset of sup norm at
+    most ``floor(gamma)`` apart joins their groups.  A point is one integer
+    key in a mixed radix whose digit spans the sites' coordinate range plus
+    that radius, so no offset carries into the next digit.
+    """
+    adjacency = [[] for _ in sites]
+    if not sites or gamma < 1:
+        return adjacency
+    radius = math.floor(gamma)
+    columns = list(zip(*(s.ell + s.j for s in sites)))
+    lows = [min(c) for c in columns]
+    strides = [1] * len(columns)
+    for t in range(len(columns) - 2, -1, -1):
+        width = max(columns[t + 1]) - lows[t + 1] + 1 + radius
+        strides[t] = strides[t + 1] * width
+    groups = {}
+    for i, point in enumerate(zip(*columns)):
+        key = sum((x - low) * t for x, low, t in zip(point, lows, strides))
+        groups.setdefault(key, []).append(i)
+    steps = [sum(map(operator.mul, o, strides))
+             for o in positive_offsets(len(strides), radius)]
+
+    def link(pairs):
+        for i, k in pairs:
+            adjacency[i].append(k)
+            adjacency[k].append(i)
+
+    for key, group in groups.items():
+        link(combinations(group, 2))
+        for step in steps:
+            other = groups.get(key + step)
+            if other:
+                link(product(group, other))
+    for nbrs in adjacency:
+        nbrs.sort()
+    return adjacency
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +661,13 @@ def theta_sublevel_cover(basis: LatticeBasis, params: FrequencyParams,
     if int(tau1) != tau1 or tau1 < 1:
         raise ValidationError("tau1 must be a positive integer")
     eps = Fr(1, int(N) ** int(tau1))
-    rho = mu(basis, j) + params.mass
-    shift = params.omega_dot(ell)
+    sym = _symbols(basis, params, kind)
+    if sym is None:
+        rho = mu(basis, j) + params.mass
+        shift = params.omega_dot(ell)
+    else:
+        rho = Fraction(sym.rho(j), sym.L)
+        shift = Fraction(sym.y(ell) - sym.T, sym.E)
     if kind == NLS:
         center = a * rho - shift
         lo, hi = center - eps, center + eps
@@ -576,24 +690,6 @@ def theta_sublevel_cover(basis: LatticeBasis, params: FrequencyParams,
 
 # ---------------------------------------------------------------------------
 # Diophantine floor and frequency-set measure
-
-
-def convergent_direction(coeffs) -> tuple:
-    """Two-component rational direction from continued-fraction coefficients.
-
-    The value [a0; a1, a2, ...] built from ``coeffs`` gives a ratio p/q whose
-    best rational approximations are exactly its convergents, so truncating a
-    badly-approximable number (all-ones coefficients: the golden ratio)
-    manufactures directions with a strong Diophantine floor at every scale
-    the truncation resolves.  Scaled to unit 1-norm.
-    """
-    if not coeffs or any(int(a) != a or a < 1 for a in coeffs):
-        raise ValidationError("coefficients must be positive integers")
-    num, den = int(coeffs[-1]), 1
-    for a in reversed(coeffs[:-1]):
-        num, den = int(a) * num + den, num
-    total = num + den
-    return (Fr(den, total), Fr(num, total))
 
 
 @dataclass
@@ -737,11 +833,12 @@ def symbol_floor_membership(basis: LatticeBasis, params: FrequencyParams,
                               gamma0=params.gamma0, tau0=params.tau0,
                               lam=params.lam, theta=Fr(0), mass=params.mass)
     signs = _signs(kind)
+    below = _sublevel_test(basis, at_zero, kind, floor)
     for ell in product(range(-N0, N0 + 1), repeat=params.n):
         for j in product(range(-N0, N0 + 1), repeat=basis.d):
             for a in signs:
-                site = SpaceTimeSite(tuple(ell), tuple(j), a)
-                if abs(symbol(basis, at_zero, site, kind)) < floor:
+                site = SpaceTimeSite(ell, j, a)
+                if below(site):
                     return False, site
     return True, None
 
@@ -774,45 +871,18 @@ def chain_pair_bounds(basis: LatticeBasis, params: FrequencyParams,
     difference is compared with ``|q - q0|^2 gamma^2``; the reported constant
     is the smallest one making all bounds hold.  For the linear kind the
     theta-free consecutive-step inequality (budget ``2(m+1)``) is also
-    replayed.  Exact bases take ``s0^T G`` from :attr:`LatticeBasis.gram`
-    once per anchor and one integer dot per pair; floating bases call
-    :func:`bilinear`.
+    replayed.  An exact basis takes ``s0^T G`` once per anchor and one
+    integer dot per site (:func:`_integer_worst_pair`); a floating basis
+    calls :func:`bilinear` per pair.
     """
     sites = chain.sites
-    gamma = chain.gamma
-    gram = basis.gram
-    if gram is not None:
-        G, D = gram
-    mu_vals = [mu(basis, s.j) for s in sites]
-    xs = [params.omega_dot(s.ell) + params.theta for s in sites]
-    worst = None
-    best_c = 0.0
-    pair_count = 0
-    for q0, s0 in enumerate(sites):
-        x0 = xs[q0]
-        if gram is not None:
-            anchor = [sum(a * g for a, g in zip(s0.j, col)) for col in zip(*G)]
-        for q, s in enumerate(sites):
-            if q == q0:
-                continue
-            diff_j = tuple(a - b for a, b in zip(s.j, s0.j))
-            denom = (q - q0) ** 2 * float(gamma) ** 2
-            if gram is None:
-                space = bilinear(basis, s0.j, diff_j)
-            else:
-                num = sum(a * b for a, b in zip(anchor, diff_j))
-                space = Fraction(num, D) if kind == NLW else None
-            if space is None:
-                # int true division rounds correctly, as float(Fraction) does
-                ratio = abs(num) / D / denom
-            else:
-                if kind == NLW:
-                    space = -x0 * (xs[q] - x0) + space
-                ratio = float(abs(space)) / denom
-            pair_count += 1
-            if ratio > best_c:
-                best_c = ratio
-                worst = (q0, q)
+    sym = _symbols(basis, params, kind)
+    if sym is None:
+        best_c, worst = _bilinear_worst_pair(basis, params, chain, kind)
+        mu_vals = [mu(basis, s.j) for s in sites]
+    else:
+        best_c, worst, nums = _integer_worst_pair(sym, chain, kind)
+        mu_vals = [Fraction(x, sym.D) for x in nums]
     step_ok = None
     max_gap = 0.0
     if len(sites) >= 2:
@@ -832,5 +902,67 @@ def chain_pair_bounds(basis: LatticeBasis, params: FrequencyParams,
                 if val > budget:
                     step_ok = False
     return PairBoundReport(empirical_constant=best_c, worst_pair=worst,
-                           pair_count=pair_count, step_bound_ok=step_ok,
-                           max_step_mu_gap=max_gap)
+                           pair_count=len(sites) * (len(sites) - 1),
+                           step_bound_ok=step_ok, max_step_mu_gap=max_gap)
+
+
+def _integer_worst_pair(sym: _Symbols, chain: SingularChain, kind: str):
+    """``(constant, worst pair, j^T G j per site)`` on integer numerators.
+
+    A pair's space part is the difference of two dots with the anchor's
+    ``s0^T G``, the wave kind's value one integer over ``L``, and each ratio
+    an ``int / int`` division, which rounds as ``float(Fraction)`` does.
+    """
+    sites = chain.sites
+    n = len(sites)
+    G, D, L, per_D, per_E = sym.G, sym.D, sym.L, sym.per_D, sym.per_E
+    js = [s.j for s in sites]
+    ys = [sym.y(s.ell) for s in sites]
+    g2 = float(chain.gamma) ** 2
+    dens = [k * k * g2 for k in range(n)]
+    nums = []
+    worst = None
+    best_c = 0.0
+    for q0, j0 in enumerate(js):
+        anchor = [sum(map(operator.mul, row, j0)) for row in G]
+        dots = [sum(map(operator.mul, anchor, j)) for j in js]
+        d0 = dots[q0]
+        nums.append(d0)
+        # |q - q0|^2 gamma^2 per q; the anchor's own slot reads 0
+        row = dens[q0:0:-1] + [math.inf] + dens[1:n - q0]
+        if kind == NLW:
+            # L (-y0 (y_q - y0) + <W j0, W (j_q - j0)>)
+            y0 = ys[q0] * per_E
+            c0 = y0 * ys[q0] - d0 * per_D
+            ratios = [abs(c0 - y0 * y + per_D * t) / L / den
+                      for y, t, den in zip(ys, dots, row)]
+        else:
+            ratios = [abs(t - d0) / D / den for t, den in zip(dots, row)]
+        # the first pair reaching a new maximum, as a pair-by-pair scan finds
+        top = max(ratios)
+        if top > best_c:
+            best_c, worst = top, (q0, ratios.index(top))
+    return best_c, worst, nums
+
+
+def _bilinear_worst_pair(basis, params, chain, kind):
+    # a floating basis: one bilinear call per pair, Fraction time parts
+    sites = chain.sites
+    xs = [params.omega_dot(s.ell) + params.theta for s in sites]
+    worst = None
+    best_c = 0.0
+    for q0, s0 in enumerate(sites):
+        x0 = xs[q0]
+        for q, s in enumerate(sites):
+            if q == q0:
+                continue
+            denom = (q - q0) ** 2 * float(chain.gamma) ** 2
+            space = bilinear(basis, s0.j, tuple(a - b for a, b in
+                                                zip(s.j, s0.j)))
+            if kind == NLW:
+                space = -x0 * (xs[q] - x0) + space
+            ratio = float(abs(space)) / denom
+            if ratio > best_c:
+                best_c = ratio
+                worst = (q0, q)
+    return best_c, worst

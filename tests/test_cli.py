@@ -292,6 +292,33 @@ def test_non_finite_rational_is_usage_error(tmp_path, capsys, raw, field):
     assert f"{field}: not a finite number" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("raw, field", [
+    ({"kind": "cluster",
+      "lattice": {"matrix": [[1.0, 0.0], [0.0, math.nan]], "mode": "floating"},
+      "params": {"box_radius": 3}}, "lattice.matrix[1][1]"),
+    ({"kind": "cluster",
+      "lattice": {"matrix": [[1.0, 0.0], [0.0, 1.0]], "mode": "floating",
+                  "tolerance": math.nan},
+      "params": {"box_radius": 3}}, "lattice.tolerance"),
+    ({"kind": "homological", "lattice": {"matrix": [["1"]]},
+      "params": {"box_radius": 3, "entries": 5, "sigma": math.nan}},
+     "params.sigma"),
+    ({"kind": "singular",
+      "frequency": {"omega_bar": ["1"], "gamma0": "1/2", "tau0": 1},
+      "params": {"ell_radius": 2, "j_radius": 2,
+                 "exponent_bound": math.inf}}, "params.exponent_bound"),
+])
+def test_non_finite_float_is_usage_error(tmp_path, capsys, raw, field):
+    # float() reads NaN and Infinity; a float field refuses both
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    code = main([raw["kind"], "--config", str(config),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{field}: not a finite number" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["chains", "--gammas", "2,x"], "--gammas"),
     (["singular", "--box", "40"], "--box"),

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import toruskit.runner as runner
-from toruskit.config import dump_config, normalize, serialize
+from toruskit.config import normalize, serialize
 from toruskit.runner import atomic_write_json, run_experiment
 
 
@@ -65,8 +65,8 @@ def test_every_written_payload_matches_dumps(tmp_path, monkeypatch, raw):
         assert path.read_bytes() == dumps(payload), path.name
     report_file = tmp_path / "out" / f"report-{raw['kind']}.json"
     assert report_file.read_bytes() == dumps(report.to_dict())
-    # dump_config goes through the same writer
-    dump_config(config, tmp_path / "config.json")
+    # a config file goes through the same writer
+    atomic_write_json(tmp_path / "config.json", serialize(config))
     assert (tmp_path / "config.json").read_bytes() == dumps(serialize(config))
 
 

@@ -1,5 +1,6 @@
 """Config loading/validation, experiment runs, caching, reports, plot data."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from toruskit.config import dump_config, load_config, normalize, serialize
+from toruskit.config import load_config, normalize, serialize
 from toruskit.errors import ParseError, UnknownSeries, ValidationError
 from toruskit.runner import (
+    atomic_write_json,
     atomic_write_text,
     cache_dir,
     emit_plot_data,
@@ -61,7 +63,7 @@ def test_malformed_rational_is_parse_error(tmp_path):
 def test_config_file_round_trip(tmp_path):
     cfg = normalize(minimal_cluster(tmp_path, seed=7))
     path = tmp_path / "config.json"
-    dump_config(cfg, path)
+    atomic_write_json(path, serialize(cfg))
     again = load_config(path)
     assert serialize(again) == serialize(cfg)
 
@@ -417,3 +419,42 @@ def test_run_csv_is_the_plot_series(tmp_path, raw, series, header, fields):
                            for row in rows]
     assert written == ("\n".join(expected) + "\n").encode()
     assert emit_plot_data(report, series, tmp_path).read_bytes() == written
+
+
+def _singular(matrix, symbol, ell_radius, j_radius, omega=("1",), tau0=1,
+              mass="1/2", lam="1", theta="0", gamma=2, node_budget=20000):
+    return {"kind": "singular", "lattice": {"matrix": matrix},
+            "frequency": {"omega_bar": list(omega), "gamma0": "1/100",
+                          "tau0": tau0, "mass": mass, "lambda": lam,
+                          "theta": theta},
+            "params": {"symbol": symbol, "ell_radius": ell_radius,
+                       "j_radius": j_radius, "gamma": gamma,
+                       "node_budget": node_budget}}
+
+
+# sha256 of the report body and the output files of small singular runs,
+# recorded with the Fraction symbols that the integer kernel replaced
+@pytest.mark.parametrize("raw, digest", [
+    (_singular([["1"]], "nls", 8, 4, mass="3/2", node_budget=3000),
+     "28d5e9966dd34d12bbf7ff2c7983099e3e32cc1818ee75a572c5f46b757b63af"),
+    (_singular([["1"]], "nlw", 20, 20),
+     "3599d36e123cede4ccb2d11997105dfe0919d44802c72fef22cc77a59aee7369"),
+    (_singular([["1", "2/3"], ["0", "1"]], "nls", 6, 8),
+     "33c04ef4daf184001346392cb6a8c4b743d0bee1c9891c9c804c63f48796666b"),
+    (_singular([["1", "0"], ["0", "2"]], "nlw", 6, 6, node_budget=2000),
+     "03342cc5f742acca7d02c9f4d9dfc840e1c00c38a25bec621566abcca14358d5"),
+    (_singular([["1", "-1/3"], ["0", "3/2"]], "nls", 2, 3,
+               omega=("1/3", "-1/2"), tau0=2, mass="3/4", lam="5/4",
+               theta="2/7", node_budget=3000),
+     "64a78bc6f177f9e6d1ab185449f194bfcdd9b0f80ce0ac9f33fb3898ae2fb7ea"),
+    (_singular([["1", "1/2"], ["0", "1"]], "nlw", 8, 8, mass="2/3",
+               lam="3/4", theta="-1/3", gamma=3),
+     "a34022f05a8b18d8fa58f76183058ccf12c7501b65d614b374e961d9af809892"),
+], ids=["nls-d1", "nlw-d1", "nls-d2", "nlw-d2", "nls-d2-theta-lambda",
+        "nlw-d2-theta-lambda"])
+def test_singular_body_bytes_pinned(tmp_path, raw, digest):
+    report = run_experiment(normalize(raw), out_dir=tmp_path)
+    h = hashlib.sha256(report.body_bytes())
+    for name in report.body["outputs"]:
+        h.update(name.encode() + b"\0" + (tmp_path / name).read_bytes())
+    assert h.hexdigest() == digest

@@ -8,8 +8,10 @@ import pytest
 
 from toruskit.errors import (
     DependentVectors,
+    DimensionMismatch,
     GammaOutOfRange,
     IdentityViolation,
+    SingularGenerators,
     ValidationError,
 )
 from toruskit.lattice import bilinear, mu, new_lattice
@@ -353,9 +355,25 @@ def test_diophantine_golden_like_direction():
     assert res.max_gamma0 > 0
 
 
-def test_convergent_direction_constructor():
-    from toruskit.spacetime import convergent_direction
+def convergent_direction(coeffs) -> tuple:
+    """Two-component rational direction from continued-fraction coefficients.
 
+    The value [a0; a1, a2, ...] built from ``coeffs`` gives a ratio p/q whose
+    best rational approximations are exactly its convergents, so truncating a
+    badly-approximable number (all-ones coefficients: the golden ratio)
+    manufactures directions with a strong Diophantine floor at every scale
+    the truncation resolves.  Scaled to unit 1-norm.
+    """
+    if not coeffs or any(int(a) != a or a < 1 for a in coeffs):
+        raise ValidationError("coefficients must be positive integers")
+    num, den = int(coeffs[-1]), 1
+    for a in reversed(coeffs[:-1]):
+        num, den = int(a) * num + den, num
+    total = num + den
+    return (Fr(den, total), Fr(num, total))
+
+
+def test_convergent_direction_constructor():
     wb = convergent_direction([1] * 12)     # golden-ratio convergent 233/144
     assert sum(abs(w) for w in wb) == 1
     assert wb[1] / wb[0] == Fr(233, 144)
@@ -613,3 +631,201 @@ def test_bisect_scan_window_is_open():
         for edge in edges:
             assert abs(symbol(B1, p, SpaceTimeSite(*edge), kind)) == 1
             assert SpaceTimeSite(*edge) not in sites
+
+
+# ---------------------------------------------------------------------------
+# the integer symbol kernel against the Fraction symbols
+
+
+def _random_exact_basis(rng, d):
+    while True:
+        try:
+            return new_lattice([[Fr(rng.randint(-4, 4), rng.randint(1, 5))
+                                 for _ in range(d)] for _ in range(d)])
+        except SingularGenerators:
+            pass
+
+
+def _random_rational_params(rng, n):
+    raw = [Fr(rng.randint(-7, 7), rng.randint(1, 9)) for _ in range(n)]
+    total = sum(map(abs, raw)) or Fr(1)
+    omega = [x / total * Fr(rng.randint(1, 3), 3) for x in raw]
+    den = rng.randint(1, 9)
+    return FrequencyParams(n=n, omega_bar=tuple(omega), gamma0=Fr(1, 100),
+                           tau0=Fr(n), lam=Fr(rng.randint(den, 3 * den), 2 * den),
+                           theta=Fr(rng.randint(-9, 9), rng.randint(1, 9)),
+                           mass=Fr(rng.randint(1, 40), rng.randint(1, 9)))
+
+
+def _random_cases(seed, count):
+    rng = random.Random(seed)
+    for trial in range(count):
+        d = 1 + trial % 3
+        n = rng.randint(1, 2)
+        yield (rng, _random_exact_basis(rng, d), _random_rational_params(rng, n),
+               (NLW, NLS)[trial % 2])
+
+
+def test_integer_form_of_frequency_params():
+    p = params(lam="3/4", theta="-2/5", omega=("1/3", "-1/2"), tau0=2)
+    W, T, E = p.integer_form
+    assert E == 40 and W == (10, -15) and T == -16
+    for ell in ((0, 0), (3, -7), (-5, 2)):
+        assert Fr(sum(w * l for w, l in zip(W, ell)) + T, E) == \
+            p.omega_dot(ell) + p.theta
+    floating = FrequencyParams(n=1, omega_bar=(0.5,), gamma0=Fr(1, 2),
+                               tau0=Fr(1), lam=Fr(1), theta=Fr(0), mass=Fr(1))
+    assert floating.integer_form is None
+
+
+def test_integer_sites_match_fraction_double_loop():
+    found = 0
+    for rng, basis, p, kind in _random_cases(41, 24):
+        radii = (rng.randint(2, 5), rng.randint(2, 5 if basis.d < 3 else 2))
+        sites = enumerate_singular_sites(basis, p, kind, *radii)
+        assert sites == _double_loop_sites(basis, p, kind, *radii)
+        found += bool(sites)
+    assert found >= 16
+
+
+def test_integer_is_singular_matches_fraction_symbol():
+    for rng, basis, p, kind in _random_cases(43, 30):
+        for _ in range(40):
+            site = SpaceTimeSite(tuple(rng.randint(-6, 6) for _ in range(p.n)),
+                                 tuple(rng.randint(-6, 6) for _ in range(basis.d)),
+                                 rng.choice((-1, 1)) if kind == NLS else 1)
+            assert is_singular(basis, p, site, kind) == \
+                (abs(symbol(basis, p, site, kind)) < 1)
+        # the sites of a scan lie on the window, so the test is exercised
+        # near |symbol| = 1 as well
+        for site in enumerate_singular_sites(basis, p, kind, 3, 2):
+            assert is_singular(basis, p, site, kind)
+
+
+def test_integer_is_singular_keeps_its_errors():
+    p = params()
+    with pytest.raises(ValidationError):
+        is_singular(B1, p, SpaceTimeSite((0,), (0,), 2), NLS)
+    with pytest.raises(DimensionMismatch):
+        is_singular(B1, p, SpaceTimeSite((0, 0), (0,), 1), NLS)
+    with pytest.raises(DimensionMismatch):
+        is_singular(B1, p, SpaceTimeSite((0,), (0, 0), 1), NLW)
+
+
+def _fraction_cover(basis, p, ell, j, N, tau1, kind, a=1):
+    # the sublevel cover evaluated with Fraction mu and omega_dot
+    eps = Fr(1, N ** tau1)
+    rho = mu(basis, j) + p.mass
+    shift = p.omega_dot(ell)
+    if kind == NLS:
+        center = a * rho - shift
+        return rho, shift, [(float(center - eps), float(center + eps))]
+    sh = float(shift)
+    if rho + eps < 0:
+        intervals = []
+    elif rho - eps > 0:
+        lo_r, hi_r = math.sqrt(float(rho - eps)), math.sqrt(float(rho + eps))
+        intervals = [(-hi_r - sh, -lo_r - sh), (lo_r - sh, hi_r - sh)]
+    else:
+        hi_r = math.sqrt(float(rho + eps))
+        intervals = [(-hi_r - sh, hi_r - sh)]
+    return rho, shift, sorted(intervals)
+
+
+def test_integer_cover_matches_fraction_cover():
+    for rng, basis, p, kind in _random_cases(47, 30):
+        for _ in range(10):
+            ell = tuple(rng.randint(-9, 9) for _ in range(p.n))
+            j = tuple(rng.randint(-5, 5) for _ in range(basis.d))
+            N, tau1 = rng.randint(2, 12), rng.randint(1, 3)
+            a = rng.choice((-1, 1)) if kind == NLS else 1
+            cov = theta_sublevel_cover(basis, p, ell, j, N, tau1, kind, a=a)
+            assert (cov.rho, cov.shift, cov.intervals) == \
+                _fraction_cover(basis, p, ell, j, N, tau1, kind, a)
+
+
+def _fraction_floor_membership(basis, p, N0, tau, kind):
+    # the box scan with one Fraction symbol per site
+    from itertools import product
+
+    at_zero = FrequencyParams(n=p.n, omega_bar=p.omega_bar, gamma0=p.gamma0,
+                              tau0=p.tau0, lam=p.lam, theta=Fr(0), mass=p.mass)
+    for ell in product(range(-N0, N0 + 1), repeat=p.n):
+        for j in product(range(-N0, N0 + 1), repeat=basis.d):
+            for a in ((1,) if kind == NLW else (-1, 1)):
+                site = SpaceTimeSite(ell, j, a)
+                if abs(symbol(basis, at_zero, site, kind)) < Fr(1, N0 ** tau):
+                    return False, site
+    return True, None
+
+
+def test_integer_floor_membership_matches_fraction_scan():
+    outcomes = set()
+    for rng, basis, p, kind in _random_cases(53, 24):
+        N0, tau = rng.randint(1, 2), rng.randint(0, 3)
+        got = symbol_floor_membership(basis, p, N0, tau, kind)
+        assert got == _fraction_floor_membership(basis, p, N0, tau, kind)
+        outcomes.add(got[0])
+    assert outcomes == {True, False}
+
+
+def test_integer_pair_bounds_match_fraction_replay():
+    for rng, basis, p, kind in _random_cases(59, 36):
+        for length in (1, 2, 3, 7):
+            chain = _random_chain(rng, basis.d, kind, length,
+                                  rng.choice((2, 3)))
+            if p.n == 2:
+                chain = type(chain)(tuple(SpaceTimeSite(
+                    (s.ell[0], rng.randint(-9, 9)), s.j, s.a)
+                    for s in chain.sites), Fr(5, 2))
+            assert (chain_pair_bounds(basis, p, chain, kind).to_dict()
+                    == _bilinear_pair_bounds(basis, p, chain, kind))
+
+
+def _offset_scan_links(sites, n, gamma):
+    # the per-site scan: every site against every offset and sign
+    from toruskit.clusters import positive_offsets
+
+    index = {s: i for i, s in enumerate(sites)}
+    dim = n + len(sites[0].j) if sites else n
+    offsets = [(0,) * dim] + positive_offsets(dim, int(math.floor(float(gamma))))
+    adjacency = [[] for _ in sites]
+    for i, s in enumerate(sites):
+        for o in offsets:
+            ell2 = tuple(a + b for a, b in zip(s.ell, o[:n]))
+            j2 = tuple(a + b for a, b in zip(s.j, o[n:]))
+            for a2 in (-1, 1):
+                cand = SpaceTimeSite(ell2, j2, a2)
+                k = index.get(cand)
+                if k is None or k <= i:
+                    continue
+                if site_distance(s, cand) <= gamma:
+                    adjacency[i].append(k)
+                    adjacency[k].append(i)
+    return [sorted(nbrs) for nbrs in adjacency]
+
+
+GAMMAS = (2, 3, Fr(5, 2), Fr(7, 3), 1, Fr(3, 2), Fr(1, 2), Fr(3, 4), 0)
+
+
+def test_grouped_link_graph_matches_offset_scan():
+    from toruskit.spacetime import _link_graph
+
+    edges = 0
+    for rng, basis, p, kind in _random_cases(61, 12):
+        sites = enumerate_singular_sites(basis, p, kind, 3, 2)
+        for gamma in (2, Fr(5, 2), 1, Fr(1, 2)):
+            graph = _link_graph(sites, gamma)
+            assert graph == _offset_scan_links(sites, p.n, gamma)
+            edges += sum(map(len, graph))
+    assert edges > 0
+    # scattered sites, both signs, coordinates of either sign
+    rng = random.Random(67)
+    for trial in range(12):
+        n, d = rng.randint(1, 2), rng.randint(1, 2)
+        sites = sorted({SpaceTimeSite(
+            tuple(rng.randint(-4, 4) for _ in range(n)),
+            tuple(rng.randint(-3, 5) for _ in range(d)), rng.choice((-1, 1)))
+            for _ in range(rng.randint(0, 60))})
+        for gamma in GAMMAS:
+            assert _link_graph(sites, gamma) == _offset_scan_links(sites, n, gamma)
