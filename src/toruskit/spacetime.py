@@ -15,7 +15,6 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, product
 from numbers import Rational
 from typing import NamedTuple
@@ -102,20 +101,6 @@ class FrequencyParams:
             raise DimensionMismatch("ell length disagrees with n")
         return self.lam * sum(w * l for w, l in zip(self.omega_bar, ell))
 
-    @cached_property
-    def integer_form(self):
-        """``(W, T, E)`` with ``lam*omega_bar = W/E`` and ``theta = T/E``.
-
-        ``E`` is the least common denominator, so ``y(ell) = lam*wbar.ell +
-        theta`` is ``(W.ell + T)/E`` with one integer dot product.  None
-        unless lambda, omega_bar, theta and the mass are all rational.
-        """
-        values = (*self.omega(), self.theta)
-        if not all(isinstance(x, Rational) for x in (*values, self.mass)):
-            return None
-        E = math.lcm(*(x.denominator for x in values))
-        return tuple(int(x * E) for x in values[:-1]), int(self.theta * E), E
-
     def to_dict(self):
         f = exact.format_rational
         return {"omega_bar": [f(w) for w in self.omega_bar],
@@ -161,8 +146,9 @@ def symbol(basis, params, site: SpaceTimeSite, kind: str):
 class _Symbols:
     """The symbols of an exact basis as integer numerators over one ``L``.
 
-    With ``(G, D) = basis.gram`` and ``(W, T, E) = params.integer_form``,
-    ``y(ell) = Y/E`` with ``Y = W.ell + T``, and ``mu_j + m = rho/L`` with
+    With ``(G, D) = basis.gram``, ``lam*omega_bar = W/E`` and ``theta = T/E``
+    over the least common denominator ``E``, ``y(ell) = Y/E`` with
+    ``Y = W.ell + T``, and ``mu_j + m = rho/L`` with
     ``rho = (j^T G j) L/D + m L``.  The symbol is ``(rho - c)/L`` with centre
     ``c = a Y L/E`` (Schroedinger, ``L = lcm(D, E, den m)``) or
     ``c = Y^2 L/E^2`` (wave, ``L = lcm(D, E^2, den m)``).  A kind other than
@@ -172,7 +158,11 @@ class _Symbols:
     def __init__(self, basis: LatticeBasis, params: FrequencyParams, kind):
         self.basis = basis
         self.G, self.D = basis.gram
-        self.W, self.T, self.E = params.integer_form
+        omega = params.omega()
+        self.E = E = math.lcm(*(x.denominator for x in omega),
+                              params.theta.denominator)
+        self.W = tuple(int(x * E) for x in omega)
+        self.T = int(params.theta * E)
         self.wave = kind == NLW
         scale = self.E ** 2 if self.wave else self.E
         self.L = math.lcm(self.D, scale, params.mass.denominator)
@@ -199,7 +189,8 @@ class _Symbols:
 
 def _symbols(basis: LatticeBasis, params: FrequencyParams, kind):
     """The integer symbols, or None for a floating basis or float scalars."""
-    if basis.gram is None or params.integer_form is None:
+    scalars = (*params.omega(), params.theta, params.mass)
+    if basis.gram is None or not all(isinstance(x, Rational) for x in scalars):
         return None
     return _Symbols(basis, params, kind)
 
@@ -661,13 +652,8 @@ def theta_sublevel_cover(basis: LatticeBasis, params: FrequencyParams,
     if int(tau1) != tau1 or tau1 < 1:
         raise ValidationError("tau1 must be a positive integer")
     eps = Fr(1, int(N) ** int(tau1))
-    sym = _symbols(basis, params, kind)
-    if sym is None:
-        rho = mu(basis, j) + params.mass
-        shift = params.omega_dot(ell)
-    else:
-        rho = Fraction(sym.rho(j), sym.L)
-        shift = Fraction(sym.y(ell) - sym.T, sym.E)
+    rho = mu(basis, j) + params.mass
+    shift = params.omega_dot(ell)
     if kind == NLS:
         center = a * rho - shift
         lo, hi = center - eps, center + eps
@@ -917,17 +903,16 @@ def _integer_worst_pair(sym: _Symbols, chain: SingularChain, kind: str):
     n = len(sites)
     G, D, L, per_D, per_E = sym.G, sym.D, sym.L, sym.per_D, sym.per_E
     js = [s.j for s in sites]
+    nums = [mu_numerator(sym.basis, j) for j in js]   # checks each j's length
     ys = [sym.y(s.ell) for s in sites]
     g2 = float(chain.gamma) ** 2
     dens = [k * k * g2 for k in range(n)]
-    nums = []
     worst = None
     best_c = 0.0
     for q0, j0 in enumerate(js):
         anchor = [sum(map(operator.mul, row, j0)) for row in G]
         dots = [sum(map(operator.mul, anchor, j)) for j in js]
-        d0 = dots[q0]
-        nums.append(d0)
+        d0 = nums[q0]
         # |q - q0|^2 gamma^2 per q; the anchor's own slot reads 0
         row = dens[q0:0:-1] + [math.inf] + dens[1:n - q0]
         if kind == NLW:

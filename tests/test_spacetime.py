@@ -666,16 +666,17 @@ def _random_cases(seed, count):
                (NLW, NLS)[trial % 2])
 
 
-def test_integer_form_of_frequency_params():
+def test_integer_symbols_share_one_denominator():
+    from toruskit.spacetime import _symbols
+
     p = params(lam="3/4", theta="-2/5", omega=("1/3", "-1/2"), tau0=2)
-    W, T, E = p.integer_form
-    assert E == 40 and W == (10, -15) and T == -16
+    sym = _symbols(B1, p, NLS)
+    assert sym.E == 40 and sym.W == (10, -15) and sym.T == -16
     for ell in ((0, 0), (3, -7), (-5, 2)):
-        assert Fr(sum(w * l for w, l in zip(W, ell)) + T, E) == \
-            p.omega_dot(ell) + p.theta
+        assert Fr(sym.y(ell), sym.E) == p.omega_dot(ell) + p.theta
     floating = FrequencyParams(n=1, omega_bar=(0.5,), gamma0=Fr(1, 2),
                                tau0=Fr(1), lam=Fr(1), theta=Fr(0), mass=Fr(1))
-    assert floating.integer_form is None
+    assert _symbols(B1, floating, NLS) is None
 
 
 def test_integer_sites_match_fraction_double_loop():
@@ -780,6 +781,16 @@ def test_integer_pair_bounds_match_fraction_replay():
                     for s in chain.sites), Fr(5, 2))
             assert (chain_pair_bounds(basis, p, chain, kind).to_dict()
                     == _bilinear_pair_bounds(basis, p, chain, kind))
+
+
+@pytest.mark.parametrize("kind", [NLW, NLS])
+def test_pair_bounds_refuse_wrong_length_mode(kind):
+    from toruskit.spacetime import SingularChain
+
+    chain = SingularChain((SpaceTimeSite((0,), (0, 1), 1),
+                           SpaceTimeSite((1,), (1,), 1)), 2)
+    with pytest.raises(DimensionMismatch):
+        chain_pair_bounds(B2, params(mass="1/2"), chain, kind)
 
 
 def _offset_scan_links(sites, n, gamma):
