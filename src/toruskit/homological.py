@@ -85,16 +85,30 @@ class BlockMatrix:
         A ``re``/``im`` part is a rational, as
         :func:`toruskit.exact.parse_rational` reads it, or a finite float
         taken at its exact binary value; a NaN or infinite part raises
-        ParseError naming ``entries[i].re`` or ``entries[i].im``.
+        ParseError naming ``entries[i].re`` or ``entries[i].im``.  An index
+        of the wrong length or outside the box raises ParseError naming
+        ``entries[i].j`` or ``entries[i].j_prime``.
         """
         items = {}
         for i, rec in enumerate(rows):
-            j = tuple(int(x) for x in rec["j"])
-            j2 = tuple(int(x) for x in rec["j_prime"])
+            j = _triplet_index(rec["j"], box_radius, d, f"entries[{i}].j")
+            j2 = _triplet_index(rec["j_prime"], box_radius, d,
+                                f"entries[{i}].j_prime")
             items[(j, j2)] = exact.QQi(
                 *(_exact_part(rec[key], f"entries[{i}].{key}")
                   for key in ("re", "im")))
         return BlockMatrix.from_entries(box_radius, d, items)
+
+
+def _triplet_index(raw, box_radius: int, d: int, field: str) -> tuple:
+    j = tuple(int(x) for x in raw)
+    if len(j) != d:
+        raise ParseError(f"{field}: {list(j)} has {len(j)} components, "
+                         f"not d = {d}")
+    if exact.sup_norm(j) > box_radius:
+        raise ParseError(f"{field}: {list(j)} lies outside the box of "
+                         f"radius {box_radius}")
+    return j
 
 
 def _exact_part(x, field: str) -> Fraction:
@@ -215,17 +229,51 @@ def homological_residual(basis: LatticeBasis, W_ND: BlockMatrix,
     """First nonzero value of gap*X - W - R over the joint support, else None.
 
     An independent exact recomputation: the gaps are rebuilt here by
-    :func:`gap_numerators` and every entry is checked, none assumed.
+    :func:`gap_numerators` and every entry is checked, none assumed.  On an
+    exact basis each real and imaginary part of an ``int``, ``Fraction`` or
+    :class:`toruskit.exact.QQi` entry is tested as the integer identity
+    ``xn*g*wd*rd == D*xd*(wn*rd + rn*wd)``, with the parts written
+    ``xn/xd``, ``wn/wd``, ``rn/rd`` and the gap ``g/D``, so an entry that
+    holds builds no Fraction.  The Fraction expression ``X*gap - W - R``
+    gives the residual of the first key that fails, and it decides every key
+    of a floating basis and every key with a complex or float value, which
+    have no integer form.
     """
     W, X, R = W_ND.entries, solution.X.entries, solution.R.entries
     keys = set(W) | set(X) | set(R)
     gaps, D = gap_numerators(basis, keys)
+    if D is not None:
+        keys = [key for key in keys
+                if not _integer_identity_holds(gaps[key], D, X.get(key, 0),
+                                               W.get(key, 0), R.get(key, 0))]
     for key in sorted(keys):
         gap = _gap_value(gaps[key], D)
         res = X.get(key, 0) * gap - W.get(key, 0) - R.get(key, 0)
         if not exact.value_is_zero(res):
             return key, res
     return None
+
+
+def _exact_parts(v):
+    """``(re, im)`` of an int, Fraction or QQi value, else None."""
+    if isinstance(v, exact.QQi):
+        return v.re, v.im
+    if isinstance(v, (int, Fraction)):
+        return v, 0
+    return None
+
+
+def _integer_identity_holds(g, D, x, w, r) -> bool:
+    """``x * g / D == w + r`` part by part; False for a value without parts."""
+    x, w, r = _exact_parts(x), _exact_parts(w), _exact_parts(r)
+    if x is None or w is None or r is None:
+        return False
+    for xp, wp, rp in zip(x, w, r):
+        wd, rd = wp.denominator, rp.denominator
+        if (xp.numerator * g * wd * rd
+                != D * xp.denominator * (wp.numerator * rd + rp.numerator * wd)):
+            return False
+    return True
 
 
 def cluster_weight_operator(partition: ClusterPartition) -> BlockMatrix:
@@ -235,11 +283,11 @@ def cluster_weight_operator(partition: ClusterPartition) -> BlockMatrix:
     """
     entries = {}
     for c in partition.clusters:
-        w = c.M_alpha**2
+        w = Fr(c.M_alpha**2)
         if w == 0:
             continue
         for j in c.members:
-            entries[(j, j)] = Fr(w)
+            entries[(j, j)] = w
     return BlockMatrix(partition.box_radius, partition.d, entries)
 
 
@@ -295,27 +343,41 @@ def decay_profile(Q: BlockMatrix, sigma, n_list, s_list=()) -> DecayProfile:
     """
     if not n_list:
         raise ValueError("need at least one decay order")
-    seminorms = {int(n): 0.0 for n in n_list}
-    sup_by_offset = {}
+    sigma = float(sigma)
+    scale = {}      # size -> (1 + size)**sigma
+    best = {}       # sup-offset -> largest a / (1 + size)**sigma
     for (j, j2), v in Q.entries.items():
         a = exact.value_abs(v)
         if a == 0.0:
             continue
-        off = max(abs(x - y) for x, y in zip(j, j2)) if Q.d else 0
         size = exact.sup_norm(j) + exact.sup_norm(j2)
-        base = a / (1.0 + size) ** float(sigma)
-        for n in seminorms:
-            seminorms[n] = max(seminorms[n], base * (1.0 + off) ** n)
-        h = tuple(x - y for x, y in zip(j, j2))
-        if a > sup_by_offset.get(h, 0.0):
-            sup_by_offset[h] = a
+        weight = scale.get(size)
+        if weight is None:
+            weight = scale[size] = (1.0 + size) ** sigma
+        base = a / weight
+        off = max(abs(x - y) for x, y in zip(j, j2)) if Q.d else 0
+        if base > best.get(off, 0.0):
+            best[off] = base
+    # rounding is monotone, so max(b) * c == max(b * c) for c > 0
+    seminorms = {}
+    for n in n_list:
+        n = int(n)
+        seminorms[n] = max([0.0] + [b * (1.0 + off) ** n
+                                     for off, b in best.items()])
     s_norms = {}
-    for s in s_list:
-        total = 0.0
-        for h, a in sup_by_offset.items():
-            total += max(1, exact.sup_norm(h)) ** (2 * float(s)) * a * a
-        s_norms[float(s)] = math.sqrt(total)
-    return DecayProfile(sigma=float(sigma), seminorms=seminorms, s_norms=s_norms)
+    if s_list:
+        sup_by_offset = {}
+        for (j, j2), v in Q.entries.items():
+            a = exact.value_abs(v)
+            h = tuple(x - y for x, y in zip(j, j2))
+            if a > sup_by_offset.get(h, 0.0):
+                sup_by_offset[h] = a
+        for s in s_list:
+            total = 0.0
+            for h, a in sup_by_offset.items():
+                total += max(1, exact.sup_norm(h)) ** (2 * float(s)) * a * a
+            s_norms[float(s)] = math.sqrt(total)
+    return DecayProfile(sigma=sigma, seminorms=seminorms, s_norms=s_norms)
 
 
 def verify_remainder_support(solution: HomologicalSolution,
@@ -344,19 +406,27 @@ def random_cross_cluster_matrix(partition: ClusterPartition, count: int,
                                 rng) -> BlockMatrix:
     """Random exact-valued matrix supported on cross-cluster pairs.
 
-    Used by experiments and tests; ``rng`` is a ``random.Random``.
+    Used by experiments and tests; ``rng`` is a ``random.Random``.  Each
+    draw takes two sites and two parts ``Fr(randint(-9, 9), randint(1, 9))``.
+    The parts come from a table of the 171 Fractions built once per call,
+    indexed by ``rng.randrange(19)`` and ``rng.randrange(9)``, and the sites
+    by ``rng.choice``: each of these calls ``rng._randbelow`` with the same
+    bound as the ``randint`` and ``randrange`` draws it stands for, so a
+    seed gives the same matrix as the per-draw Fractions did.
     """
     sites = sorted(partition.assignment)
+    assignment = partition.assignment
+    parts = [[Fr(n, d) for d in range(1, 10)] for n in range(-9, 10)]
     entries = {}
     attempts = 0
     while len(entries) < count and attempts < 50 * count:
         attempts += 1
-        j = sites[rng.randrange(len(sites))]
-        j2 = sites[rng.randrange(len(sites))]
-        if partition.assignment[j] == partition.assignment[j2]:
+        j = rng.choice(sites)
+        j2 = rng.choice(sites)
+        if assignment[j] == assignment[j2]:
             continue
-        v = exact.QQi(Fr(rng.randint(-9, 9), rng.randint(1, 9)),
-                      Fr(rng.randint(-9, 9), rng.randint(1, 9)))
-        if v:
-            entries[(j, j2)] = v
+        re = parts[rng.randrange(19)][rng.randrange(9)]
+        im = parts[rng.randrange(19)][rng.randrange(9)]
+        if re or im:
+            entries[(j, j2)] = exact.QQi(re, im)
     return BlockMatrix(partition.box_radius, partition.d, entries)

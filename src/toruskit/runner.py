@@ -449,6 +449,17 @@ def _read_input(field: str, path, parse):
                          f"({type(exc).__name__}: {exc})") from exc
 
 
+def _matrix_on_box(raw, partition: ClusterPartition) -> BlockMatrix:
+    """Read a matrix file's triplets; a box other than the partition's
+    raises ParseError naming ``box_radius`` or ``d``."""
+    for field, want in (("box_radius", partition.box_radius),
+                        ("d", partition.d)):
+        if raw[field] != want:
+            raise ParseError(f"{field}: {raw[field]!r} does not match the "
+                             f"partition's {want}")
+    return BlockMatrix.from_triplets(raw["box_radius"], raw["d"], raw["entries"])
+
+
 def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
     basis = config.basis()
     p = config.params
@@ -461,8 +472,7 @@ def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
     delta = exact.parse_rational(p["delta"], "delta")
     if p.get("matrix_file"):
         Q = _read_input("params.matrix_file", p["matrix_file"],
-                        lambda raw: BlockMatrix.from_triplets(
-                            raw["box_radius"], raw["d"], raw["entries"]))
+                        lambda raw: _matrix_on_box(raw, partition))
     else:
         rng = random.Random(config.seed)
         Q = random_cross_cluster_matrix(partition, p["entries"], rng)

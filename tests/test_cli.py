@@ -166,6 +166,31 @@ def test_malformed_homological_input_is_usage_error(tmp_path, lattice_file,
     assert field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("change, field", [
+    ({"box_radius": 7}, "box_radius"),
+    ({"d": 3}, "d"),
+    ({"entries": [{"j": [0, 0], "j_prime": [9, 3], "re": "1", "im": "0"}]},
+     "entries[0].j_prime"),
+    ({"entries": [{"j": [1, 0, 0], "j_prime": [0, 1], "re": "1", "im": "0"}]},
+     "entries[0].j"),
+], ids=["box_radius", "d", "j_prime_outside_box", "j_wrong_length"])
+def test_matrix_file_off_the_partition_box_names_its_field(
+        tmp_path, lattice_file, capsys, change, field):
+    matrix = {"box_radius": 6, "d": 2,
+              "entries": [{"j": [0, 0], "j_prime": [1, 0], "re": "1",
+                           "im": "0"}], **change}
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(matrix))
+    code = main(["homological", "--lattice", str(lattice_file), "--radius",
+                 "6", "--delta", "1/10", "--allow-delta-above-theorem",
+                 "--no-cache", "--matrix", str(path),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"params.matrix_file: {path}" in err
+    assert f"ParseError: {field}:" in err
+
+
 @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
 def test_unreadable_config_is_usage_error(tmp_path, capsys, case):
     path = tmp_path / "config.json"

@@ -211,12 +211,28 @@ def _as_qqi(v):
 def _oracle_residual(basis, W, sol):
     keys = set(W.entries) | set(sol.X.entries) | set(sol.R.entries)
     for j, j2 in sorted(keys):
-        gap = QQi(mu(basis, j2) - mu(basis, j))
-        res = (gap * _as_qqi(sol.X.get(j, j2)) - _as_qqi(W.get(j, j2))
-               - _as_qqi(sol.R.get(j, j2)))
+        gap = mu(basis, j2) - mu(basis, j)
+        x, w, r = sol.X.get(j, j2), W.get(j, j2), sol.R.get(j, j2)
+        if any(isinstance(v, complex) for v in (x, w, r)):
+            res = complex(x) * complex(gap) - complex(w) - complex(r)
+        else:
+            res = QQi(gap) * _as_qqi(x) - _as_qqi(w) - _as_qqi(r)
         if res:
             return (j, j2), res
     return None
+
+
+def _corrupted(sol, radius, d, x=None, r=None):
+    return HomologicalSolution(
+        BlockMatrix(radius, d, sol.X.entries if x is None else x),
+        BlockMatrix(radius, d, sol.R.entries if r is None else r), sol.delta)
+
+
+def _same_first_failure(basis, W, sol, key):
+    got = homological_residual(basis, W, sol)
+    want = _oracle_residual(basis, W, sol)
+    assert got is not None and got[0] == want[0] == key
+    assert (got[1] if isinstance(got[1], complex) else _as_qqi(got[1])) == want[1]
 
 
 def _dense_rational(rng, d):
@@ -271,17 +287,39 @@ def test_integer_gap_path_matches_per_pair_oracle(name, basis, radius, delta):
         key for key in sorted(sol.R.entries)
         if not ge_pow(2 * max(abs(a - b) for a, b in zip(*key)),
                       _sup(key[0]) + _sup(key[1]), delta)]
-    # a corrupted solution: both recomputations name the same first entry
+    # corrupted solutions: both recomputations name the same first entry
     if sol.X.entries:
         key = sorted(sol.X.entries)[len(sol.X.entries) // 2]
         bad_x = dict(sol.X.entries)
         bad_x[key] = bad_x[key] + Fr(1, 7)
-        bad = HomologicalSolution(BlockMatrix(radius, basis.d, bad_x), sol.R,
-                                  delta)
-        got = homological_residual(basis, W, bad)
-        want = _oracle_residual(basis, W, bad)
-        assert got is not None and got[0] == want[0] == key
-        assert _as_qqi(got[1]) == want[1]
+        _same_first_failure(basis, W, _corrupted(sol, radius, basis.d, x=bad_x),
+                            key)
+    if sol.R.entries:
+        key = sorted(sol.R.entries)[len(sol.R.entries) // 2]
+        bad_r = dict(sol.R.entries)
+        bad_r[key] = bad_r[key] - QQi(0, Fr(2, 9))
+        _same_first_failure(basis, W, _corrupted(sol, radius, basis.d, r=bad_r),
+                            key)
+    if not W.entries:
+        return
+    key = sorted(W.entries)[len(W.entries) // 3]
+    dropped = _corrupted(
+        sol, radius, basis.d,
+        x={k: v for k, v in sol.X.entries.items() if k != key},
+        r={k: v for k, v in sol.R.entries.items() if k != key})
+    _same_first_failure(basis, W, dropped, key)
+    # a complex value has no integer form: the Fraction expression decides
+    w = W.entries[key]
+    items[key] = complex(_as_qqi(w).re, _as_qqi(w).im) + 0.1j
+    W_c = BlockMatrix.from_entries(radius, basis.d, items)
+    sol_c = solve_homological(basis, W_c, part, delta)
+    assert (homological_residual(basis, W_c, sol_c)
+            == _oracle_residual(basis, W_c, sol_c))
+    dropped = _corrupted(
+        sol_c, radius, basis.d,
+        x={k: v for k, v in sol_c.X.entries.items() if k != key},
+        r={k: v for k, v in sol_c.R.entries.items() if k != key})
+    _same_first_failure(basis, W_c, dropped, key)
 
 
 def test_gap_numerators_evaluate_each_site_once(monkeypatch):
@@ -359,3 +397,85 @@ def test_non_finite_matrix_entry_names_its_field(tmp_path, capsys, part, bad):
                    "matrix_file": str(path)}}))
     assert main(["homological", "--config", str(config)]) == 2
     assert f"entries[1].{part}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the table draws and the per-offset decay sweep against the per-draw and
+# per-entry code they replaced
+
+
+def _oracle_random_matrix(partition, count, rng):
+    sites = sorted(partition.assignment)
+    entries = {}
+    attempts = 0
+    while len(entries) < count and attempts < 50 * count:
+        attempts += 1
+        j = sites[rng.randrange(len(sites))]
+        j2 = sites[rng.randrange(len(sites))]
+        if partition.assignment[j] == partition.assignment[j2]:
+            continue
+        v = QQi(Fr(rng.randint(-9, 9), rng.randint(1, 9)),
+                Fr(rng.randint(-9, 9), rng.randint(1, 9)))
+        if v:
+            entries[(j, j2)] = v
+    return entries
+
+
+@pytest.mark.parametrize("name, basis, radius",
+                         [BASES[0], BASES[2], BASES[5]],
+                         ids=[BASES[i][0] for i in (0, 2, 5)])
+def test_table_draws_match_per_draw_fractions(name, basis, radius):
+    part = build_partition(basis, min(radius, 4), DELTA,
+                           enforce_delta_bound=False)
+    for seed in range(20):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        Q = random_cross_cluster_matrix(part, 40, rng)
+        want = _oracle_random_matrix(part, 40, oracle_rng)
+        assert list(Q.entries.items()) == list(want.items())
+        assert rng.random() == oracle_rng.random()
+
+
+def _oracle_decay(Q, sigma, n_list, s_list):
+    seminorms = {int(n): 0.0 for n in n_list}
+    sup_by_offset = {}
+    for (j, j2), v in Q.entries.items():
+        a = abs(v) if isinstance(v, QQi) else abs(complex(v))
+        if a == 0.0:
+            continue
+        off = max(abs(x - y) for x, y in zip(j, j2))
+        size = _sup(j) + _sup(j2)
+        base = a / (1.0 + size) ** float(sigma)
+        for n in seminorms:
+            seminorms[n] = max(seminorms[n], base * (1.0 + off) ** n)
+        h = tuple(x - y for x, y in zip(j, j2))
+        if a > sup_by_offset.get(h, 0.0):
+            sup_by_offset[h] = a
+    s_norms = {}
+    for s in s_list:
+        total = 0.0
+        for h, a in sup_by_offset.items():
+            total += max(1, _sup(h)) ** (2 * float(s)) * a * a
+        s_norms[float(s)] = total ** 0.5
+    return seminorms, s_norms
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("sigma", [0, Fr(3, 2), 2.7])
+@pytest.mark.parametrize("s_list", [(), (1, Fr(1, 2), 2.5)])
+def test_decay_profile_matches_per_entry_loop(d, sigma, s_list):
+    rng = random.Random(f"{d} {sigma} {s_list}")
+    radius = {1: 12, 2: 5, 3: 2}[d]
+    coords = range(-radius, radius + 1)
+    items = {}
+    for i in range(150):
+        key = (tuple(rng.choice(coords) for _ in range(d)),
+               tuple(rng.choice(coords) for _ in range(d)))
+        re, im = Fr(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-3, 3)
+        items[key] = (QQi(re, im), re, complex(float(re), im))[i % 3]
+    Q = BlockMatrix.from_entries(radius, d, items)
+    for n_list in ([0], [0, 1, 3], [4, 2]):
+        prof = decay_profile(Q, sigma, n_list, s_list)
+        seminorms, s_norms = _oracle_decay(Q, sigma, n_list, s_list)
+        assert prof.seminorms == seminorms and prof.s_norms == s_norms
+        assert list(prof.seminorms) == list(seminorms)
+        assert prof.sigma == float(sigma)
