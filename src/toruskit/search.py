@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# the most (mask, endpoint) states the longest-path DP holds for one component
-DP_STATE_CAP = 1_000_000
 # the most visited sets each of the two generations of the DFS flood memo holds
 FLOOD_MEMO = 512
 
@@ -45,7 +43,9 @@ class UnionFind:
 class PathSearchResult:
     """Longest simple path found; ``length`` counts edges.
 
-    ``floods`` counts the flood fills the DFS ran (the DP runs none).
+    ``expanded`` counts DFS expansions plus DP states and never exceeds the
+    node budget; ``floods`` counts the flood fills the DFS ran (the DP runs
+    none).
     """
 
     length: int
@@ -96,13 +96,14 @@ def _reach_mask(masks, origin, visited):
     return blocked & ~visited
 
 
-def _dp_longest(adj, length_cap=None):
+def _dp_longest(adj, length_cap, budget):
     """Exact longest path by layered DP over (visited-mask, endpoint) states.
 
-    Returns (length, path, truncated, states) or None when the state count
-    would exceed ``DP_STATE_CAP`` (caller falls back to branch-and-bound DFS).
-    States of one layer share the mask popcount, so layers never overlap and
-    reconstruction walks the layers backwards.
+    Returns (length, path, truncated, states), or None once the states
+    built pass ``budget`` (checked before each state is extended, so the
+    overshoot is at most one state's degree).  States of one layer share
+    the mask popcount, so layers never overlap and reconstruction walks the
+    layers backwards.
     """
     k = len(adj)
     layers = [{(1 << v) * k + v for v in range(k)}]
@@ -114,6 +115,8 @@ def _dp_longest(adj, length_cap=None):
             break
         nxt = set()
         for code in layers[-1]:
+            if total + len(nxt) > budget:
+                return None
             mask, v = divmod(code, k)
             for w in adj[v]:
                 bit = 1 << w
@@ -122,7 +125,7 @@ def _dp_longest(adj, length_cap=None):
         if not nxt:
             break
         total += len(nxt)
-        if total > DP_STATE_CAP:
+        if total > budget:
             return None
         layers.append(nxt)
     code = min(layers[-1])
@@ -239,22 +242,18 @@ def longest_path(adjacency, length_cap=None,
                  node_budget=2_000_000) -> PathSearchResult:
     """Exact longest simple path (in edges) over all components.
 
-    Components of at most 64 nodes are solved exactly by the layered mask DP;
-    larger ones, and those that overflow the DP state cap (typically dense
-    ones, where a Hamiltonian path is found quickly), fall back to
-    branch-and-bound DFS.  Its bound counts the nodes still reachable from a
-    candidate; a bitmask flood fill runs at most once per component of the
-    unvisited graph next to each DFS tip, and a candidate whose component
-    cannot beat the best even at the size of the tip's unflooded region is
-    cut without one.  A flood memo keyed by the visited set, bounded to
-    ``2 * FLOOD_MEMO`` sets per component, reuses the masks of a visited set
-    the DFS reached before in another order; ``floods`` counts the fills
-    that ran.
-    Truncation via ``node_budget`` or ``length_cap`` is honest: the best path
-    found so far is returned and flagged.
+    ``node_budget`` bounds all the work: DFS expansions and DP states both
+    count toward ``expanded``.  Components are visited largest first, down
+    to the first one too small to beat the best path.  A component of
+    ``k <= 64`` nodes gets a DFS probe of ``k**2`` expansions (a Hamiltonian
+    path is provably longest); a cut probe is followed by the layered mask
+    DP on half the budget left, and a DP that gives up is charged that half
+    and followed by the DFS on the rest.  Larger components get the
+    branch-and-bound DFS (``_dfs_longest``) on the whole budget left;
+    ``floods`` counts its flood fills.  Truncation via ``node_budget`` or
+    ``length_cap`` is honest: the best path found is returned and flagged.
     """
-    n = len(adjacency)
-    if n == 0:
+    if not adjacency:
         return PathSearchResult(0, (), False, 0, 0)
     best_len = 0
     best_path = (0,)
@@ -262,36 +261,37 @@ def longest_path(adjacency, length_cap=None,
     expanded = 0
     floods = 0
 
-    for comp in connected_components(adjacency):
+    for comp in sorted(connected_components(adjacency), key=len, reverse=True):
         comp_size = len(comp)
         if comp_size - 1 <= best_len:
-            continue
+            break
         local = {v: i for i, v in enumerate(comp)}
         sub = [[local[w] for w in adjacency[v] if w in local] for v in comp]
-        solved = None
-        if comp_size <= 64:
-            solved = _dp_longest(sub, length_cap=length_cap)
-        if solved is not None:
-            length, sub_path, comp_trunc, states = solved
-            expanded += states
-            truncated = truncated or comp_trunc
-            if length > best_len:
-                best_len = length
-                best_path = tuple(comp[i] for i in sub_path)
-        else:
-            length, sub_path, comp_trunc, spent, flooded = _dfs_longest(
-                sub, list(range(comp_size)), best_len, length_cap,
-                max(0, node_budget - expanded))
-            expanded += spent
-            floods += flooded
-            truncated = truncated or comp_trunc
+        goal = min(comp_size - 1,
+                   comp_size if length_cap is None else length_cap)
+        for step in ("probe", "dp", "dfs") if comp_size <= 64 else ("dfs",):
+            left = node_budget - expanded
+            if step == "dp":
+                solved = _dp_longest(sub, length_cap, left // 2)
+                if solved is None:
+                    expanded += left // 2
+                    continue
+                length, sub_path, cut, states = solved
+                expanded += states
+            else:
+                length, sub_path, cut, spent, flooded = _dfs_longest(
+                    sub, range(comp_size), best_len, length_cap,
+                    min(comp_size ** 2, left) if step == "probe" else left)
+                expanded += spent
+                floods += flooded
             if sub_path is not None and length > best_len:
                 best_len = length
                 best_path = tuple(comp[i] for i in sub_path)
-        if length_cap is not None and best_len >= length_cap:
-            truncated = True
-            break
-        if expanded >= node_budget:
+            if not cut or best_len >= goal or expanded >= node_budget:
+                break
+        truncated = truncated or cut
+        if (length_cap is not None and best_len >= length_cap
+                or expanded >= node_budget):
             truncated = True
             break
     return PathSearchResult(best_len, best_path, truncated, expanded, floods)

@@ -304,7 +304,7 @@ class ChainSurvey:
     site_count: int
     truncated: bool
     fitted_exponent: float
-    expanded: int             # search nodes and DP states over all components
+    expanded: int             # DFS nodes + DP states, each comp in node_budget
     floods: int               # DFS flood fills over all components
 
     def max_length(self) -> int:

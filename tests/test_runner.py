@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from toruskit import search
 from toruskit.config import load_config, normalize, serialize
 from toruskit.errors import ParseError, UnknownSeries, ValidationError
 from toruskit.runner import (
@@ -224,6 +225,28 @@ def test_search_counters_in_meta_only(tmp_path, raw):
                                           "bytes_written"}
 
 
+def test_singular_dense_component_within_node_budget(tmp_path, monkeypatch):
+    # one 22-node component whose mask DP needs far more states than the
+    # budget: the DFS probe finds a Hamiltonian path, so the DP never runs
+    # and nothing is cut
+    dp_calls = []
+    monkeypatch.setattr(search, "_dp_longest",
+                        lambda *args: dp_calls.append(args))
+    raw = {"kind": "singular",
+           "lattice": {"matrix": [["1", "1/2"], ["0", "1"]]},
+           "frequency": {"omega_bar": ["1"], "gamma0": "1/2", "tau0": 1,
+                         "mass": "1"},
+           "params": {"symbol": "nls", "ell_radius": 3, "j_radius": 4,
+                      "gamma": 2, "node_budget": 50}}
+    report = run_experiment(normalize(dict(raw, out_dir=str(tmp_path))))
+    counters = report.meta["counters"]
+    assert counters["search_expanded"] <= 50
+    assert not counters["search_truncated"]
+    assert not report.body["data"]["truncated"]
+    assert [c["length"] for c in report.body["data"]["chains"]] == [21]
+    assert dp_calls == []
+
+
 def test_homological_counters_in_meta_only(tmp_path):
     raw = {"kind": "homological", "out_dir": str(tmp_path), "seed": 2,
            "lattice": {"matrix": [["1", "1/2"], ["0", "1"]]},
@@ -433,10 +456,12 @@ def _singular(matrix, symbol, ell_radius, j_radius, omega=("1",), tau0=1,
 
 
 # sha256 of the report body and the output files of small singular runs,
-# recorded with the Fraction symbols that the integer kernel replaced
+# recorded with the Fraction symbols that the integer kernel replaced; nls-d1
+# is cut by its node budget, and its witness was re-recorded when the DP
+# states began to count toward that budget
 @pytest.mark.parametrize("raw, digest", [
     (_singular([["1"]], "nls", 8, 4, mass="3/2", node_budget=3000),
-     "28d5e9966dd34d12bbf7ff2c7983099e3e32cc1818ee75a572c5f46b757b63af"),
+     "3ada77420db9f9b61b7e19f2160baa558938f0b79ee62c9a5c59627beaea65d2"),
     (_singular([["1"]], "nlw", 20, 20),
      "3599d36e123cede4ccb2d11997105dfe0919d44802c72fef22cc77a59aee7369"),
     (_singular([["1", "2/3"], ["0", "1"]], "nls", 6, 8),

@@ -247,8 +247,9 @@ def test_flood_memo_generations_rotate(memo, monkeypatch):
         assert len(seen) > 2 * FLOOD_MEMO >= 2 * memo
 
 
-def _chain_graph(shear, box_radius, gamma):
-    # the largest component of the gamma-link graph max_chain_length searches
+def _chain_graph(shear, box_radius, gamma, whole=False):
+    # the largest component of the gamma-link graph max_chain_length searches,
+    # or with ``whole`` the graph itself
     captured = []
 
     def capture(adjacency, **kwargs):
@@ -260,6 +261,8 @@ def _chain_graph(shear, box_radius, gamma):
         clusters.max_chain_length(new_lattice([["1", shear], ["0", "1"]]),
                                   box_radius, gamma)
     adjacency, = captured
+    if whole:
+        return adjacency
     comp = max(connected_components(adjacency), key=len)
     local = {v: i for i, v in enumerate(comp)}
     return [[local[w] for w in adjacency[v] if w in local] for v in comp]
@@ -275,3 +278,109 @@ def test_flood_memo_on_a_chain_graph(shear, gamma):
         adjacency, 0, None, 3000)
     assert truncated and expanded == 3000
     assert 0 < floods < expanded / 2
+
+
+def _brute_longest(adjacency):
+    # the longest simple path by plain DFS from every node; it stops only
+    # once a path visits every node of the largest component
+    top = max(map(len, connected_components(adjacency))) - 1
+    best = 0
+
+    def grow(v, visited, length):
+        nonlocal best
+        best = max(best, length)
+        for w in adjacency[v]:
+            if w not in visited and best < top:
+                grow(w, visited | {w}, length + 1)
+
+    for v in range(len(adjacency)):
+        grow(v, {v}, 0)
+    return best
+
+
+def _small_graphs(rng):
+    # random graphs of at most 10 nodes, often in several components, and
+    # complete graphs
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        p = rng.choice((0.15, 0.3, 0.6, 1.0))
+        adjacency = [set() for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    adjacency[u].add(v)
+                    adjacency[v].add(u)
+        yield [sorted(nbrs) for nbrs in adjacency]
+
+
+def assert_simple_path(adjacency, result):
+    path = result.path
+    assert result.length == len(path) - 1
+    assert len(set(path)) == len(path)
+    assert all(b in adjacency[a] for a, b in zip(path, path[1:]))
+
+
+def test_longest_path_matches_brute_force_on_small_graphs():
+    rng = random.Random(21)
+    for adjacency in _small_graphs(rng):
+        result = longest_path(adjacency)
+        assert not result.truncated
+        assert result.length == _brute_longest(adjacency)
+        assert_simple_path(adjacency, result)
+
+
+def test_every_budget_bounds_the_search():
+    # the DFS probe, the DP and the DFS of a component above 64 nodes all
+    # count toward the one budget; an uncut search is exact
+    rng = random.Random(22)
+    graphs = list(_small_graphs(rng))[:20]
+    graphs += [random_graph(rng, 20), random_graph(rng, 24),
+               caterpillar(rng, 50, 4)]
+    exact = [longest_path(adjacency).length for adjacency in graphs]
+    for budget in list(range(1, 60)) + [100, 400, 1000, 3000]:
+        for adjacency, length in zip(graphs, exact):
+            result = longest_path(adjacency, node_budget=budget)
+            assert result.expanded <= budget
+            assert_simple_path(adjacency, result)
+            assert result.length <= length
+            if not result.truncated:
+                assert result.length == length
+
+
+def test_dp_states_count_toward_the_budget(monkeypatch):
+    # box 3, shear 1/2, gamma 2: a 24-node component whose DP needs 167,834
+    # states.  A budget of 500 ends in the probe; with 60,000 the DP gives
+    # up at half the budget left and the DFS then finishes on the rest
+    adjacency = _chain_graph("1/2", 3, 2, whole=True)
+    assert 24 in map(len, connected_components(adjacency))
+    result = longest_path(adjacency, node_budget=500)
+    assert result.expanded == 500 and result.truncated
+    assert_simple_path(adjacency, result)
+
+    outcomes = []
+    dp = search._dp_longest
+
+    def wrapper(*args):
+        outcomes.append(dp(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(search, "_dp_longest", wrapper)
+    result = longest_path(adjacency, node_budget=60_000)
+    assert outcomes == [None]
+    assert (result.length, result.truncated) == (22, False)
+    assert result.expanded <= 60_000
+    assert_simple_path(adjacency, result)
+    assert longest_path(adjacency, node_budget=400_000).length == 22
+
+
+def test_small_dense_component_does_not_starve_a_long_path():
+    # a complete graph on nodes 0..11 comes first by first node; its DP
+    # alone needs 12 * 2**11 states, but the 40-node path component is
+    # searched first and settles the search
+    dense = [[w for w in range(12) if w != v] for v in range(12)]
+    chain = [[w for w in (v - 1, v + 1) if 12 <= w < 52]
+             for v in range(12, 52)]
+    result = longest_path(dense + chain, node_budget=1000)
+    assert (result.length, result.truncated) == (39, False)
+    assert result.expanded <= 1000
+    assert sorted(result.path) == list(range(12, 52))

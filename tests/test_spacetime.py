@@ -465,7 +465,7 @@ def test_chain_pair_bounds_trivial_and_nls():
     assert rep.empirical_constant == 0.0 and rep.pair_count == 0
 
     survey = enumerate_singular_chains(B1, p, NLS, 15, 3, 2)
-    assert survey.chains
+    assert not survey.truncated and survey.max_length() == 15
     for chain in survey.chains:
         rep = chain_pair_bounds(B1, p, chain, NLS)
         assert rep.step_bound_ok in (None, True)
