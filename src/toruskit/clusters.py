@@ -132,17 +132,6 @@ def _offset_runs(box_radius: int, d: int, link_radius: int):
         yield exact.sup_norm(o), sum(map(operator.mul, o, strides)), starts
 
 
-def box_pairs(box_radius: int, d: int, link_radius: int) -> list:
-    """Index pairs (i, k) into ``box_sites(box_radius, d)``, site first.
-
-    ``sites[k] - sites[i]`` is one of the :func:`positive_offsets` of sup-norm
-    at most ``link_radius``; a site's offsets come in lexicographic order,
-    which is the order of k.
-    """
-    return sorted((i, i + step) for _, step, starts
-                  in _offset_runs(box_radius, d, link_radius) for i in starts)
-
-
 def max_chain_length(basis: LatticeBasis, box_radius: int, gamma,
                      length_cap=None, node_budget: int = 2_000_000,
                      on_truncate: str = "return") -> ChainSearchResult:
@@ -236,7 +225,7 @@ class ClusterPartition:
         clusters = []
         assignment = {}
         for rec in data["clusters"]:
-            members = tuple(tuple(int(x) for x in j) for j in rec["members"])
+            members = tuple(tuple(map(int, j)) for j in rec["members"])
             info = ClusterInfo(id=int(rec["id"]), members=members,
                                m_alpha=int(rec["m_alpha"]),
                                M_alpha=int(rec["M_alpha"]),
@@ -302,7 +291,8 @@ def _box_table(basis: LatticeBasis, box_radius: int, delta):
 
 
 def relation_links(basis: LatticeBasis, box_radius: int, delta) -> list:
-    """The :func:`box_pairs` that :func:`relation_link` accepts, in order.
+    """Index pairs ``(i, k)`` into :func:`box_sites` that :func:`relation_link`
+    accepts, ``i < k``, sorted.
 
     One table serves the whole box (:func:`_box_table`): a pair is linked
     when ``max(D*|j2-j|, |n_j2 - n_j|) / D <= (|j|+|j2|)**delta``, which is

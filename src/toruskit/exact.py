@@ -347,7 +347,8 @@ def frobenius_sq(M):
 
 
 def sup_norm(v) -> int:
-    return max(map(abs, v), default=0)
+    """Largest absolute entry of the sequence ``v``; 0 when it is empty."""
+    return max(map(abs, v)) if v else 0
 
 
 # ---------------------------------------------------------------------------

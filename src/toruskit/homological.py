@@ -64,19 +64,26 @@ class BlockMatrix:
     def support(self):
         return sorted(self.entries)
 
-    def to_triplets(self):
-        """JSON-ready triplet list; exact values rendered as num/den strings."""
-        rows = []
+    def triplet_rows(self):
+        """``(j, j', re, im)`` per entry in key order, exact parts as strings.
+
+        The one value-to-parts rule of :meth:`to_triplets` and of the runner's
+        streamed ``matrix.json``; a complex or float value gives float parts.
+        """
         for (j, j2), v in sorted(self.entries.items()):
             if isinstance(v, exact.QQi):
-                re, im = exact.format_rational(v.re), exact.format_rational(v.im)
+                yield (j, j2, exact.format_rational(v.re),
+                       exact.format_rational(v.im))
             elif isinstance(v, (int, Fraction)):
-                re, im = exact.format_rational(Fr(v)), "0"
+                yield j, j2, exact.format_rational(Fr(v)), "0"
             else:
                 c = complex(v)
-                re, im = c.real, c.imag
-            rows.append({"j": list(j), "j_prime": list(j2), "re": re, "im": im})
-        return rows
+                yield j, j2, c.real, c.imag
+
+    def to_triplets(self):
+        """JSON-ready triplet list; exact values rendered as num/den strings."""
+        return [{"j": list(j), "j_prime": list(j2), "re": re, "im": im}
+                for j, j2, re, im in self.triplet_rows()]
 
     @staticmethod
     def from_triplets(box_radius: int, d: int, rows) -> "BlockMatrix":
@@ -200,8 +207,10 @@ def solve_homological(basis: LatticeBasis, W_ND: BlockMatrix,
     remainder R.  The identity ``gap * X = W + R`` then holds entrywise with
     no error term.  On an exact basis the gaps are integer numerators over
     the Gram denominator (:func:`gap_numerators`), the threshold test is an
-    integer compare (:func:`gap_clears`) and a kept entry is divided by the
-    rational gap as a real scalar.
+    integer compare (:func:`gap_clears`) and a kept
+    :class:`toruskit.exact.QQi` entry is divided on integers, each part
+    ``n/d`` becoming ``Fraction(n*D, d*g)``; any other value is divided by
+    the rational gap as a real scalar.
     """
     if W_ND.box_radius != partition.box_radius or W_ND.d != partition.d:
         raise BoxMismatch("matrix and partition on different boxes")
@@ -214,7 +223,7 @@ def solve_homological(basis: LatticeBasis, W_ND: BlockMatrix,
             raise IntraClusterEntry(f"entry {(j, j2)} is intra-cluster")
         g = gaps[j, j2]
         if clears(g, exact.sup_norm(j) + exact.sup_norm(j2)):
-            x_entries[(j, j2)] = w / _gap_value(g, D)
+            x_entries[(j, j2)] = _divide_by_gap(w, g, D)
         else:
             r_entries[(j, j2)] = -w
     return HomologicalSolution(
@@ -222,6 +231,15 @@ def solve_homological(basis: LatticeBasis, W_ND: BlockMatrix,
         R=BlockMatrix(W_ND.box_radius, W_ND.d, r_entries),
         delta=delta,
     )
+
+
+def _divide_by_gap(w, g, D):
+    """``w / (g / D)``; a QQi over an integer gap builds each part once."""
+    if D is None or not isinstance(w, exact.QQi):
+        return w / _gap_value(g, D)
+    re, im = w.re, w.im
+    return exact.QQi(Fraction(re.numerator * D, re.denominator * g),
+                     Fraction(im.numerator * D, im.denominator * g))
 
 
 def homological_residual(basis: LatticeBasis, W_ND: BlockMatrix,
@@ -408,11 +426,11 @@ def random_cross_cluster_matrix(partition: ClusterPartition, count: int,
 
     Used by experiments and tests; ``rng`` is a ``random.Random``.  Each
     draw takes two sites and two parts ``Fr(randint(-9, 9), randint(1, 9))``.
-    The parts come from a table of the 171 Fractions built once per call,
-    indexed by ``rng.randrange(19)`` and ``rng.randrange(9)``, and the sites
-    by ``rng.choice``: each of these calls ``rng._randbelow`` with the same
-    bound as the ``randint`` and ``randrange`` draws it stands for, so a
-    seed gives the same matrix as the per-draw Fractions did.
+    The parts come from a table of the 171 Fractions built once per call, a
+    row of 9 picked by ``rng.choice`` and then a part of it, and the sites
+    by ``rng.choice``: each choice calls ``rng._randbelow`` with the same
+    bound as the ``randint`` draw it stands for, so a seed gives the same
+    matrix as the per-draw Fractions did.
     """
     sites = sorted(partition.assignment)
     assignment = partition.assignment
@@ -425,8 +443,8 @@ def random_cross_cluster_matrix(partition: ClusterPartition, count: int,
         j2 = rng.choice(sites)
         if assignment[j] == assignment[j2]:
             continue
-        re = parts[rng.randrange(19)][rng.randrange(9)]
-        im = parts[rng.randrange(19)][rng.randrange(9)]
+        re = rng.choice(rng.choice(parts))
+        im = rng.choice(rng.choice(parts))
         if re or im:
             entries[(j, j2)] = exact.QQi(re, im)
     return BlockMatrix(partition.box_radius, partition.d, entries)

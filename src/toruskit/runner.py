@@ -193,6 +193,40 @@ def atomic_write_json(path: Path, payload) -> None:
         handle.write("\n")
 
 
+def _index_text(j, newline: str) -> str:
+    # an index list as dumps indents it one level below ``newline``
+    if not j:
+        return "[]"
+    inner = newline + "  "
+    return ("[" + inner + ("," + inner).join(map(_scalar_text, j))
+            + newline + "]")
+
+
+def _write_matrix(path: Path, Q: BlockMatrix) -> None:
+    """Write ``Q`` as ``atomic_write_json`` writes its triplet payload.
+
+    The bytes are those of ``json.dumps({"box_radius": ..., "d": ...,
+    "entries": Q.to_triplets()}, indent=2, sort_keys=True) + "\n"``, written
+    row by row from :meth:`BlockMatrix.triplet_rows` with no row dict built.
+    A site recurs across rows, so each index list is rendered once.
+    """
+    key = "\n      "
+    index = {j: _index_text(j, key) for j in {j for pair in Q.entries
+                                              for j in pair}}
+    with _atomic_file(path) as handle:
+        write = handle.write
+        write("{\n  \"box_radius\": " + _scalar_text(Q.box_radius)
+              + ",\n  \"d\": " + _scalar_text(Q.d) + ",\n  \"entries\": ")
+        sep = "[\n    {" + key
+        for j, j2, re, im in Q.triplet_rows():
+            write(sep + '"im": ' + _scalar_text(im)
+                  + "," + key + '"j": ' + index[j]
+                  + "," + key + '"j_prime": ' + index[j2]
+                  + "," + key + '"re": ' + _scalar_text(re) + "\n    }")
+            sep = ",\n    {" + key
+        write("\n  ]\n}\n" if Q.entries else "[]\n}\n")
+
+
 # ---------------------------------------------------------------------------
 # caching keyed by content hash
 
@@ -518,8 +552,7 @@ def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
             "decay_X": profile_x.to_dict(),
             "decay_R": profile_r.to_dict()}
     mat_path = out_dir / "matrix.json"
-    atomic_write_json(mat_path, {"box_radius": Q.box_radius, "d": Q.d,
-                                 "entries": Q.to_triplets()})
+    _write_matrix(mat_path, Q)
     return checks, fitted, data, [mat_path.name]
 
 

@@ -11,7 +11,7 @@ from toruskit.clusters import (
     ClusterInfo,
     ClusterPartition,
     GammaChain,
-    box_pairs,
+    _offset_runs,
     box_sites,
     build_partition,
     chain_exponent,
@@ -253,6 +253,15 @@ def test_invalid_chain_detected():
     assert not chain.is_valid(B1)
     dup = GammaChain(((0,), (1,), (0,)), 5)
     assert not dup.is_valid(B1)
+
+
+def box_pairs(box_radius, d, link_radius):
+    """Index pairs (i, k) into ``box_sites(box_radius, d)`` from the offset
+    runs, site first: ``sites[k] - sites[i]`` is a positive offset of
+    sup-norm at most ``link_radius``, a site's offsets in lexicographic
+    order, which is the order of k."""
+    return sorted((i, i + step) for _, step, starts
+                  in _offset_runs(box_radius, d, link_radius) for i in starts)
 
 
 # (dimension, box radius) of the differential cases; the box stays small

@@ -394,3 +394,11 @@ def test_return_types_are_pinned():
     assert types(exact.mat_mul(halves(i3), halves(i3))) == {Fr}
     assert types(exact.mat_mul(i3, halves(i3))) == {Fr}
     assert types(exact.mat_mul(floats(i3), floats(i3))) == {float}
+
+
+@pytest.mark.parametrize("v,want", [((), 0), ([], 0), ((0,), 0), ([-7], 7),
+                                    ((3, -9, 4), 9), ([-2, -2], 2),
+                                    ((Fr(-5, 2), 1), Fr(5, 2)),
+                                    ((-(10**30), 5), 10**30)])
+def test_sup_norm(v, want):
+    assert exact.sup_norm(v) == want

@@ -479,3 +479,34 @@ def test_decay_profile_matches_per_entry_loop(d, sigma, s_list):
         assert prof.seminorms == seminorms and prof.s_norms == s_norms
         assert list(prof.seminorms) == list(seminorms)
         assert prof.sigma == float(sigma)
+
+
+@pytest.mark.parametrize("D", [1, 3, 2 * 3 * 5 * 7, 10**30 + 7])
+def test_integer_quotient_matches_fraction_division(D):
+    import toruskit.homological as hom
+
+    rng = random.Random(D)
+    gaps = [1, -1, 2, -6, D, -D, 10**25 + 1, -(3**50)]
+    values = [QQi(Fr(rng.randint(-50, 50), rng.randint(1, 60)),
+                  Fr(rng.randint(-50, 50), rng.randint(1, 60)))
+              for _ in range(20)]
+    values += [QQi(0, Fr(-7, 3)), QQi(Fr(10**40, 3), 0),
+               QQi(Fr(-1, 10**30), Fr(D, 2))]
+    for g in gaps:
+        for w in values:
+            got = hom._divide_by_gap(w, g, D)
+            want = w / Fr(g, D)
+            assert type(got) is QQi and got == want
+            assert (got.re.numerator, got.re.denominator,
+                    got.im.numerator, got.im.denominator) == (
+                        want.re.numerator, want.re.denominator,
+                        want.im.numerator, want.im.denominator)
+        # values without integer parts take the Fraction division
+        for w in (Fr(-5, 7), 4, -3, complex(1.5, -2.0), 0.25):
+            got = hom._divide_by_gap(w, g, D)
+            assert type(got) is type(w / Fr(g, D)) and got == w / Fr(g, D)
+    # a floating basis has no denominator: the gap itself divides
+    assert hom._divide_by_gap(complex(1, 2), 0.5, None) == 2 + 4j
+    assert hom._divide_by_gap(Fr(1, 2), -0.25, None) == -2.0
+    with pytest.raises(ZeroDivisionError):
+        hom._divide_by_gap(QQi(1, 2), 0, D)

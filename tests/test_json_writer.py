@@ -3,16 +3,25 @@
 import enum
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 import toruskit.runner as runner
 from toruskit.config import normalize, serialize
+from toruskit.exact import QQi
+from toruskit.homological import BlockMatrix, dn_split
 from toruskit.runner import atomic_write_json, run_experiment
 
 
 def dumps(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+def matrix_dumps(Q) -> bytes:
+    """The bytes matrix.json held when it went through atomic_write_json."""
+    return dumps({"box_radius": Q.box_radius, "d": Q.d,
+                  "entries": Q.to_triplets()})
 
 
 SHEAR = {"matrix": [["1", "1/2"], ["0", "1"]]}
@@ -52,13 +61,29 @@ def test_every_written_payload_matches_dumps(tmp_path, monkeypatch, raw):
         atomic_write_json(path, payload)
 
     monkeypatch.setattr(runner, "atomic_write_json", record)
+    matrices = []
+
+    def split(Q, partition):
+        matrices.append(Q)
+        return dn_split(Q, partition)
+
+    monkeypatch.setattr(runner, "dn_split", split)
     config = normalize(dict(raw, out_dir=str(tmp_path / "out")))
     report = run_experiment(config)
     assert report.passed
     names = {path.name for path, _ in written}
-    # the report, every JSON output, and the cache fill of a partition
+    # the report, every JSON output, and the cache fill of a partition;
+    # matrix.json is streamed row by row, so its bytes are checked against
+    # dumps of the triplet payload of the matrix the run split
     assert f"report-{raw['kind']}.json" in names
-    assert {n for n in report.body["outputs"] if n.endswith(".json")} <= names
+    outputs = {n for n in report.body["outputs"] if n.endswith(".json")}
+    if raw["kind"] == "homological":
+        outputs.remove("matrix.json")
+        Q, = matrices
+        assert len(Q.entries) == raw["params"]["entries"]
+        matrix_file = tmp_path / "out" / "matrix.json"
+        assert matrix_file.read_bytes() == matrix_dumps(Q)
+    assert outputs <= names
     if raw["kind"] in ("cluster", "homological"):
         assert any(path.parent.name == "cache" for path, _ in written)
     for path, payload in written:
@@ -143,3 +168,54 @@ def test_unserializable_payload_raises_and_keeps_target(tmp_path, payload):
         atomic_write_json(target, payload)
     assert target.read_text() == "original"
     assert not list(tmp_path.glob(".tmp-*"))
+
+
+def random_value(rng):
+    huge = rng.choice([1, 10**40, 2**200])
+    part = Fraction(rng.randint(-9, 9) * huge,
+                    rng.randint(1, 9) * rng.choice([1, huge]))
+    return rng.choice([
+        QQi(part, Fraction(rng.randint(-9, 9), rng.randint(1, 9))),
+        QQi(0, -part),
+        part,
+        rng.randint(-10**30, 10**30),
+        complex(rng.uniform(-5, 5), rng.uniform(-1e300, 1e300)),
+        complex(float(part) if abs(part) < 1e300 else 1.0, 0.0),
+        rng.choice([-0.1, 2.5e-300, -1e300, 5e-324, -7.0]),
+    ])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("count", [0, 1, 60])
+def test_streamed_matrix_matches_dumps_of_triplets(tmp_path, d, count):
+    rng = random.Random(f"{d} {count}")
+    radius = {1: 40, 2: 6, 3: 2}[d]
+    coords = range(-radius, radius + 1)
+    items = {}
+    while len(items) < count:
+        key = (tuple(rng.choice(coords) for _ in range(d)),
+               tuple(rng.choice(coords) for _ in range(d)))
+        value = random_value(rng)
+        if value:
+            items[key] = value
+    Q = BlockMatrix.from_entries(radius, d, items)
+    assert len(Q.entries) == count
+    path = tmp_path / "matrix.json"
+    runner._write_matrix(path, Q)
+    assert path.read_bytes() == matrix_dumps(Q)
+    assert not list(tmp_path.glob(".tmp-*"))
+
+
+def test_streamed_matrix_of_a_homological_run(tmp_path):
+    # the random matrix of the warm workload's kind, and its rewrite after
+    # a round trip through from_triplets
+    raw = KINDS[4]
+    config = normalize(dict(raw, out_dir=str(tmp_path / "out"), cache=False))
+    run_experiment(config)
+    written = (tmp_path / "out" / "matrix.json").read_bytes()
+    data = json.loads(written)
+    Q = BlockMatrix.from_triplets(data["box_radius"], data["d"],
+                                  data["entries"])
+    assert written == matrix_dumps(Q)
+    runner._write_matrix(tmp_path / "again.json", Q)
+    assert (tmp_path / "again.json").read_bytes() == written
