@@ -194,16 +194,14 @@ def atomic_write_json(path: Path, payload) -> None:
 
 
 def _index_text(j, newline: str) -> str:
-    # an index list as dumps indents it one level below ``newline``
-    if not j:
-        return "[]"
+    # a nonempty index list as dumps indents it one level below ``newline``
     inner = newline + "  "
     return ("[" + inner + ("," + inner).join(map(_scalar_text, j))
             + newline + "]")
 
 
 def _write_matrix(path: Path, Q: BlockMatrix) -> None:
-    """Write ``Q`` as ``atomic_write_json`` writes its triplet payload.
+    """Write ``Q`` (``d >= 1``) as ``atomic_write_json`` writes its triplets.
 
     The bytes are those of ``json.dumps({"box_radius": ..., "d": ...,
     "entries": Q.to_triplets()}, indent=2, sort_keys=True) + "\n"``, written

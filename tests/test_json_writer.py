@@ -205,17 +205,3 @@ def test_streamed_matrix_matches_dumps_of_triplets(tmp_path, d, count):
     assert path.read_bytes() == matrix_dumps(Q)
     assert not list(tmp_path.glob(".tmp-*"))
 
-
-def test_streamed_matrix_of_a_homological_run(tmp_path):
-    # the random matrix of the warm workload's kind, and its rewrite after
-    # a round trip through from_triplets
-    raw = KINDS[4]
-    config = normalize(dict(raw, out_dir=str(tmp_path / "out"), cache=False))
-    run_experiment(config)
-    written = (tmp_path / "out" / "matrix.json").read_bytes()
-    data = json.loads(written)
-    Q = BlockMatrix.from_triplets(data["box_radius"], data["d"],
-                                  data["entries"])
-    assert written == matrix_dumps(Q)
-    runner._write_matrix(tmp_path / "again.json", Q)
-    assert (tmp_path / "again.json").read_bytes() == written
