@@ -204,17 +204,17 @@ def _write_matrix(path: Path, Q: BlockMatrix) -> None:
     """Write ``Q`` (``d >= 1``) as ``atomic_write_json`` writes its triplets.
 
     The bytes are those of ``json.dumps({"box_radius": ..., "d": ...,
-    "entries": Q.to_triplets()}, indent=2, sort_keys=True) + "\n"``, written
+    "entries": Q.to_triplets()}, indent=2, sort_keys=True) + "\\n"``, written
     row by row from :meth:`BlockMatrix.triplet_rows` with no row dict built.
     A site recurs across rows, so each index list is rendered once.
     """
     key = "\n      "
-    index = {j: _index_text(j, key) for j in {j for pair in Q.entries
-                                              for j in pair}}
+    sites = {j for pair in Q.entries for j in pair}
+    index = {j: _index_text(j, key) for j in sites}
     with _atomic_file(path) as handle:
         write = handle.write
-        write("{\n  \"box_radius\": " + _scalar_text(Q.box_radius)
-              + ",\n  \"d\": " + _scalar_text(Q.d) + ",\n  \"entries\": ")
+        write('{\n  "box_radius": ' + _scalar_text(Q.box_radius)
+              + ',\n  "d": ' + _scalar_text(Q.d) + ',\n  "entries": ')
         sep = "[\n    {" + key
         for j, j2, re, im in Q.triplet_rows():
             write(sep + '"im": ' + _scalar_text(im)
