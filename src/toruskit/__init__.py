@@ -17,7 +17,6 @@ from .errors import (  # noqa: F401
     IntraClusterEntry,
     InvalidOrder,
     ParseError,
-    SearchTruncated,
     ShapeMismatch,
     SingularGenerators,
     ToruskitError,

@@ -17,10 +17,10 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from . import exact
-from .errors import DeltaOutOfRange, SearchTruncated
+from . import exact, search
+from .errors import DeltaOutOfRange
 from .lattice import LatticeBasis, mu, mu_numerator
-from .search import PathSearchResult, UnionFind, longest_path
+from .search import PathSearchResult, longest_path
 
 Fr = Fraction
 
@@ -132,40 +132,45 @@ def _offset_runs(box_radius: int, d: int, link_radius: int):
         yield exact.sup_norm(o), sum(map(operator.mul, o, strides)), starts
 
 
+def _box_numerators(basis: LatticeBasis, box_radius: int):
+    """Box sites and ``mu = n / D`` per site: integer ``n`` over ``D`` of
+    ``basis.gram``, or the float eigenvalues and ``D = 1`` (floating basis)."""
+    sites = box_sites(box_radius, basis.d)
+    if basis.gram is None:
+        return sites, [mu(basis, j) for j in sites], 1
+    return sites, [mu_numerator(basis, j) for j in sites], basis.gram[1]
+
+
 def max_chain_length(basis: LatticeBasis, box_radius: int, gamma,
-                     length_cap=None, node_budget: int = 2_000_000,
-                     on_truncate: str = "return") -> ChainSearchResult:
+                     length_cap=None,
+                     node_budget: int = 2_000_000) -> ChainSearchResult:
     """Maximal chain length over the box, by exact search.
 
     Returns the best chain found; when the node budget or ``length_cap``
-    is hit the result is a lower bound and is flagged (or raised as
-    SearchTruncated when ``on_truncate='raise'``).
+    is hit the result is a lower bound and is flagged.  A pair within
+    ``floor(gamma)`` is linked when ``|n_k - n_i| <= floor(D*gamma)``
+    (:func:`_box_numerators`), exact for a float gamma too.
     """
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
     if box_radius < 1:
         raise ValueError("box_radius must be at least 1")
-    sites = box_sites(box_radius, basis.d)
-    mus = [mu(basis, j) for j in sites]
-    link_radius = min(int(math.floor(float(gamma))), 2 * box_radius)
+    sites, n, D = _box_numerators(basis, box_radius)
+    reach = gamma if basis.gram is None else math.floor(D * Fr(gamma))
     adjacency = [[] for _ in sites]
-    for spatial, step, starts in _offset_runs(box_radius, basis.d, link_radius):
-        if spatial > gamma:
-            continue
+    for _, step, starts in _offset_runs(box_radius, basis.d,
+                                        min(math.floor(gamma), 2 * box_radius)):
         for i in starts:
             k = i + step
-            if abs(mus[k] - mus[i]) <= gamma:
+            if abs(n[k] - n[i]) <= reach:
                 adjacency[i].append(k)
                 adjacency[k].append(i)
     adjacency = [sorted(nbrs) for nbrs in adjacency]
     raw: PathSearchResult = longest_path(adjacency, length_cap=length_cap,
                                          node_budget=node_budget)
     witness = GammaChain(tuple(sites[i] for i in raw.path), gamma)
-    result = ChainSearchResult(raw.length, witness, raw.truncated, raw.expanded,
-                               raw.floods)
-    if raw.truncated and on_truncate == "raise":
-        raise SearchTruncated("chain search truncated", result=result)
-    return result
+    return ChainSearchResult(raw.length, witness, raw.truncated, raw.expanded,
+                             raw.floods)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +274,9 @@ def _box_table(basis: LatticeBasis, box_radius: int, delta):
     a floating basis (``n`` the float eigenvalues, ``D = 1``) or any other
     delta compares ``x / D`` in floats, as :func:`toruskit.exact.le_pow` does.
     """
-    sites = box_sites(box_radius, basis.d)
+    sites, n, D = _box_numerators(basis, box_radius)
     sup = [exact.sup_norm(j) for j in sites]
-    gram = basis.gram
-    if gram is None:
-        n, D, floor = [mu(basis, j) for j in sites], 1, None
-    else:
-        n, D = [mu_numerator(basis, j) for j in sites], gram[1]
-        floor = exact.scaled_floor_pow(D, delta)
+    floor = None if basis.gram is None else exact.scaled_floor_pow(D, delta)
     if floor is None:
         T = [float(s) ** float(delta) for s in range(2 * box_radius + 1)]
 
@@ -317,15 +317,16 @@ def group_links(box_radius: int, d: int, delta, links) -> ClusterPartition:
     reach ceil((2N)**delta), so a larger box could change their membership.
     """
     sites = box_sites(box_radius, d)
-    uf = UnionFind(len(sites))
+    adjacency = [[] for _ in sites]
     for i, k in links:
-        uf.union(i, k)
+        adjacency[i].append(k)
+        adjacency[k].append(i)
     margin = exact.ceil_pow(2 * box_radius, delta) + 1
-    groups = sorted((sorted(sites[i] for i in grp) for grp in uf.groups()),
-                    key=lambda g: g[0])
     clusters = []
     assignment = {}
-    for cid, members in enumerate(groups):
+    # sorted components ordered by first index: box_sites is lexicographic
+    for cid, comp in enumerate(search.connected_components(adjacency)):
+        members = [sites[i] for i in comp]
         sups = [exact.sup_norm(j) for j in members]
         boundary = any(box_radius - s <= margin for s in sups)
         info = ClusterInfo(id=cid, members=tuple(members),
@@ -474,20 +475,10 @@ def verify_cluster_properties(basis: LatticeBasis, partition: ClusterPartition,
 
 
 @dataclass
-class ScalingRow:
-    gamma: object
-    length: int
-    truncated: bool
-    expanded: int
-    floods: int
-
-
-@dataclass
 class ScalingResult:
-    rows: list
+    rows: list                # one ChainSearchResult per gamma, in order
     slope: float
     slope_bound: int
-    witnesses: list
 
     @property
     def slope_ok(self) -> bool:
@@ -495,26 +486,21 @@ class ScalingResult:
 
 
 def chain_scaling_experiment(basis: LatticeBasis, gammas, box_radius: int,
-                             length_cap=None, node_budget: int = 2_000_000,
-                             on_truncate: str = "return") -> ScalingResult:
+                             length_cap=None,
+                             node_budget: int = 2_000_000) -> ScalingResult:
     """Maximal chain length as a function of gamma, with a log-log slope fit.
 
     The fitted slope must stay below the dimensional exponent.  Truncated
-    searches mark their row; with ``on_truncate='raise'`` the underlying
-    SearchTruncated propagates instead.
+    searches mark their row; each row's witness carries its gamma.
     """
     rows = []
-    witnesses = []
     for gamma in gammas:
         if gamma < 2:
             raise ValueError("scaling experiment expects gamma >= 2")
-        res = max_chain_length(basis, box_radius, gamma,
-                               length_cap=length_cap, node_budget=node_budget,
-                               on_truncate=on_truncate)
-        rows.append(ScalingRow(gamma, res.length, res.truncated, res.expanded,
-                               res.floods))
-        witnesses.append(res.witness)
-    pts = [(math.log(float(r.gamma)), math.log(r.length))
+        rows.append(max_chain_length(basis, box_radius, gamma,
+                                     length_cap=length_cap,
+                                     node_budget=node_budget))
+    pts = [(math.log(float(r.witness.gamma)), math.log(r.length))
            for r in rows if r.length >= 1]
     if len(pts) >= 2:
         n = len(pts)
@@ -527,5 +513,4 @@ def chain_scaling_experiment(basis: LatticeBasis, gammas, box_radius: int,
     else:
         slope = 0.0
     return ScalingResult(rows=rows, slope=slope,
-                         slope_bound=chain_exponent(basis.d),
-                         witnesses=witnesses)
+                         slope_bound=chain_exponent(basis.d))

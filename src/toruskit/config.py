@@ -47,8 +47,22 @@ def _int_list(values) -> list:
     return [_int(v) for v in values]
 
 
+def _bool(value) -> bool:
+    # bool() would read any nonempty string, "false" too, as true
+    if not isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
 _EXPECTED = {_int: "an integer", float: "a number",
-             _int_list: "a list of integers"}
+             _int_list: "a list of integers", _bool: "true or false",
+             _str: "a string"}
 
 
 def _cast(value, cast, field: str):
@@ -128,6 +142,9 @@ def _normalize_frequency(raw) -> dict:
     for key in ("omega_bar", "gamma0", "tau0"):
         if key not in raw:
             raise ParseError(f"frequency.{key}: missing")
+    if not isinstance(raw["omega_bar"], list):
+        raise ParseError("frequency.omega_bar: expected a list of rationals, "
+                         f"got {raw['omega_bar']!r}")
     out = {
         "omega_bar": [_rat_str(w, "frequency.omega_bar") for w in raw["omega_bar"]],
         "gamma0": _rat_str(raw["gamma0"], "frequency.gamma0"),
@@ -171,8 +188,9 @@ def _normalize_params(kind: str, raw: dict, d: int) -> dict:
         out = {
             "box_radius": _param(raw, "box_radius", 16),
             "delta": _rat_str(raw.get("delta", "1/100"), "params.delta"),
-            "allow_delta_above_theorem": bool(raw.get("allow_delta_above_theorem", False)),
-            "edges_csv": bool(raw.get("edges_csv", False)),
+            "allow_delta_above_theorem": _param(
+                raw, "allow_delta_above_theorem", False, _bool),
+            "edges_csv": _param(raw, "edges_csv", False, _bool),
         }
         _require(out["box_radius"] >= 1, "params.box_radius: must be >= 1")
         _check_delta(out["delta"], d, out["allow_delta_above_theorem"], "params.delta")
@@ -231,10 +249,11 @@ def _normalize_params(kind: str, raw: dict, d: int) -> dict:
         out = {
             "box_radius": _param(raw, "box_radius", 16),
             "delta": _rat_str(raw.get("delta", "1/100"), "params.delta"),
-            "allow_delta_above_theorem": bool(raw.get("allow_delta_above_theorem", False)),
+            "allow_delta_above_theorem": _param(
+                raw, "allow_delta_above_theorem", False, _bool),
             "entries": _param(raw, "entries", 200),
-            "matrix_file": raw.get("matrix_file"),
-            "partition_file": raw.get("partition_file"),
+            "matrix_file": _param(raw, "matrix_file", None, _str),
+            "partition_file": _param(raw, "partition_file", None, _str),
             "sigma": _param(raw, "sigma", 0.0, float),
             "decay_orders": _param(raw, "decay_orders", [1, 2, 4], _int_list),
         }
@@ -280,7 +299,7 @@ def normalize(raw: dict) -> ExperimentConfig:
         kind=kind,
         seed=_param(raw, "seed", 0, where=""),
         out_dir=str(raw.get("out_dir", ".")),
-        cache=bool(raw.get("cache", True)),
+        cache=_param(raw, "cache", True, _bool, where=""),
         lattice=lattice,
         frequency=frequency,
         params=params,

@@ -49,14 +49,6 @@ class IdentityViolation(ToruskitError):
     """
 
 
-class SearchTruncated(ToruskitError):
-    """Chain search hit its cap or node budget; carries the best result found."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
 class ParseError(ToruskitError):
     """Config or data file could not be parsed; message carries the field path."""
 

@@ -361,7 +361,7 @@ def _run_chains(config: ExperimentConfig, out_dir: Path, counters: dict):
                     search_expanded=sum(r.expanded for r in result.rows),
                     search_floods=sum(r.floods for r in result.rows),
                     search_truncated=any(r.truncated for r in result.rows))
-    replay_ok = all(w.is_valid(basis) for w in result.witnesses)
+    replay_ok = all(r.witness.is_valid(basis) for r in result.rows)
     lengths = [r.length for r in result.rows]
     monotone = all(a <= b for a, b in zip(lengths, lengths[1:]))
     checks = [
@@ -371,9 +371,10 @@ def _run_chains(config: ExperimentConfig, out_dir: Path, counters: dict):
         _check("loglog_slope_below_dimensional_exponent", result.slope_ok,
                f"slope {result.slope:.4f} vs bound {result.slope_bound}"),
     ]
-    data = {"scaling": [{"gamma": r.gamma, "max_length": r.length,
+    data = {"scaling": [{"gamma": r.witness.gamma, "max_length": r.length,
                          "truncated": r.truncated} for r in result.rows],
-            "witnesses": [[list(j) for j in w.sites] for w in result.witnesses]}
+            "witnesses": [[list(j) for j in r.witness.sites]
+                          for r in result.rows]}
     fitted = {"slope": result.slope, "slope_bound": result.slope_bound}
     csv_path = _write_series("chain_scaling", data["scaling"], out_dir)
     return checks, fitted, data, [csv_path.name]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
 from numbers import Rational
@@ -26,7 +26,6 @@ from .errors import (
     DimensionMismatch,
     GammaOutOfRange,
     IdentityViolation,
-    SearchTruncated,
     ValidationError,
 )
 from .lattice import LatticeBasis, bilinear, mu, mu_numerator
@@ -195,17 +194,16 @@ def _symbols(basis: LatticeBasis, params: FrequencyParams, kind):
     return _Symbols(basis, params, kind)
 
 
-def _sublevel_test(basis, params, kind: str, bound=1):
-    """Predicate ``site -> |symbol(site)| < bound`` for a rational bound.
+def _sublevel_test(basis, params, kind: str):
+    """Predicate ``site -> |symbol(site)| < 1``.
 
-    On an exact basis it compares ``|L symbol| * den(bound)`` with
-    ``num(bound) * L`` in integers; a floating basis evaluates :func:`symbol`.
+    On an exact basis it compares ``|L symbol|`` with ``L`` in integers; a
+    floating basis evaluates :func:`symbol`.
     """
     sym = _symbols(basis, params, kind)
     if sym is None:
-        return lambda site: abs(symbol(basis, params, site, kind)) < bound
-    num, den = bound.numerator * sym.L, bound.denominator
-    return lambda site: abs(sym.value(site)) * den < num
+        return lambda site: abs(symbol(basis, params, site, kind)) < 1
+    return lambda site: abs(sym.value(site)) < sym.L
 
 
 def is_singular(basis, params, site: SpaceTimeSite, kind: str) -> bool:
@@ -214,17 +212,19 @@ def is_singular(basis, params, site: SpaceTimeSite, kind: str) -> bool:
 
 
 def enumerate_singular_sites(basis: LatticeBasis, params: FrequencyParams,
-                             kind: str, ell_radius: int, j_radius: int):
-    """All singular sites in the box, in lexicographic (ell, j, a) order.
+                             kind: str, ell_radius: int, j_radius: int,
+                             bound=1):
+    """All sites in the box with ``|symbol| < bound`` (the singular sites at
+    the default 1), in lexicographic (ell, j, a) order.
 
-    A site is singular when ``rho_j = mu_j + mass`` lies in the open window
-    ``(c - 1, c + 1)``, with ``c = y^2`` (wave) or ``c = a*y`` (Schroedinger)
-    and ``y = lam*wbar.ell + theta``.  The modes are sorted once by ``rho``;
-    each (ell, sign) then bisects its window, so the scan costs
-    O(|js| log|js| + |ells| log|js| + output) instead of O(|ells| |js|).  An
-    exact basis scans the integer numerators of :class:`_Symbols` and the
-    window ``(c - L, c + L)``; a floating basis compares float ``rho`` with
-    exact Fraction windows.
+    A site is kept when ``rho_j = mu_j + mass`` lies in the open window
+    ``(c - bound, c + bound)``, with ``c = y^2`` (wave) or ``c = a*y``
+    (Schroedinger) and ``y = lam*wbar.ell + theta``.  The modes are sorted
+    once by ``rho``; each (ell, sign) then bisects its window, so the scan
+    costs O(|js| log|js| + |ells| log|js| + output) instead of
+    O(|ells| |js|).  An exact basis scans the integer numerators of
+    :class:`_Symbols` and the window ``(c - L*bound, c + L*bound)``; a
+    floating basis compares float ``rho`` with exact Fraction windows.
     """
     signs = _signs(kind)
     ells = box_sites(ell_radius, params.n)
@@ -233,12 +233,12 @@ def enumerate_singular_sites(basis: LatticeBasis, params: FrequencyParams,
     if sym is None:
         rho = [mu(basis, j) + params.mass for j in js]
         ys = [params.omega_dot(ell) + params.theta for ell in ells]
-        unit = 1
+        unit = bound
         center = (lambda y, a: y * y) if kind == NLW else (lambda y, a: a * y)
     else:
         rho = [sym.rho(j) for j in js]
         ys = [sym.y(ell) for ell in ells]
-        unit, center = sym.L, sym.center
+        unit, center = sym.L * bound, sym.center
     order = sorted(range(len(js)), key=rho.__getitem__)
     rhos = [rho[i] for i in order]
 
@@ -314,16 +314,14 @@ class ChainSurvey:
 def enumerate_singular_chains(basis: LatticeBasis, params: FrequencyParams,
                               kind: str, ell_radius: int, j_radius: int,
                               gamma, length_cap=None,
-                              node_budget: int = 2_000_000,
-                              exponent_bound=None,
-                              on_truncate: str = "return") -> ChainSurvey:
+                              node_budget: int = 2_000_000) -> ChainSurvey:
     """Longest chain of singular sites per link-graph component.
 
     Components are explored by budgeted exact search; each reported chain is
     not extendable at either end, canonically oriented (smaller endpoint
     first), and carries its section count and the minimal exponent making the
-    polynomial length bound tight.  With ``exponent_bound`` set, chains
-    breaking ``L <= (max(K,2)*gamma)^bound`` raise IdentityViolation.
+    polynomial length bound tight (:meth:`SingularChain.breaks_exponent_bound`
+    tests a given bound).
     """
     sites = enumerate_singular_sites(basis, params, kind, ell_radius, j_radius)
     adjacency = _link_graph(sites, gamma)
@@ -366,18 +364,9 @@ def enumerate_singular_chains(basis: LatticeBasis, params: FrequencyParams,
         chains.append(SingularChain(path_sites, gamma))
     chains.sort(key=lambda c: (-c.length, c.sites))
     fitted = max((c.min_exponent() for c in chains), default=0.0)
-    if exponent_bound is not None:
-        for c in chains:
-            if c.breaks_exponent_bound(exponent_bound):
-                raise IdentityViolation(
-                    f"chain of length {c.length} breaks the exponent bound "
-                    f"{exponent_bound}")
-    survey = ChainSurvey(chains=chains, gamma=gamma, site_count=len(sites),
-                         truncated=truncated, fitted_exponent=fitted,
-                         expanded=expanded, floods=floods)
-    if truncated and on_truncate == "raise":
-        raise SearchTruncated("chain survey truncated", result=survey)
-    return survey
+    return ChainSurvey(chains=chains, gamma=gamma, site_count=len(sites),
+                       truncated=truncated, fitted_exponent=fitted,
+                       expanded=expanded, floods=floods)
 
 
 def _link_graph(sites, gamma) -> list:
@@ -810,23 +799,14 @@ def symbol_floor_membership(basis: LatticeBasis, params: FrequencyParams,
                             N0: int, tau: int, kind: str):
     """Check |symbol| >= N0^{-tau} on the whole N0-box at theta = 0.
 
-    Returns (True, None) or (False, witness site).
+    Returns (True, None) or (False, the first site in (ell, j, a) order
+    that :func:`enumerate_singular_sites` finds below the floor).
     """
     if N0 < 1:
         raise ValidationError("N0 must be at least 1")
-    floor = Fr(1, int(N0) ** int(tau))
-    at_zero = FrequencyParams(n=params.n, omega_bar=params.omega_bar,
-                              gamma0=params.gamma0, tau0=params.tau0,
-                              lam=params.lam, theta=Fr(0), mass=params.mass)
-    signs = _signs(kind)
-    below = _sublevel_test(basis, at_zero, kind, floor)
-    for ell in product(range(-N0, N0 + 1), repeat=params.n):
-        for j in product(range(-N0, N0 + 1), repeat=basis.d):
-            for a in signs:
-                site = SpaceTimeSite(ell, j, a)
-                if below(site):
-                    return False, site
-    return True, None
+    below = enumerate_singular_sites(basis, replace(params, theta=Fr(0)), kind,
+                                     N0, N0, bound=Fr(1, int(N0) ** int(tau)))
+    return (False, below[0]) if below else (True, None)
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,8 @@ def test_criterion_06_chain_length_scaling():
         result = chain_scaling_experiment(basis, [2, 4, 8, 16], 200)
         assert not any(r.truncated for r in result.rows)
         assert result.slope <= 6 + 1e-9
-        for witness in result.witnesses:
-            assert witness.is_valid(basis)
+        for row in result.rows:
+            assert row.witness.is_valid(basis)
         lengths = [r.length for r in result.rows]
         assert lengths == sorted(lengths)
 

@@ -251,21 +251,33 @@ def test_floating_homological_is_usage_error(tmp_path, capsys):
     ("cluster", "box_radius", [3], "expected an integer"),
     ("homological", "sigma", "wide", "expected a number"),
     ("verify", "d_max", float("inf"), "expected an integer"),
+    ("cluster", "cache", "false", "expected true or false"),
+    ("cluster", "edges_csv", "no", "expected true or false"),
+    ("cluster", "allow_delta_above_theorem", "no", "expected true or false"),
+    ("homological", "matrix_file", 3, "expected a string"),
+    ("homological", "partition_file", ["p.json"], "expected a string"),
+    ("singular", "frequency.omega_bar", 1, "expected a list of rationals"),
 ])
 def test_bad_numeric_param_is_usage_error(tmp_path, capsys, kind, key, value,
                                           error):
+    # ``key`` is a params field unless it is the top-level cache or dotted
+    field = key if key == "cache" or "." in key else f"params.{key}"
     raw = {"kind": kind, "out_dir": str(tmp_path / "out"),
-           "lattice": {"matrix": [["1"]]}, "params": {key: value}}
+           "lattice": {"matrix": [["1"]]}, "params": {}}
     if kind == "singular":
         raw["frequency"] = {"omega_bar": ["1"], "gamma0": "1/2", "tau0": 1}
     if kind in ("cluster", "homological"):
+        # delta 1/10 is above delta_max(1), so it needs the override
         raw["params"].update(delta="1/10", allow_delta_above_theorem=True)
+    section, _, name = field.rpartition(".")
+    (raw[section] if section else raw)[name] = value
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     code = main([kind, "--config", str(config)])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"params.{key}: {error}" in err and "Traceback" not in err
+    assert f"{field}: {error}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_params_not_an_object_is_usage_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Chains, cluster partitions and their verification."""
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction as Fr
@@ -128,9 +129,6 @@ def test_truncation_flags_lower_bound():
     res = max_chain_length(B1, 10, 4, length_cap=2)
     assert res.truncated
     assert res.length >= 2
-    from toruskit.errors import SearchTruncated
-    with pytest.raises(SearchTruncated):
-        max_chain_length(B1, 10, 4, length_cap=2, on_truncate="raise")
 
 
 def test_build_partition_d1():
@@ -227,25 +225,21 @@ def test_chain_scaling_monotone_and_bounded():
     lengths = [r.length for r in res.rows]
     assert lengths == sorted(lengths)
     assert res.slope <= res.slope_bound
-    assert all(w.is_valid(B1) for w in res.witnesses)
+    assert [r.witness.gamma for r in res.rows] == [2, 4, 8, 16]
+    assert all(r.witness.is_valid(B1) for r in res.rows)
     with pytest.raises(ValueError):
         chain_scaling_experiment(B1, [1], 10)
 
 
 def test_chain_scaling_propagates_truncation():
-    from toruskit.errors import SearchTruncated
-
     capped = chain_scaling_experiment(B1, [8], 50, length_cap=3)
     assert capped.rows[0].truncated
-    with pytest.raises(SearchTruncated):
-        chain_scaling_experiment(B1, [8], 50, length_cap=3,
-                                 on_truncate="raise")
 
 
 def test_chain_scaling_d2_small():
     res = chain_scaling_experiment(B2, [2, 4], 6)
     assert res.slope <= chain_exponent(2)
-    assert all(w.is_valid(B2) for w in res.witnesses)
+    assert all(r.witness.is_valid(B2) for r in res.rows)
 
 
 def test_invalid_chain_detected():
@@ -443,3 +437,51 @@ def test_verify_matches_per_pair_oracle(d, radius, delta, mode):
     assert rep.fitted_constant > 0
     assert (rep.separation_violations, rep.pairs_checked,
             rep.fitted_constant, rep.fitted_exponent) == oracle_verify(basis, built)
+
+
+# (rows, radius): sheared, diagonal, dense rational; each also runs floating.
+# diag(1, 5/3) has eigenvalue gaps 6/5 and 7/5, which the floats 1.2 and 1.4
+# round from below, and [[5/2]] has 12/5 (2.4), so a float gamma there is
+# only exact when compared as a rational.
+CHAIN_BASES = [
+    ([["1"]], 4),
+    ([["5/2"]], 4),
+    ([["1", "0"], ["1/2", "1"]], 4),
+    ([["1", "0"], ["0", "5/3"]], 4),
+    ([["2", "1/3"], ["-1/2", "3/2"]], 3),
+    ([["1", "0", "0"], ["1/2", "1", "0"], ["0", "1/3", "1"]], 2),
+    ([["1", "0", "0"], ["0", "2", "0"], ["0", "0", "1/2"]], 2),
+    ([["2", "1/3", "0"], ["-1/2", "3/2", "1/4"], ["1", "0", "5/4"]], 2),
+]
+
+
+@pytest.mark.parametrize("mode", ["exact", "floating"])
+@pytest.mark.parametrize("rows,radius", CHAIN_BASES)
+def test_chain_adjacency_matches_gamma_link_oracle(monkeypatch, rows, radius,
+                                                   mode):
+    import toruskit.clusters as clusters
+
+    if mode == "floating":
+        rows = [[float(Fr(x)) for x in row] for row in rows]
+    basis = new_lattice(rows, mode=mode)
+    sites = box_sites(radius, basis.d)
+    captured = []
+    search_longest_path = clusters.longest_path
+
+    def capture(adjacency, **kwargs):
+        captured.append(adjacency)
+        return search_longest_path(adjacency, **kwargs)
+
+    monkeypatch.setattr(clusters, "longest_path", capture)
+    # is_gamma_link(a, b, gamma) is phi_distance(a, b) <= gamma; one
+    # distance per pair serves every gamma
+    pairs = [(i, k, phi_distance(basis, sites[i], sites[k]))
+             for i, k in itertools.combinations(range(len(sites)), 2)]
+    for gamma in (1, 3, Fr(7, 5), Fr(12, 5), 1.2, 1.4, 2.4):
+        oracle = [[] for _ in sites]
+        for i, k, dist in pairs:
+            if dist <= gamma:
+                oracle[i].append(k)
+                oracle[k].append(i)
+        max_chain_length(basis, radius, gamma, node_budget=1)
+        assert captured.pop() == [sorted(nbrs) for nbrs in oracle], gamma

@@ -10,7 +10,6 @@ from toruskit.errors import (
     DependentVectors,
     DimensionMismatch,
     GammaOutOfRange,
-    IdentityViolation,
     SingularGenerators,
     ValidationError,
 )
@@ -130,8 +129,9 @@ def test_singular_chains_replay_and_exponent():
             base = max(chain.section_count, 2) * 2.0
             assert chain.length <= base ** survey.fitted_exponent * (1 + 1e-9)
     assert math.isfinite(survey.fitted_exponent)
-    with pytest.raises(IdentityViolation):
-        enumerate_singular_chains(B1, p, NLW, 30, 30, 2, exponent_bound=0.5)
+    assert any(c.breaks_exponent_bound(0.5) for c in survey.chains)
+    assert not any(c.breaks_exponent_bound(survey.fitted_exponent)
+                   for c in survey.chains)
 
 
 def test_truncated_chains_still_maximal():
