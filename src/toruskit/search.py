@@ -1,4 +1,4 @@
-"""Graph utilities: union-find and budgeted exact longest-path search."""
+"""Graph utilities: connected components and budgeted exact longest-path search."""
 
 from __future__ import annotations
 
@@ -6,37 +6,6 @@ from dataclasses import dataclass
 
 # the most visited sets each of the two generations of the DFS flood memo holds
 FLOOD_MEMO = 512
-
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def groups(self):
-        out = {}
-        for x in range(len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return list(out.values())
 
 
 @dataclass
