@@ -197,7 +197,7 @@ class ClusterInfo:
 class ClusterPartition:
     box_radius: int
     d: int
-    delta: object
+    delta: Fraction
     margin: int
     assignment: dict
     clusters: tuple
@@ -206,12 +206,10 @@ class ClusterPartition:
         return self.assignment[tuple(j)]
 
     def to_dict(self):
-        delta = (exact.format_rational(self.delta)
-                 if isinstance(self.delta, Fraction) else self.delta)
         return {
             "box_radius": self.box_radius,
             "d": self.d,
-            "delta": delta,
+            "delta": exact.format_rational(self.delta),
             "margin": self.margin,
             "clusters": [
                 {
@@ -238,26 +236,37 @@ class ClusterPartition:
             clusters.append(info)
             for j in members:
                 assignment[j] = info.id
-        delta = data["delta"]
-        if isinstance(delta, str):
-            delta = exact.parse_rational(delta, "delta")
         return cls(box_radius=int(data["box_radius"]), d=int(data["d"]),
-                   delta=delta, margin=int(data["margin"]),
+                   delta=exact.parse_rational(data["delta"], "delta"),
+                   margin=int(data["margin"]),
                    assignment=assignment, clusters=tuple(clusters))
 
 
-def check_delta(d: int, delta, enforce_delta_bound: bool = True) -> None:
-    """Refuse delta outside (0, 1), or outside the theorem range when enforced."""
-    if not 0 < float(delta) < 1:
+# Largest denominator q of a delta p/q.  Thresholds take integer q-th roots
+# (exact.scaled_floor_pow); one floor and ceil table over s <= 128 with
+# D = 9 took 0.007 s at q ~ 10**3, 0.28 s at 10**4 and 18 s at 10**5.
+DELTA_MAX_DENOMINATOR = 10**4
+
+
+def check_delta(d: int, delta, enforce_delta_bound: bool = True) -> Fraction:
+    """The one delta rule: ``delta`` as a Fraction, or DeltaOutOfRange.
+
+    A float reads as its decimal (:func:`toruskit.exact.parse_rational`).
+    Delta must lie in (0, 1) with a denominator of at most
+    :data:`DELTA_MAX_DENOMINATOR`, and below ``delta_max(d)`` when the
+    theorem bound is enforced.
+    """
+    delta = exact.parse_rational(delta, "delta")
+    if not 0 < delta < 1:
         raise DeltaOutOfRange(f"delta {delta} outside (0, 1)")
-    if enforce_delta_bound:
-        bound = delta_max(d)
-        in_range = (delta < bound) if isinstance(delta, (int, Fraction)) \
-            else float(delta) < float(bound)
-        if not in_range:
-            raise DeltaOutOfRange(
-                f"delta {delta} >= delta_max({d}) = {bound}; "
-                "pass enforce_delta_bound=False to build anyway")
+    if delta.denominator > DELTA_MAX_DENOMINATOR:
+        raise DeltaOutOfRange(f"delta {delta}: denominator above "
+                              f"{DELTA_MAX_DENOMINATOR}")
+    if enforce_delta_bound and delta >= delta_max(d):
+        raise DeltaOutOfRange(
+            f"delta {delta} >= delta_max({d}) = {delta_max(d)}; set "
+            "allow_delta_above_theorem (enforce_delta_bound=False) to override")
+    return delta
 
 
 def _link_radius(box_radius: int, delta) -> int:
@@ -266,28 +275,22 @@ def _link_radius(box_radius: int, delta) -> int:
 
 
 def _box_table(basis: LatticeBasis, box_radius: int, delta):
-    """Box sites, their sup norms and ``mu = n / D``, and a test ``within``.
+    """Box sites, their sup norms, ``mu = n / D`` and the thresholds ``T``.
 
-    ``within(x, s)`` decides ``x / D <= s**delta``.  An exact basis with a
-    rational delta compares integers, ``x <= T[s]`` with
-    ``T[s] = floor(D * s**delta)`` (:func:`toruskit.exact.scaled_floor_pow`);
-    a floating basis (``n`` the float eigenvalues, ``D = 1``) or any other
-    delta compares ``x / D`` in floats, as :func:`toruskit.exact.le_pow` does.
+    ``x <= T[s]`` decides ``x / D <= s**delta`` for a rational delta.  On an
+    exact basis x is an integer and ``T[s] = floor(D * s**delta)``
+    (:func:`toruskit.exact.scaled_floor_pow`); a floating basis (``n`` the
+    float eigenvalues, ``D = 1``) has ``T[s] = s**delta`` in floats, the
+    compare of :func:`toruskit.exact.le_pow`.
     """
     sites, n, D = _box_numerators(basis, box_radius)
     sup = [exact.sup_norm(j) for j in sites]
-    floor = None if basis.gram is None else exact.scaled_floor_pow(D, delta)
-    if floor is None:
-        T = [float(s) ** float(delta) for s in range(2 * box_radius + 1)]
-
-        def within(x, s):
-            return x / D <= T[s]
+    sums = range(2 * box_radius + 1)
+    if basis.gram is None:
+        T = [float(s) ** float(delta) for s in sums]
     else:
-        T = [floor(s) for s in range(2 * box_radius + 1)]
-
-        def within(x, s):
-            return x <= T[s]
-    return sites, n, sup, D, within
+        T = list(map(exact.scaled_floor_pow(D, delta), sums))
+    return sites, n, sup, D, T
 
 
 def relation_links(basis: LatticeBasis, box_radius: int, delta) -> list:
@@ -296,16 +299,18 @@ def relation_links(basis: LatticeBasis, box_radius: int, delta) -> list:
 
     One table serves the whole box (:func:`_box_table`): a pair is linked
     when ``max(D*|j2-j|, |n_j2 - n_j|) / D <= (|j|+|j2|)**delta``, which is
-    :func:`relation_link`'s test with ``mu = n / D``.
+    :func:`relation_link`'s test with ``mu = n / D``.  Delta is read by
+    :func:`check_delta` with no theorem bound.
     """
-    _, n, sup, D, within = _box_table(basis, box_radius, delta)
+    delta = check_delta(basis.d, delta, enforce_delta_bound=False)
+    _, n, sup, D, T = _box_table(basis, box_radius, delta)
     links = []
     for spatial, step, starts in _offset_runs(box_radius, basis.d,
                                               _link_radius(box_radius, delta)):
         Ds = D * spatial
         links += [(i, i + step) for i in starts
-                  if within(max(Ds, abs(n[i + step] - n[i])),
-                            sup[i] + sup[i + step])]
+                  if max(Ds, abs(n[i + step] - n[i]))
+                  <= T[sup[i] + sup[i + step]]]
     links.sort()
     return links
 
@@ -315,7 +320,9 @@ def group_links(box_radius: int, d: int, delta, links) -> ClusterPartition:
 
     Clusters within ``margin`` of the box boundary are flagged: one-step links
     reach ceil((2N)**delta), so a larger box could change their membership.
+    Delta is read by :func:`check_delta` with no theorem bound.
     """
+    delta = check_delta(d, delta, enforce_delta_bound=False)
     sites = box_sites(box_radius, d)
     adjacency = [[] for _ in sites]
     for i, k in links:
@@ -344,11 +351,12 @@ def build_partition(basis: LatticeBasis, box_radius: int, delta,
                     enforce_delta_bound: bool = True) -> ClusterPartition:
     """Connected components of the one-step relation, restricted to the box.
 
-    The guaranteed range is 0 < delta < delta_max(d); larger deltas still
-    define a partition but lose the theorem backing, so they are refused
-    unless ``enforce_delta_bound`` is switched off.
+    Delta is read by :func:`check_delta`.  The guaranteed range is
+    0 < delta < delta_max(d); larger deltas still define a partition but
+    lose the theorem backing, so they are refused unless
+    ``enforce_delta_bound`` is switched off.
     """
-    check_delta(basis.d, delta, enforce_delta_bound)
+    delta = check_delta(basis.d, delta, enforce_delta_bound)
     return group_links(box_radius, basis.d, delta,
                        relation_links(basis, box_radius, delta))
 
@@ -399,8 +407,8 @@ def verify_cluster_properties(basis: LatticeBasis, partition: ClusterPartition,
     Cross-cluster pairs (both clusters interior) must satisfy
     ``|j1-j2| + |mu_1-mu_2| > (|j1|+|j2|)**delta``; any violation is an
     implementation bug and is returned as data.  The scan shares
-    :func:`relation_links`' table: on an exact basis with a rational delta a
-    violation is the integer test
+    :func:`relation_links`' table: on an exact basis a violation is the
+    integer test
     ``D*|j1-j2| + |n_1-n_2| <= floor(D * (|j1|+|j2|)**delta)``.  Dyadicity
     is ``M_alpha <= 2*m_alpha`` above a threshold which is fitted (the
     largest interior M_alpha violating the 2:1 rule) unless overridden.  The
@@ -409,7 +417,7 @@ def verify_cluster_properties(basis: LatticeBasis, partition: ClusterPartition,
     """
     N, d, delta = partition.box_radius, partition.d, partition.delta
     interior = {c.id for c in partition.clusters if not c.boundary}
-    sites, n, sup, D, within = _box_table(basis, N, delta)
+    sites, n, sup, D, T = _box_table(basis, N, delta)
     # each site's cluster id when that cluster is interior, else None
     inner = [c if c in interior else None
              for c in map(partition.assignment.get, sites)]
@@ -422,7 +430,8 @@ def verify_cluster_properties(basis: LatticeBasis, partition: ClusterPartition,
         # separation demands spread > s**delta; record failures
         Ds = D * spatial
         found += [(i, i + step) for i in cross
-                  if within(Ds + abs(n[i + step] - n[i]), sup[i] + sup[i + step])]
+                  if Ds + abs(n[i + step] - n[i])
+                  <= T[sup[i] + sup[i + step]]]
     found.sort()
     violations = [(sites[i], sites[k]) for i, k in found]
 

@@ -15,8 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import exact
-from .clusters import delta_max
-from .errors import ParseError, ValidationError
+from .clusters import check_delta
+from .errors import DeltaOutOfRange, ParseError, SingularGenerators, ValidationError
 from .lattice import EXACT, FLOATING, LatticeBasis, new_lattice
 from .spacetime import NLS, NLW, FrequencyParams
 
@@ -164,13 +164,12 @@ def _normalize_frequency(raw) -> dict:
     return out
 
 
-def _check_delta(delta_str: str, d: int, allow_above: bool, fieldname: str):
-    delta = exact.parse_rational(delta_str, fieldname)
-    _require(0 < delta < 1, f"{fieldname}: delta {delta_str} outside (0, 1)")
-    if not allow_above:
-        _require(delta < delta_max(d),
-                 f"{fieldname}: delta {delta_str} >= delta_max({d}) = "
-                 f"{delta_max(d)}; set allow_delta_above_theorem to override")
+def _check_delta(out: dict, d: int) -> None:
+    # clusters.check_delta is the one delta rule
+    try:
+        check_delta(d, out["delta"], not out["allow_delta_above_theorem"])
+    except DeltaOutOfRange as exc:
+        raise ValidationError(f"params.delta: {exc}") from exc
 
 
 def _check_search(out: dict) -> None:
@@ -193,7 +192,7 @@ def _normalize_params(kind: str, raw: dict, d: int) -> dict:
             "edges_csv": _param(raw, "edges_csv", False, _bool),
         }
         _require(out["box_radius"] >= 1, "params.box_radius: must be >= 1")
-        _check_delta(out["delta"], d, out["allow_delta_above_theorem"], "params.delta")
+        _check_delta(out, d)
         return out
     if kind == "chains":
         out = {
@@ -259,7 +258,7 @@ def _normalize_params(kind: str, raw: dict, d: int) -> dict:
         }
         _require(out["box_radius"] >= 1, "params.box_radius: must be >= 1")
         _require(out["entries"] >= 0, "params.entries: must be >= 0")
-        _check_delta(out["delta"], d, out["allow_delta_above_theorem"], "params.delta")
+        _check_delta(out, d)
         return out
     if kind == "verify":
         out = {
@@ -295,7 +294,7 @@ def normalize(raw: dict) -> ExperimentConfig:
     if kind in ("singular", "measure"):
         _require(frequency is not None, f"frequency: required for kind {kind!r}")
     params = _normalize_params(kind, raw.get("params", {}), d)
-    return ExperimentConfig(
+    config = ExperimentConfig(
         kind=kind,
         seed=_param(raw, "seed", 0, where=""),
         out_dir=str(raw.get("out_dir", ".")),
@@ -304,6 +303,11 @@ def normalize(raw: dict) -> ExperimentConfig:
         frequency=frequency,
         params=params,
     )
+    try:
+        config.basis()
+    except SingularGenerators as exc:
+        raise ValidationError(f"lattice.matrix: {exc}") from exc
+    return config
 
 
 def read_json(path, what):

@@ -384,24 +384,14 @@ def ge_pow(x, base: int, delta) -> bool:
 
 
 def floor_pow(base: int, delta) -> int:
-    """Largest integer r with r <= base**delta (base >= 0).
-
-    The ``D = 1`` view of :func:`scaled_floor_pow` for a rational
-    ``delta >= 0``; any other ``delta`` is compared in floats, as
-    :func:`le_pow` does.
-    """
-    floor = scaled_floor_pow(1, delta)
-    if floor is None:
-        return math.floor(float(base) ** float(delta))
-    return floor(base)
+    """Largest integer r with r <= base**delta (base >= 0, delta a rational
+    >= 0): the ``D = 1`` view of :func:`scaled_floor_pow`."""
+    return scaled_floor_pow(1, delta)(base)
 
 
 def ceil_pow(base: int, delta) -> int:
     """Smallest integer c with c >= base**delta (conventions of :func:`floor_pow`)."""
-    ceil = scaled_ceil_pow(1, delta)
-    if ceil is None:
-        return math.ceil(float(base) ** float(delta))
-    return ceil(base)
+    return scaled_ceil_pow(1, delta)(base)
 
 
 def _iroot(n: int, q: int) -> int:
@@ -418,11 +408,9 @@ def _iroot(n: int, q: int) -> int:
 
 def _scaled_root(D: int, delta, up: bool):
     # s -> the integer q-th root of D**q * s**p, memoised per s and rounded
-    # up when ``up`` and inexact: the one root behind both views below
-    ratio = _as_ratio(delta)
-    if ratio is None or ratio[0] < 0:
-        return None
-    p, q = ratio
+    # up when ``up`` and inexact: the one root behind both views below;
+    # delta is an int or Fraction >= 0
+    p, q = _as_ratio(delta)
     Dq = D**q
     memo = {}
 
@@ -444,8 +432,7 @@ def scaled_floor_pow(D: int, delta):
 
     For ``delta = p/q >= 0`` this is the integer q-th root of
     ``D**q * s**p``, so an integer x satisfies ``x <= D * s**delta`` exactly
-    when ``x <= floor(D * s**delta)``.  Returns None when delta is not a
-    rational >= 0; callers then compare with :func:`le_pow`.
+    when ``x <= floor(D * s**delta)``.
     """
     return _scaled_root(D, delta, up=False)
 
@@ -455,8 +442,6 @@ def scaled_ceil_pow(D: int, delta):
 
     The ceiling of the root of :func:`scaled_floor_pow`: an integer x
     satisfies ``x >= D * s**delta`` exactly when ``x >= ceil(D * s**delta)``.
-    Returns None when delta is not a rational >= 0; callers then compare
-    with :func:`ge_pow`.
     """
     return _scaled_root(D, delta, up=True)
 

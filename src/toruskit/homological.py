@@ -14,8 +14,9 @@ from fractions import Fraction
 
 from . import exact
 from .errors import BoxMismatch, IntraClusterEntry, ParseError
-from .clusters import ClusterPartition
-from .lattice import LatticeBasis, mu, mu_numerator
+from .clusters import ClusterPartition, check_delta
+from .lattice import LatticeBasis, mu_numerator
+from .lattice import mu  # noqa: F401  unused; perfbench/tracing.py patches it here
 
 Fr = Fraction
 
@@ -148,25 +149,17 @@ def dn_split(Q: BlockMatrix, partition: ClusterPartition):
 class HomologicalSolution:
     X: BlockMatrix
     R: BlockMatrix
-    delta: object
-
-
-def gap_above_threshold(gap, s: int, delta) -> bool:
-    """``|gap| >= s**delta / 4``, exact when both sides are rational powers."""
-    return exact.ge_pow(4 * abs(gap), s, delta)
+    delta: Fraction
 
 
 def gap_numerators(basis: LatticeBasis, keys):
     """Eigenvalue gaps of the index pairs ``keys`` as ``(gaps, D)``.
 
-    For an exact basis ``gaps[j, j']`` is the integer ``n_j' - n_j`` with
+    ``gaps[j, j']`` is the integer ``n_j' - n_j`` with
     ``mu(j') - mu(j) = gaps[j, j'] / D``: each distinct site's numerator
     (:func:`toruskit.lattice.mu_numerator`) is evaluated once.  A floating
-    basis has no integer form; its gaps are the float ``mu`` differences and
-    ``D`` is None.
+    basis has no integer form and raises TypeError.
     """
-    if basis.gram is None:
-        return {(j, j2): mu(basis, j2) - mu(basis, j) for j, j2 in keys}, None
     n = {}
     gaps = {}
     for j, j2 in keys:
@@ -180,21 +173,14 @@ def gap_numerators(basis: LatticeBasis, keys):
     return gaps, basis.gram[1]
 
 
-def _gap_value(g, D):
-    return g if D is None else Fraction(g, D)
-
-
 def gap_clears(D, delta):
     """Predicate ``clears(g, s)``: ``|g / D| >= s**delta / 4`` for a gap numerator.
 
     With the integer numerators of :func:`gap_numerators` and a rational
     ``delta >= 0`` this is the integer compare ``4 |g| >= ceil(D s**delta)``
-    (:func:`toruskit.exact.scaled_ceil_pow`); floating gaps and any other
-    ``delta`` go through :func:`gap_above_threshold`.
+    (:func:`toruskit.exact.scaled_ceil_pow`).
     """
-    ceil = None if D is None else exact.scaled_ceil_pow(D, delta)
-    if ceil is None:
-        return lambda g, s: gap_above_threshold(_gap_value(g, D), s, delta)
+    ceil = exact.scaled_ceil_pow(D, delta)
     return lambda g, s: 4 * abs(g) >= ceil(s)
 
 
@@ -205,15 +191,17 @@ def solve_homological(basis: LatticeBasis, W_ND: BlockMatrix,
     Where the eigenvalue gap clears ``(|j|+|j'|)**delta / 4`` the entry is
     divided by the gap (building X); elsewhere it is moved, negated, into the
     remainder R.  The identity ``gap * X = W + R`` then holds entrywise with
-    no error term.  On an exact basis the gaps are integer numerators over
-    the Gram denominator (:func:`gap_numerators`), the threshold test is an
-    integer compare (:func:`gap_clears`) and a kept
-    :class:`toruskit.exact.QQi` entry is divided on integers, each part
-    ``n/d`` becoming ``Fraction(n*D, d*g)``; any other value is divided by
-    the rational gap as a real scalar.
+    no error term.  ``delta`` is read by :func:`toruskit.clusters.check_delta`
+    with no theorem bound.  The basis must be exact: the gaps are integer
+    numerators over the Gram denominator (:func:`gap_numerators`; a floating
+    basis raises TypeError), the threshold test is an integer compare
+    (:func:`gap_clears`) and a kept :class:`toruskit.exact.QQi` entry is
+    divided on integers, each part ``n/d`` becoming ``Fraction(n*D, d*g)``;
+    any other value is divided by the rational gap as a real scalar.
     """
     if W_ND.box_radius != partition.box_radius or W_ND.d != partition.d:
         raise BoxMismatch("matrix and partition on different boxes")
+    delta = check_delta(basis.d, delta, enforce_delta_bound=False)
     gaps, D = gap_numerators(basis, W_ND.entries)
     clears = gap_clears(D, delta)
     x_entries = {}
@@ -234,9 +222,9 @@ def solve_homological(basis: LatticeBasis, W_ND: BlockMatrix,
 
 
 def _divide_by_gap(w, g, D):
-    """``w / (g / D)``; a QQi over an integer gap builds each part once."""
-    if D is None or not isinstance(w, exact.QQi):
-        return w / _gap_value(g, D)
+    """``w / (g / D)``; a QQi builds each part once."""
+    if not isinstance(w, exact.QQi):
+        return w / Fraction(g, D)
     re, im = w.re, w.im
     return exact.QQi(Fraction(re.numerator * D, re.denominator * g),
                      Fraction(im.numerator * D, im.denominator * g))
@@ -247,25 +235,23 @@ def homological_residual(basis: LatticeBasis, W_ND: BlockMatrix,
     """First nonzero value of gap*X - W - R over the joint support, else None.
 
     An independent exact recomputation: the gaps are rebuilt here by
-    :func:`gap_numerators` and every entry is checked, none assumed.  On an
-    exact basis each real and imaginary part of an ``int``, ``Fraction`` or
+    :func:`gap_numerators` and every entry is checked, none assumed.  Each
+    real and imaginary part of an ``int``, ``Fraction`` or
     :class:`toruskit.exact.QQi` entry is tested as the integer identity
     ``xn*g*wd*rd == D*xd*(wn*rd + rn*wd)``, with the parts written
     ``xn/xd``, ``wn/wd``, ``rn/rd`` and the gap ``g/D``, so an entry that
     holds builds no Fraction.  The Fraction expression ``X*gap - W - R``
     gives the residual of the first key that fails, and it decides every key
-    of a floating basis and every key with a complex or float value, which
-    have no integer form.
+    with a complex or float value, which has no integer form.
     """
     W, X, R = W_ND.entries, solution.X.entries, solution.R.entries
     keys = set(W) | set(X) | set(R)
     gaps, D = gap_numerators(basis, keys)
-    if D is not None:
-        keys = [key for key in keys
-                if not _integer_identity_holds(gaps[key], D, X.get(key, 0),
-                                               W.get(key, 0), R.get(key, 0))]
+    keys = [key for key in keys
+            if not _integer_identity_holds(gaps[key], D, X.get(key, 0),
+                                           W.get(key, 0), R.get(key, 0))]
     for key in sorted(keys):
-        gap = _gap_value(gaps[key], D)
+        gap = Fraction(gaps[key], D)
         res = X.get(key, 0) * gap - W.get(key, 0) - R.get(key, 0)
         if not exact.value_is_zero(res):
             return key, res
@@ -398,24 +384,20 @@ def decay_profile(Q: BlockMatrix, sigma, n_list, s_list=()) -> DecayProfile:
     return DecayProfile(sigma=sigma, seminorms=seminorms, s_norms=s_norms)
 
 
-def verify_remainder_support(solution: HomologicalSolution,
-                             delta=None) -> list:
+def verify_remainder_support(solution: HomologicalSolution) -> list:
     """Remainder entries must sit far off-diagonal: |j-j'| >= (|j|+|j'|)**delta / 2.
 
     Returns the violating index pairs (empty whenever the partition separation
     holds, since near pairs with small eigenvalue gaps would have been linked).
-    For a rational ``delta >= 0`` the test is the integer compare
+    With the solution's rational ``delta`` the test is the integer compare
     ``2 |j-j'| >= ceil((|j|+|j'|)**delta)`` (:func:`toruskit.exact.scaled_ceil_pow`
-    with ``D = 1``); any other ``delta`` goes through :func:`toruskit.exact.ge_pow`.
+    with ``D = 1``).
     """
-    delta = solution.delta if delta is None else delta
-    ceil = exact.scaled_ceil_pow(1, delta)
+    ceil = exact.scaled_ceil_pow(1, solution.delta)
     bad = []
     for (j, j2) in solution.R.support():
         off = max(abs(x - y) for x, y in zip(j, j2))
-        s = exact.sup_norm(j) + exact.sup_norm(j2)
-        if not (2 * off >= ceil(s) if ceil is not None
-                else exact.ge_pow(2 * off, s, delta)):
+        if 2 * off < ceil(exact.sup_norm(j) + exact.sup_norm(j2)):
             bad.append((j, j2))
     return bad
 

@@ -270,13 +270,11 @@ def _partition_for(config: ExperimentConfig, basis, box_radius, delta_str,
                    allow_above, counters: dict, links=None) -> ClusterPartition:
     # a miss groups the box's relation ``links`` when the caller has them;
     # counters["partition_cache"] records off, hit or miss
-    delta = exact.parse_rational(delta_str, "delta")
-
     def build():
         if links is None:
-            return build_partition(basis, box_radius, delta,
+            return build_partition(basis, box_radius, delta_str,
                                    enforce_delta_bound=not allow_above)
-        check_delta(basis.d, delta, not allow_above)
+        delta = check_delta(basis.d, delta_str, not allow_above)
         return group_links(box_radius, basis.d, delta, links)
 
     if not config.cache:
@@ -305,8 +303,7 @@ def _run_cluster(config: ExperimentConfig, out_dir: Path, counters: dict):
     basis = config.basis()
     p = config.params
     # edges.csv lists the relation links; one scan also serves a cache miss
-    links = (relation_links(basis, p["box_radius"],
-                            exact.parse_rational(p["delta"], "delta"))
+    links = (relation_links(basis, p["box_radius"], p["delta"])
              if p["edges_csv"] else None)
     partition = _partition_for(config, basis, p["box_radius"], p["delta"],
                                p["allow_delta_above_theorem"], counters, links)
@@ -502,7 +499,6 @@ def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
     else:
         partition = _partition_for(config, basis, p["box_radius"], p["delta"],
                                    p["allow_delta_above_theorem"], counters)
-    delta = exact.parse_rational(p["delta"], "delta")
     if p.get("matrix_file"):
         Q = _read_input("params.matrix_file", p["matrix_file"],
                         lambda raw: _matrix_on_box(raw, partition))
@@ -511,14 +507,14 @@ def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
         Q = random_cross_cluster_matrix(partition, p["entries"], rng)
     q_d, q_nd = dn_split(Q, partition)
     recombined = q_d + q_nd
-    solution = solve_homological(basis, q_nd, partition, delta)
+    solution = solve_homological(basis, q_nd, partition, p["delta"])
     residual = homological_residual(basis, q_nd, solution)
     support_bad = verify_remainder_support(solution)
     disjoint = not (set(solution.X.entries) & set(solution.R.entries))
     covered = (set(solution.X.entries) | set(solution.R.entries)
                == set(q_nd.entries))
     gaps, D = gap_numerators(basis, solution.X.entries)
-    clears = gap_clears(D, delta)
+    clears = gap_clears(D, solution.delta)
     gap_ok = all(clears(g, exact.sup_norm(j) + exact.sup_norm(j2))
                  for (j, j2), g in gaps.items())
     counters.update(entries=len(Q.entries), cross_entries=len(q_nd.entries),
@@ -560,6 +556,15 @@ def _random_rational_matrix(rng, d):
             for _ in range(d)]
 
 
+def _random_basis(rng, d):
+    # redraw until the generators are nonsingular
+    while True:
+        try:
+            return new_lattice(_random_rational_matrix(rng, d))
+        except ToruskitError:
+            pass
+
+
 def _run_verify(config: ExperimentConfig, out_dir: Path, counters: dict):
     p = config.params
     rng = random.Random(config.seed)
@@ -592,12 +597,7 @@ def _run_verify(config: ExperimentConfig, out_dir: Path, counters: dict):
     for t in range(p["trials_gram"]):
         d = dims[t % len(dims)]
         g = rng.randint(1, d)
-        basis = None
-        while basis is None:
-            try:
-                basis = new_lattice(_random_rational_matrix(rng, d))
-            except ToruskitError:
-                basis = None
+        basis = _random_basis(rng, d)
         fs = _independent_int_vectors(rng, d, g)
         ident = gram_det_identity(basis, fs)
         # the columns W f_i from one cleared product, then their Gram matrix
@@ -612,12 +612,7 @@ def _run_verify(config: ExperimentConfig, out_dir: Path, counters: dict):
         d = dims[t % len(dims)]
         n = rng.randint(1, p["n_max"])
         g = rng.randint(1, d + 1)
-        basis = None
-        while basis is None:
-            try:
-                basis = new_lattice(_random_rational_matrix(rng, d))
-            except ToruskitError:
-                basis = None
+        basis = _random_basis(rng, d)
         wb = _random_direction(rng, n)
         params = FrequencyParams(n=n, omega_bar=wb, gamma0=Fr(1, 100),
                                  tau0=Fr(n), lam=Fr(1), theta=Fr(0), mass=Fr(1))

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from toruskit.cli import build_parser, main
+from toruskit.config import normalize
+from toruskit.errors import ValidationError
 
 
 @pytest.fixture(autouse=True)
@@ -166,6 +168,24 @@ def test_malformed_homological_input_is_usage_error(tmp_path, lattice_file,
     assert field in err and "Traceback" not in err
 
 
+def test_partition_file_with_nan_delta_is_usage_error(tmp_path, lattice_file,
+                                                      capsys):
+    assert main(["cluster", "--lattice", str(lattice_file), "--radius", "6",
+                 "--delta", "1/10", "--allow-delta-above-theorem",
+                 "--out-dir", str(tmp_path / "cl")]) == 0
+    part = json.loads((tmp_path / "cl" / "partition.json").read_text())
+    part["delta"] = math.nan
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(part))
+    code = main(["homological", "--lattice", str(lattice_file), "--radius",
+                 "6", "--delta", "1/10", "--allow-delta-above-theorem",
+                 "--entries", "30", "--partition", str(bad),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "params.partition_file" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("change, field", [
     ({"box_radius": 7}, "box_radius"),
     ({"d": 3}, "d"),
@@ -235,6 +255,32 @@ def test_floating_homological_is_usage_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "lattice.mode" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode, matrix", [
+    ("exact", [["1", "2"], ["1/2", "1"]]),
+    ("floating", [[1.0, 2.0], [0.5, 1.0]]),
+])
+def test_singular_lattice_is_usage_error(tmp_path, capsys, mode, matrix):
+    lattice = tmp_path / "singular.json"
+    lattice.write_text(json.dumps({"matrix": matrix, "mode": mode}))
+    code = main(["cluster", "--lattice", str(lattice), "--radius", "3",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "lattice.matrix: generator matrix" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["cluster", "homological"])
+def test_long_decimal_delta_is_refused(kind):
+    # 0.012345678 = 6172839/500000000 is inside the theorem range for d = 2,
+    # but its threshold tables would take q-th roots with q = 5 * 10**8
+    with pytest.raises(ValidationError,
+                       match=r"params\.delta: .*denominator above 10000"):
+        normalize({"kind": kind,
+                   "lattice": {"matrix": [["1", "0"], ["1/2", "1"]]},
+                   "params": {"delta": "0.012345678"}})
 
 
 @pytest.mark.parametrize("kind, key, value, error", [

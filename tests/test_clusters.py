@@ -17,7 +17,9 @@ from toruskit.clusters import (
     build_partition,
     chain_exponent,
     chain_scaling_experiment,
+    check_delta,
     delta_max,
+    group_links,
     is_gamma_link,
     max_chain_length,
     phi,
@@ -148,6 +150,30 @@ def test_partition_delta_range():
         build_partition(B1, 5, Fr(3, 2), enforce_delta_bound=False)
     part = build_partition(B1, 5, Fr(1, 20))       # inside the theorem range
     assert len(part.assignment) == 11
+
+
+def test_check_delta_is_exact_and_bounds_the_denominator():
+    # a float reads as its decimal; the range test is exact, not in floats
+    assert check_delta(2, 0.02) == Fr(1, 50)
+    assert check_delta(1, "1/10000", enforce_delta_bound=False) == Fr(1, 10**4)
+    for delta in (Fr(10**4 - 1, 10**4 + 1), "0.012345678", 0.000123456):
+        with pytest.raises(DeltaOutOfRange, match="denominator above 10000"):
+            check_delta(2, delta, enforce_delta_bound=False)
+    with pytest.raises(DeltaOutOfRange, match="outside"):
+        check_delta(2, Fr(10**20, 10**20 - 1), enforce_delta_bound=False)
+    with pytest.raises(DeltaOutOfRange, match="delta_max"):
+        check_delta(2, Fr(1, 42))
+    # the library entries that take delta apply the rule without the bound
+    with pytest.raises(DeltaOutOfRange, match="denominator above 10000"):
+        relation_links(B2, 4, 0.012345678)
+
+
+def test_build_partition_reads_a_float_delta_as_its_decimal():
+    basis = new_lattice([["1", "0"], ["1/2", "1"]])
+    part = build_partition(basis, 6, Fr(1, 20), enforce_delta_bound=False)
+    assert build_partition(basis, 6, 0.05, enforce_delta_bound=False) == part
+    links = relation_links(basis, 6, 0.05)
+    assert group_links(6, 2, 0.05, links) == part
 
 
 def test_opposite_modes_not_directly_linked():
@@ -348,12 +374,12 @@ def test_relation_links_match_all_pairs_oracle(d, radius, mode, tmp_path):
 
 @pytest.mark.parametrize("mode", ["exact", "floating"])
 def test_relation_links_float_delta_match_oracle(mode):
-    # a non-rational delta compares in floats on either kind of basis
+    # a float delta reads as its decimal, on either kind of basis
     rows = random_sheared_rows(random.Random(5), 2)
     if mode == "floating":
         rows = [[float(x) for x in row] for row in rows]
     basis = new_lattice(rows, mode=mode)
-    assert relation_links(basis, 4, 0.5) == oracle_links(basis, 4, 0.5)
+    assert relation_links(basis, 4, 0.5) == oracle_links(basis, 4, Fr(1, 2))
 
 
 def oracle_verify(basis, part):

@@ -127,8 +127,6 @@ def test_scaled_ceil_pow_edges():
     assert exact.scaled_ceil_pow(1, Fr(1, 2))(1024) == 32
     assert exact.scaled_ceil_pow(1, Fr(1, 2))(1025) == 33
     assert exact.scaled_ceil_pow(1, Fr(1, 10))(128) == exact.ceil_pow(128, Fr(1, 10))
-    assert exact.scaled_ceil_pow(3, Fr(-1, 2)) is None
-    assert exact.scaled_ceil_pow(3, 0.1) is None
     for n in range(200):
         for q in (1, 2, 3, 7):
             r = exact._iroot(n, q)
@@ -171,17 +169,6 @@ def test_scaled_floor_and_ceil_views_match_pow_tests():
     assert exact.scaled_floor_pow(5, 0)(0) == 5        # 0**0 == 1, as in le_pow
     assert exact.scaled_floor_pow(1, Fr(1, 2))(1023) == 31
     assert exact.scaled_floor_pow(1, Fr(1, 2))(1024) == 32
-    assert exact.scaled_floor_pow(3, Fr(-1, 2)) is None
-    assert exact.scaled_floor_pow(3, 0.1) is None
-
-
-def test_floor_and_ceil_pow_float_delta_match_loops():
-    rng = random.Random(17)
-    for _ in range(200):
-        delta = rng.uniform(0.01, 0.99)
-        base = rng.choice([0, 1, rng.randint(2, 64), rng.randint(2, 10**4)])
-        assert exact.floor_pow(base, delta) == _loop_floor_pow(base, delta)
-        assert exact.ceil_pow(base, delta) == _loop_ceil_pow(base, delta)
 
 
 def test_qqi_real_scalar_path_matches_general_path():

@@ -14,7 +14,6 @@ from toruskit.homological import (
     commutator,
     decay_profile,
     dn_split,
-    gap_above_threshold,
     gap_numerators,
     HomologicalSolution,
     homological_residual,
@@ -32,6 +31,14 @@ DELTA = Fr(1, 10)
 
 def partition(radius=8):
     return build_partition(B2, radius, DELTA, enforce_delta_bound=False)
+
+
+def test_solve_homological_needs_an_exact_basis():
+    floating = new_lattice([[1.0, 0.0], [0.0, 1.0]], mode="floating")
+    part = partition()
+    W = random_cross_cluster_matrix(part, 10, random.Random(0))
+    with pytest.raises(TypeError, match="exact basis"):
+        solve_homological(floating, W, part, DELTA)
 
 
 def test_split_diagonal_matrix():
@@ -186,7 +193,7 @@ def test_triplet_round_trip():
 
 # ---------------------------------------------------------------------------
 # the integer gap path against the per-pair path it replaced: mu differences,
-# gap_above_threshold and the general complex quotient
+# the ge_pow threshold and the general complex quotient
 
 
 def _sup(j):
@@ -197,7 +204,7 @@ def _oracle_solve(basis, W, delta):
     x_entries, r_entries = {}, {}
     for (j, j2), w in W.entries.items():
         gap = mu(basis, j2) - mu(basis, j)
-        if gap_above_threshold(gap, _sup(j) + _sup(j2), delta):
+        if ge_pow(4 * abs(gap), _sup(j) + _sup(j2), delta):
             x_entries[(j, j2)] = w / QQi(gap) if isinstance(w, QQi) else w / gap
         else:
             r_entries[(j, j2)] = -w
@@ -505,8 +512,5 @@ def test_integer_quotient_matches_fraction_division(D):
         for w in (Fr(-5, 7), 4, -3, complex(1.5, -2.0), 0.25):
             got = hom._divide_by_gap(w, g, D)
             assert type(got) is type(w / Fr(g, D)) and got == w / Fr(g, D)
-    # a floating basis has no denominator: the gap itself divides
-    assert hom._divide_by_gap(complex(1, 2), 0.5, None) == 2 + 4j
-    assert hom._divide_by_gap(Fr(1, 2), -0.25, None) == -2.0
     with pytest.raises(ZeroDivisionError):
         hom._divide_by_gap(QQi(1, 2), 0, D)
