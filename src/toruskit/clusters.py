@@ -381,23 +381,6 @@ class VerificationReport:
         return (not self.separation_violations and not self.dyadic_violations
                 and not self.growth_violations)
 
-    def to_dict(self):
-        return {
-            "separation_violations": [
-                [list(a), list(b)] for a, b in self.separation_violations],
-            "dyadic_violations": self.dyadic_violations,
-            "growth_violations": [
-                [list(a), list(b)] for a, b in self.growth_violations],
-            "pairs_checked": self.pairs_checked,
-            "interior_clusters": self.interior_clusters,
-            "boundary_clusters": self.boundary_clusters,
-            "fitted_threshold": self.fitted_threshold,
-            "fitted_constant": self.fitted_constant,
-            "fitted_exponent": self.fitted_exponent,
-            "cluster_stats": self.cluster_stats,
-            "ok": self.ok,
-        }
-
 
 def verify_cluster_properties(basis: LatticeBasis, partition: ClusterPartition,
                               threshold_override=None,

@@ -81,6 +81,13 @@ def _cast(value, cast, field: str):
     return result
 
 
+def _known(raw: dict, fields, where: str) -> None:
+    # a key the section does not read would be dropped without a word
+    for key in raw:
+        if key not in fields:
+            raise ValidationError(f"{where}{key}: unknown field")
+
+
 def _param(raw: dict, key: str, default, cast=_int, where="params."):
     """``cast`` of the field ``<where><key>``, or of ``default`` when absent.
 
@@ -118,6 +125,7 @@ class ExperimentConfig:
 def _normalize_lattice(raw) -> dict:
     if not isinstance(raw, dict) or "matrix" not in raw:
         raise ParseError("lattice: expected an object with a 'matrix' field")
+    _known(raw, ("matrix", "mode", "tolerance"), "lattice.")
     matrix = raw["matrix"]
     if (not isinstance(matrix, list) or not matrix
             or any(not isinstance(r, list) or len(r) != len(matrix) for r in matrix)):
@@ -154,6 +162,7 @@ def _normalize_frequency(raw) -> dict:
         "mass": _rat_str(raw.get("mass", 1), "frequency.mass"),
         "dio_ell_max": _param(raw, "dio_ell_max", 0, where="frequency."),
     }
+    _known(raw, out, "frequency.")
     # surface range errors now, field by field
     try:
         FrequencyParams.create(out["omega_bar"], out["gamma0"], out["tau0"],
@@ -280,6 +289,8 @@ def normalize(raw: dict) -> ExperimentConfig:
     """Validate a raw dict and fill defaults; raises ParseError/ValidationError."""
     if not isinstance(raw, dict):
         raise ParseError("config root must be a JSON object")
+    _known(raw, ("kind", "seed", "out_dir", "cache", "lattice", "frequency",
+                 "params"), "")
     kind = raw.get("kind")
     _require(kind in KINDS, f"kind: must be one of {', '.join(KINDS)}")
     lattice = _normalize_lattice(raw.get("lattice", {"matrix": [["1"]]}))
@@ -294,6 +305,7 @@ def normalize(raw: dict) -> ExperimentConfig:
     if kind in ("singular", "measure"):
         _require(frequency is not None, f"frequency: required for kind {kind!r}")
     params = _normalize_params(kind, raw.get("params", {}), d)
+    _known(raw.get("params") or {}, params, "params.")
     config = ExperimentConfig(
         kind=kind,
         seed=_param(raw, "seed", 0, where=""),

@@ -410,7 +410,11 @@ def _scaled_root(D: int, delta, up: bool):
     # s -> the integer q-th root of D**q * s**p, memoised per s and rounded
     # up when ``up`` and inexact: the one root behind both views below;
     # delta is an int or Fraction >= 0
-    p, q = _as_ratio(delta)
+    ratio = _as_ratio(delta)
+    if ratio is None:
+        raise TypeError(f"delta {delta!r}: an exact root needs an int or "
+                        "Fraction delta >= 0")
+    p, q = ratio
     Dq = D**q
     memo = {}
 
@@ -544,19 +548,6 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return QQi(x, 0)
     raise TypeError(f"cannot coerce {type(x).__name__} to QQi")
-
-
-def value_abs(v) -> float:
-    """Magnitude of a block-matrix entry (QQi, Fraction, complex or float)."""
-    if isinstance(v, QQi):
-        return abs(v)
-    return abs(complex(v)) if isinstance(v, complex) else abs(float(v))
-
-
-def value_is_zero(v) -> bool:
-    if isinstance(v, QQi):
-        return not v
-    return v == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Finite-box block operators: diagonal splitting, homological equation, decay.
 
 A block matrix here is a finitely supported map ``(j, j') -> value`` over a
-box ``[-N, N]^d``, one mode per index.  Values may be exact Gaussian rationals
-(:class:`toruskit.exact.QQi`), Fractions or plain complex numbers; all exact
-statements hold entrywise when the inputs are exact.
+box ``[-N, N]^d``, one mode per index.  Values are exact: Gaussian rationals
+(:class:`toruskit.exact.QQi`), Fractions or ints, with a float or complex
+input read at its binary value, so every statement holds entrywise.
 """
 
 from __future__ import annotations
@@ -29,6 +29,14 @@ class BlockMatrix:
 
     @staticmethod
     def from_entries(box_radius: int, d: int, items) -> "BlockMatrix":
+        """Block matrix of the nonzero ``(j, j') -> value`` items.
+
+        An ``int``, ``Fraction`` or :class:`toruskit.exact.QQi` value is kept
+        as given.  A ``float`` or ``complex`` value becomes a ``QQi`` at its
+        exact binary value, as a file part does in :meth:`from_triplets`; a
+        NaN or infinite part raises ParseError naming the entry.  Any other
+        type raises TypeError.
+        """
         entries = {}
         for (j, j2), v in dict(items).items():
             j, j2 = tuple(int(x) for x in j), tuple(int(x) for x in j2)
@@ -36,7 +44,9 @@ class BlockMatrix:
                 raise BoxMismatch("entry index dimension mismatch")
             if max(exact.sup_norm(j), exact.sup_norm(j2)) > box_radius:
                 raise BoxMismatch("entry outside the box")
-            if not exact.value_is_zero(v):
+            if not isinstance(v, (int, Fraction, exact.QQi)):
+                v = _exact_value(v, f"entry {(j, j2)}")
+            if v:
                 entries[(j, j2)] = v
         return BlockMatrix(box_radius, d, entries)
 
@@ -52,10 +62,10 @@ class BlockMatrix:
         out = dict(self.entries)
         for k, v in other.entries.items():
             w = out[k] + v if k in out else v
-            if exact.value_is_zero(w):
-                out.pop(k, None)
-            else:
+            if w:
                 out[k] = w
+            else:
+                out.pop(k, None)
         return BlockMatrix(self.box_radius, self.d, out)
 
     def __eq__(self, other):
@@ -69,17 +79,14 @@ class BlockMatrix:
         """``(j, j', re, im)`` per entry in key order, exact parts as strings.
 
         The one value-to-parts rule of :meth:`to_triplets` and of the runner's
-        streamed ``matrix.json``; a complex or float value gives float parts.
+        streamed ``matrix.json``.
         """
         for (j, j2), v in sorted(self.entries.items()):
             if isinstance(v, exact.QQi):
                 yield (j, j2, exact.format_rational(v.re),
                        exact.format_rational(v.im))
-            elif isinstance(v, (int, Fraction)):
-                yield j, j2, exact.format_rational(Fr(v)), "0"
             else:
-                c = complex(v)
-                yield j, j2, c.real, c.imag
+                yield j, j2, exact.format_rational(Fr(v)), "0"
 
     def to_triplets(self):
         """JSON-ready triplet list; exact values rendered as num/den strings."""
@@ -127,6 +134,16 @@ def _exact_part(x, field: str) -> Fraction:
     return exact.parse_rational(x, field)
 
 
+def _exact_value(v, field: str) -> exact.QQi:
+    # a float or complex value at its binary value, part by part
+    if not isinstance(v, (float, complex)):
+        raise TypeError(f"{field}: a block-matrix value is an int, Fraction, "
+                        f"QQi, float or complex, not {type(v).__name__}")
+    v = complex(v)
+    return exact.QQi(_exact_part(v.real, f"{field}.re"),
+                     _exact_part(v.imag, f"{field}.im"))
+
+
 def dn_split(Q: BlockMatrix, partition: ClusterPartition):
     """Split into the intra-cluster part and the cross-cluster part.
 
@@ -158,8 +175,10 @@ def gap_numerators(basis: LatticeBasis, keys):
     ``gaps[j, j']`` is the integer ``n_j' - n_j`` with
     ``mu(j') - mu(j) = gaps[j, j'] / D``: each distinct site's numerator
     (:func:`toruskit.lattice.mu_numerator`) is evaluated once.  A floating
-    basis has no integer form and raises TypeError.
+    basis has no integer form and raises TypeError, with no keys too.
     """
+    if basis.gram is None:
+        raise TypeError("gap_numerators needs an exact basis")
     n = {}
     gaps = {}
     for j, j2 in keys:
@@ -197,7 +216,7 @@ def solve_homological(basis: LatticeBasis, W_ND: BlockMatrix,
     basis raises TypeError), the threshold test is an integer compare
     (:func:`gap_clears`) and a kept :class:`toruskit.exact.QQi` entry is
     divided on integers, each part ``n/d`` becoming ``Fraction(n*D, d*g)``;
-    any other value is divided by the rational gap as a real scalar.
+    an ``int`` or ``Fraction`` entry is divided by the rational gap.
     """
     if W_ND.box_radius != partition.box_radius or W_ND.d != partition.d:
         raise BoxMismatch("matrix and partition on different boxes")
@@ -236,42 +255,36 @@ def homological_residual(basis: LatticeBasis, W_ND: BlockMatrix,
 
     An independent exact recomputation: the gaps are rebuilt here by
     :func:`gap_numerators` and every entry is checked, none assumed.  Each
-    real and imaginary part of an ``int``, ``Fraction`` or
-    :class:`toruskit.exact.QQi` entry is tested as the integer identity
+    real and imaginary part of an entry (an ``int``, ``Fraction`` or
+    :class:`toruskit.exact.QQi`) is tested as the integer identity
     ``xn*g*wd*rd == D*xd*(wn*rd + rn*wd)``, with the parts written
     ``xn/xd``, ``wn/wd``, ``rn/rd`` and the gap ``g/D``, so an entry that
     holds builds no Fraction.  The Fraction expression ``X*gap - W - R``
-    gives the residual of the first key that fails, and it decides every key
-    with a complex or float value, which has no integer form.
+    gives the residual of the first key that fails.
     """
     W, X, R = W_ND.entries, solution.X.entries, solution.R.entries
     keys = set(W) | set(X) | set(R)
     gaps, D = gap_numerators(basis, keys)
-    keys = [key for key in keys
-            if not _integer_identity_holds(gaps[key], D, X.get(key, 0),
-                                           W.get(key, 0), R.get(key, 0))]
-    for key in sorted(keys):
-        gap = Fraction(gaps[key], D)
-        res = X.get(key, 0) * gap - W.get(key, 0) - R.get(key, 0)
-        if not exact.value_is_zero(res):
-            return key, res
-    return None
+    failed = [key for key in keys
+              if not _integer_identity_holds(gaps[key], D, X.get(key, 0),
+                                             W.get(key, 0), R.get(key, 0))]
+    if not failed:
+        return None
+    key = min(failed)
+    gap = Fraction(gaps[key], D)
+    return key, X.get(key, 0) * gap - W.get(key, 0) - R.get(key, 0)
 
 
 def _exact_parts(v):
-    """``(re, im)`` of an int, Fraction or QQi value, else None."""
+    """``(re, im)`` of an int, Fraction or QQi value."""
     if isinstance(v, exact.QQi):
         return v.re, v.im
-    if isinstance(v, (int, Fraction)):
-        return v, 0
-    return None
+    return v, 0
 
 
 def _integer_identity_holds(g, D, x, w, r) -> bool:
-    """``x * g / D == w + r`` part by part; False for a value without parts."""
+    """``x * g / D == w + r`` part by part."""
     x, w, r = _exact_parts(x), _exact_parts(w), _exact_parts(r)
-    if x is None or w is None or r is None:
-        return False
     for xp, wp, rp in zip(x, w, r):
         wd, rd = wp.denominator, rp.denominator
         if (xp.numerator * g * wd * rd
@@ -303,7 +316,7 @@ def commutator(A: BlockMatrix, diag: BlockMatrix) -> BlockMatrix:
     for (j, j2), v in A.entries.items():
         factor = diag.get(j2, j2) - diag.get(j, j)
         w = v * factor
-        if not exact.value_is_zero(w):
+        if w:
             out[(j, j2)] = w
     return BlockMatrix(A.box_radius, A.d, out)
 
@@ -351,7 +364,7 @@ def decay_profile(Q: BlockMatrix, sigma, n_list, s_list=()) -> DecayProfile:
     scale = {}      # size -> (1 + size)**sigma
     best = {}       # sup-offset -> largest a / (1 + size)**sigma
     for (j, j2), v in Q.entries.items():
-        a = exact.value_abs(v)
+        a = float(abs(v))
         if a == 0.0:
             continue
         size = exact.sup_norm(j) + exact.sup_norm(j2)
@@ -372,7 +385,7 @@ def decay_profile(Q: BlockMatrix, sigma, n_list, s_list=()) -> DecayProfile:
     if s_list:
         sup_by_offset = {}
         for (j, j2), v in Q.entries.items():
-            a = exact.value_abs(v)
+            a = float(abs(v))
             h = tuple(x - y for x, y in zip(j, j2))
             if a > sup_by_offset.get(h, 0.0):
                 sup_by_offset[h] = a

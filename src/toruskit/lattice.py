@@ -71,14 +71,6 @@ class LatticeBasis:
         D = math.lcm(*(x.denominator for row in WtW for x in row))
         return tuple(tuple(int(x * D) for x in row) for row in WtW), D
 
-    def to_dict(self):
-        fmt = exact.format_rational if self.exact else (lambda x: x)
-        return {
-            "matrix": [[fmt(x) for x in row] for row in self.V],
-            "mode": self.mode,
-            "tolerance": self.tolerance,
-        }
-
 
 def _freeze(rows):
     return tuple(tuple(r) for r in rows)

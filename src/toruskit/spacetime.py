@@ -100,13 +100,6 @@ class FrequencyParams:
             raise DimensionMismatch("ell length disagrees with n")
         return self.lam * sum(w * l for w, l in zip(self.omega_bar, ell))
 
-    def to_dict(self):
-        f = exact.format_rational
-        return {"omega_bar": [f(w) for w in self.omega_bar],
-                "gamma0": f(self.gamma0), "tau0": f(self.tau0),
-                "lambda": f(self.lam), "theta": f(self.theta),
-                "mass": f(self.mass)}
-
 
 class SpaceTimeSite(NamedTuple):
     ell: tuple
@@ -143,72 +136,72 @@ def symbol(basis, params, site: SpaceTimeSite, kind: str):
 
 
 class _Symbols:
-    """The symbols of an exact basis as integer numerators over one ``L``.
+    """The symbols of a basis as ``rho(j) - c(y(ell), a)`` over one ``L``.
 
-    With ``(G, D) = basis.gram``, ``lam*omega_bar = W/E`` and ``theta = T/E``
-    over the least common denominator ``E``, ``y(ell) = Y/E`` with
-    ``Y = W.ell + T``, and ``mu_j + m = rho/L`` with
-    ``rho = (j^T G j) L/D + m L``.  The symbol is ``(rho - c)/L`` with centre
-    ``c = a Y L/E`` (Schroedinger, ``L = lcm(D, E, den m)``) or
-    ``c = Y^2 L/E^2`` (wave, ``L = lcm(D, E^2, den m)``).  A kind other than
-    the wave kind is the Schroedinger kind, as in :func:`symbol`.
+    On an exact basis with rational scalars, with ``(G, D) = basis.gram``,
+    ``lam*omega_bar = W/E`` and ``theta = T/E`` over the least common
+    denominator ``E``, ``y(ell) = Y/E`` with ``Y = W.ell + T``, and
+    ``mu_j + m = rho/L`` with ``rho = (j^T G j) L/D + m L``.  The symbol is
+    ``(rho - c)/L`` with centre ``c = a Y L/E`` (Schroedinger,
+    ``L = lcm(D, E, den m)``) or ``c = Y^2 L/E^2`` (wave,
+    ``L = lcm(D, E^2, den m)``), all integers.  A floating basis or float
+    scalars have no integer form: ``L = 1``, ``rho = mu(basis, j) + m``
+    (a float on a floating basis) and ``y = omega_dot(ell) + theta`` as the
+    scalars give it, with ``D`` None.  A kind other than the wave kind is the
+    Schroedinger kind, as in :func:`symbol`.
     """
 
     def __init__(self, basis: LatticeBasis, params: FrequencyParams, kind):
         self.basis = basis
-        self.G, self.D = basis.gram
+        self.wave = kind == NLW
         omega = params.omega()
+        scalars = (*omega, params.theta, params.mass)
+        if basis.gram is None or not all(isinstance(x, Rational)
+                                         for x in scalars):
+            self.D, self.mass = None, params.mass
+            self.W, self.T = omega, params.theta
+            self.L = self.per_E = 1
+            return
+        self.G, self.D = basis.gram
         self.E = E = math.lcm(*(x.denominator for x in omega),
                               params.theta.denominator)
         self.W = tuple(int(x * E) for x in omega)
         self.T = int(params.theta * E)
-        self.wave = kind == NLW
         scale = self.E ** 2 if self.wave else self.E
         self.L = math.lcm(self.D, scale, params.mass.denominator)
         self.per_D, self.per_E = self.L // self.D, self.L // scale
         self.mass_L = int(params.mass * self.L)
 
-    def y(self, ell) -> int:
+    def y(self, ell):
         if len(ell) != len(self.W):
             raise DimensionMismatch("ell length disagrees with n")
         return sum(map(operator.mul, self.W, ell)) + self.T
 
-    def rho(self, j) -> int:
+    def rho(self, j):
+        if self.D is None:
+            return mu(self.basis, j) + self.mass
         return mu_numerator(self.basis, j) * self.per_D + self.mass_L
 
-    def center(self, Y: int, a: int) -> int:
+    def center(self, Y, a):
         return Y * Y * self.per_E if self.wave else a * Y * self.per_E
 
-    def value(self, site: SpaceTimeSite) -> int:
-        """``L`` times the symbol at ``site``."""
+    def below(self, site: SpaceTimeSite) -> bool:
+        """``|symbol(site)| < 1``: ``c - L < rho < c + L``, the window that
+        :func:`enumerate_singular_sites` bisects at its default bound."""
         if not self.wave and site.a not in (1, -1):
             raise ValidationError("sign a must be +1 or -1")
-        return self.rho(site.j) - self.center(self.y(site.ell), site.a)
-
-
-def _symbols(basis: LatticeBasis, params: FrequencyParams, kind):
-    """The integer symbols, or None for a floating basis or float scalars."""
-    scalars = (*params.omega(), params.theta, params.mass)
-    if basis.gram is None or not all(isinstance(x, Rational) for x in scalars):
-        return None
-    return _Symbols(basis, params, kind)
-
-
-def _sublevel_test(basis, params, kind: str):
-    """Predicate ``site -> |symbol(site)| < 1``.
-
-    On an exact basis it compares ``|L symbol|`` with ``L`` in integers; a
-    floating basis evaluates :func:`symbol`.
-    """
-    sym = _symbols(basis, params, kind)
-    if sym is None:
-        return lambda site: abs(symbol(basis, params, site, kind)) < 1
-    return lambda site: abs(sym.value(site)) < sym.L
+        c = self.center(self.y(site.ell), site.a)
+        return c - self.L < self.rho(site.j) < c + self.L
 
 
 def is_singular(basis, params, site: SpaceTimeSite, kind: str) -> bool:
-    """Strict sublevel test |symbol| < 1; boundary values are regular."""
-    return _sublevel_test(basis, params, kind)(site)
+    """Strict sublevel test |symbol| < 1; boundary values are regular.
+
+    It tests the window that :func:`enumerate_singular_sites` bisects, in
+    the same arithmetic: integers on an exact basis, a float ``mu_j + mass``
+    against the exact window on a floating one (:meth:`_Symbols.below`).
+    """
+    return _Symbols(basis, params, kind).below(site)
 
 
 def enumerate_singular_sites(basis: LatticeBasis, params: FrequencyParams,
@@ -222,30 +215,25 @@ def enumerate_singular_sites(basis: LatticeBasis, params: FrequencyParams,
     (Schroedinger) and ``y = lam*wbar.ell + theta``.  The modes are sorted
     once by ``rho``; each (ell, sign) then bisects its window, so the scan
     costs O(|js| log|js| + |ells| log|js| + output) instead of
-    O(|ells| |js|).  An exact basis scans the integer numerators of
-    :class:`_Symbols` and the window ``(c - L*bound, c + L*bound)``; a
-    floating basis compares float ``rho`` with exact Fraction windows.
+    O(|ells| |js|).  It scans the numerators of :class:`_Symbols` and the
+    window ``(c - L*bound, c + L*bound)``, which at bound 1 is the predicate
+    of :meth:`_Symbols.below`: integers on an exact basis, float ``rho``
+    against exact windows on a floating one.
     """
     signs = _signs(kind)
     ells = box_sites(ell_radius, params.n)
     js = box_sites(j_radius, basis.d)
-    sym = _symbols(basis, params, kind)
-    if sym is None:
-        rho = [mu(basis, j) + params.mass for j in js]
-        ys = [params.omega_dot(ell) + params.theta for ell in ells]
-        unit = bound
-        center = (lambda y, a: y * y) if kind == NLW else (lambda y, a: a * y)
-    else:
-        rho = [sym.rho(j) for j in js]
-        ys = [sym.y(ell) for ell in ells]
-        unit, center = sym.L * bound, sym.center
+    sym = _Symbols(basis, params, kind)
+    rho = [sym.rho(j) for j in js]
+    ys = [sym.y(ell) for ell in ells]
+    unit = sym.L * bound
     order = sorted(range(len(js)), key=rho.__getitem__)
     rhos = [rho[i] for i in order]
 
     sites = []
     for ell, y in zip(ells, ys):
         for a in signs:
-            c = center(y, a)
+            c = sym.center(y, a)
             # strict window: |rho - c| = unit is regular
             lo = bisect_right(rhos, c - unit)
             hi = bisect_left(rhos, c + unit, lo)
@@ -291,7 +279,7 @@ class SingularChain:
     def is_valid(self, basis, params, kind) -> bool:
         if len(set(self.sites)) != len(self.sites):
             return False
-        if not all(map(_sublevel_test(basis, params, kind), self.sites)):
+        if not all(map(_Symbols(basis, params, kind).below, self.sites)):
             return False
         return all(site_distance(a, b) <= self.gamma
                    for a, b in zip(self.sites, self.sites[1:]))
@@ -838,12 +826,13 @@ def chain_pair_bounds(basis: LatticeBasis, params: FrequencyParams,
     is the smallest one making all bounds hold.  For the linear kind the
     theta-free consecutive-step inequality (budget ``2(m+1)``) is also
     replayed.  An exact basis takes ``s0^T G`` once per anchor and one
-    integer dot per site (:func:`_integer_worst_pair`); a floating basis
-    calls :func:`bilinear` per pair.
+    integer dot per site (:func:`_integer_worst_pair`); a floating basis,
+    which has no integer Gram form, or float scalars call :func:`bilinear`
+    per pair.
     """
     sites = chain.sites
-    sym = _symbols(basis, params, kind)
-    if sym is None:
+    sym = _Symbols(basis, params, kind)
+    if sym.D is None:
         best_c, worst = _bilinear_worst_pair(basis, params, chain, kind)
         mu_vals = [mu(basis, s.j) for s in sites]
     else:

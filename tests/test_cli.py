@@ -507,3 +507,50 @@ def test_theta_on_a_frequency_file_that_is_not_an_object(tmp_path,
     assert code == 2
     err = capsys.readouterr().err
     assert "frequency: expected an object" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, section", [
+    ("paramz", {"paramz": {"box_radius": 4}}),
+    ("lattice.mod", {"lattice": {"matrix": [["1"]], "mod": "floating"}}),
+    ("frequency.mas", {"frequency": {"omega_bar": ["1"], "gamma0": "1/2",
+                                     "tau0": 1, "mas": "1/3"}}),
+    ("params.box_radus", {"params": {"box_radus": 4}}),
+], ids=["top", "lattice", "frequency", "params"])
+def test_unknown_config_field_is_usage_error(tmp_path, capsys, field, section):
+    # each misspelling ran with the section's default at exit 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kind": "cluster",
+                                  "out_dir": str(tmp_path / "out"), **section}))
+    assert main(["cluster", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field}: unknown field" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_of_another_kind_is_usage_error(tmp_path, capsys):
+    # a cluster config's params are not the fields a homological run reads
+    config = tmp_path / "cluster.json"
+    config.write_text(json.dumps({"kind": "cluster",
+                                  "params": {"box_radius": 4, "delta": "1/10",
+                                             "allow_delta_above_theorem": True}}))
+    assert main(["homological", "--config", str(config),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "params.edges_csv: unknown field" in capsys.readouterr().err
+
+
+def test_floating_singular_run_replays_its_sites(tmp_path, capsys):
+    # the scan kept site ell=(-5,), j=(0,0), a=1 on the float rho = 2/3 edge,
+    # where a float replay of the symbol rounded it onto |symbol| = 1
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps({"matrix": [
+        [0.6301449849816195, -0.2964506960608932],
+        [0.0, 1.0870110707497045]], "mode": "floating"}))
+    freq = tmp_path / "freq.json"
+    freq.write_text(json.dumps({"omega_bar": ["1/9"], "gamma0": "1/100",
+                                "tau0": 1, "lambda": "3/2", "theta": "1/2",
+                                "mass": "2/3"}))
+    code = main(["singular", "--kind", "nls", "--box", "6,6", "--gamma", "2",
+                 "--no-cache", "--lattice", str(lattice), "--freq", str(freq),
+                 "--out-dir", str(tmp_path / "out")])
+    assert "[PASS] singular_chains_replay" in capsys.readouterr().out
+    assert code == 0

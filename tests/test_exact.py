@@ -389,3 +389,12 @@ def test_return_types_are_pinned():
                                     ((-(10**30), 5), 10**30)])
 def test_sup_norm(v, want):
     assert exact.sup_norm(v) == want
+
+
+@pytest.mark.parametrize("call", [lambda: exact.floor_pow(128, 0.1),
+                                  lambda: exact.ceil_pow(128, 0.1),
+                                  lambda: exact.scaled_floor_pow(3, 0.1)],
+                         ids=["floor_pow", "ceil_pow", "scaled_floor_pow"])
+def test_exact_roots_name_the_delta_rule(call):
+    with pytest.raises(TypeError, match=r"delta 0\.1: .*int or Fraction"):
+        call()

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction as Fr
 
 import pytest
@@ -39,6 +40,17 @@ def test_solve_homological_needs_an_exact_basis():
     W = random_cross_cluster_matrix(part, 10, random.Random(0))
     with pytest.raises(TypeError, match="exact basis"):
         solve_homological(floating, W, part, DELTA)
+
+
+def test_exact_only_primitives_name_their_rule():
+    from toruskit.homological import gap_clears
+
+    with pytest.raises(TypeError, match=r"delta 0\.1: .*int or Fraction"):
+        gap_clears(3, 0.1)(1, 4)
+    # an empty matrix has no gap to take, yet the basis is still refused
+    floating = new_lattice([[1.0, 0.0], [0.0, 1.0]], mode="floating")
+    with pytest.raises(TypeError, match="gap_numerators needs an exact basis"):
+        solve_homological(floating, BlockMatrix(8, 2, {}), partition(), DELTA)
 
 
 def test_split_diagonal_matrix():
@@ -220,10 +232,7 @@ def _oracle_residual(basis, W, sol):
     for j, j2 in sorted(keys):
         gap = mu(basis, j2) - mu(basis, j)
         x, w, r = sol.X.get(j, j2), W.get(j, j2), sol.R.get(j, j2)
-        if any(isinstance(v, complex) for v in (x, w, r)):
-            res = complex(x) * complex(gap) - complex(w) - complex(r)
-        else:
-            res = QQi(gap) * _as_qqi(x) - _as_qqi(w) - _as_qqi(r)
+        res = QQi(gap) * _as_qqi(x) - _as_qqi(w) - _as_qqi(r)
         if res:
             return (j, j2), res
     return None
@@ -239,7 +248,7 @@ def _same_first_failure(basis, W, sol, key):
     got = homological_residual(basis, W, sol)
     want = _oracle_residual(basis, W, sol)
     assert got is not None and got[0] == want[0] == key
-    assert (got[1] if isinstance(got[1], complex) else _as_qqi(got[1])) == want[1]
+    assert _as_qqi(got[1]) == want[1]
 
 
 def _dense_rational(rng, d):
@@ -315,10 +324,12 @@ def test_integer_gap_path_matches_per_pair_oracle(name, basis, radius, delta):
         x={k: v for k, v in sol.X.entries.items() if k != key},
         r={k: v for k, v in sol.R.entries.items() if k != key})
     _same_first_failure(basis, W, dropped, key)
-    # a complex value has no integer form: the Fraction expression decides
+    # a complex value is read at its binary value, so the integer identity
+    # decides its key too
     w = W.entries[key]
     items[key] = complex(_as_qqi(w).re, _as_qqi(w).im) + 0.1j
     W_c = BlockMatrix.from_entries(radius, basis.d, items)
+    assert W_c.entries[key] == QQi(Fr(items[key].real), Fr(items[key].imag))
     sol_c = solve_homological(basis, W_c, part, delta)
     assert (homological_residual(basis, W_c, sol_c)
             == _oracle_residual(basis, W_c, sol_c))
@@ -327,6 +338,46 @@ def test_integer_gap_path_matches_per_pair_oracle(name, basis, radius, delta):
         x={k: v for k, v in sol_c.X.entries.items() if k != key},
         r={k: v for k, v in sol_c.R.entries.items() if k != key})
     _same_first_failure(basis, W_c, dropped, key)
+
+
+def test_complex_values_solve_with_no_residual():
+    """Complex values are read at their binary value, so a correct solve
+    replays exactly; held as complex floats, key ((-8, -4), (3, 0)) read a
+    residual of -5.55e-17."""
+    basis = new_lattice([[1, Fr(1, 2)], [0, 1]])
+    part = build_partition(basis, 8, DELTA, enforce_delta_bound=False)
+    Q = random_cross_cluster_matrix(part, 300, random.Random(1))
+    items = {k: complex(float(v.re), float(v.im)) for k, v in Q.entries.items()}
+    W = BlockMatrix.from_entries(8, 2, items)
+    assert W.entries == {k: QQi(Fr(c.real), Fr(c.imag))
+                         for k, c in items.items()}
+    assert all(type(v) is QQi for v in W.entries.values())
+    sol = solve_homological(basis, W, part, DELTA)
+    assert ((-8, -4), (3, 0)) in sol.X.entries
+    assert homological_residual(basis, W, sol) is None
+    # an int, Fraction or QQi value is kept as given
+    kept = BlockMatrix.from_entries(2, 1, {((0,), (1,)): 3,
+                                           ((1,), (0,)): Fr(1, 3),
+                                           ((2,), (0,)): QQi(1, 2),
+                                           ((0,), (2,)): 0.0})
+    assert kept.entries == {((0,), (1,)): 3, ((1,), (0,)): Fr(1, 3),
+                            ((2,), (0,)): QQi(1, 2)}
+    assert [type(v) for _, v in sorted(kept.entries.items())] == [int, Fr, QQi]
+
+
+@pytest.mark.parametrize("value, part", [(float("nan"), "re"),
+                                         (complex(1, float("inf")), "im"),
+                                         (complex(float("-inf"), 0), "re")],
+                         ids=["nan", "complex-inf-im", "complex-inf-re"])
+def test_non_finite_entry_value_names_the_entry(value, part):
+    from toruskit.errors import ParseError
+
+    items = {((0, 0), (1, 0)): QQi(1), ((0, 1), (2, 0)): value}
+    field = re.escape(f"entry ((0, 1), (2, 0)).{part}:")
+    with pytest.raises(ParseError, match=field):
+        BlockMatrix.from_entries(3, 2, items)
+    with pytest.raises(TypeError, match="str"):
+        BlockMatrix.from_entries(3, 2, {((0, 0), (1, 0)): "1/2"})
 
 
 def test_gap_numerators_evaluate_each_site_once(monkeypatch):

@@ -667,16 +667,46 @@ def _random_cases(seed, count):
 
 
 def test_integer_symbols_share_one_denominator():
-    from toruskit.spacetime import _symbols
+    from toruskit.spacetime import _Symbols
 
     p = params(lam="3/4", theta="-2/5", omega=("1/3", "-1/2"), tau0=2)
-    sym = _symbols(B1, p, NLS)
+    sym = _Symbols(B1, p, NLS)
     assert sym.E == 40 and sym.W == (10, -15) and sym.T == -16
     for ell in ((0, 0), (3, -7), (-5, 2)):
         assert Fr(sym.y(ell), sym.E) == p.omega_dot(ell) + p.theta
+    # float scalars have no integer form: the symbol is rho - c over L = 1
     floating = FrequencyParams(n=1, omega_bar=(0.5,), gamma0=Fr(1, 2),
                                tau0=Fr(1), lam=Fr(1), theta=Fr(0), mass=Fr(1))
-    assert _symbols(B1, floating, NLS) is None
+    sym = _Symbols(B1, floating, NLS)
+    assert sym.D is None and sym.L == 1
+    for ell, j, a in (((0,), (0,), 1), ((3,), (-2,), -1), ((-5,), (4,), 1)):
+        site = SpaceTimeSite(ell, j, a)
+        value = sym.rho(j) - sym.center(sym.y(ell), a)
+        assert value == symbol(B1, floating, site, NLS)
+        assert sym.below(site) == (abs(value) < 1)
+
+
+# floating lattices whose float site scan once kept sites that a float replay
+# of the symbol called regular: rho = mu_j + mass rounds onto the window edge
+FLOATING_PROBES = [
+    ([[0.6301449849816195, -0.2964506960608932], [0.0, 1.0870110707497045]],
+     dict(omega=("1/9",), lam="3/2", theta="1/2", mass="2/3"),
+     SpaceTimeSite((-5,), (0, 0), 1)),
+    ([[0.862503126388735, -0.5155336823782777], [0.0, 1.031737811051041]],
+     dict(omega=("3/7",), lam="3/2", theta="1/3", mass="2/3"),
+     SpaceTimeSite((0,), (0, 0), -1)),
+]
+
+
+@pytest.mark.parametrize("matrix, freq, edge_site", FLOATING_PROBES)
+def test_floating_scan_sites_replay_as_singular(matrix, freq, edge_site):
+    basis = new_lattice(matrix, mode="floating")
+    p = params(gamma0="1/100", **freq)
+    sites = enumerate_singular_sites(basis, p, NLS, 6, 6)
+    assert edge_site in sites
+    assert all(is_singular(basis, p, site, NLS) for site in sites)
+    survey = enumerate_singular_chains(basis, p, NLS, 6, 6, 2)
+    assert all(c.is_valid(basis, p, NLS) for c in survey.chains)
 
 
 def test_integer_sites_match_fraction_double_loop():
