@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import exact, search
 from .errors import DeltaOutOfRange
-from .lattice import LatticeBasis, mu, mu_numerator
+from .lattice import LatticeBasis, mu
 from .search import PathSearchResult, longest_path
 
 Fr = Fraction
@@ -134,11 +134,29 @@ def _offset_runs(box_radius: int, d: int, link_radius: int):
 
 def _box_numerators(basis: LatticeBasis, box_radius: int):
     """Box sites and ``mu = n / D`` per site: integer ``n`` over ``D`` of
-    ``basis.gram``, or the float eigenvalues and ``D = 1`` (floating basis)."""
-    sites = box_sites(box_radius, basis.d)
+    ``basis.gram``, or the float eigenvalues and ``D = 1`` (floating basis).
+
+    The integers are :func:`toruskit.lattice.mu_numerator`'s, filled one box
+    row at a time: along the last coordinate x of a lexicographic row with
+    prefix p, ``n = c0 + x*(b + g*x)`` where ``c0 = pᵀGp``, ``b`` is p dotted
+    with the last column and row of ``G`` off the diagonal, and
+    ``g = G[-1][-1]``.
+    """
+    d = basis.d
+    sites = box_sites(box_radius, d)
     if basis.gram is None:
         return sites, [mu(basis, j) for j in sites], 1
-    return sites, [mu_numerator(basis, j) for j in sites], basis.gram[1]
+    G, D = basis.gram
+    g = G[-1][-1]
+    last = [row[-1] + col for row, col in zip(G, G[-1])]
+    xs = range(-box_radius, box_radius + 1)
+    n = []
+    for p in product(xs, repeat=d - 1):
+        # zip stops at the prefix: the leading (d-1)x(d-1) block of G
+        c0 = sum(a * sum(map(operator.mul, row, p)) for a, row in zip(p, G))
+        b = sum(map(operator.mul, p, last))
+        n += [c0 + x * (b + g * x) for x in xs]
+    return sites, n, D
 
 
 def max_chain_length(basis: LatticeBasis, box_radius: int, gamma,
@@ -225,6 +243,7 @@ class ClusterPartition:
 
     @classmethod
     def from_dict(cls, data) -> "ClusterPartition":
+        d = int(data["d"])
         clusters = []
         assignment = {}
         for rec in data["clusters"]:
@@ -236,15 +255,21 @@ class ClusterPartition:
             clusters.append(info)
             for j in members:
                 assignment[j] = info.id
-        return cls(box_radius=int(data["box_radius"]), d=int(data["d"]),
+        if set(map(len, assignment)) - {d}:
+            raise ValueError(f"a member is not of length d = {d}")
+        return cls(box_radius=int(data["box_radius"]), d=d,
                    delta=exact.parse_rational(data["delta"], "delta"),
                    margin=int(data["margin"]),
                    assignment=assignment, clusters=tuple(clusters))
 
 
-# Largest denominator q of a delta p/q.  Thresholds take integer q-th roots
-# (exact.scaled_floor_pow); one floor and ceil table over s <= 128 with
-# D = 9 took 0.007 s at q ~ 10**3, 0.28 s at 10**4 and 18 s at 10**5.
+# Largest denominator q of a delta p/q.  A threshold is the integer q-th
+# root of D**q * s**p (exact.scaled_floor_pow), so its cost grows with q and
+# with the bits of the Gram denominator D.  At D of 203 bits (a 2-d lattice
+# typed with 16-digit decimals), on one x86_64 core under Python 3.11, one
+# root at s = 64 took 0.02 s at q = 10**3, 0.56 s at 10**4 and 22 s at
+# 10**5, and a radius-32 cluster run took 1-1.6 s at delta 37/1000 and 33 s
+# at 371/10**4.
 DELTA_MAX_DENOMINATOR = 10**4
 
 
@@ -293,17 +318,19 @@ def _box_table(basis: LatticeBasis, box_radius: int, delta):
     return sites, n, sup, D, T
 
 
-def relation_links(basis: LatticeBasis, box_radius: int, delta) -> list:
+def relation_links(basis: LatticeBasis, box_radius: int, delta,
+                   table=None) -> list:
     """Index pairs ``(i, k)`` into :func:`box_sites` that :func:`relation_link`
     accepts, ``i < k``, sorted.
 
-    One table serves the whole box (:func:`_box_table`): a pair is linked
-    when ``max(D*|j2-j|, |n_j2 - n_j|) / D <= (|j|+|j2|)**delta``, which is
-    :func:`relation_link`'s test with ``mu = n / D``.  Delta is read by
-    :func:`check_delta` with no theorem bound.
+    One table serves the whole box (:func:`_box_table`, built here unless
+    ``table`` is that of the same basis, box radius and delta): a pair is
+    linked when ``max(D*|j2-j|, |n_j2 - n_j|) / D <= (|j|+|j2|)**delta``,
+    which is :func:`relation_link`'s test with ``mu = n / D``.  Delta is read
+    by :func:`check_delta` with no theorem bound.
     """
     delta = check_delta(basis.d, delta, enforce_delta_bound=False)
-    _, n, sup, D, T = _box_table(basis, box_radius, delta)
+    _, n, sup, D, T = table or _box_table(basis, box_radius, delta)
     links = []
     for spatial, step, starts in _offset_runs(box_radius, basis.d,
                                               _link_radius(box_radius, delta)):
@@ -315,15 +342,22 @@ def relation_links(basis: LatticeBasis, box_radius: int, delta) -> list:
     return links
 
 
-def group_links(box_radius: int, d: int, delta, links) -> ClusterPartition:
+def group_links(box_radius: int, d: int, delta, links,
+                table=None) -> ClusterPartition:
     """Connected components of the box under the index pairs ``links``.
 
     Clusters within ``margin`` of the box boundary are flagged: one-step links
     reach ceil((2N)**delta), so a larger box could change their membership.
-    Delta is read by :func:`check_delta` with no theorem bound.
+    Delta is read by :func:`check_delta` with no theorem bound.  The sites
+    and their sup norms come from ``table``, a :func:`_box_table` of the same
+    box, when the caller has one.
     """
     delta = check_delta(d, delta, enforce_delta_bound=False)
-    sites = box_sites(box_radius, d)
+    if table is None:
+        sites = box_sites(box_radius, d)
+        sup = list(map(exact.sup_norm, sites))
+    else:
+        sites, _, sup, _, _ = table
     adjacency = [[] for _ in sites]
     for i, k in links:
         adjacency[i].append(k)
@@ -333,13 +367,16 @@ def group_links(box_radius: int, d: int, delta, links) -> ClusterPartition:
     assignment = {}
     # sorted components ordered by first index: box_sites is lexicographic
     for cid, comp in enumerate(search.connected_components(adjacency)):
-        members = [sites[i] for i in comp]
-        sups = [exact.sup_norm(j) for j in members]
-        boundary = any(box_radius - s <= margin for s in sups)
-        info = ClusterInfo(id=cid, members=tuple(members),
-                           m_alpha=min(sups), M_alpha=max(sups),
-                           boundary=boundary)
-        clusters.append(info)
+        if len(comp) == 1:  # most clusters at a small delta
+            i, = comp
+            members, m_alpha = (sites[i],), sup[i]
+            M_alpha = m_alpha
+        else:
+            members = tuple([sites[i] for i in comp])
+            sups = [sup[i] for i in comp]
+            m_alpha, M_alpha = min(sups), max(sups)
+        clusters.append(ClusterInfo(cid, members, m_alpha, M_alpha,
+                                    box_radius - M_alpha <= margin))
         for j in members:
             assignment[j] = cid
     return ClusterPartition(box_radius=box_radius, d=d, delta=delta,
@@ -348,17 +385,21 @@ def group_links(box_radius: int, d: int, delta, links) -> ClusterPartition:
 
 
 def build_partition(basis: LatticeBasis, box_radius: int, delta,
-                    enforce_delta_bound: bool = True) -> ClusterPartition:
+                    enforce_delta_bound: bool = True,
+                    table=None) -> ClusterPartition:
     """Connected components of the one-step relation, restricted to the box.
 
     Delta is read by :func:`check_delta`.  The guaranteed range is
     0 < delta < delta_max(d); larger deltas still define a partition but
     lose the theorem backing, so they are refused unless
-    ``enforce_delta_bound`` is switched off.
+    ``enforce_delta_bound`` is switched off.  One :func:`_box_table`, the
+    caller's ``table`` if given, serves :func:`relation_links` and
+    :func:`group_links`.
     """
     delta = check_delta(basis.d, delta, enforce_delta_bound)
+    table = table or _box_table(basis, box_radius, delta)
     return group_links(box_radius, basis.d, delta,
-                       relation_links(basis, box_radius, delta))
+                       relation_links(basis, box_radius, delta, table), table)
 
 
 @dataclass
@@ -384,14 +425,16 @@ class VerificationReport:
 
 def verify_cluster_properties(basis: LatticeBasis, partition: ClusterPartition,
                               threshold_override=None,
-                              constant_override=None) -> VerificationReport:
+                              constant_override=None,
+                              table=None) -> VerificationReport:
     """Check cross-cluster separation and dyadicity on interior clusters.
 
     Cross-cluster pairs (both clusters interior) must satisfy
     ``|j1-j2| + |mu_1-mu_2| > (|j1|+|j2|)**delta``; any violation is an
     implementation bug and is returned as data.  The scan shares
-    :func:`relation_links`' table: on an exact basis a violation is the
-    integer test
+    :func:`relation_links`' table, passed in as ``table`` or built here from
+    the partition's box radius and delta: on an exact basis a violation is
+    the integer test
     ``D*|j1-j2| + |n_1-n_2| <= floor(D * (|j1|+|j2|)**delta)``.  Dyadicity
     is ``M_alpha <= 2*m_alpha`` above a threshold which is fitted (the
     largest interior M_alpha violating the 2:1 rule) unless overridden.  The
@@ -400,7 +443,7 @@ def verify_cluster_properties(basis: LatticeBasis, partition: ClusterPartition,
     """
     N, d, delta = partition.box_radius, partition.d, partition.delta
     interior = {c.id for c in partition.clusters if not c.boundary}
-    sites, n, sup, D, T = _box_table(basis, N, delta)
+    sites, n, sup, D, T = table or _box_table(basis, N, delta)
     # each site's cluster id when that cluster is interior, else None
     inner = [c if c in interior else None
              for c in map(partition.assignment.get, sites)]

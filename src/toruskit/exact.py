@@ -395,10 +395,25 @@ def ceil_pow(base: int, delta) -> int:
 
 
 def _iroot(n: int, q: int) -> int:
-    """Largest integer r with ``r**q <= n`` (n >= 0, q >= 1), by Newton steps."""
+    """Largest integer r with ``r**q <= n`` (n >= 0, q >= 1), by Newton steps.
+
+    Newton's integer step never lands below the root from a start at or
+    above it, and stops there.  The start is a float estimate of
+    ``2**x``, ``x = log2(n)/q`` taken on the top 64 bits of n plus the shift,
+    raised by a relative ``(x + 16) * 2**-50``: more than twice the
+    estimate's rounding error, so a few steps suffice even at a large q.  A
+    start that fails the check ``r**q > n`` is replaced by
+    ``2**ceil(bits/q)``, which always passes it.
+    """
     if n < 2 or q == 1:
         return n
-    r = 1 << -(-n.bit_length() // q)  # r**q > n
+    bits = n.bit_length()
+    shift = max(0, bits - 64)
+    x = (math.log2(n >> shift) + shift) / q
+    e = max(0, math.floor(x) - 52)  # 2**(x - e) < 2**53: no float overflow
+    r = (math.floor(2.0 ** (x - e) * (1 + (x + 16) * 2.0**-50)) + 1) << e
+    if r**q <= n:
+        r = 1 << -(-bits // q)
     while True:
         t = ((q - 1) * r + n // r ** (q - 1)) // q
         if t >= r:

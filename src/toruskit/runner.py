@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, exact
+from . import __version__, clusters, exact
 from .clusters import (
     ClusterPartition,
-    box_sites,
     build_partition,
     chain_scaling_experiment,
     check_delta,
@@ -186,7 +185,10 @@ def atomic_write_json(path: Path, payload) -> None:
     """Write ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``.
 
     The text is streamed to the file as it is encoded, so no copy of the
-    whole document is held in memory.
+    whole document is held in memory.  The report, cache entries and
+    ``--out`` go through it; ``matrix.json`` and ``partition.json`` have
+    writers fitted to their shape (:func:`_write_matrix`,
+    :func:`_write_partition`) with the same bytes.
     """
     with _atomic_file(path) as handle:
         _write_json(handle.write, payload, "\n")
@@ -223,6 +225,42 @@ def _write_matrix(path: Path, Q: BlockMatrix) -> None:
                   + "," + key + '"re": ' + _scalar_text(re) + "\n    }")
             sep = ",\n    {" + key
         write("\n  ]\n}\n" if Q.entries else "[]\n}\n")
+
+
+def _write_partition(path: Path, partition: ClusterPartition) -> None:
+    """Write ``partition`` as ``atomic_write_json`` writes its dict.
+
+    The bytes are those of ``json.dumps(partition.to_dict(), indent=2,
+    sort_keys=True) + "\\n"``, streamed cluster by cluster from the
+    :class:`ClusterInfo` records with no dict built.  Ids, sup norms and
+    member coordinates are ints and ``boundary`` a bool, as
+    :func:`~toruskit.clusters.group_links` and
+    :meth:`ClusterPartition.from_dict` make them, so each record and each
+    member's index list is one ``%`` format.
+    """
+    key = "\n      "
+    member = "\n        "
+    inner = member + "  "
+    index = "[" + inner + ("," + inner).join(["%d"] * partition.d) + member + "]"
+    head = ('"M_alpha": %d,' + key + '"boundary": %s,' + key + '"id": %d,'
+            + key + '"m_alpha": %d,' + key + '"members": ')
+    with _atomic_file(path) as handle:
+        write = handle.write
+        write('{\n  "box_radius": ' + _scalar_text(partition.box_radius)
+              + ',\n  "clusters": ')
+        sep = "[\n    {" + key
+        for c in partition.clusters:
+            members = ("[" + member + ("," + member).join(
+                [index % j for j in c.members]) + key + "]"
+                       if c.members else "[]")
+            write(sep + head % (c.M_alpha, "true" if c.boundary else "false",
+                                c.id, c.m_alpha) + members + "\n    }")
+            sep = ",\n    {" + key
+        write(("\n  ]" if partition.clusters else "[]")
+              + ',\n  "d": ' + _scalar_text(partition.d)
+              + ',\n  "delta": '
+              + _scalar_text(exact.format_rational(partition.delta))
+              + ',\n  "margin": ' + _scalar_text(partition.margin) + "\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +305,18 @@ def cached(tag: str, payload: dict, compute, enabled: bool):
 
 
 def _partition_for(config: ExperimentConfig, basis, box_radius, delta_str,
-                   allow_above, counters: dict, links=None) -> ClusterPartition:
-    # a miss groups the box's relation ``links`` when the caller has them;
+                   allow_above, counters: dict, links=None,
+                   table=None) -> ClusterPartition:
+    # a miss groups the box's relation ``links`` when the caller has them,
+    # else scans with the caller's box ``table`` if any;
     # counters["partition_cache"] records off, hit or miss
     def build():
         if links is None:
             return build_partition(basis, box_radius, delta_str,
-                                   enforce_delta_bound=not allow_above)
+                                   enforce_delta_bound=not allow_above,
+                                   table=table)
         delta = check_delta(basis.d, delta_str, not allow_above)
-        return group_links(box_radius, basis.d, delta, links)
+        return group_links(box_radius, basis.d, delta, links, table)
 
     if not config.cache:
         counters["partition_cache"] = "off"
@@ -302,13 +343,17 @@ def _partition_for(config: ExperimentConfig, basis, box_radius, delta_str,
 def _run_cluster(config: ExperimentConfig, out_dir: Path, counters: dict):
     basis = config.basis()
     p = config.params
+    N = p["box_radius"]
+    delta = check_delta(basis.d, p["delta"], not p["allow_delta_above_theorem"])
+    # one box table serves the link scan and the separation scan
+    table = clusters._box_table(basis, N, delta)
     # edges.csv lists the relation links; one scan also serves a cache miss
-    links = (relation_links(basis, p["box_radius"], p["delta"])
-             if p["edges_csv"] else None)
-    partition = _partition_for(config, basis, p["box_radius"], p["delta"],
-                               p["allow_delta_above_theorem"], counters, links)
-    report = verify_cluster_properties(basis, partition)
-    expected = (2 * p["box_radius"] + 1) ** basis.d
+    links = relation_links(basis, N, delta, table) if p["edges_csv"] else None
+    partition = _partition_for(config, basis, N, p["delta"],
+                               p["allow_delta_above_theorem"], counters, links,
+                               table)
+    report = verify_cluster_properties(basis, partition, table=table)
+    expected = (2 * N + 1) ** basis.d
     counters.update(sites=expected, clusters=len(partition.clusters),
                     cross_pairs=report.pairs_checked)
     if links is not None:
@@ -329,10 +374,10 @@ def _run_cluster(config: ExperimentConfig, out_dir: Path, counters: dict):
     ]
     outputs = []
     part_path = out_dir / "partition.json"
-    atomic_write_json(part_path, partition.to_dict())
+    _write_partition(part_path, partition)
     outputs.append(part_path.name)
     if links is not None:
-        sites = box_sites(p["box_radius"], basis.d)
+        sites = table[0]
         lines = ["j1,j2"] + [f"\"{list(sites[i])}\",\"{list(sites[k])}\""
                              for i, k in links]
         edge_path = out_dir / "edges.csv"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as Fr
@@ -12,6 +13,7 @@ from toruskit.clusters import (
     ClusterInfo,
     ClusterPartition,
     GammaChain,
+    _box_numerators,
     _offset_runs,
     box_sites,
     build_partition,
@@ -30,9 +32,9 @@ from toruskit.clusters import (
     verify_cluster_properties,
 )
 from toruskit.config import normalize
-from toruskit.errors import DeltaOutOfRange
+from toruskit.errors import DeltaOutOfRange, SingularGenerators
 from toruskit.exact import format_rational, le_pow, sup_norm
-from toruskit.lattice import mu, new_lattice
+from toruskit.lattice import mu, mu_numerator, new_lattice
 from toruskit.runner import run_experiment
 
 B1 = new_lattice([[1]])
@@ -370,6 +372,10 @@ def test_relation_links_match_all_pairs_oracle(d, radius, mode, tmp_path):
         lines = (out / "edges.csv").read_text().splitlines()
         assert lines == ["j1,j2"] + [
             f"\"{list(sites[i])}\",\"{list(sites[k])}\"" for i, k in expected]
+        # the run groups its links with the box table it scanned them from
+        written = ClusterPartition.from_dict(
+            json.loads((out / "partition.json").read_text()))
+        assert written == part
 
 
 @pytest.mark.parametrize("mode", ["exact", "floating"])
@@ -511,3 +517,84 @@ def test_chain_adjacency_matches_gamma_link_oracle(monkeypatch, rows, radius,
                 oracle[k].append(i)
         max_chain_length(basis, radius, gamma, node_budget=1)
         assert captured.pop() == [sorted(nbrs) for nbrs in oracle], gamma
+
+
+def random_full_basis(rng, d):
+    # entries of both signs everywhere, so Gram entries off the diagonal
+    # come out negative as well as positive
+    while True:
+        rows = [[Fr(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)]
+                for _ in range(d)]
+        try:
+            return new_lattice(rows)
+        except SingularGenerators:
+            pass
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_row_wise_numerators_match_mu_numerator(d):
+    rng = random.Random(40 + d)
+    negative = False
+    for radius in (0, 1, 2, 3):
+        for _ in range(3):
+            basis = random_full_basis(rng, d)
+            G, D = basis.gram
+            negative |= any(G[a][b] < 0 for a in range(d) for b in range(d)
+                            if a != b)
+            sites, n, D_table = _box_numerators(basis, radius)
+            assert sites == box_sites(radius, d)
+            assert n == [mu_numerator(basis, j) for j in sites]
+            assert D_table == D
+    assert negative or d == 1
+
+
+def test_chain_rows_unchanged_by_row_wise_numerators(monkeypatch):
+    import toruskit.clusters as clusters
+
+    basis = new_lattice([["1", "0"], ["1/2", "1"]])   # the README lattice
+
+    def rows():
+        result = chain_scaling_experiment(basis, [2, 4, 8], 4,
+                                          node_budget=3000)
+        return [(r.length, r.truncated, r.expanded, r.floods,
+                 r.witness.sites) for r in result.rows]
+
+    row_wise = rows()
+    assert [row[0] for row in row_wise] == [35, 71, 78]
+
+    def per_site(basis, box_radius):
+        sites = box_sites(box_radius, basis.d)
+        return sites, [mu_numerator(basis, j) for j in sites], basis.gram[1]
+
+    monkeypatch.setattr(clusters, "_box_numerators", per_site)
+    assert rows() == row_wise
+
+
+@pytest.mark.parametrize("edges_csv", [True, False])
+def test_cluster_call_builds_one_box_table(monkeypatch, tmp_path, edges_csv):
+    import toruskit.clusters as clusters
+
+    calls = []
+    box_table = clusters._box_table
+
+    def counted(*args):
+        calls.append(args)
+        return box_table(*args)
+
+    monkeypatch.setattr(clusters, "_box_table", counted)
+    monkeypatch.setenv("TORUSKIT_CACHE", str(tmp_path / "cache"))
+    partitions = []
+    for cache, state in ((False, "off"), (True, "miss"), (True, "hit")):
+        out = tmp_path / state
+        report = run_experiment(normalize({
+            "kind": "cluster", "cache": cache, "out_dir": str(out),
+            "lattice": {"matrix": [["1", "2/3"], ["0", "1"]]},
+            "params": {"box_radius": 6, "delta": "1/10",
+                       "allow_delta_above_theorem": True,
+                       "edges_csv": edges_csv}}))
+        assert report.meta["counters"]["partition_cache"] == state
+        assert report.passed
+        assert len(calls) == 1, state
+        calls.clear()
+        partitions.append((out / "partition.json").read_bytes())
+    assert partitions[0] == partitions[1] == partitions[2]

@@ -133,6 +133,42 @@ def test_scaled_ceil_pow_edges():
             assert r**q <= n < (r + 1) ** q
 
 
+def _newton_root(n, q):
+    # _iroot as it was, Newton from 2**ceil(bits/q): the oracle
+    if n < 2 or q == 1:
+        return n
+    r = 1 << -(-n.bit_length() // q)
+    while True:
+        t = ((q - 1) * r + n // r ** (q - 1)) // q
+        if t >= r:
+            return r
+        r = t
+
+
+def test_seeded_iroot_matches_newton_oracle():
+    rng = random.Random(17)
+    cases = []
+    for _ in range(1500):
+        q = rng.choice([2, 3, 5, rng.randint(2, 60), rng.randint(61, 2000)])
+        n = rng.getrandbits(rng.choice([1, 8, 64, 65, 200, rng.randint(1, 3000)]))
+        cases.append((n, q))
+    for _ in range(300):
+        q = rng.randint(2, 120)
+        r = rng.choice([2, 3, rng.getrandbits(rng.randint(2, 100))]) | 2
+        cases += [(r**q - 1, q), (r**q, q), (r**q + 1, q)]
+    for n, q in cases:
+        r = exact._iroot(n, q)
+        assert r == _newton_root(n, q), (n, q)
+        assert r**q <= n < (r + 1) ** q
+    # delta = 37/1000 at a Gram denominator of 203 bits, where the oracle
+    # takes seconds per root: the defining bounds decide it alone
+    D = rng.getrandbits(203) | 1 << 202
+    for s in (1, 2, 63, 64):
+        n = D**1000 * s**37
+        r = exact._iroot(n, 1000)
+        assert r**1000 <= n < (r + 1) ** 1000
+
+
 def _loop_floor_pow(base, delta):
     # the linear scans floor_pow and ceil_pow once were: the oracle
     r = 0

@@ -8,10 +8,15 @@ from fractions import Fraction
 import pytest
 
 import toruskit.runner as runner
+from toruskit.clusters import ClusterInfo, ClusterPartition
 from toruskit.config import normalize, serialize
 from toruskit.exact import QQi
 from toruskit.homological import BlockMatrix, dn_split
-from toruskit.runner import atomic_write_json, run_experiment
+from toruskit.runner import (
+    atomic_write_json,
+    run_experiment,
+    verify_cluster_properties,
+)
 
 
 def dumps(obj) -> bytes:
@@ -68,13 +73,21 @@ def test_every_written_payload_matches_dumps(tmp_path, monkeypatch, raw):
         return dn_split(Q, partition)
 
     monkeypatch.setattr(runner, "dn_split", split)
+    partitions = []
+
+    def verify(basis, partition, **kwargs):
+        partitions.append(partition)
+        return verify_cluster_properties(basis, partition, **kwargs)
+
+    monkeypatch.setattr(runner, "verify_cluster_properties", verify)
     config = normalize(dict(raw, out_dir=str(tmp_path / "out")))
     report = run_experiment(config)
     assert report.passed
     names = {path.name for path, _ in written}
     # the report, every JSON output, and the cache fill of a partition;
-    # matrix.json is streamed row by row, so its bytes are checked against
-    # dumps of the triplet payload of the matrix the run split
+    # matrix.json is streamed row by row and partition.json cluster by
+    # cluster, so their bytes are checked against dumps of the triplet
+    # payload of the matrix the run split and of the partition it verified
     assert f"report-{raw['kind']}.json" in names
     outputs = {n for n in report.body["outputs"] if n.endswith(".json")}
     if raw["kind"] == "homological":
@@ -83,6 +96,11 @@ def test_every_written_payload_matches_dumps(tmp_path, monkeypatch, raw):
         assert len(Q.entries) == raw["params"]["entries"]
         matrix_file = tmp_path / "out" / "matrix.json"
         assert matrix_file.read_bytes() == matrix_dumps(Q)
+    if raw["kind"] == "cluster":
+        outputs.remove("partition.json")
+        partition, = partitions
+        partition_file = tmp_path / "out" / "partition.json"
+        assert partition_file.read_bytes() == dumps(partition.to_dict())
     assert outputs <= names
     if raw["kind"] in ("cluster", "homological"):
         assert any(path.parent.name == "cache" for path, _ in written)
@@ -205,3 +223,43 @@ def test_streamed_matrix_matches_dumps_of_triplets(tmp_path, d, count):
     assert path.read_bytes() == matrix_dumps(Q)
     assert not list(tmp_path.glob(".tmp-*"))
 
+
+
+def random_partition(rng, d, radius):
+    coords = range(-radius, radius + 1)
+    sites = list({tuple(rng.choice(coords) for _ in range(d))
+                  for _ in range(rng.randint(0, 3 * (2 * radius + 1) ** d))})
+    rng.shuffle(sites)
+    clusters = []
+    while sites:
+        # single-member clusters among larger ones
+        take = rng.choice([1, 1, 2, rng.randint(1, 6)])
+        members, sites = tuple(sites[:take]), sites[take:]
+        sups = [max(map(abs, j)) for j in members]
+        clusters.append(ClusterInfo(id=len(clusters), members=members,
+                                    m_alpha=min(sups), M_alpha=max(sups),
+                                    boundary=rng.random() < 0.5))
+    assignment = {j: c.id for c in clusters for j in c.members}
+    return ClusterPartition(box_radius=radius, d=d,
+                            delta=Fraction(rng.randint(1, 99), rng.randint(100, 10**4)),
+                            margin=rng.randint(0, 5), assignment=assignment,
+                            clusters=tuple(clusters))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("radius", [0, 1, 4])
+def test_streamed_partition_matches_dumps_of_dict(tmp_path, d, radius):
+    rng = random.Random(f"partition {d} {radius}")
+    path = tmp_path / "partition.json"
+    boundaries = set()
+    for _ in range(20):
+        partition = random_partition(rng, d, radius)
+        boundaries |= {c.boundary for c in partition.clusters}
+        runner._write_partition(path, partition)
+        assert path.read_bytes() == dumps(partition.to_dict())
+    assert boundaries == {True, False} or radius == 0
+    empty = ClusterPartition(box_radius=radius, d=d, delta=Fraction(1, 10),
+                             margin=0, assignment={}, clusters=())
+    runner._write_partition(path, empty)
+    assert path.read_bytes() == dumps(empty.to_dict())
+    assert not list(tmp_path.glob(".tmp-*"))

@@ -144,6 +144,10 @@ def test_cache_is_used_and_correct(tmp_path):
     {"clusters": []},
     [],
     {"box_radius": 10, "d": 1, "delta": "1/", "margin": 2, "clusters": []},
+    # a member of the wrong length: partition.json formats d coordinates
+    {"box_radius": 10, "d": 1, "delta": "1/20", "margin": 2,
+     "clusters": [{"id": 0, "members": [[0, 0]], "m_alpha": 0,
+                   "M_alpha": 0, "boundary": False}]},
 ])
 def test_wrong_shape_cache_entry_is_a_miss(tmp_path, planted):
     cfg = normalize(minimal_cluster(tmp_path))
