@@ -267,9 +267,9 @@ class ClusterPartition:
 # root of D**q * s**p (exact.scaled_floor_pow), so its cost grows with q and
 # with the bits of the Gram denominator D.  At D of 203 bits (a 2-d lattice
 # typed with 16-digit decimals), on one x86_64 core under Python 3.11, one
-# root at s = 64 took 0.02 s at q = 10**3, 0.56 s at 10**4 and 22 s at
-# 10**5, and a radius-32 cluster run took 1-1.6 s at delta 37/1000 and 33 s
-# at 371/10**4.
+# root at s = 64 took 0.02 s at q = 10**3, 0.4-0.6 s at 10**4 and 22 s at
+# 10**5, and a radius-32 cluster run took 0.8-1.6 s at delta 37/1000 and
+# 33 s at 371/10**4.
 DELTA_MAX_DENOMINATOR = 10**4
 
 
@@ -299,15 +299,34 @@ def _link_radius(box_radius: int, delta) -> int:
     return max(1, exact.floor_pow(2 * box_radius, delta))
 
 
-def _box_table(basis: LatticeBasis, box_radius: int, delta):
-    """Box sites, their sup norms, ``mu = n / D`` and the thresholds ``T``.
+class BoxTable(NamedTuple):
+    """One box's data for the link and separation scans (:func:`box_table`).
 
-    ``x <= T[s]`` decides ``x / D <= s**delta`` for a rational delta.  On an
-    exact basis x is an integer and ``T[s] = floor(D * s**delta)``
-    (:func:`toruskit.exact.scaled_floor_pow`); a floating basis (``n`` the
-    float eigenvalues, ``D = 1``) has ``T[s] = s**delta`` in floats, the
-    compare of :func:`toruskit.exact.le_pow`.
+    ``sites`` are :func:`box_sites` of the box; per site ``mu = n / D`` and
+    its sup norm ``sup``.  ``x <= T[s]`` decides ``x / D <= s**delta`` for
+    the rational delta.  On an exact basis x is an integer and
+    ``T[s] = floor(D * s**delta)`` (:func:`toruskit.exact.scaled_floor_pow`);
+    a floating basis (``n`` the float eigenvalues, ``D = 1``) has
+    ``T[s] = s**delta`` in floats, the compare of
+    :func:`toruskit.exact.le_pow`.
     """
+
+    basis: LatticeBasis
+    box_radius: int
+    delta: Fraction
+    sites: list
+    n: list
+    sup: list
+    D: int
+    T: list
+
+
+def box_table(basis: LatticeBasis, box_radius: int, delta) -> BoxTable:
+    """The :class:`BoxTable` of the box; delta is read by :func:`check_delta`
+    with no theorem bound.  A cluster call builds one and passes it to
+    :func:`relation_links`, :func:`group_links` and
+    :func:`verify_cluster_properties`."""
+    delta = check_delta(basis.d, delta, enforce_delta_bound=False)
     sites, n, D = _box_numerators(basis, box_radius)
     sup = [exact.sup_norm(j) for j in sites]
     sums = range(2 * box_radius + 1)
@@ -315,7 +334,16 @@ def _box_table(basis: LatticeBasis, box_radius: int, delta):
         T = [float(s) ** float(delta) for s in sums]
     else:
         T = list(map(exact.scaled_floor_pow(D, delta), sums))
-    return sites, n, sup, D, T
+    return BoxTable(basis, box_radius, delta, sites, n, sup, D, T)
+
+
+def _table_for(basis, box_radius, delta, table) -> BoxTable:
+    # the caller's table, which must be of this box, or a new one
+    if table is None:
+        return box_table(basis, box_radius, delta)
+    if table[:3] != (basis, box_radius, delta):
+        raise ValueError("box table of another basis, box radius or delta")
+    return table
 
 
 def relation_links(basis: LatticeBasis, box_radius: int, delta,
@@ -323,14 +351,14 @@ def relation_links(basis: LatticeBasis, box_radius: int, delta,
     """Index pairs ``(i, k)`` into :func:`box_sites` that :func:`relation_link`
     accepts, ``i < k``, sorted.
 
-    One table serves the whole box (:func:`_box_table`, built here unless
-    ``table`` is that of the same basis, box radius and delta): a pair is
-    linked when ``max(D*|j2-j|, |n_j2 - n_j|) / D <= (|j|+|j2|)**delta``,
-    which is :func:`relation_link`'s test with ``mu = n / D``.  Delta is read
-    by :func:`check_delta` with no theorem bound.
+    One :class:`BoxTable` serves the whole box, the caller's ``table`` of the
+    same basis, box radius and delta if given: a pair is linked when
+    ``max(D*|j2-j|, |n_j2 - n_j|) / D <= (|j|+|j2|)**delta``, which is
+    :func:`relation_link`'s test with ``mu = n / D``.  Delta is read by
+    :func:`check_delta` with no theorem bound.
     """
     delta = check_delta(basis.d, delta, enforce_delta_bound=False)
-    _, n, sup, D, T = table or _box_table(basis, box_radius, delta)
+    _, _, _, _, n, sup, D, T = _table_for(basis, box_radius, delta, table)
     links = []
     for spatial, step, starts in _offset_runs(box_radius, basis.d,
                                               _link_radius(box_radius, delta)):
@@ -342,22 +370,14 @@ def relation_links(basis: LatticeBasis, box_radius: int, delta,
     return links
 
 
-def group_links(box_radius: int, d: int, delta, links,
-                table=None) -> ClusterPartition:
-    """Connected components of the box under the index pairs ``links``.
+def group_links(table: BoxTable, links) -> ClusterPartition:
+    """Connected components of ``table``'s box under the index pairs ``links``.
 
     Clusters within ``margin`` of the box boundary are flagged: one-step links
     reach ceil((2N)**delta), so a larger box could change their membership.
-    Delta is read by :func:`check_delta` with no theorem bound.  The sites
-    and their sup norms come from ``table``, a :func:`_box_table` of the same
-    box, when the caller has one.
     """
-    delta = check_delta(d, delta, enforce_delta_bound=False)
-    if table is None:
-        sites = box_sites(box_radius, d)
-        sup = list(map(exact.sup_norm, sites))
-    else:
-        sites, _, sup, _, _ = table
+    box_radius, delta, sites, sup = (table.box_radius, table.delta,
+                                     table.sites, table.sup)
     adjacency = [[] for _ in sites]
     for i, k in links:
         adjacency[i].append(k)
@@ -367,20 +387,15 @@ def group_links(box_radius: int, d: int, delta, links,
     assignment = {}
     # sorted components ordered by first index: box_sites is lexicographic
     for cid, comp in enumerate(search.connected_components(adjacency)):
-        if len(comp) == 1:  # most clusters at a small delta
-            i, = comp
-            members, m_alpha = (sites[i],), sup[i]
-            M_alpha = m_alpha
-        else:
-            members = tuple([sites[i] for i in comp])
-            sups = [sup[i] for i in comp]
-            m_alpha, M_alpha = min(sups), max(sups)
-        clusters.append(ClusterInfo(cid, members, m_alpha, M_alpha,
+        members = tuple([sites[i] for i in comp])
+        sups = [sup[i] for i in comp]
+        M_alpha = max(sups)
+        clusters.append(ClusterInfo(cid, members, min(sups), M_alpha,
                                     box_radius - M_alpha <= margin))
         for j in members:
             assignment[j] = cid
-    return ClusterPartition(box_radius=box_radius, d=d, delta=delta,
-                            margin=margin, assignment=assignment,
+    return ClusterPartition(box_radius=box_radius, d=table.basis.d,
+                            delta=delta, margin=margin, assignment=assignment,
                             clusters=tuple(clusters))
 
 
@@ -392,14 +407,13 @@ def build_partition(basis: LatticeBasis, box_radius: int, delta,
     Delta is read by :func:`check_delta`.  The guaranteed range is
     0 < delta < delta_max(d); larger deltas still define a partition but
     lose the theorem backing, so they are refused unless
-    ``enforce_delta_bound`` is switched off.  One :func:`_box_table`, the
+    ``enforce_delta_bound`` is switched off.  One :class:`BoxTable`, the
     caller's ``table`` if given, serves :func:`relation_links` and
     :func:`group_links`.
     """
     delta = check_delta(basis.d, delta, enforce_delta_bound)
-    table = table or _box_table(basis, box_radius, delta)
-    return group_links(box_radius, basis.d, delta,
-                       relation_links(basis, box_radius, delta, table), table)
+    table = _table_for(basis, box_radius, delta, table)
+    return group_links(table, relation_links(basis, box_radius, delta, table))
 
 
 @dataclass
@@ -432,9 +446,9 @@ def verify_cluster_properties(basis: LatticeBasis, partition: ClusterPartition,
     Cross-cluster pairs (both clusters interior) must satisfy
     ``|j1-j2| + |mu_1-mu_2| > (|j1|+|j2|)**delta``; any violation is an
     implementation bug and is returned as data.  The scan shares
-    :func:`relation_links`' table, passed in as ``table`` or built here from
-    the partition's box radius and delta: on an exact basis a violation is
-    the integer test
+    :func:`relation_links`' :class:`BoxTable`, the caller's ``table`` of the
+    partition's box radius and delta if given: on an exact basis a violation
+    is the integer test
     ``D*|j1-j2| + |n_1-n_2| <= floor(D * (|j1|+|j2|)**delta)``.  Dyadicity
     is ``M_alpha <= 2*m_alpha`` above a threshold which is fitted (the
     largest interior M_alpha violating the 2:1 rule) unless overridden.  The
@@ -443,7 +457,7 @@ def verify_cluster_properties(basis: LatticeBasis, partition: ClusterPartition,
     """
     N, d, delta = partition.box_radius, partition.d, partition.delta
     interior = {c.id for c in partition.clusters if not c.boundary}
-    sites, n, sup, D, T = table or _box_table(basis, N, delta)
+    _, _, _, sites, n, sup, D, T = _table_for(basis, N, delta, table)
     # each site's cluster id when that cluster is interior, else None
     inner = [c if c in interior else None
              for c in map(partition.assignment.get, sites)]

@@ -397,23 +397,21 @@ def ceil_pow(base: int, delta) -> int:
 def _iroot(n: int, q: int) -> int:
     """Largest integer r with ``r**q <= n`` (n >= 0, q >= 1), by Newton steps.
 
-    Newton's integer step never lands below the root from a start at or
-    above it, and stops there.  The start is a float estimate of
-    ``2**x``, ``x = log2(n)/q`` taken on the top 64 bits of n plus the shift,
-    raised by a relative ``(x + 16) * 2**-50``: more than twice the
-    estimate's rounding error, so a few steps suffice even at a large q.  A
-    start that fails the check ``r**q > n`` is replaced by
-    ``2**ceil(bits/q)``, which always passes it.
+    The start is a float estimate of ``2**x``, ``x = log2(n)/q`` taken on
+    the top 64 bits of n plus the shift, raised by a relative
+    ``(x + 16) * 2**-50`` (more than twice the estimate's rounding error) and
+    by one unit, so it lies just above the root and a few steps suffice even
+    at a large q.  From any start r >= 1 one integer Newton step lands at or
+    above the root (AM-GM and nested floors); from there the steps descend
+    to it and stop.
     """
     if n < 2 or q == 1:
         return n
-    bits = n.bit_length()
-    shift = max(0, bits - 64)
+    shift = max(0, n.bit_length() - 64)
     x = (math.log2(n >> shift) + shift) / q
     e = max(0, math.floor(x) - 52)  # 2**(x - e) < 2**53: no float overflow
     r = (math.floor(2.0 ** (x - e) * (1 + (x + 16) * 2.0**-50)) + 1) << e
-    if r**q <= n:
-        r = 1 << -(-bits // q)
+    r = ((q - 1) * r + n // r ** (q - 1)) // q
     while True:
         t = ((q - 1) * r + n // r ** (q - 1)) // q
         if t >= r:

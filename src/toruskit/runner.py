@@ -18,11 +18,13 @@ import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
-from . import __version__, clusters, exact
+from . import __version__, exact
 from .clusters import (
     ClusterPartition,
+    box_table,
     build_partition,
     chain_scaling_experiment,
     check_delta,
@@ -304,20 +306,10 @@ def cached(tag: str, payload: dict, compute, enabled: bool):
 # may record work counts in ``counters``, which go to the report's meta)
 
 
-def _partition_for(config: ExperimentConfig, basis, box_radius, delta_str,
-                   allow_above, counters: dict, links=None,
-                   table=None) -> ClusterPartition:
-    # a miss groups the box's relation ``links`` when the caller has them,
-    # else scans with the caller's box ``table`` if any;
+def _partition_for(config: ExperimentConfig, box_radius, delta_str,
+                   counters: dict, build) -> ClusterPartition:
+    # ``build()`` makes the partition on a miss;
     # counters["partition_cache"] records off, hit or miss
-    def build():
-        if links is None:
-            return build_partition(basis, box_radius, delta_str,
-                                   enforce_delta_bound=not allow_above,
-                                   table=table)
-        delta = check_delta(basis.d, delta_str, not allow_above)
-        return group_links(box_radius, basis.d, delta, links, table)
-
     if not config.cache:
         counters["partition_cache"] = "off"
         return build()
@@ -344,14 +336,16 @@ def _run_cluster(config: ExperimentConfig, out_dir: Path, counters: dict):
     basis = config.basis()
     p = config.params
     N = p["box_radius"]
-    delta = check_delta(basis.d, p["delta"], not p["allow_delta_above_theorem"])
-    # one box table serves the link scan and the separation scan
-    table = clusters._box_table(basis, N, delta)
+    enforce = not p["allow_delta_above_theorem"]
+    delta = check_delta(basis.d, p["delta"], enforce)
+    # one box table serves the link scan, a cache miss and the separation scan
+    table = box_table(basis, N, delta)
     # edges.csv lists the relation links; one scan also serves a cache miss
     links = relation_links(basis, N, delta, table) if p["edges_csv"] else None
-    partition = _partition_for(config, basis, N, p["delta"],
-                               p["allow_delta_above_theorem"], counters, links,
-                               table)
+    partition = _partition_for(
+        config, N, p["delta"], counters,
+        partial(build_partition, basis, N, delta, enforce, table)
+        if links is None else partial(group_links, table, links))
     report = verify_cluster_properties(basis, partition, table=table)
     expected = (2 * N + 1) ** basis.d
     counters.update(sites=expected, clusters=len(partition.clusters),
@@ -377,7 +371,7 @@ def _run_cluster(config: ExperimentConfig, out_dir: Path, counters: dict):
     _write_partition(part_path, partition)
     outputs.append(part_path.name)
     if links is not None:
-        sites = table[0]
+        sites = table.sites
         lines = ["j1,j2"] + [f"\"{list(sites[i])}\",\"{list(sites[k])}\""
                              for i, k in links]
         edge_path = out_dir / "edges.csv"
@@ -542,8 +536,10 @@ def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
         partition = _read_input("params.partition_file", p["partition_file"],
                                 ClusterPartition.from_dict)
     else:
-        partition = _partition_for(config, basis, p["box_radius"], p["delta"],
-                                   p["allow_delta_above_theorem"], counters)
+        partition = _partition_for(
+            config, p["box_radius"], p["delta"], counters,
+            partial(build_partition, basis, p["box_radius"], p["delta"],
+                    not p["allow_delta_above_theorem"]))
     if p.get("matrix_file"):
         Q = _read_input("params.matrix_file", p["matrix_file"],
                         lambda raw: _matrix_on_box(raw, partition))

@@ -16,6 +16,7 @@ from toruskit.clusters import (
     _box_numerators,
     _offset_runs,
     box_sites,
+    box_table,
     build_partition,
     chain_exponent,
     chain_scaling_experiment,
@@ -175,7 +176,7 @@ def test_build_partition_reads_a_float_delta_as_its_decimal():
     part = build_partition(basis, 6, Fr(1, 20), enforce_delta_bound=False)
     assert build_partition(basis, 6, 0.05, enforce_delta_bound=False) == part
     links = relation_links(basis, 6, 0.05)
-    assert group_links(6, 2, 0.05, links) == part
+    assert group_links(box_table(basis, 6, 0.05), links) == part
 
 
 def test_opposite_modes_not_directly_linked():
@@ -573,15 +574,17 @@ def test_chain_rows_unchanged_by_row_wise_numerators(monkeypatch):
 @pytest.mark.parametrize("edges_csv", [True, False])
 def test_cluster_call_builds_one_box_table(monkeypatch, tmp_path, edges_csv):
     import toruskit.clusters as clusters
+    import toruskit.runner as runner
 
     calls = []
-    box_table = clusters._box_table
 
     def counted(*args):
         calls.append(args)
         return box_table(*args)
 
-    monkeypatch.setattr(clusters, "_box_table", counted)
+    # the runner's binding and the one the clusters functions look up
+    monkeypatch.setattr(clusters, "box_table", counted)
+    monkeypatch.setattr(runner, "box_table", counted)
     monkeypatch.setenv("TORUSKIT_CACHE", str(tmp_path / "cache"))
     partitions = []
     for cache, state in ((False, "off"), (True, "miss"), (True, "hit")):
@@ -598,3 +601,18 @@ def test_cluster_call_builds_one_box_table(monkeypatch, tmp_path, edges_csv):
         calls.clear()
         partitions.append((out / "partition.json").read_bytes())
     assert partitions[0] == partitions[1] == partitions[2]
+
+
+def test_a_box_table_of_another_box_is_refused():
+    table = box_table(B2, 4, Fr(1, 10))
+    assert relation_links(B2, 4, Fr(1, 10), table) == relation_links(
+        B2, 4, Fr(1, 10))
+    part = build_partition(B2, 5, Fr(1, 10), enforce_delta_bound=False)
+    for call in (lambda: relation_links(B2, 5, Fr(1, 10), table),
+                 lambda: relation_links(B2, 4, Fr(1, 20), table),
+                 lambda: relation_links(new_lattice([["1", "0"], ["0", "2"]]),
+                                        4, Fr(1, 10), table),
+                 lambda: build_partition(B2, 4, Fr(1, 20), False, table),
+                 lambda: verify_cluster_properties(B2, part, table=table)):
+        with pytest.raises(ValueError, match="box table of another"):
+            call()
