@@ -279,8 +279,12 @@ def _normalize_params(kind: str, raw: dict, d: int) -> dict:
             "d_max": _param(raw, "d_max", 4),
             "n_max": _param(raw, "n_max", 3),
         }
+        for key in ("trials_compound", "trials_cauchy_binet", "trials_gram",
+                    "trials_chain_det"):
+            _require(out[key] >= 0, f"params.{key}: must be >= 0")
         _require(1 <= out["d_min"] <= out["d_max"] <= 7,
                  "params.d_min/d_max: need 1 <= d_min <= d_max <= 7")
+        _require(out["n_max"] >= 1, "params.n_max: must be >= 1")
         return out
     raise ValidationError(f"kind: unknown experiment kind {kind!r}")
 

@@ -3,9 +3,14 @@
 Matrices are lists of rows.  When every entry is an ``int`` or a
 ``fractions.Fraction``, ``det``, ``mat_rank``, ``mat_inverse``, ``compound``
 and ``mat_mul`` clear the matrix to integer rows over one common denominator
-and work in Python ints: one fraction-free (Bareiss) elimination serves the
-first three, compounds grow order by order by Laplace expansion, and a
-Fraction is built only for each returned entry.  Identities are therefore
+(``_clear``) and work in Python ints: one fraction-free (Bareiss) elimination
+(``_bareiss``) serves the first three, compounds grow order by order by
+Laplace expansion (``_int_compound``), and a Fraction is built only for each
+returned entry.  Callers that already hold integer rows over a denominator,
+such as the cached dual image ``W = A / c`` of a lattice basis, call the
+integer kernels ``_int_det``, ``_int_inverse`` and ``_int_compound``
+directly, compare cross-multiplied integers, and build a Fraction only for
+an input they parse or a field they return.  Identities are therefore
 checked with no rounding at all.  Input holding floats goes through plain
 Gaussian elimination over the entries' own field (``_field_*``), whose
 results are compared up to the caller's tolerance; the tests run the same
@@ -17,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import ParseError
@@ -151,8 +157,25 @@ def _minor_value(v, den, g, ints):
     return Fraction(v, den)
 
 
+def _int_det(A) -> int:
+    """Determinant of the square integer rows ``A``, an int.
+
+    Orders above 2 run :func:`_bareiss` on ``A`` in place, so pass rows the
+    caller does not keep.
+    """
+    n = len(A)
+    if n == 0:
+        return 1
+    if n == 1:
+        return A[0][0]
+    if n == 2:
+        return A[0][0] * A[1][1] - A[0][1] * A[1][0]
+    rank, sign, last = _bareiss(A, n)
+    return sign * last if rank == n else 0
+
+
 def det(M):
-    """Determinant; exact input goes through :func:`_bareiss` on cleared rows."""
+    """Determinant; exact input goes through :func:`_int_det` on cleared rows."""
     n = len(M)
     if n == 0:
         return Fr(1)
@@ -164,26 +187,40 @@ def det(M):
     if cleared is None:
         return _field_det(M)
     A, D, ints = cleared
-    rank, sign, last = _bareiss(A, n)
-    return _minor_value(sign * last if rank == n else 0, D**n, n, ints)
+    return _minor_value(_int_det(A), D**n, n, ints)
+
+
+def _int_inverse(A):
+    """``(R, c)`` with ``A^-1 = R / c`` for the square integer rows ``A``.
+
+    One Gauss-Jordan pass of :func:`_bareiss` over ``[A | I]`` tests
+    singularity and inverts: the left block ends as ``c`` times the
+    identity, ``c = ±det A`` the last pivot, and the right block is ``R``.
+    ``None`` when ``A`` is singular.
+    """
+    n = len(A)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    rank, _, c = _bareiss(aug, n, jordan=True)
+    if rank < n:
+        return None
+    return [row[n:] for row in aug], c
 
 
 def mat_inverse(M):
     """Inverse; raises ZeroDivisionError on singular input.
 
-    Exact input is solved fraction-free as ``[A | I]`` with ``M = A / D``:
-    ``M^-1 = D * R / c`` for the right block ``R`` and last pivot ``c``.
+    Exact input ``M = A / D`` is inverted by :func:`_int_inverse`:
+    ``M^-1 = D * R / c``.
     """
     cleared = _clear(M)
     if cleared is None:
         return _field_mat_inverse(M)
     A, D, _ = cleared
-    n = len(A)
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
-    rank, _, c = _bareiss(aug, n, jordan=True)
-    if rank < n:
+    inverse = _int_inverse(A)
+    if inverse is None:
         raise ZeroDivisionError("singular matrix")
-    return [[Fraction(D * x, c) for x in row[n:]] for row in aug]
+    R, c = inverse
+    return [[Fraction(D * x, c) for x in row] for row in R]
 
 
 def mat_rank(M) -> int:
@@ -204,28 +241,43 @@ def index_tuples(n: int, g: int):
     return list(combinations(range(n), g))
 
 
+@lru_cache(maxsize=256)
+def _expansion_terms(q: int, k: int):
+    # each k-tuple of columns from range(q) with its Laplace terms along the
+    # first row: (column, the column tuple left, odd position); tuples, as
+    # every caller shares the cached value
+    return tuple((cs, tuple((c, cs[:t] + cs[t + 1:], t & 1)
+                            for t, c in enumerate(cs)))
+                 for cs in combinations(range(q), k))
+
+
 def _int_compound(A, g):
-    """All g-minors of the integer rows ``A``, keyed by (row, column) tuples.
+    """C_g of the integer rows ``A``: all g-minors as int rows, indexed by
+    increasing row and column tuples as in :func:`compound` (``[[1]]`` at
+    ``g = 0``, no rows when ``A`` has fewer than g rows).
 
     Order k is built from order k - 1 by Laplace expansion along the first
-    row; an order-k minor only ever needs rows from ``g - k`` on.
+    row; an order-k minor only ever needs rows from ``g - k`` on.  The
+    expansion terms of the column tuples (:func:`_expansion_terms`) are
+    shared by every row tuple and every call.
     """
-    p, q = len(A), len(A[0])
-    minors = {((), ()): 1}
+    p, q = len(A), len(A[0]) if A else 0
+    minors = {(): {(): 1}}
     for k in range(1, g + 1):
         level = {}
         for rs in combinations(range(g - k, p), k):
-            top, rest = A[rs[0]], rs[1:]
-            for cs in combinations(range(q), k):
+            top, sub = A[rs[0]], minors[rs[1:]]
+            row = level[rs] = {}
+            for cs, expansion in _expansion_terms(q, k):
                 total = 0
-                for t, c in enumerate(cs):
+                for c, rest, odd in expansion:
                     a = top[c]
                     if a:
-                        m = minors[rest, cs[:t] + cs[t + 1:]]
-                        total = total - a * m if t & 1 else total + a * m
-                level[rs, cs] = total
+                        m = sub[rest]
+                        total = total - a * m if odd else total + a * m
+                row[cs] = total
         minors = level
-    return minors
+    return [list(row.values()) for row in minors.values()]
 
 
 def compound(M, g):
@@ -236,17 +288,15 @@ def compound(M, g):
     """
     if g == 0:
         return [[Fr(1)]]
-    p, q = len(M), len(M[0])
-    row_t = index_tuples(p, g)
-    col_t = index_tuples(q, g)
     cleared = _clear(M)
     if cleared is None:
-        return [[det(submatrix(M, rs, cs)) for cs in col_t] for rs in row_t]
+        col_t = index_tuples(len(M[0]), g)
+        return [[det(submatrix(M, rs, cs)) for cs in col_t]
+                for rs in index_tuples(len(M), g)]
     A, D, ints = cleared
-    minors = _int_compound(A, g)
     den = D**g
-    return [[_minor_value(minors[rs, cs], den, g, ints) for cs in col_t]
-            for rs in row_t]
+    return [[_minor_value(v, den, g, ints) for v in row]
+            for row in _int_compound(A, g)]
 
 
 # ---------------------------------------------------------------------------

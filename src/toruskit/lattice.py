@@ -3,8 +3,14 @@
 The central objects are a generator matrix ``V`` (columns generate the
 lattice), its inverse-transpose ``W``, and the quadratic form
 ``mu(j) = |W j|^2`` whose values are the Laplacian eigenvalues of the torus.
-All identity-grade computations run in exact rational arithmetic; a floating
-mode exists for large enumerations.
+An exact basis caches its dual matrix once as the dual image ``W = A / c``,
+integer rows ``A`` over one positive denominator ``c`` in lowest terms, from
+the one Gauss-Jordan elimination of ``V`` that also tests it for
+singularity; the integer Gram form ``W^T W = G / D`` is derived from it.
+The minor identities run on these integers and compare cross-multiplied
+integers, so a Fraction is built only for a parsed generator entry, the
+``W`` entries and a returned field.  A floating mode, for large
+enumerations, has the image ``(W rows, 1)`` and float arithmetic.
 """
 
 from __future__ import annotations
@@ -36,17 +42,33 @@ FLOATING = "floating"
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Generator matrix V (columns are the generators) and dual matrix W = V^{-T}."""
+    """Generator matrix V (columns are the generators) and dual matrix W = V^{-T}.
+
+    ``image`` is the dual image ``(A, c)`` with ``W = A / c``: integer rows
+    and a positive denominator in lowest terms on an exact basis, the float
+    rows of ``W`` over 1 on a floating one.
+    """
 
     d: int
     V: tuple
     W: tuple
+    image: tuple
     mode: str = EXACT
     tolerance: float = DEFAULT_TOLERANCE
 
     @property
     def exact(self) -> bool:
         return self.mode == EXACT
+
+    @property
+    def kernels(self):
+        """``(det, compound)`` for rows over this basis's numbers: the integer
+        kernels ``exact._int_det``/``exact._int_compound`` on an exact
+        basis, the field routines ``exact.det``/``exact.compound`` on a
+        floating one."""
+        if self.exact:
+            return exact._int_det, exact._int_compound
+        return exact.det, exact.compound
 
     def V_rows(self):
         return [list(r) for r in self.V]
@@ -62,18 +84,30 @@ class LatticeBasis:
     def gram(self):
         """Integer Gram form ``(G, D)`` of an exact basis: ``W^T W = G / D``.
 
-        ``G`` is a tuple of int rows and ``D`` the least common denominator of
-        ``W^T W``; computed once per instance.  Floating bases have none.
+        ``G = A^T A / k`` and ``D = c^2 / k`` from the dual image, with ``k``
+        the common factor of ``c^2`` and the entries of ``A^T A``, so ``D`` is
+        the least common denominator of ``W^T W``; computed once per
+        instance.  Floating bases have none.
         """
         if not self.exact:
             return None
-        WtW = exact.mat_mul(exact.mat_transpose(self.W_rows()), self.W_rows())
-        D = math.lcm(*(x.denominator for row in WtW for x in row))
-        return tuple(tuple(int(x * D) for x in row) for row in WtW), D
+        A, c = self.image
+        cols = list(zip(*A))
+        AtA = [[sum(map(operator.mul, u, v)) for v in cols] for u in cols]
+        return _lowest_terms(AtA, c * c)
 
 
 def _freeze(rows):
     return tuple(tuple(r) for r in rows)
+
+
+def _lowest_terms(rows, den):
+    """The integer rows over ``den`` as ``(rows, den)`` in lowest terms:
+    ``den > 0`` and no factor > 1 divides ``den`` and every entry."""
+    k = math.gcd(den, *(x for row in rows for x in row))
+    if den < 0:
+        k = -k
+    return tuple(tuple(x // k for x in row) for row in rows), den // k
 
 
 def new_lattice(V, mode: str = EXACT, tolerance: float = DEFAULT_TOLERANCE) -> LatticeBasis:
@@ -90,11 +124,17 @@ def new_lattice(V, mode: str = EXACT, tolerance: float = DEFAULT_TOLERANCE) -> L
     if mode == EXACT:
         rows = [[exact.parse_rational(x, f"V[{i}][{j}]") for j, x in enumerate(r)]
                 for i, r in enumerate(rows)]
-        if exact.det(rows) == 0:
+        cleared, D, _ = exact._clear(rows)                  # V = cleared / D
+        inverse = exact._int_inverse(cleared)
+        if inverse is None:
             raise SingularGenerators("generator matrix has zero determinant")
-        W = exact.mat_transpose(exact.mat_inverse(rows))
-        return LatticeBasis(d=d, V=_freeze(rows), W=_freeze(W), mode=EXACT,
-                            tolerance=tolerance)
+        # V^-1 = D R / c, so W = V^-T has the integer rows D R^T over c
+        R, c = inverse
+        image = _lowest_terms([[D * x for x in col] for col in zip(*R)], c)
+        A, c = image
+        W = [[Fraction(x, c) for x in row] for row in A]
+        return LatticeBasis(d=d, V=_freeze(rows), W=_freeze(W), image=image,
+                            mode=EXACT, tolerance=tolerance)
     if mode == FLOATING:
         import numpy as np
 
@@ -102,8 +142,8 @@ def new_lattice(V, mode: str = EXACT, tolerance: float = DEFAULT_TOLERANCE) -> L
         scale = max(1.0, float(np.abs(arr).max()))
         if abs(np.linalg.det(arr)) <= tolerance * scale**d:
             raise SingularGenerators("generator matrix numerically singular")
-        W = np.linalg.inv(arr).T
-        return LatticeBasis(d=d, V=_freeze(arr.tolist()), W=_freeze(W.tolist()),
+        W = _freeze(np.linalg.inv(arr).T.tolist())
+        return LatticeBasis(d=d, V=_freeze(arr.tolist()), W=W, image=(W, 1),
                             mode=FLOATING, tolerance=tolerance)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -160,6 +200,21 @@ def bilinear(basis: LatticeBasis, y, y2):
         return _gram_form(gram, y, y2)
     W = basis.W_rows()
     return exact.dot(exact.mat_vec(W, list(y)), exact.mat_vec(W, list(y2)))
+
+
+def gram_numerators(basis: LatticeBasis, vecs):
+    """Gram matrix of integer vectors as ``(N, D)``: ``<W y_i, W y_l> = N[i][l] / D``.
+
+    On an exact basis ``N`` holds the integers ``y_i^T G y_l`` of
+    :attr:`LatticeBasis.gram`; on a floating basis ``N`` holds the
+    :func:`bilinear` floats and ``D = 1``.
+    """
+    gram = basis.gram
+    if gram is None:
+        return [[bilinear(basis, y, y2) for y2 in vecs] for y in vecs], 1
+    G, D = gram
+    Gy = [[sum(map(operator.mul, row, y2)) for row in G] for y2 in vecs]
+    return [[sum(map(operator.mul, y, v)) for v in Gy] for y in vecs], D
 
 
 def mu_bounds(basis: LatticeBasis):
@@ -225,7 +280,11 @@ def gram_det_identity(basis: LatticeBasis, fs) -> GramIdentity:
     Returns the determinant of the Gram matrix of ``fs`` under the lattice
     scalar product together with the integer vector ``p`` of g x g minors of
     the column matrix F; checks det = |C_g(W) p|^2 and the uniform positive
-    floor coming from the invertibility of the compound matrix.
+    floor coming from the invertibility of the compound matrix.  The Gram
+    side comes from :func:`gram_numerators`, the image side from the dual
+    image ``W = A / c`` (``C_g(W) p = C_g(A) p / c^g``) and the floor from
+    the cleared ``W^{-1} = B / E``; an exact basis compares cross-multiplied
+    integers.
     """
     vecs = [list(map(int, f)) for f in fs]
     g = len(vecs)
@@ -236,31 +295,38 @@ def gram_det_identity(basis: LatticeBasis, fs) -> GramIdentity:
     d = basis.d
     if g > d:
         raise DependentVectors(f"{g} vectors in dimension {d} are dependent")
-    F_cols = exact.mat_transpose(vecs)  # d x g, columns are the f_i
-    A = [[bilinear(basis, vecs[i], vecs[l]) for l in range(g)] for i in range(g)]
-    det_a = exact.det(A)
-    if det_a == 0:
+    det, compound = basis.kernels
+    N, D = gram_numerators(basis, vecs)
+    det_n = det(N)                                   # det over D^g
+    if det_n == 0:
         raise DependentVectors("Gram determinant vanishes: vectors dependent")
-    p = [exact.det(exact.submatrix(F_cols, sel, range(g)))
-         for sel in combinations(range(d), g)]
-    cw = exact.compound(basis.W_rows(), g)
-    image = exact.mat_vec(cw, p)
-    image_sq = exact.norm_sq(image)
+    # the g x g minors of the column matrix F, one per choice of coordinates
+    p = [row[0] for row in exact._int_compound(exact.mat_transpose(vecs), g)]
+    A, c = basis.image
+    image_n = exact.norm_sq([sum(map(operator.mul, row, p))
+                             for row in compound(A, g)])  # over c^(2g)
     p_sq = exact.norm_sq(p)
+    Winv = basis.W_inverse_rows()
+    cleared = exact._clear(Winv)
+    B, E = (Winv, 1) if cleared is None else cleared[:2]  # W^-1 = B / E
+    frob_n = exact.frobenius_sq(compound(B, g))      # over E^(2g)
     if basis.exact:
-        if det_a != image_sq:
+        Dg, c2g, E2g = D**g, c ** (2 * g), E ** (2 * g)
+        if det_n * c2g != image_n * Dg:
             raise IdentityViolation("Gram determinant != |C_g(W) p|^2")
-        if all(x == 0 for x in p):
+        if not any(p):
             raise IdentityViolation("independent vectors produced p = 0")
-        frob = exact.frobenius_sq(exact.compound(basis.W_inverse_rows(), g))
-        floor = p_sq / frob
-        if det_a < floor:
+        if det_n * frob_n < p_sq * E2g * Dg:
             raise IdentityViolation("Gram determinant below certified floor")
+        det_a, image_sq = Fraction(det_n, Dg), Fraction(image_n, c2g)
+        floor = Fraction(p_sq * E2g, frob_n)
     else:
+        det_a, image_sq = det_n, image_n
         scale = max(abs(float(det_a)), abs(float(image_sq)), 1.0)
         if abs(float(det_a) - float(image_sq)) > basis.tolerance * scale:
             raise IdentityViolation("Gram identity residual above tolerance")
-        frob = exact.frobenius_sq(exact.compound(basis.W_inverse_rows(), g))
-        floor = float(p_sq) / float(frob)
-    return GramIdentity(det=det_a, p=tuple(p), image_norm_sq=image_sq,
-                        lower_bound=floor)
+        floor = float(p_sq) / float(frob_n)
+    # p typed as exact.det types an integer minor: an int up to order 2
+    return GramIdentity(det=det_a,
+                        p=tuple(exact._minor_value(x, 1, g, True) for x in p),
+                        image_norm_sq=image_sq, lower_bound=floor)

@@ -28,7 +28,7 @@ from .errors import (
     IdentityViolation,
     ValidationError,
 )
-from .lattice import LatticeBasis, bilinear, mu, mu_numerator
+from .lattice import LatticeBasis, bilinear, gram_numerators, mu, mu_numerator
 from .search import longest_path
 
 Fr = Fraction
@@ -502,53 +502,72 @@ def chain_det_identity(data: ChainBilinearData) -> ChainDetIdentity:
     ``det A(lam) = |C_g(W) p|^2 - lam^2 |C_{g-1}(W) (wbar x m)|^2`` is affine
     in lam^2, so two evaluation points determine it and the third is the
     consistency check; in exact mode any nonzero residual raises.
+
+    On an exact basis everything runs on integers: the space form from
+    :func:`~toruskit.lattice.gram_numerators` (``N / D``), the images from
+    the dual image ``W = A / c``, and ``wbar = Om / E`` cleared.  At
+    ``lam = u / v`` the matrix ``v^2 D E^2 A(lam) = v^2 E^2 N - u^2 D s s^T``
+    with ``s_i = Om . l_i``, so each side of the identity is an integer over
+    a known denominator and the check cross-multiplies.  A floating basis
+    runs the same body on its float image and compares ``det A(lam)`` up to
+    its tolerance.
     """
     basis, params, g = data.basis, data.params, data.g
-    d, n = basis.d, params.n
-    K_cols = exact.mat_transpose([list(k) for k in data.k_vectors])  # d x g
-    if g <= d:
-        p = tuple(int(exact.det(exact.submatrix(K_cols, sel, range(g))))
-                  for sel in combinations(range(d), g))
-        cw = exact.compound(basis.W_rows(), g)
-        eta = exact.norm_sq(exact.mat_vec(cw, list(p)))
-    else:
-        p = ()
-        eta = Fr(0)
-
+    det, compound = basis.kernels
+    K = [list(k) for k in data.k_vectors]                      # g x d
+    p = tuple(row[0] for row in exact._int_compound(exact.mat_transpose(K), g))
+    # the (g-1)-minors of K; the row set without row i is row g-1-i
+    cof = exact._int_compound(K, g - 1)
     m_coeffs = []
-    for sel in combinations(range(d), g - 1):
-        # rows i of the space block restricted to the chosen coordinates
-        block = [[data.k_vectors[i][c] for c in sel] for i in range(g)]
-        m_vec = [0] * n
-        for i in range(g):
-            minor = [row for t, row in enumerate(block) if t != i]
-            cof = int(exact.det(minor)) * (-1) ** i
-            if cof:
-                for t in range(n):
-                    m_vec[t] += cof * data.l_vectors[i][t]
+    for t in range(len(cof[0])):
+        m_vec = [0] * params.n
+        for i, l in enumerate(data.l_vectors):
+            x = cof[g - 1 - i][t]
+            if x:
+                x = -x if i & 1 else x
+                m_vec = [a + x * b for a, b in zip(m_vec, l)]
         m_coeffs.append(tuple(m_vec))
-    omega_x_m = [sum(w * x for w, x in zip(params.omega_bar, mv))
-                 for mv in m_coeffs]
-    cw1 = exact.compound(basis.W_rows(), g - 1)
-    zeta = exact.norm_sq(exact.mat_vec(cw1, omega_x_m))
 
-    residual = Fr(0) if basis.exact else 0.0
-    for lam in _LAMBDAS:
-        lhs = data.det_A(lam)
-        rhs = eta - lam * lam * zeta
-        diff = abs(lhs - rhs)
-        residual = max(residual, diff)
+    omega = [list(params.omega_bar)]
+    # wbar = Om / E; a floating basis keeps wbar as given
+    cleared = exact._clear(omega) if basis.exact else None
+    Om, E = (omega, 1) if cleared is None else cleared[:2]
+    s = [sum(map(operator.mul, Om[0], l)) for l in data.l_vectors]
+    omega_x_m = [sum(map(operator.mul, Om[0], mv)) for mv in m_coeffs]
+    A, c = basis.image
+    eta_n = exact.norm_sq([sum(map(operator.mul, row, p))
+                           for row in compound(A, g)])          # over c^(2g)
+    zeta_n = exact.norm_sq([sum(map(operator.mul, row, omega_x_m))
+                            for row in compound(A, g - 1)])     # over c^(2g-2) E^2
+    N, D = gram_numerators(basis, data.k_vectors)
+    E2, c2 = E * E, c * c
+
     if basis.exact:
-        if residual != 0:
-            raise IdentityViolation(f"determinant identity residual {residual}")
+        c2g = c2**g
+        for lam in _LAMBDAS:
+            u2, v2 = lam.numerator ** 2, lam.denominator ** 2
+            M = [[v2 * E2 * x - u2 * D * si * sl for x, sl in zip(row, s)]
+                 for row, si in zip(N, s)]
+            lhs_n, lhs_d = det(M), (v2 * D * E2) ** g
+            rhs_n, rhs_d = v2 * E2 * eta_n - u2 * c2 * zeta_n, v2 * E2 * c2g
+            if lhs_n * rhs_d != rhs_n * lhs_d:
+                residual = abs(Fraction(lhs_n, lhs_d) - Fraction(rhs_n, rhs_d))
+                raise IdentityViolation(
+                    f"determinant identity residual {residual} at lambda {lam}")
+        residual = 0.0
+        eta, zeta = Fraction(eta_n, c2g), Fraction(zeta_n, c2g // c2 * E2)
     else:
+        eta, zeta = eta_n, zeta_n    # c = E = 1
+        residual = max(abs(data.det_A(lam) - (eta - lam * lam * zeta))
+                       for lam in _LAMBDAS)
         scale = max(1.0, abs(float(eta)), abs(float(zeta)))
         if float(residual) > basis.tolerance * scale:
             raise IdentityViolation("determinant identity residual above tolerance")
 
-    # Gram positivity at xi = -1: the form phi_1 + phi_2 is a scalar product
-    S, R = data.S_bar(), data.R()
-    gram = exact.det([[R[i][l] + S[i][l] for l in range(g)] for i in range(g)])
+    # Gram positivity at xi = -1: the form phi_1 + phi_2 is a scalar product,
+    # and D E^2 (R + S) = E^2 N + D s s^T
+    gram = det([[E2 * x + D * si * sl for x, sl in zip(row, s)]
+                for row, si in zip(N, s)])
     gram_positive = gram > 0
 
     max_l = max((exact.sup_norm(l) for l in data.l_vectors), default=0)

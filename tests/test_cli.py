@@ -111,6 +111,15 @@ def test_verify_subcommand(tmp_path, capsys):
     assert "[PASS] compound_inverse_identity" in out
 
 
+def test_zero_trials_are_allowed(tmp_path, capsys):
+    # a trial count of 0 runs no trial of that identity; below 0 exits 2
+    code = main(["verify", "--trials", "0", "--dmax", "2",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert "[PASS] gram_determinant_minor_identity - 0 random" in (
+        capsys.readouterr().out)
+
+
 def test_measure_subcommand_grid(tmp_path, lattice_file, freq_file):
     code = main(["measure", "--lattice", str(lattice_file), "--freq",
                  str(freq_file), "--gamma-grid", "1/3000:1/30:4",
@@ -297,6 +306,12 @@ def test_long_decimal_delta_is_refused(kind):
     ("cluster", "box_radius", [3], "expected an integer"),
     ("homological", "sigma", "wide", "expected a number"),
     ("verify", "d_max", float("inf"), "expected an integer"),
+    ("verify", "n_max", 0, "must be >= 1"),
+    ("verify", "n_max", -2, "must be >= 1"),
+    ("verify", "trials_compound", -1, "must be >= 0"),
+    ("verify", "trials_cauchy_binet", -1, "must be >= 0"),
+    ("verify", "trials_gram", -5, "must be >= 0"),
+    ("verify", "trials_chain_det", -1, "must be >= 0"),
     ("cluster", "cache", "false", "expected true or false"),
     ("cluster", "edges_csv", "no", "expected true or false"),
     ("cluster", "allow_delta_above_theorem", "no", "expected true or false"),
