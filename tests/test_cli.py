@@ -306,18 +306,18 @@ def test_long_decimal_delta_is_refused(kind):
     ("cluster", "box_radius", [3], "expected an integer"),
     ("homological", "sigma", "wide", "expected a number"),
     ("verify", "d_max", float("inf"), "expected an integer"),
-    ("verify", "n_max", 0, "must be >= 1"),
-    ("verify", "n_max", -2, "must be >= 1"),
-    ("verify", "trials_compound", -1, "must be >= 0"),
-    ("verify", "trials_cauchy_binet", -1, "must be >= 0"),
-    ("verify", "trials_gram", -5, "must be >= 0"),
-    ("verify", "trials_chain_det", -1, "must be >= 0"),
     ("cluster", "cache", "false", "expected true or false"),
     ("cluster", "edges_csv", "no", "expected true or false"),
     ("cluster", "allow_delta_above_theorem", "no", "expected true or false"),
     ("homological", "matrix_file", 3, "expected a string"),
     ("homological", "partition_file", ["p.json"], "expected a string"),
     ("singular", "frequency.omega_bar", 1, "expected a list of rationals"),
+    ("verify", "n_max", 0, "must be >= 1"),
+    ("verify", "n_max", -2, "must be >= 1"),
+    ("verify", "trials_compound", -1, "must be >= 0"),
+    ("verify", "trials_cauchy_binet", -1, "must be >= 0"),
+    ("verify", "trials_gram", -5, "must be >= 0"),
+    ("verify", "trials_chain_det", -1, "must be >= 0"),
 ])
 def test_bad_numeric_param_is_usage_error(tmp_path, capsys, kind, key, value,
                                           error):
