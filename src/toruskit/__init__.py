@@ -30,7 +30,6 @@ from .lattice import (  # noqa: F401
     compound_matrix,
     gram_det_identity,
     mu,
-    mu_bounds,
     new_lattice,
 )
 from .clusters import (  # noqa: F401

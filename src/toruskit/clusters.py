@@ -134,7 +134,7 @@ def _offset_runs(box_radius: int, d: int, link_radius: int):
 
 def _box_numerators(basis: LatticeBasis, box_radius: int):
     """Box sites and ``mu = n / D`` per site: integer ``n`` over ``D`` of
-    ``basis.gram``, or the float eigenvalues and ``D = 1`` (floating basis).
+    ``basis.gram``.
 
     The integers are :func:`toruskit.lattice.mu_numerator`'s, filled one box
     row at a time: along the last coordinate x of a lexicographic row with
@@ -144,8 +144,6 @@ def _box_numerators(basis: LatticeBasis, box_radius: int):
     """
     d = basis.d
     sites = box_sites(box_radius, d)
-    if basis.gram is None:
-        return sites, [mu(basis, j) for j in sites], 1
     G, D = basis.gram
     g = G[-1][-1]
     last = [row[-1] + col for row, col in zip(G, G[-1])]
@@ -174,7 +172,7 @@ def max_chain_length(basis: LatticeBasis, box_radius: int, gamma,
     if box_radius < 1:
         raise ValueError("box_radius must be at least 1")
     sites, n, D = _box_numerators(basis, box_radius)
-    reach = gamma if basis.gram is None else math.floor(D * Fr(gamma))
+    reach = math.floor(D * Fr(gamma))
     adjacency = [[] for _ in sites]
     for _, step, starts in _offset_runs(box_radius, basis.d,
                                         min(math.floor(gamma), 2 * box_radius)):
@@ -264,12 +262,17 @@ class ClusterPartition:
 
 
 # Largest denominator q of a delta p/q.  A threshold is the integer q-th
-# root of D**q * s**p (exact.scaled_floor_pow), so its cost grows with q and
-# with the bits of the Gram denominator D.  At D of 203 bits (a 2-d lattice
-# typed with 16-digit decimals), on one x86_64 core under Python 3.11, one
-# root at s = 64 took 0.02 s at q = 10**3, 0.4-0.6 s at 10**4 and 22 s at
-# 10**5, and a radius-32 cluster run took 0.8-1.6 s at delta 37/1000 and
-# 33 s at 371/10**4.
+# root of D**q * s**p (exact.scaled_floor_pow).  By Newton steps its cost
+# grows with q and with the bits of the Gram denominator D, so a D**q of
+# more than 10**4 bits takes the root from a decimal bracket instead, whose
+# cost barely depends on q.  At D of 203 bits (a 2-d lattice typed with
+# 16-digit decimals), on one x86_64 core under Python 3.11, one root at
+# s = 64 took 120-230 us at every q from 10**3 to 10**6 (Newton: 0.02 s at
+# 10**3, 0.4-0.6 s at 10**4, 22 s at 10**5), and a radius-32 cluster run
+# took 0.23 s at delta 37/1000 and 237/10**4 and 0.31 s at 371/10**4
+# (Newton: 0.9 s, 22 s and 33 s).  The cap stays: a long decimal delta is
+# still refused at once, and an exact power or a bracket that holds an
+# integer falls back to Newton steps.
 DELTA_MAX_DENOMINATOR = 10**4
 
 
@@ -303,12 +306,9 @@ class BoxTable(NamedTuple):
     """One box's data for the link and separation scans (:func:`box_table`).
 
     ``sites`` are :func:`box_sites` of the box; per site ``mu = n / D`` and
-    its sup norm ``sup``.  ``x <= T[s]`` decides ``x / D <= s**delta`` for
-    the rational delta.  On an exact basis x is an integer and
-    ``T[s] = floor(D * s**delta)`` (:func:`toruskit.exact.scaled_floor_pow`);
-    a floating basis (``n`` the float eigenvalues, ``D = 1``) has
-    ``T[s] = s**delta`` in floats, the compare of
-    :func:`toruskit.exact.le_pow`.
+    its sup norm ``sup``.  For an integer x, ``x <= T[s]`` decides
+    ``x / D <= s**delta`` for the rational delta:
+    ``T[s] = floor(D * s**delta)`` (:func:`toruskit.exact.scaled_floor_pow`).
     """
 
     basis: LatticeBasis
@@ -329,11 +329,7 @@ def box_table(basis: LatticeBasis, box_radius: int, delta) -> BoxTable:
     delta = check_delta(basis.d, delta, enforce_delta_bound=False)
     sites, n, D = _box_numerators(basis, box_radius)
     sup = [exact.sup_norm(j) for j in sites]
-    sums = range(2 * box_radius + 1)
-    if basis.gram is None:
-        T = [float(s) ** float(delta) for s in sums]
-    else:
-        T = list(map(exact.scaled_floor_pow(D, delta), sums))
+    T = list(map(exact.scaled_floor_pow(D, delta), range(2 * box_radius + 1)))
     return BoxTable(basis, box_radius, delta, sites, n, sup, D, T)
 
 

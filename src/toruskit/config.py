@@ -17,7 +17,7 @@ from pathlib import Path
 from . import exact
 from .clusters import check_delta
 from .errors import DeltaOutOfRange, ParseError, SingularGenerators, ValidationError
-from .lattice import EXACT, FLOATING, LatticeBasis, new_lattice
+from .lattice import LatticeBasis, new_lattice
 from .spacetime import NLS, NLW, FrequencyParams
 
 KINDS = ("cluster", "chains", "singular", "measure", "homological", "verify")
@@ -110,8 +110,7 @@ class ExperimentConfig:
     params: dict
 
     def basis(self) -> LatticeBasis:
-        return new_lattice(self.lattice["matrix"], mode=self.lattice["mode"],
-                           tolerance=self.lattice.get("tolerance", 1e-9))
+        return new_lattice(self.lattice["matrix"])
 
     def freq(self) -> FrequencyParams:
         if self.frequency is None:
@@ -125,23 +124,17 @@ class ExperimentConfig:
 def _normalize_lattice(raw) -> dict:
     if not isinstance(raw, dict) or "matrix" not in raw:
         raise ParseError("lattice: expected an object with a 'matrix' field")
-    _known(raw, ("matrix", "mode", "tolerance"), "lattice.")
+    _known(raw, ("matrix", "mode"), "lattice.")
     matrix = raw["matrix"]
     if (not isinstance(matrix, list) or not matrix
             or any(not isinstance(r, list) or len(r) != len(matrix) for r in matrix)):
         raise ValidationError("lattice.matrix: must be a square row-major list")
-    mode = raw.get("mode", EXACT)
-    _require(mode in (EXACT, FLOATING), f"lattice.mode: unknown mode {mode!r}")
-    if mode == EXACT:
-        rows = [[_rat_str(x, f"lattice.matrix[{i}][{j}]")
-                 for j, x in enumerate(r)] for i, r in enumerate(matrix)]
-    else:
-        rows = [[_cast(x, float, f"lattice.matrix[{i}][{j}]")
-                 for j, x in enumerate(r)] for i, r in enumerate(matrix)]
-    out = {"matrix": rows, "mode": mode}
-    if "tolerance" in raw:
-        out["tolerance"] = _cast(raw["tolerance"], float, "lattice.tolerance")
-    return out
+    # "exact" is the one mode, still accepted so older lattice files run
+    mode = raw.get("mode", "exact")
+    _require(mode == "exact", f"lattice.mode: unknown mode {mode!r}; every "
+             "lattice is exact, a float entry read as its decimal")
+    return {"matrix": [[_rat_str(x, f"lattice.matrix[{i}][{j}]")
+                        for j, x in enumerate(r)] for i, r in enumerate(matrix)]}
 
 
 def _normalize_frequency(raw) -> dict:
@@ -299,10 +292,6 @@ def normalize(raw: dict) -> ExperimentConfig:
     _require(kind in KINDS, f"kind: must be one of {', '.join(KINDS)}")
     lattice = _normalize_lattice(raw.get("lattice", {"matrix": [["1"]]}))
     d = len(lattice["matrix"])
-    # the homological solve divides exact Gaussian rationals by mu values
-    _require(kind != "homological" or lattice["mode"] == EXACT,
-             "lattice.mode: kind 'homological' needs an exact lattice, "
-             f"got {lattice['mode']!r}")
     frequency = None
     if raw.get("frequency") is not None:
         frequency = _normalize_frequency(raw["frequency"])

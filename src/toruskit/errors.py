@@ -6,7 +6,7 @@ class ToruskitError(Exception):
 
 
 class SingularGenerators(ToruskitError):
-    """Generator matrix is singular (or numerically singular in floating mode)."""
+    """Generator matrix is singular: its exact determinant is zero."""
 
 
 class DimensionMismatch(ToruskitError):
@@ -42,10 +42,9 @@ class GammaOutOfRange(ToruskitError):
 
 
 class IdentityViolation(ToruskitError):
-    """An identity that must hold exactly (or within tolerance) failed.
+    """An identity that must hold exactly failed.
 
-    This always indicates an implementation bug or a floating-mode tolerance
-    breach, never legitimate input.
+    This always indicates an implementation bug, never legitimate input.
     """
 
 

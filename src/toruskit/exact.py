@@ -1,26 +1,27 @@
 """Exact rational linear algebra and small numeric utilities.
 
-Matrices are lists of rows.  When every entry is an ``int`` or a
-``fractions.Fraction``, ``det``, ``mat_rank``, ``mat_inverse``, ``compound``
-and ``mat_mul`` clear the matrix to integer rows over one common denominator
+Matrices are lists of rows whose entries are ``int`` or
+``fractions.Fraction``; ``det``, ``mat_rank``, ``mat_inverse``, ``compound``
+and ``mat_mul`` clear a matrix to integer rows over one common denominator
 (``_clear``) and work in Python ints: one fraction-free (Bareiss) elimination
 (``_bareiss``) serves the first three, compounds grow order by order by
 Laplace expansion (``_int_compound``), and a Fraction is built only for each
-returned entry.  Callers that already hold integer rows over a denominator,
-such as the cached dual image ``W = A / c`` of a lattice basis, call the
-integer kernels ``_int_det``, ``_int_inverse`` and ``_int_compound``
-directly, compare cross-multiplied integers, and build a Fraction only for
-an input they parse or a field they return.  Identities are therefore
-checked with no rounding at all.  Input holding floats goes through plain
-Gaussian elimination over the entries' own field (``_field_*``), whose
-results are compared up to the caller's tolerance; the tests run the same
-field routines on Fraction entries as the oracle of the integer kernel.
+returned entry.  A float entry raises TypeError: a float a user types is
+read as its decimal by ``parse_rational`` before it reaches a matrix.
+Callers that already hold integer rows over a denominator, such as the
+cached dual image ``W = A / c`` of a lattice basis, call the integer kernels
+``_int_det``, ``_int_inverse`` and ``_int_compound`` directly, compare
+cross-multiplied integers, and build a Fraction only for an input they parse
+or a field they return.  Identities are therefore checked with no rounding
+at all; the tests keep plain Gaussian elimination over Fractions as the
+oracle of the integer kernels.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -76,14 +77,15 @@ def mat_transpose(M):
 def _clear(M):
     """Integer rows ``A``, denominator ``D`` and an all-int flag, ``M = A / D``.
 
-    ``None`` when some entry is neither an int nor a Fraction (a float).
+    Raises TypeError when some entry is neither an int nor a Fraction.
     """
     ints = True
     for row in M:
         for x in row:
             if not isinstance(x, int):
                 if not isinstance(x, Fraction):
-                    return None
+                    raise TypeError(f"exact matrix entry {x!r}: an int or "
+                                    "Fraction is needed")
                 ints = False
     if ints:
         return [list(row) for row in M], 1, True
@@ -92,11 +94,8 @@ def _clear(M):
 
 
 def mat_mul(A, B):
-    """Product; exact factors multiply as cleared integer matrices."""
-    ca, cb = _clear(A), _clear(B)
-    if ca is None or cb is None:
-        return _field_mat_mul(A, B)
-    (IA, Da, ints_a), (IB, Db, ints_b) = ca, cb
+    """Product of the factors cleared to integer matrices."""
+    (IA, Da, ints_a), (IB, Db, ints_b) = _clear(A), _clear(B)
     cols = list(zip(*IB))
     P = [[sum(map(operator.mul, row, col)) for col in cols] for row in IA]
     if ints_a and ints_b:
@@ -106,7 +105,7 @@ def mat_mul(A, B):
 
 
 def mat_vec(M, v):
-    """``M v``; exact input goes through :func:`mat_mul`'s integer product."""
+    """``M v`` through :func:`mat_mul`'s integer product."""
     if not v:
         return [0 for _ in M]
     return [r[0] for r in mat_mul(M, [[x] for x in v])]
@@ -147,7 +146,8 @@ def _bareiss(A, ncols, jordan=False):
 
 
 def _minor_value(v, den, g, ints):
-    """The g-minor ``v / den``, ``den = D**g``, typed as the field ``det`` has it.
+    """The g-minor ``v / den``, ``den = D**g``, typed as Gaussian elimination
+    over the entries' field types it (the tests' oracle).
 
     All-int input keeps ints up to order 2 and for a zero minor; every other
     value is a Fraction.
@@ -175,18 +175,11 @@ def _int_det(A) -> int:
 
 
 def det(M):
-    """Determinant; exact input goes through :func:`_int_det` on cleared rows."""
+    """Determinant by :func:`_int_det` on the cleared rows."""
     n = len(M)
     if n == 0:
         return Fr(1)
-    if n == 1:
-        return M[0][0]
-    if n == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    cleared = _clear(M)
-    if cleared is None:
-        return _field_det(M)
-    A, D, ints = cleared
+    A, D, ints = _clear(M)
     return _minor_value(_int_det(A), D**n, n, ints)
 
 
@@ -209,13 +202,9 @@ def _int_inverse(A):
 def mat_inverse(M):
     """Inverse; raises ZeroDivisionError on singular input.
 
-    Exact input ``M = A / D`` is inverted by :func:`_int_inverse`:
-    ``M^-1 = D * R / c``.
+    ``M = A / D`` is inverted by :func:`_int_inverse`: ``M^-1 = D * R / c``.
     """
-    cleared = _clear(M)
-    if cleared is None:
-        return _field_mat_inverse(M)
-    A, D, _ = cleared
+    A, D, _ = _clear(M)
     inverse = _int_inverse(A)
     if inverse is None:
         raise ZeroDivisionError("singular matrix")
@@ -226,19 +215,7 @@ def mat_inverse(M):
 def mat_rank(M) -> int:
     if not M:
         return 0
-    cleared = _clear(M)
-    if cleared is None:
-        return _field_mat_rank(M)
-    return _bareiss(cleared[0], len(M[0]))[0]
-
-
-def submatrix(M, rows, cols):
-    return [[M[r][c] for c in cols] for r in rows]
-
-
-def index_tuples(n: int, g: int):
-    """Strictly increasing g-tuples from range(n), lexicographic order."""
-    return list(combinations(range(n), g))
+    return _bareiss(_clear(M)[0], len(M[0]))[0]
 
 
 @lru_cache(maxsize=256)
@@ -284,104 +261,14 @@ def compound(M, g):
     """Matrix of all g x g minors, rows/cols indexed by increasing tuples.
 
     ``g = 0`` yields the 1 x 1 matrix [1], the natural empty-minor convention.
-    Exact input is cleared to ``M = A / D`` and gives ``C_g(A) / D^g``.
+    ``M`` is cleared to ``M = A / D`` and gives ``C_g(A) / D^g``.
     """
     if g == 0:
         return [[Fr(1)]]
-    cleared = _clear(M)
-    if cleared is None:
-        col_t = index_tuples(len(M[0]), g)
-        return [[det(submatrix(M, rs, cs)) for cs in col_t]
-                for rs in index_tuples(len(M), g)]
-    A, D, ints = cleared
+    A, D, ints = _clear(M)
     den = D**g
     return [[_minor_value(v, den, g, ints) for v in row]
             for row in _int_compound(A, g)]
-
-
-# ---------------------------------------------------------------------------
-# field elimination: floating input, and the Fraction oracle of the tests
-
-
-def _field_mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row_a = A[i]
-        out.append([sum(row_a[t] * B[t][j] for t in range(k)) for j in range(m)])
-    return out
-
-
-def _field_det(M):
-    """Determinant by Gaussian elimination over the entries' own field."""
-    n = len(M)
-    A = [list(row) for row in M]
-    sign = 1
-    acc = Fr(1)
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if A[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0 * A[0][0]
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            sign = -sign
-        acc = acc * A[c][c]
-        inv = Fr(1) / A[c][c]
-        for r in range(c + 1, n):
-            if A[r][c] != 0:
-                f = A[r][c] * inv
-                A[r] = [A[r][k] - f * A[c][k] for k in range(c, n)]
-                A[r] = [0] * c + A[r]
-    return sign * acc
-
-
-def _field_mat_inverse(M):
-    n = len(M)
-    A = [list(row) + [Fr(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if A[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        A[c], A[piv] = A[piv], A[c]
-        ic = Fr(1) / A[c][c]
-        A[c] = [x * ic for x in A[c]]
-        for r in range(n):
-            if r != c and A[r][c] != 0:
-                f = A[r][c]
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    return [row[n:] for row in A]
-
-
-def _field_mat_rank(M) -> int:
-    A = [list(row) for row in M]
-    rows, cols = len(A), len(A[0])
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if A[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = Fr(1) / A[rank][c]
-        for r in range(rank + 1, rows):
-            if A[r][c] != 0:
-                f = A[r][c] * inv
-                A[r] = [A[r][k] - f * A[rank][k] for k in range(cols)]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 def dot(u, v):
@@ -404,33 +291,26 @@ def sup_norm(v) -> int:
 # ---------------------------------------------------------------------------
 # exact comparisons against rational powers
 
-def _as_ratio(delta):
-    if isinstance(delta, Fraction):
-        return delta.numerator, delta.denominator
-    if isinstance(delta, int):
-        return delta, 1
-    return None
+def _as_ratio(x, name: str):
+    # (numerator, denominator) of an int or Fraction
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, int):
+        return x, 1
+    raise TypeError(f"{name} {x!r}: an exact power needs an int or Fraction")
 
 
 def le_pow(x, base: int, delta) -> bool:
-    """Exact test ``x <= base**delta`` for x >= 0 rational and delta = p/q.
-
-    Falls back to floats when either side is not exact.
-    """
-    ratio = _as_ratio(delta)
-    if ratio is not None and isinstance(x, (int, Fraction)) and x >= 0:
-        p, q = ratio
-        return x**q <= Fr(base) ** p
-    return float(x) <= float(base) ** float(delta)
+    """Exact test ``x <= base**delta`` for rational x, base >= 0 and a
+    rational delta = p/q >= 0: ``a**q <= base**p * b**q`` for x = a/b."""
+    (a, b), (p, q) = _as_ratio(x, "x"), _as_ratio(delta, "delta")
+    return a < 0 or a**q <= base**p * b**q
 
 
 def ge_pow(x, base: int, delta) -> bool:
     """Exact test ``x >= base**delta`` (same conventions as :func:`le_pow`)."""
-    ratio = _as_ratio(delta)
-    if ratio is not None and isinstance(x, (int, Fraction)) and x >= 0:
-        p, q = ratio
-        return x**q >= Fr(base) ** p
-    return float(x) >= float(base) ** float(delta)
+    (a, b), (p, q) = _as_ratio(x, "x"), _as_ratio(delta, "delta")
+    return a >= 0 and a**q >= base**p * b**q
 
 
 def floor_pow(base: int, delta) -> int:
@@ -469,25 +349,61 @@ def _iroot(n: int, q: int) -> int:
         r = t
 
 
+# Above this many bits in D**q a root is taken from a decimal bracket
+# (_bracket_floor) before any Newton step, since each Newton step raises a
+# root of D's size to the power q - 1.  At D of 203 bits, on one x86_64 core
+# under Python 3.11, one Newton root took 124 us at q = 43, 472 us at
+# q = 100 and 0.49 s at q = 10**4, one bracket 120-220 us at every q; at
+# 4 bits and q = 10 Newton took 1.6 us and the bracket 65 us.
+_BRACKET_BITS = 10**4
+
+
+def _bracket_floor(D: int, p: int, q: int, s: int, ctx):
+    """``floor(D * s**(p/q))`` for ``s >= 2`` from ``y = D exp((p/q) ln s)``
+    in the decimal context ``ctx``, or None when the bracket around y holds
+    an integer.
+
+    ``Decimal.ln`` and ``Decimal.exp`` round correctly, so y is off by less
+    than ``3|x| + 3`` units in its last of ``ctx.prec`` digits, x the
+    exponent; the bracket ``y (1 +- (|x| + 1) 10**(6 - prec))`` is far wider.
+    A bracket with one floor holds no integer, so neither does the value:
+    its ceiling is that floor plus 1.
+    """
+    with localcontext(ctx):
+        x = Decimal(s).ln() * p / q
+        y = D * x.exp()
+        w = y * (abs(x) + 1).scaleb(6 - ctx.prec)
+        lo, hi = int(y - w), int(y + w)
+    return lo if lo == hi else None
+
+
 def _scaled_root(D: int, delta, up: bool):
     # s -> the integer q-th root of D**q * s**p, memoised per s and rounded
     # up when ``up`` and inexact: the one root behind both views below;
-    # delta is an int or Fraction >= 0
-    ratio = _as_ratio(delta)
-    if ratio is None:
-        raise TypeError(f"delta {delta!r}: an exact root needs an int or "
-                        "Fraction delta >= 0")
-    p, q = ratio
-    Dq = D**q
+    # delta is an int or Fraction >= 0.  A large D**q is built only when a
+    # bracket holds an integer (an exact power, or a bracket too wide).
+    p, q = _as_ratio(delta, "delta")
+    bits = D.bit_length()
+    ctx = (Context(prec=math.ceil(bits * math.log10(2)) + 30)
+           if q * bits > _BRACKET_BITS else None)
+    Dq = None
     memo = {}
 
     def root_at(s: int) -> int:
+        nonlocal Dq
         r = memo.get(s)
         if r is None:
-            n = Dq * s**p
-            r = _iroot(n, q)
-            if up and r**q != n:
-                r += 1
+            if s < 2 or not p:
+                r = D * s**p                     # s**delta is 0 or 1
+            elif ctx and (f := _bracket_floor(D, p, q, s, ctx)) is not None:
+                r = f + up
+            else:
+                if Dq is None:
+                    Dq = D**q
+                n = Dq * s**p
+                r = _iroot(n, q)
+                if up and r**q != n:
+                    r += 1
             memo[s] = r
         return r
 

@@ -174,11 +174,8 @@ def gap_numerators(basis: LatticeBasis, keys):
 
     ``gaps[j, j']`` is the integer ``n_j' - n_j`` with
     ``mu(j') - mu(j) = gaps[j, j'] / D``: each distinct site's numerator
-    (:func:`toruskit.lattice.mu_numerator`) is evaluated once.  A floating
-    basis has no integer form and raises TypeError, with no keys too.
+    (:func:`toruskit.lattice.mu_numerator`) is evaluated once.
     """
-    if basis.gram is None:
-        raise TypeError("gap_numerators needs an exact basis")
     n = {}
     gaps = {}
     for j, j2 in keys:
@@ -211,11 +208,10 @@ def solve_homological(basis: LatticeBasis, W_ND: BlockMatrix,
     divided by the gap (building X); elsewhere it is moved, negated, into the
     remainder R.  The identity ``gap * X = W + R`` then holds entrywise with
     no error term.  ``delta`` is read by :func:`toruskit.clusters.check_delta`
-    with no theorem bound.  The basis must be exact: the gaps are integer
-    numerators over the Gram denominator (:func:`gap_numerators`; a floating
-    basis raises TypeError), the threshold test is an integer compare
-    (:func:`gap_clears`) and a kept :class:`toruskit.exact.QQi` entry is
-    divided on integers, each part ``n/d`` becoming ``Fraction(n*D, d*g)``;
+    with no theorem bound.  The gaps are integer numerators over the Gram
+    denominator (:func:`gap_numerators`), the threshold test is an integer
+    compare (:func:`gap_clears`) and a kept :class:`toruskit.exact.QQi`
+    entry is divided on integers, each part ``n/d`` becoming ``Fraction(n*D, d*g)``;
     an ``int`` or ``Fraction`` entry is divided by the rational gap.
     """
     if W_ND.box_radius != partition.box_radius or W_ND.d != partition.d:

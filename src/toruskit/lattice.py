@@ -9,8 +9,9 @@ the one Gauss-Jordan elimination of ``V`` that also tests it for
 singularity; the integer Gram form ``W^T W = G / D`` is derived from it.
 The minor identities run on these integers and compare cross-multiplied
 integers, so a Fraction is built only for a parsed generator entry, the
-``W`` entries and a returned field.  A floating mode, for large
-enumerations, has the image ``(W rows, 1)`` and float arithmetic.
+``W`` entries and a returned field.  Every basis is exact: a float generator
+entry is read as its decimal (:func:`toruskit.exact.parse_rational`), so a
+torus typed in decimals is the exact torus of those decimals.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 
 from . import exact
 from .errors import (
@@ -32,43 +32,19 @@ from .errors import (
     SingularGenerators,
 )
 
-Fr = Fraction
-
-DEFAULT_TOLERANCE = 1e-9
-
-EXACT = "exact"
-FLOATING = "floating"
-
 
 @dataclass(frozen=True)
 class LatticeBasis:
     """Generator matrix V (columns are the generators) and dual matrix W = V^{-T}.
 
     ``image`` is the dual image ``(A, c)`` with ``W = A / c``: integer rows
-    and a positive denominator in lowest terms on an exact basis, the float
-    rows of ``W`` over 1 on a floating one.
+    and a positive denominator in lowest terms.
     """
 
     d: int
     V: tuple
     W: tuple
     image: tuple
-    mode: str = EXACT
-    tolerance: float = DEFAULT_TOLERANCE
-
-    @property
-    def exact(self) -> bool:
-        return self.mode == EXACT
-
-    @property
-    def kernels(self):
-        """``(det, compound)`` for rows over this basis's numbers: the integer
-        kernels ``exact._int_det``/``exact._int_compound`` on an exact
-        basis, the field routines ``exact.det``/``exact.compound`` on a
-        floating one."""
-        if self.exact:
-            return exact._int_det, exact._int_compound
-        return exact.det, exact.compound
 
     def V_rows(self):
         return [list(r) for r in self.V]
@@ -82,15 +58,13 @@ class LatticeBasis:
 
     @cached_property
     def gram(self):
-        """Integer Gram form ``(G, D)`` of an exact basis: ``W^T W = G / D``.
+        """Integer Gram form ``(G, D)`` of the basis: ``W^T W = G / D``.
 
         ``G = A^T A / k`` and ``D = c^2 / k`` from the dual image, with ``k``
         the common factor of ``c^2`` and the entries of ``A^T A``, so ``D`` is
         the least common denominator of ``W^T W``; computed once per
-        instance.  Floating bases have none.
+        instance.
         """
-        if not self.exact:
-            return None
         A, c = self.image
         cols = list(zip(*A))
         AtA = [[sum(map(operator.mul, u, v)) for v in cols] for u in cols]
@@ -110,42 +84,29 @@ def _lowest_terms(rows, den):
     return tuple(tuple(x // k for x in row) for row in rows), den // k
 
 
-def new_lattice(V, mode: str = EXACT, tolerance: float = DEFAULT_TOLERANCE) -> LatticeBasis:
+def new_lattice(V) -> LatticeBasis:
     """Build a lattice basis from a square matrix of generator columns.
 
     ``V`` is given as rows (row-major); entries may be ints, Fractions,
-    "num/den" strings or decimals.  Raises SingularGenerators when the
-    generators are linearly dependent.
+    "num/den" strings or decimals, a float read as its decimal.  Raises
+    SingularGenerators when the generators are linearly dependent.
     """
     rows = [list(r) for r in V]
     d = len(rows)
     if d == 0 or any(len(r) != d for r in rows):
         raise ShapeMismatch("generator matrix must be square and nonempty")
-    if mode == EXACT:
-        rows = [[exact.parse_rational(x, f"V[{i}][{j}]") for j, x in enumerate(r)]
-                for i, r in enumerate(rows)]
-        cleared, D, _ = exact._clear(rows)                  # V = cleared / D
-        inverse = exact._int_inverse(cleared)
-        if inverse is None:
-            raise SingularGenerators("generator matrix has zero determinant")
-        # V^-1 = D R / c, so W = V^-T has the integer rows D R^T over c
-        R, c = inverse
-        image = _lowest_terms([[D * x for x in col] for col in zip(*R)], c)
-        A, c = image
-        W = [[Fraction(x, c) for x in row] for row in A]
-        return LatticeBasis(d=d, V=_freeze(rows), W=_freeze(W), image=image,
-                            mode=EXACT, tolerance=tolerance)
-    if mode == FLOATING:
-        import numpy as np
-
-        arr = np.array([[float(x) for x in r] for r in rows], dtype=float)
-        scale = max(1.0, float(np.abs(arr).max()))
-        if abs(np.linalg.det(arr)) <= tolerance * scale**d:
-            raise SingularGenerators("generator matrix numerically singular")
-        W = _freeze(np.linalg.inv(arr).T.tolist())
-        return LatticeBasis(d=d, V=_freeze(arr.tolist()), W=W, image=(W, 1),
-                            mode=FLOATING, tolerance=tolerance)
-    raise ValueError(f"unknown mode {mode!r}")
+    rows = [[exact.parse_rational(x, f"V[{i}][{j}]") for j, x in enumerate(r)]
+            for i, r in enumerate(rows)]
+    cleared, D, _ = exact._clear(rows)                      # V = cleared / D
+    inverse = exact._int_inverse(cleared)
+    if inverse is None:
+        raise SingularGenerators("generator matrix has zero determinant")
+    # V^-1 = D R / c, so W = V^-T has the integer rows D R^T over c
+    R, c = inverse
+    image = _lowest_terms([[D * x for x in col] for col in zip(*R)], c)
+    A, c = image
+    W = [[Fraction(x, c) for x in row] for row in A]
+    return LatticeBasis(d=d, V=_freeze(rows), W=_freeze(W), image=image)
 
 
 def _check_dim(basis: LatticeBasis, v, name: str = "j") -> None:
@@ -166,64 +127,32 @@ def _gram_form(gram, y, y2):
 
 
 def mu(basis: LatticeBasis, j):
-    """Laplacian eigenvalue of integer mode j: squared euclidean length of W j.
-
-    Exact bases evaluate ``j^T G j / D`` from :attr:`LatticeBasis.gram`;
-    floating bases multiply by W.
-    """
+    """Laplacian eigenvalue of integer mode j: squared euclidean length of W j,
+    ``j^T G j / D`` from :attr:`LatticeBasis.gram`."""
     _check_dim(basis, j)
-    gram = basis.gram
-    if gram is not None:
-        return _gram_form(gram, j, j)
-    return exact.norm_sq(exact.mat_vec(basis.W_rows(), list(j)))
+    return _gram_form(basis.gram, j, j)
 
 
 def mu_numerator(basis: LatticeBasis, j) -> int:
-    """Integer numerator ``n_j = j^T G j`` of an exact basis: ``mu(j) = n_j / D``.
-
-    ``(G, D)`` is :attr:`LatticeBasis.gram`; a floating basis has no integer
-    form and raises TypeError.
-    """
+    """Integer numerator ``n_j = j^T G j``: ``mu(j) = n_j / D`` with
+    ``(G, D)`` :attr:`LatticeBasis.gram`."""
     _check_dim(basis, j)
-    gram = basis.gram
-    if gram is None:
-        raise TypeError("mu_numerator needs an exact basis")
-    return _gram_int(gram[0], j, j)
+    return _gram_int(basis.gram[0], j, j)
 
 
 def bilinear(basis: LatticeBasis, y, y2):
     """Scalar product <W y, W y2> of integer vectors; polarization of :func:`mu`."""
     _check_dim(basis, y, "y")
     _check_dim(basis, y2, "y2")
-    gram = basis.gram
-    if gram is not None:
-        return _gram_form(gram, y, y2)
-    W = basis.W_rows()
-    return exact.dot(exact.mat_vec(W, list(y)), exact.mat_vec(W, list(y2)))
+    return _gram_form(basis.gram, y, y2)
 
 
 def gram_numerators(basis: LatticeBasis, vecs):
-    """Gram matrix of integer vectors as ``(N, D)``: ``<W y_i, W y_l> = N[i][l] / D``.
-
-    On an exact basis ``N`` holds the integers ``y_i^T G y_l`` of
-    :attr:`LatticeBasis.gram`; on a floating basis ``N`` holds the
-    :func:`bilinear` floats and ``D = 1``.
-    """
-    gram = basis.gram
-    if gram is None:
-        return [[bilinear(basis, y, y2) for y2 in vecs] for y in vecs], 1
-    G, D = gram
+    """Gram matrix of integer vectors as ``(N, D)``: ``<W y_i, W y_l> = N[i][l] / D``
+    with ``N`` the integers ``y_i^T G y_l`` of :attr:`LatticeBasis.gram`."""
+    G, D = basis.gram
     Gy = [[sum(map(operator.mul, row, y2)) for row in G] for y2 in vecs]
     return [[sum(map(operator.mul, y, v)) for v in Gy] for y in vecs], D
-
-
-def mu_bounds(basis: LatticeBasis):
-    """Floats (c, C) with c*|j|^2 <= mu(j) <= C*|j|^2 (euclidean |j|)."""
-    import numpy as np
-
-    arr = np.array([[float(x) for x in row] for row in basis.W], dtype=float)
-    sv = np.linalg.svd(arr, compute_uv=False)
-    return float(sv[-1] ** 2), float(sv[0] ** 2)
 
 
 def compound_matrix(M, g: int):
@@ -244,7 +173,10 @@ def compound_matrix(M, g: int):
 def cauchy_binet_det(M, N):
     """det(M N) via the sum over g-minors; independent of direct evaluation.
 
-    M is g x d and N is d x g with g <= d.
+    M is g x d and N is d x g with g <= d.  With ``M = A / a`` and
+    ``N = B / b`` cleared, the sum runs over the integer minors of
+    :func:`toruskit.exact._int_compound` and is one Fraction over
+    ``(a b)^g``.
     """
     Mr = [list(r) for r in M]
     Nr = [list(r) for r in N]
@@ -255,13 +187,12 @@ def cauchy_binet_det(M, N):
         raise ShapeMismatch(f"incompatible shapes {g}x{d} and {len(Nr)}x{len(Nr[0])}")
     if g > d:
         raise ShapeMismatch("needs g <= d")
-    total = Fr(0)
-    cols = list(range(g))
-    for sel in combinations(range(d), g):
-        a = exact.det(exact.submatrix(Mr, range(g), sel))
-        b = exact.det(exact.submatrix(Nr, sel, cols))
-        total = total + a * b
-    return total
+    A, a, _ = exact._clear(Mr)
+    B, b, _ = exact._clear(Nr)
+    # C_g(A) is one row, C_g(B) one column, both over the g-subsets of range(d)
+    total = sum(map(operator.mul, exact._int_compound(A, g)[0],
+                    (row[0] for row in exact._int_compound(B, g))))
+    return Fraction(total, (a * b) ** g)
 
 
 @dataclass(frozen=True)
@@ -270,7 +201,7 @@ class GramIdentity:
 
     det: object               # Gram determinant under bilinear(.,.)
     p: tuple                  # integer minor vector, length C(d, g)
-    image_norm_sq: object     # |C_g(W) p|^2, equals det exactly in exact mode
+    image_norm_sq: object     # |C_g(W) p|^2, equals det exactly
     lower_bound: object       # certified positive floor |p|^2 / frob(C_g(W^-1))^2
 
 
@@ -283,7 +214,7 @@ def gram_det_identity(basis: LatticeBasis, fs) -> GramIdentity:
     floor coming from the invertibility of the compound matrix.  The Gram
     side comes from :func:`gram_numerators`, the image side from the dual
     image ``W = A / c`` (``C_g(W) p = C_g(A) p / c^g``) and the floor from
-    the cleared ``W^{-1} = B / E``; an exact basis compares cross-multiplied
+    the cleared ``W^{-1} = B / E``, so every check compares cross-multiplied
     integers.
     """
     vecs = [list(map(int, f)) for f in fs]
@@ -295,38 +226,27 @@ def gram_det_identity(basis: LatticeBasis, fs) -> GramIdentity:
     d = basis.d
     if g > d:
         raise DependentVectors(f"{g} vectors in dimension {d} are dependent")
-    det, compound = basis.kernels
     N, D = gram_numerators(basis, vecs)
-    det_n = det(N)                                   # det over D^g
+    det_n = exact._int_det(N)                        # det over D^g
     if det_n == 0:
         raise DependentVectors("Gram determinant vanishes: vectors dependent")
     # the g x g minors of the column matrix F, one per choice of coordinates
     p = [row[0] for row in exact._int_compound(exact.mat_transpose(vecs), g)]
     A, c = basis.image
     image_n = exact.norm_sq([sum(map(operator.mul, row, p))
-                             for row in compound(A, g)])  # over c^(2g)
+                             for row in exact._int_compound(A, g)])  # over c^(2g)
     p_sq = exact.norm_sq(p)
-    Winv = basis.W_inverse_rows()
-    cleared = exact._clear(Winv)
-    B, E = (Winv, 1) if cleared is None else cleared[:2]  # W^-1 = B / E
-    frob_n = exact.frobenius_sq(compound(B, g))      # over E^(2g)
-    if basis.exact:
-        Dg, c2g, E2g = D**g, c ** (2 * g), E ** (2 * g)
-        if det_n * c2g != image_n * Dg:
-            raise IdentityViolation("Gram determinant != |C_g(W) p|^2")
-        if not any(p):
-            raise IdentityViolation("independent vectors produced p = 0")
-        if det_n * frob_n < p_sq * E2g * Dg:
-            raise IdentityViolation("Gram determinant below certified floor")
-        det_a, image_sq = Fraction(det_n, Dg), Fraction(image_n, c2g)
-        floor = Fraction(p_sq * E2g, frob_n)
-    else:
-        det_a, image_sq = det_n, image_n
-        scale = max(abs(float(det_a)), abs(float(image_sq)), 1.0)
-        if abs(float(det_a) - float(image_sq)) > basis.tolerance * scale:
-            raise IdentityViolation("Gram identity residual above tolerance")
-        floor = float(p_sq) / float(frob_n)
+    B, E, _ = exact._clear(basis.W_inverse_rows())   # W^-1 = B / E
+    frob_n = exact.frobenius_sq(exact._int_compound(B, g))  # over E^(2g)
+    Dg, c2g, E2g = D**g, c ** (2 * g), E ** (2 * g)
+    if det_n * c2g != image_n * Dg:
+        raise IdentityViolation("Gram determinant != |C_g(W) p|^2")
+    if not any(p):
+        raise IdentityViolation("independent vectors produced p = 0")
+    if det_n * frob_n < p_sq * E2g * Dg:
+        raise IdentityViolation("Gram determinant below certified floor")
     # p typed as exact.det types an integer minor: an int up to order 2
-    return GramIdentity(det=det_a,
+    return GramIdentity(det=Fraction(det_n, Dg),
                         p=tuple(exact._minor_value(x, 1, g, True) for x in p),
-                        image_norm_sq=image_sq, lower_bound=floor)
+                        image_norm_sq=Fraction(image_n, c2g),
+                        lower_bound=Fraction(p_sq * E2g, frob_n))

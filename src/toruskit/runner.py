@@ -277,7 +277,7 @@ def cache_dir() -> Path:
 
 # Part of every cache key.  Bump it whenever a partition builder's output
 # could change, so no entry computed by older code is ever served.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 def _cache_path(tag: str, payload: dict) -> Path:

@@ -4,8 +4,9 @@ Sites are indexed by ``(ell, j, a)`` with ``ell`` the time-Fourier index,
 ``j`` the space mode and ``a`` a sign (fixed +1 for the wave kind).  The wave
 symbol is ``-(lam*wbar.ell + theta)^2 + mu_j + m`` and the Schroedinger symbol
 ``-a (lam*wbar.ell + theta) + mu_j + m``; a site is singular when the symbol
-has modulus below 1.  On an exact basis every symbol is one integer over a
-fixed denominator (:class:`_Symbols`); everything identity-grade is exact.
+has modulus below 1.  Every symbol is one integer over a fixed denominator
+(:class:`_Symbols`), so the site scan, its replay and every identity are
+exact.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ class FrequencyParams:
     mass: object
 
     def __post_init__(self):
+        # the symbols are integers over one denominator (_Symbols)
+        if not all(isinstance(x, Rational) for x in
+                   (*self.omega_bar, self.lam, self.theta, self.mass)):
+            raise TypeError("omega_bar, lambda, theta and mass must be ints "
+                            "or Fractions; FrequencyParams.create parses them")
         if len(self.omega_bar) != self.n:
             raise DimensionMismatch("omega_bar length disagrees with n")
         one_norm = sum(abs(w) for w in self.omega_bar)
@@ -138,30 +144,21 @@ def symbol(basis, params, site: SpaceTimeSite, kind: str):
 class _Symbols:
     """The symbols of a basis as ``rho(j) - c(y(ell), a)`` over one ``L``.
 
-    On an exact basis with rational scalars, with ``(G, D) = basis.gram``,
-    ``lam*omega_bar = W/E`` and ``theta = T/E`` over the least common
-    denominator ``E``, ``y(ell) = Y/E`` with ``Y = W.ell + T``, and
-    ``mu_j + m = rho/L`` with ``rho = (j^T G j) L/D + m L``.  The symbol is
-    ``(rho - c)/L`` with centre ``c = a Y L/E`` (Schroedinger,
-    ``L = lcm(D, E, den m)``) or ``c = Y^2 L/E^2`` (wave,
-    ``L = lcm(D, E^2, den m)``), all integers.  A floating basis or float
-    scalars have no integer form: ``L = 1``, ``rho = mu(basis, j) + m``
-    (a float on a floating basis) and ``y = omega_dot(ell) + theta`` as the
-    scalars give it, with ``D`` None.  A kind other than the wave kind is the
-    Schroedinger kind, as in :func:`symbol`.
+    With ``(G, D) = basis.gram``, ``lam*omega_bar = W/E`` and
+    ``theta = T/E`` over the least common denominator ``E``,
+    ``y(ell) = Y/E`` with ``Y = W.ell + T``, and ``mu_j + m = rho/L`` with
+    ``rho = (j^T G j) L/D + m L``.  The symbol is ``(rho - c)/L`` with
+    centre ``c = a Y L/E`` (Schroedinger, ``L = lcm(D, E, den m)``) or
+    ``c = Y^2 L/E^2`` (wave, ``L = lcm(D, E^2, den m)``), all integers.
+    The scalars are rationals, as :meth:`FrequencyParams.create` parses
+    them.  A kind other than the wave kind is the Schroedinger kind, as in
+    :func:`symbol`.
     """
 
     def __init__(self, basis: LatticeBasis, params: FrequencyParams, kind):
         self.basis = basis
         self.wave = kind == NLW
         omega = params.omega()
-        scalars = (*omega, params.theta, params.mass)
-        if basis.gram is None or not all(isinstance(x, Rational)
-                                         for x in scalars):
-            self.D, self.mass = None, params.mass
-            self.W, self.T = omega, params.theta
-            self.L = self.per_E = 1
-            return
         self.G, self.D = basis.gram
         self.E = E = math.lcm(*(x.denominator for x in omega),
                               params.theta.denominator)
@@ -178,8 +175,6 @@ class _Symbols:
         return sum(map(operator.mul, self.W, ell)) + self.T
 
     def rho(self, j):
-        if self.D is None:
-            return mu(self.basis, j) + self.mass
         return mu_numerator(self.basis, j) * self.per_D + self.mass_L
 
     def center(self, Y, a):
@@ -197,9 +192,8 @@ class _Symbols:
 def is_singular(basis, params, site: SpaceTimeSite, kind: str) -> bool:
     """Strict sublevel test |symbol| < 1; boundary values are regular.
 
-    It tests the window that :func:`enumerate_singular_sites` bisects, in
-    the same arithmetic: integers on an exact basis, a float ``mu_j + mass``
-    against the exact window on a floating one (:meth:`_Symbols.below`).
+    It tests the window that :func:`enumerate_singular_sites` bisects, on
+    the same integers (:meth:`_Symbols.below`).
     """
     return _Symbols(basis, params, kind).below(site)
 
@@ -217,8 +211,7 @@ def enumerate_singular_sites(basis: LatticeBasis, params: FrequencyParams,
     costs O(|js| log|js| + |ells| log|js| + output) instead of
     O(|ells| |js|).  It scans the numerators of :class:`_Symbols` and the
     window ``(c - L*bound, c + L*bound)``, which at bound 1 is the predicate
-    of :meth:`_Symbols.below`: integers on an exact basis, float ``rho``
-    against exact windows on a floating one.
+    of :meth:`_Symbols.below`.
     """
     signs = _signs(kind)
     ells = box_sites(ell_radius, params.n)
@@ -501,19 +494,16 @@ def chain_det_identity(data: ChainBilinearData) -> ChainDetIdentity:
     choice of g-1 space coordinates.  The identity
     ``det A(lam) = |C_g(W) p|^2 - lam^2 |C_{g-1}(W) (wbar x m)|^2`` is affine
     in lam^2, so two evaluation points determine it and the third is the
-    consistency check; in exact mode any nonzero residual raises.
+    consistency check; any nonzero residual raises.
 
-    On an exact basis everything runs on integers: the space form from
+    Everything runs on integers: the space form from
     :func:`~toruskit.lattice.gram_numerators` (``N / D``), the images from
     the dual image ``W = A / c``, and ``wbar = Om / E`` cleared.  At
     ``lam = u / v`` the matrix ``v^2 D E^2 A(lam) = v^2 E^2 N - u^2 D s s^T``
     with ``s_i = Om . l_i``, so each side of the identity is an integer over
-    a known denominator and the check cross-multiplies.  A floating basis
-    runs the same body on its float image and compares ``det A(lam)`` up to
-    its tolerance.
+    a known denominator and the check cross-multiplies.
     """
     basis, params, g = data.basis, data.params, data.g
-    det, compound = basis.kernels
     K = [list(k) for k in data.k_vectors]                      # g x d
     p = tuple(row[0] for row in exact._int_compound(exact.mat_transpose(K), g))
     # the (g-1)-minors of K; the row set without row i is row g-1-i
@@ -528,46 +518,34 @@ def chain_det_identity(data: ChainBilinearData) -> ChainDetIdentity:
                 m_vec = [a + x * b for a, b in zip(m_vec, l)]
         m_coeffs.append(tuple(m_vec))
 
-    omega = [list(params.omega_bar)]
-    # wbar = Om / E; a floating basis keeps wbar as given
-    cleared = exact._clear(omega) if basis.exact else None
-    Om, E = (omega, 1) if cleared is None else cleared[:2]
+    Om, E, _ = exact._clear([list(params.omega_bar)])         # wbar = Om / E
     s = [sum(map(operator.mul, Om[0], l)) for l in data.l_vectors]
     omega_x_m = [sum(map(operator.mul, Om[0], mv)) for mv in m_coeffs]
     A, c = basis.image
+    # over c^(2g) and c^(2g-2) E^2
     eta_n = exact.norm_sq([sum(map(operator.mul, row, p))
-                           for row in compound(A, g)])          # over c^(2g)
+                           for row in exact._int_compound(A, g)])
     zeta_n = exact.norm_sq([sum(map(operator.mul, row, omega_x_m))
-                            for row in compound(A, g - 1)])     # over c^(2g-2) E^2
+                            for row in exact._int_compound(A, g - 1)])
     N, D = gram_numerators(basis, data.k_vectors)
     E2, c2 = E * E, c * c
-
-    if basis.exact:
-        c2g = c2**g
-        for lam in _LAMBDAS:
-            u2, v2 = lam.numerator ** 2, lam.denominator ** 2
-            M = [[v2 * E2 * x - u2 * D * si * sl for x, sl in zip(row, s)]
-                 for row, si in zip(N, s)]
-            lhs_n, lhs_d = det(M), (v2 * D * E2) ** g
-            rhs_n, rhs_d = v2 * E2 * eta_n - u2 * c2 * zeta_n, v2 * E2 * c2g
-            if lhs_n * rhs_d != rhs_n * lhs_d:
-                residual = abs(Fraction(lhs_n, lhs_d) - Fraction(rhs_n, rhs_d))
-                raise IdentityViolation(
-                    f"determinant identity residual {residual} at lambda {lam}")
-        residual = 0.0
-        eta, zeta = Fraction(eta_n, c2g), Fraction(zeta_n, c2g // c2 * E2)
-    else:
-        eta, zeta = eta_n, zeta_n    # c = E = 1
-        residual = max(abs(data.det_A(lam) - (eta - lam * lam * zeta))
-                       for lam in _LAMBDAS)
-        scale = max(1.0, abs(float(eta)), abs(float(zeta)))
-        if float(residual) > basis.tolerance * scale:
-            raise IdentityViolation("determinant identity residual above tolerance")
+    c2g = c2**g
+    for lam in _LAMBDAS:
+        u2, v2 = lam.numerator ** 2, lam.denominator ** 2
+        M = [[v2 * E2 * x - u2 * D * si * sl for x, sl in zip(row, s)]
+             for row, si in zip(N, s)]
+        lhs_n, lhs_d = exact._int_det(M), (v2 * D * E2) ** g
+        rhs_n, rhs_d = v2 * E2 * eta_n - u2 * c2 * zeta_n, v2 * E2 * c2g
+        if lhs_n * rhs_d != rhs_n * lhs_d:
+            residual = abs(Fraction(lhs_n, lhs_d) - Fraction(rhs_n, rhs_d))
+            raise IdentityViolation(
+                f"determinant identity residual {residual} at lambda {lam}")
+    eta, zeta = Fraction(eta_n, c2g), Fraction(zeta_n, c2g // c2 * E2)
 
     # Gram positivity at xi = -1: the form phi_1 + phi_2 is a scalar product,
     # and D E^2 (R + S) = E^2 N + D s s^T
-    gram = det([[E2 * x + D * si * sl for x, sl in zip(row, s)]
-                for row, si in zip(N, s)])
+    gram = exact._int_det([[E2 * x + D * si * sl for x, sl in zip(row, s)]
+                           for row, si in zip(N, s)])
     gram_positive = gram > 0
 
     max_l = max((exact.sup_norm(l) for l in data.l_vectors), default=0)
@@ -575,7 +553,7 @@ def chain_det_identity(data: ChainBilinearData) -> ChainDetIdentity:
     limit = g * math.factorial(g - 1) * max_l * max_k ** (g - 1)
     m_ok = all(exact.sup_norm(mv) <= limit for mv in m_coeffs)
     return ChainDetIdentity(p=p, m_coeffs=tuple(m_coeffs), eta=eta, zeta=zeta,
-                            residual=float(residual),
+                            residual=0.0,
                             gram_positive=gram_positive,
                             m_bound_limit=limit, m_bound_ok=m_ok)
 
@@ -844,19 +822,13 @@ def chain_pair_bounds(basis: LatticeBasis, params: FrequencyParams,
     difference is compared with ``|q - q0|^2 gamma^2``; the reported constant
     is the smallest one making all bounds hold.  For the linear kind the
     theta-free consecutive-step inequality (budget ``2(m+1)``) is also
-    replayed.  An exact basis takes ``s0^T G`` once per anchor and one
-    integer dot per site (:func:`_integer_worst_pair`); a floating basis,
-    which has no integer Gram form, or float scalars call :func:`bilinear`
-    per pair.
+    replayed.  It takes ``s0^T G`` once per anchor and one integer dot per
+    site (:func:`_integer_worst_pair`).
     """
     sites = chain.sites
     sym = _Symbols(basis, params, kind)
-    if sym.D is None:
-        best_c, worst = _bilinear_worst_pair(basis, params, chain, kind)
-        mu_vals = [mu(basis, s.j) for s in sites]
-    else:
-        best_c, worst, nums = _integer_worst_pair(sym, chain, kind)
-        mu_vals = [Fraction(x, sym.D) for x in nums]
+    best_c, worst, nums = _integer_worst_pair(sym, chain, kind)
+    mu_vals = [Fraction(x, sym.D) for x in nums]
     step_ok = None
     max_gap = 0.0
     if len(sites) >= 2:
@@ -917,25 +889,3 @@ def _integer_worst_pair(sym: _Symbols, chain: SingularChain, kind: str):
             best_c, worst = top, (q0, ratios.index(top))
     return best_c, worst, nums
 
-
-def _bilinear_worst_pair(basis, params, chain, kind):
-    # a floating basis: one bilinear call per pair, Fraction time parts
-    sites = chain.sites
-    xs = [params.omega_dot(s.ell) + params.theta for s in sites]
-    worst = None
-    best_c = 0.0
-    for q0, s0 in enumerate(sites):
-        x0 = xs[q0]
-        for q, s in enumerate(sites):
-            if q == q0:
-                continue
-            denom = (q - q0) ** 2 * float(chain.gamma) ** 2
-            space = bilinear(basis, s0.j, tuple(a - b for a, b in
-                                                zip(s.j, s0.j)))
-            if kind == NLW:
-                space = -x0 * (xs[q] - x0) + space
-            ratio = float(abs(space)) / denom
-            if ratio > best_c:
-                best_c = ratio
-                worst = (q0, q)
-    return best_c, worst

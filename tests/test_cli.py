@@ -266,13 +266,14 @@ def test_floating_homological_is_usage_error(tmp_path, capsys):
     assert "lattice.mode" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("mode, matrix", [
+# "floating": the entries typed as floats, whose decimals are singular too
+@pytest.mark.parametrize("entries, matrix", [
     ("exact", [["1", "2"], ["1/2", "1"]]),
     ("floating", [[1.0, 2.0], [0.5, 1.0]]),
 ])
-def test_singular_lattice_is_usage_error(tmp_path, capsys, mode, matrix):
+def test_singular_lattice_is_usage_error(tmp_path, capsys, entries, matrix):
     lattice = tmp_path / "singular.json"
-    lattice.write_text(json.dumps({"matrix": matrix, "mode": mode}))
+    lattice.write_text(json.dumps({"matrix": matrix}))
     code = main(["cluster", "--lattice", str(lattice), "--radius", "3",
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
@@ -352,14 +353,14 @@ def test_params_not_an_object_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("lattice, field", [
-    ({"matrix": [[1.0, "a"], [0, 1]], "mode": "floating"},
-     "lattice.matrix[0][1]"),
-    ({"matrix": [[1.0, 0], [None, 1]], "mode": "floating"},
-     "lattice.matrix[1][0]"),
+    ({"matrix": [[1.0, "a"], [0, 1]]}, "lattice.matrix[0][1]"),
+    ({"matrix": [[1.0, 0], [None, 1]]}, "lattice.matrix[1][0]"),
+    # tolerance was a field of the floating mode, which is gone
     ({"matrix": [[1.0, 0], [0, 1]], "mode": "floating", "tolerance": "tight"},
      "lattice.tolerance"),
     ({"matrix": [["1", "0"], ["0", "1"]], "tolerance": None},
      "lattice.tolerance"),
+    ({"matrix": [[1.0, 0], [0, 1]], "mode": "floating"}, "lattice.mode"),
 ])
 def test_bad_lattice_number_is_usage_error(tmp_path, capsys, lattice, field):
     config = tmp_path / "config.json"
@@ -369,7 +370,7 @@ def test_bad_lattice_number_is_usage_error(tmp_path, capsys, lattice, field):
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"{field}: expected a number" in err and "Traceback" not in err
+    assert f"error: {field}: " in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("raw, field", [
@@ -392,12 +393,11 @@ def test_non_finite_rational_is_usage_error(tmp_path, capsys, raw, field):
 
 @pytest.mark.parametrize("raw, field", [
     ({"kind": "cluster",
-      "lattice": {"matrix": [[1.0, 0.0], [0.0, math.nan]], "mode": "floating"},
+      "lattice": {"matrix": [[1.0, 0.0], [0.0, math.nan]]},
       "params": {"box_radius": 3}}, "lattice.matrix[1][1]"),
     ({"kind": "cluster",
-      "lattice": {"matrix": [[1.0, 0.0], [0.0, 1.0]], "mode": "floating",
-                  "tolerance": math.nan},
-      "params": {"box_radius": 3}}, "lattice.tolerance"),
+      "lattice": {"matrix": [[-math.inf, 0.0], [0.0, 1.0]]},
+      "params": {"box_radius": 3}}, "lattice.matrix[0][0]"),
     ({"kind": "homological", "lattice": {"matrix": [["1"]]},
       "params": {"box_radius": 3, "entries": 5, "sigma": math.nan}},
      "params.sigma"),
@@ -530,7 +530,8 @@ def test_theta_on_a_frequency_file_that_is_not_an_object(tmp_path,
     ("frequency.mas", {"frequency": {"omega_bar": ["1"], "gamma0": "1/2",
                                      "tau0": 1, "mas": "1/3"}}),
     ("params.box_radus", {"params": {"box_radus": 4}}),
-], ids=["top", "lattice", "frequency", "params"])
+    ("lattice.tolerance", {"lattice": {"matrix": [["1"]], "tolerance": 1e-9}}),
+], ids=["top", "lattice", "frequency", "params", "lattice-tolerance"])
 def test_unknown_config_field_is_usage_error(tmp_path, capsys, field, section):
     # each misspelling ran with the section's default at exit 0
     config = tmp_path / "config.json"
@@ -554,12 +555,13 @@ def test_config_of_another_kind_is_usage_error(tmp_path, capsys):
 
 
 def test_floating_singular_run_replays_its_sites(tmp_path, capsys):
-    # the scan kept site ell=(-5,), j=(0,0), a=1 on the float rho = 2/3 edge,
-    # where a float replay of the symbol rounded it onto |symbol| = 1
+    # a float scan once kept site ell=(-5,), j=(0,0), a=1 on the edge
+    # rho = 2/3, which a float replay of the symbol rounded onto
+    # |symbol| = 1; the float entries are now read as their decimals
     lattice = tmp_path / "lattice.json"
     lattice.write_text(json.dumps({"matrix": [
         [0.6301449849816195, -0.2964506960608932],
-        [0.0, 1.0870110707497045]], "mode": "floating"}))
+        [0.0, 1.0870110707497045]]}))
     freq = tmp_path / "freq.json"
     freq.write_text(json.dumps({"omega_bar": ["1/9"], "gamma0": "1/100",
                                 "tau0": 1, "lambda": "3/2", "theta": "1/2",

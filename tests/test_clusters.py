@@ -344,16 +344,18 @@ def oracle_components(sites, links):
     return sorted(groups)
 
 
-@pytest.mark.parametrize("mode", ["exact", "floating"])
+# "floating" runs each case on the generators typed as floats, which are
+# read as their decimals: another exact torus
+@pytest.mark.parametrize("entries", ["exact", "floating"])
 @pytest.mark.parametrize("d,radius", DIFF_CASES)
-def test_relation_links_match_all_pairs_oracle(d, radius, mode, tmp_path):
+def test_relation_links_match_all_pairs_oracle(d, radius, entries, tmp_path):
     rng = random.Random(1000 * d + radius)
     delta = Fr(1, 2)
     for trial in range(2):
         rows = random_sheared_rows(rng, d)
-        if mode == "floating":
+        if entries == "floating":
             rows = [[float(x) for x in row] for row in rows]
-        basis = new_lattice(rows, mode=mode)
+        basis = new_lattice(rows)
         expected = oracle_links(basis, radius, delta)
         assert relation_links(basis, radius, delta) == expected
         sites = box_sites(radius, d)
@@ -361,8 +363,8 @@ def test_relation_links_match_all_pairs_oracle(d, radius, mode, tmp_path):
         assert [c.members for c in part.clusters] == \
             oracle_components(sites, expected)
 
-        lattice = {"matrix": [[format_rational(x) if mode == "exact" else x
-                               for x in row] for row in rows], "mode": mode}
+        lattice = {"matrix": [[format_rational(x) if entries == "exact" else x
+                               for x in row] for row in rows]}
         out = tmp_path / f"{trial}"
         run_experiment(normalize({
             "kind": "cluster", "cache": False, "out_dir": str(out),
@@ -379,13 +381,13 @@ def test_relation_links_match_all_pairs_oracle(d, radius, mode, tmp_path):
         assert written == part
 
 
-@pytest.mark.parametrize("mode", ["exact", "floating"])
-def test_relation_links_float_delta_match_oracle(mode):
-    # a float delta reads as its decimal, on either kind of basis
+@pytest.mark.parametrize("entries", ["exact", "floating"])
+def test_relation_links_float_delta_match_oracle(entries):
+    # a float delta reads as its decimal, as float generators do
     rows = random_sheared_rows(random.Random(5), 2)
-    if mode == "floating":
+    if entries == "floating":
         rows = [[float(x) for x in row] for row in rows]
-    basis = new_lattice(rows, mode=mode)
+    basis = new_lattice(rows)
     assert relation_links(basis, 4, 0.5) == oracle_links(basis, 4, Fr(1, 2))
 
 
@@ -393,8 +395,8 @@ def oracle_verify(basis, part):
     """verify_cluster_properties' separation scan and growth fit, per pair.
 
     Every pair of box sites with spatial gap at most the link radius, in
-    site order (the order of box_pairs), on Fraction (or float) eigenvalues
-    compared by le_pow.
+    site order (the order of box_pairs), on Fraction eigenvalues compared by
+    le_pow.
     """
     N, d, delta = part.box_radius, part.d, part.delta
     interior = {c.id for c in part.clusters if not c.boundary}
@@ -441,19 +443,19 @@ def singleton_partition(radius, d, delta):
                        for i, j in enumerate(sites)))
 
 
-@pytest.mark.parametrize("mode", ["exact", "floating"])
+@pytest.mark.parametrize("entries", ["exact", "floating"])
 @pytest.mark.parametrize("d,radius,delta", [(1, 40, Fr(1, 3)),
                                             (2, 8, Fr(1, 4)),
                                             (3, 2, Fr(1, 2))])
-def test_verify_matches_per_pair_oracle(d, radius, delta, mode):
+def test_verify_matches_per_pair_oracle(d, radius, delta, entries):
     rng = random.Random(77 * d + radius)
     rows = random_sheared_rows(rng, d)
     # long generators: small eigenvalue gaps, so the singletons collide
     long_rows = [[8 * x for x in row] for row in rows]
-    if mode == "floating":
+    if entries == "floating":
         rows, long_rows = ([[float(x) for x in row] for row in r]
                            for r in (rows, long_rows))
-    basis = new_lattice(long_rows, mode=mode)
+    basis = new_lattice(long_rows)
     adversarial = singleton_partition(radius, d, delta)
     rep = verify_cluster_properties(basis, adversarial)
     violations, pairs, _, _ = oracle_verify(basis, adversarial)
@@ -462,7 +464,7 @@ def test_verify_matches_per_pair_oracle(d, radius, delta, mode):
     assert rep.pairs_checked == pairs
     # a built partition with every cluster taken as interior runs the
     # growth fit over each cluster's pairs as well
-    basis = new_lattice(rows, mode=mode)
+    basis = new_lattice(rows)
     built = build_partition(basis, radius, delta, enforce_delta_bound=False)
     built = dataclasses.replace(built, clusters=tuple(
         dataclasses.replace(c, boundary=False) for c in built.clusters))
@@ -472,7 +474,8 @@ def test_verify_matches_per_pair_oracle(d, radius, delta, mode):
             rep.fitted_constant, rep.fitted_exponent) == oracle_verify(basis, built)
 
 
-# (rows, radius): sheared, diagonal, dense rational; each also runs floating.
+# (rows, radius): sheared, diagonal, dense rational; each also runs on its
+# entries typed as floats.
 # diag(1, 5/3) has eigenvalue gaps 6/5 and 7/5, which the floats 1.2 and 1.4
 # round from below, and [[5/2]] has 12/5 (2.4), so a float gamma there is
 # only exact when compared as a rational.
@@ -488,15 +491,15 @@ CHAIN_BASES = [
 ]
 
 
-@pytest.mark.parametrize("mode", ["exact", "floating"])
+@pytest.mark.parametrize("entries", ["exact", "floating"])
 @pytest.mark.parametrize("rows,radius", CHAIN_BASES)
 def test_chain_adjacency_matches_gamma_link_oracle(monkeypatch, rows, radius,
-                                                   mode):
+                                                   entries):
     import toruskit.clusters as clusters
 
-    if mode == "floating":
+    if entries == "floating":
         rows = [[float(Fr(x)) for x in row] for row in rows]
-    basis = new_lattice(rows, mode=mode)
+    basis = new_lattice(rows)
     sites = box_sites(radius, basis.d)
     captured = []
     search_longest_path = clusters.longest_path

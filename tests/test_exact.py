@@ -169,6 +169,47 @@ def test_seeded_iroot_matches_newton_oracle():
         assert r**1000 <= n < (r + 1) ** 1000
 
 
+def test_bracket_roots_match_iroot_and_newton_oracle(monkeypatch):
+    # a D**q of more than exact._BRACKET_BITS bits takes each root from a
+    # decimal bracket, or from _iroot when the bracket holds an integer; both
+    # views must be the roots of the Newton oracle
+    found = []
+    real = exact._bracket_floor
+
+    def recorded(*args):
+        found.append(real(*args))
+        return found[-1]
+
+    monkeypatch.setattr(exact, "_bracket_floor", recorded)
+    rng = random.Random(31)
+    big = rng.getrandbits(203) | 1 << 202
+    cases = []
+    for _ in range(200):
+        q = rng.randint(1, 300)
+        cases.append((rng.choice([rng.randint(2, 10**30), big]),
+                      Fr(rng.randint(0, 2 * q), q),
+                      rng.choice([0, 1, rng.randint(2, 64), rng.randint(2, 5000)])))
+    # exact powers: s = k**q makes D * s**(p/q) the integer D * k**p
+    for _ in range(40):
+        q = rng.choice([61, 67, 71, 73, 79, 83, 89, 97, 101, 103])
+        cases.append((big, Fr(rng.randint(1, q - 1), q), rng.randint(2, 40) ** q))
+    for D, delta, s in cases:
+        p, q = delta.numerator, delta.denominator
+        n = D**q * s**p
+        r = _newton_root(n, q)
+        assert exact.scaled_floor_pow(D, delta)(s) == r == exact._iroot(n, q)
+        assert exact.scaled_ceil_pow(D, delta)(s) == r + (r**q != n)
+    bracketed = len(found) - found.count(None)
+    assert bracketed >= 100 and found.count(None) >= 80
+    # delta 237/10000 at the 203-bit D, where the Newton oracle would take
+    # minutes: _iroot and the defining bounds decide it
+    n = big**10000 * 64**237
+    r = exact.scaled_floor_pow(big, Fr(237, 10000))(64)
+    assert found[-1] == r == exact._iroot(n, 10000)
+    assert r**10000 <= n < (r + 1) ** 10000
+    assert exact.scaled_ceil_pow(big, Fr(237, 10000))(64) == r + 1
+
+
 def _loop_floor_pow(base, delta):
     # the linear scans floor_pow and ceil_pow once were: the oracle
     r = 0
@@ -261,7 +302,93 @@ def test_merge_intervals_and_measure():
 
 
 # ---------------------------------------------------------------------------
-# the integer (Bareiss) kernel against the field-elimination oracle
+# the integer (Bareiss) kernel against the field-elimination oracle:
+# plain Gaussian elimination over the entries' own field, run on Fractions
+
+
+def _field_mat_mul(A, B):
+    n, k, m = len(A), len(B), len(B[0])
+    out = []
+    for i in range(n):
+        row_a = A[i]
+        out.append([sum(row_a[t] * B[t][j] for t in range(k)) for j in range(m)])
+    return out
+
+
+def _field_det(M):
+    """Determinant by Gaussian elimination over the entries' own field."""
+    n = len(M)
+    A = [list(row) for row in M]
+    sign = 1
+    acc = Fr(1)
+    for c in range(n):
+        piv = None
+        for r in range(c, n):
+            if A[r][c] != 0:
+                piv = r
+                break
+        if piv is None:
+            return 0 * A[0][0]
+        if piv != c:
+            A[c], A[piv] = A[piv], A[c]
+            sign = -sign
+        acc = acc * A[c][c]
+        inv = Fr(1) / A[c][c]
+        for r in range(c + 1, n):
+            if A[r][c] != 0:
+                f = A[r][c] * inv
+                A[r] = [A[r][k] - f * A[c][k] for k in range(c, n)]
+                A[r] = [0] * c + A[r]
+    return sign * acc
+
+
+def _field_mat_inverse(M):
+    n = len(M)
+    A = [list(row) + [Fr(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
+    for c in range(n):
+        piv = None
+        for r in range(c, n):
+            if A[r][c] != 0:
+                piv = r
+                break
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        A[c], A[piv] = A[piv], A[c]
+        ic = Fr(1) / A[c][c]
+        A[c] = [x * ic for x in A[c]]
+        for r in range(n):
+            if r != c and A[r][c] != 0:
+                f = A[r][c]
+                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+    return [row[n:] for row in A]
+
+
+def _field_mat_rank(M) -> int:
+    A = [list(row) for row in M]
+    rows, cols = len(A), len(A[0])
+    rank = 0
+    for c in range(cols):
+        piv = None
+        for r in range(rank, rows):
+            if A[r][c] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        inv = Fr(1) / A[rank][c]
+        for r in range(rank + 1, rows):
+            if A[r][c] != 0:
+                f = A[r][c] * inv
+                A[r] = [A[r][k] - f * A[rank][k] for k in range(cols)]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def submatrix(M, rows, cols):
+    return [[M[r][c] for c in cols] for r in rows]
 
 
 def as_fractions(M):
@@ -304,7 +431,7 @@ def seeded_cases(seed, trials, square):
 def test_det_matches_field_oracle():
     singular = 0
     for _, M in seeded_cases(11, 6, square=True):
-        want = exact._field_det(as_fractions(M))
+        want = _field_det(as_fractions(M))
         assert exact.det(M) == want
         singular += want == 0
     assert singular > 10
@@ -313,7 +440,7 @@ def test_det_matches_field_oracle():
 def test_rank_matches_field_oracle_on_rectangular_input():
     deficient = 0
     for _, M in seeded_cases(12, 6, square=False):
-        want = exact._field_mat_rank(as_fractions(M)) if M else 0
+        want = _field_mat_rank(as_fractions(M)) if M else 0
         assert exact.mat_rank(M) == want
         deficient += bool(M) and want < min(len(M), len(M[0]))
     assert deficient > 10
@@ -323,7 +450,7 @@ def test_inverse_matches_field_oracle():
     raised = 0
     for _, M in seeded_cases(13, 6, square=True):
         try:
-            want = exact._field_mat_inverse(as_fractions(M))
+            want = _field_mat_inverse(as_fractions(M))
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
                 exact.mat_inverse(M)
@@ -342,9 +469,9 @@ def test_compound_matches_per_minor_oracle_on_rectangular_input():
         M = random_matrix(rng, p, q, kind, rank)
         F = as_fractions(M)
         for g in range(min(p, q) + 1):
-            want = [[exact._field_det(exact.submatrix(F, rs, cs))
-                     for cs in exact.index_tuples(q, g)]
-                    for rs in exact.index_tuples(p, g)]
+            want = [[_field_det(submatrix(F, rs, cs))
+                     for cs in itertools.combinations(range(q), g)]
+                    for rs in itertools.combinations(range(p), g)]
             assert exact.compound(M, g) == want
 
 
@@ -354,7 +481,7 @@ def test_mat_mul_matches_field_oracle():
         n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
         A = random_matrix(rng, n, k, rng.choice(["int", "frac"]))
         B = random_matrix(rng, k, m, rng.choice(["int", "frac"]))
-        assert exact.mat_mul(A, B) == exact._field_mat_mul(as_fractions(A),
+        assert exact.mat_mul(A, B) == _field_mat_mul(as_fractions(A),
                                                            as_fractions(B))
 
 
@@ -372,6 +499,10 @@ def test_mat_vec_matches_loop_oracle():
         if kind == "float":
             M = [[float(x) + 0.25 for x in row] for row in M]
         v = [row[0] for row in random_matrix(rng, k, 1, rng.choice(["int", "frac"]))]
+        if kind == "float":
+            with pytest.raises(TypeError):
+                exact.mat_vec(M, v)
+            continue
         got, want = exact.mat_vec(M, v), _loop_mat_vec(M, v)
         assert got == want
         assert [type(x) for x in got] == [type(x) for x in want]
@@ -400,23 +531,28 @@ def test_return_types_are_pinned():
     assert type(exact.det(s3)) is int and exact.det(s3) == 0
     for M in (i2, i3, s3):
         assert type(exact.det(halves(M))) is Fr
-        assert type(exact.det(floats(M))) is float
-        for arg in (M, halves(M), floats(M)):
+        for arg in (M, halves(M)):
             assert type(exact.mat_rank(arg)) is int
     assert types(exact.mat_inverse(i3)) == {Fr}
     assert types(exact.mat_inverse(halves(i3))) == {Fr}
-    assert types(exact.mat_inverse(floats(i3))) == {float}
     assert [types(exact.compound(i3, g)) for g in range(4)] == [
         {Fr}, {int}, {int}, {Fr}]
     assert types(exact.compound(s3, 3)) == {int}
     assert [types(exact.compound(halves(i3), g)) for g in range(4)] == [
         {Fr}, {Fr}, {Fr}, {Fr}]
-    assert [types(exact.compound(floats(i3), g)) for g in range(4)] == [
-        {Fr}, {float}, {float}, {float}]
     assert types(exact.mat_mul(i3, i3)) == {int}
     assert types(exact.mat_mul(halves(i3), halves(i3))) == {Fr}
     assert types(exact.mat_mul(i3, halves(i3))) == {Fr}
-    assert types(exact.mat_mul(floats(i3), floats(i3))) == {float}
+    # a float entry is refused at every order, one float among Fractions too
+    mixed = halves(i3)
+    mixed[2][0] = 0.5
+    for M in (floats([[5]]), floats(i2), floats(i3), mixed):
+        for call in (exact.det, exact.mat_rank, exact.mat_inverse,
+                     lambda A: exact.compound(A, 1),
+                     lambda A: exact.mat_mul(A, A),
+                     lambda A: exact.mat_mul(i3[:len(A[0])], A)):
+            with pytest.raises(TypeError, match="int or Fraction"):
+                call(M)
 
 
 @pytest.mark.parametrize("v,want", [((), 0), ([], 0), ((0,), 0), ([-7], 7),

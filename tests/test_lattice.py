@@ -19,7 +19,6 @@ from toruskit.lattice import (
     compound_matrix,
     gram_det_identity,
     mu,
-    mu_bounds,
     new_lattice,
 )
 
@@ -50,10 +49,15 @@ def test_repeated_column_is_singular():
 
 
 def test_floating_mode_singularity():
+    # float generators are read as their decimals, so singularity is the
+    # exact determinant's: 1.0000000000001 leaves det = 1/10**13, not 0
+    near = new_lattice([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+    assert near.V[1][1] == Fr(10**13 + 1, 10**13)
+    assert exact.det(near.V_rows()) == Fr(1, 10**13)
     with pytest.raises(SingularGenerators):
-        new_lattice([[1.0, 1.0], [1.0, 1.0 + 1e-13]], mode="floating")
-    b = new_lattice([[1.0, 0.0], [0.0, 2.0]], mode="floating")
-    assert b.W[1][1] == pytest.approx(0.5)
+        new_lattice([[1.0, 2.0], [0.5, 1.0]])
+    b = new_lattice([[1.0, 0.0], [0.0, 2.0]])
+    assert b.W[1][1] == Fr(1, 2)
 
 
 def test_mu_values():
@@ -116,33 +120,22 @@ def test_gram_form_matches_w_product_oracle():
 
 
 def test_floating_basis_keeps_w_product():
-    basis = new_lattice([[1.0, 0.3], [0.0, 1.7]], mode="floating")
-    assert basis.gram is None
+    # a basis typed in floats is the exact basis of their decimals: the
+    # same basis as the decimal strings, with the W product's exact values
+    basis = new_lattice([[1.0, 0.3, -0.2], [0.1, 1.7, 0.4], [-0.5, 0.25, 1.3]])
+    assert basis == new_lattice([["1", "0.3", "-0.2"], ["0.1", "1.7", "0.4"],
+                                 ["-0.5", "0.25", "1.3"]])
     W = basis.W_rows()
-    for j in ((0, 0), (3, -4), (-2, 5)):
+    for j in ((0, 0, 0), (3, -4, 1), (-2, 5, 7)):
         assert mu(basis, j) == exact.norm_sq(exact.mat_vec(W, list(j)))
-        assert bilinear(basis, j, (1, 2)) == exact.dot(
-            exact.mat_vec(W, list(j)), exact.mat_vec(W, [1, 2]))
-
-
-def test_floating_gram_identity_bits_are_unchanged():
-    # float.hex values of (det, image_norm_sq, lower_bound) from the field
-    # elimination that floating bases have always used
-    basis = new_lattice([[1.0, 0.3, -0.2], [0.1, 1.7, 0.4], [-0.5, 0.25, 1.3]],
-                        mode="floating")
-    cases = [
-        ([(1, 0, 2)],
-         ("0x1.251e37506982ap+3", "0x1.251e37506982ap+3", "0x1.9d673f5aa3803p-1")),
-        ([(1, 2, 0), (0, -1, 3)],
-         ("0x1.70575b42b8673p+4", "0x1.70575b42b8673p+4", "0x1.1de7b11d75218p+2")),
-        ([(1, 2, 0), (0, -1, 3), (2, 1, 1)],
-         ("0x1.2fc6dc5d53397p+4", "0x1.2fc6dc5d53399p+4", "0x1.2fc6dc5d53396p+4")),
-    ]
-    for fs, want in cases:
+        assert bilinear(basis, j, (1, 2, 0)) == exact.dot(
+            exact.mat_vec(W, list(j)), exact.mat_vec(W, [1, 2, 0]))
+    for fs in ([(1, 0, 2)], [(1, 2, 0), (0, -1, 3)],
+               [(1, 2, 0), (0, -1, 3), (2, 1, 1)]):
         ident = gram_det_identity(basis, fs)
-        got = (ident.det, ident.image_norm_sq, ident.lower_bound)
-        assert all(type(x) is float for x in got)
-        assert tuple(x.hex() for x in got) == want
+        assert ident.det == ident.image_norm_sq >= ident.lower_bound > 0
+        assert ident.det == exact.det([[bilinear(basis, a, b) for b in fs]
+                                       for a in fs])
 
 
 def test_mu_positive_exactly_off_zero():
@@ -157,15 +150,16 @@ def test_mu_positive_exactly_off_zero():
 
 
 def test_mu_comparable_to_euclidean_norm():
+    # |j| <= |W^-1|_F |W j| and |W j| <= |W|_F |j|, exactly
     rng = random.Random(1)
     for _ in range(10):
         basis = random_basis(rng, 3)
-        c, C = mu_bounds(basis)
+        c = 1 / exact.frobenius_sq(basis.W_inverse_rows())
+        C = exact.frobenius_sq(basis.W_rows())
         for _ in range(20):
             j = [rng.randint(-9, 9) for _ in range(3)]
             n2 = sum(x * x for x in j)
-            assert c * n2 <= float(mu(basis, j)) * (1 + 1e-9)
-            assert float(mu(basis, j)) <= C * n2 * (1 + 1e-9) + 1e-12
+            assert c * n2 <= mu(basis, j) <= C * n2
 
 
 def test_compound_matrix_basics():

@@ -314,24 +314,78 @@ def test_cluster_counters_in_meta_only(tmp_path, edges_csv, cache):
 
 def test_exact_cluster_run_leaves_numpy_unimported(tmp_path):
     # importing numpy adds about 13 MB of resident memory to a process, and
-    # the exact cluster path needs none of it
+    # no kind needs any of it: the cluster run and one run of every other
+    # kind, on a lattice typed in floats, in one process
     script = (
         "import json, sys\n"
         "from toruskit.config import normalize\n"
         "from toruskit.runner import run_experiment\n"
-        "raw = json.loads(sys.argv[1])\n"
-        "assert run_experiment(normalize(raw)).passed\n"
+        "for raw in json.loads(sys.argv[1]):\n"
+        "    assert run_experiment(normalize(raw)).passed, raw['kind']\n"
         "print('numpy' in sys.modules)\n")
-    raw = {"kind": "cluster", "out_dir": str(tmp_path / "out"), "cache": False,
-           "lattice": {"matrix": [["1", "1/2"], ["0", "1"]]},
-           "params": {"box_radius": 6, "delta": "1/10",
-                      "allow_delta_above_theorem": True, "edges_csv": True}}
+    lattice = {"matrix": [[1.0, 0.5], [0.0, 1.0]]}
+    freq = {"omega_bar": ["1"], "gamma0": "1/2", "tau0": 1, "mass": "1/2"}
+    runs = [
+        {"kind": "cluster", "lattice": {"matrix": [["1", "1/2"], ["0", "1"]]},
+         "params": {"box_radius": 6, "delta": "1/10",
+                    "allow_delta_above_theorem": True, "edges_csv": True}},
+        {"kind": "chains", "lattice": lattice,
+         "params": {"box_radius": 3, "gammas": [2], "node_budget": 500}},
+        {"kind": "singular", "lattice": lattice, "frequency": freq,
+         "params": {"symbol": "nls", "ell_radius": 4, "j_radius": 4}},
+        {"kind": "measure", "lattice": lattice, "frequency": freq,
+         "params": {"p_max": 1, "m_max": 1, "gamma_grid": ["1/200", "1/50"]}},
+        {"kind": "homological", "lattice": lattice,
+         "params": {"box_radius": 4, "delta": "1/10",
+                    "allow_delta_above_theorem": True, "entries": 20}},
+        {"kind": "verify", "params": {"trials_compound": 2,
+                                      "trials_cauchy_binet": 2, "trials_gram": 2,
+                                      "trials_chain_det": 2, "d_max": 3}},
+    ]
+    raws = [dict(raw, out_dir=str(tmp_path / raw["kind"]), cache=False)
+            for raw in runs]
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", script, json.dumps(raw)],
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(raws)],
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+# a 2-d lattice typed with 16-digit decimals: its Gram denominator has 203 bits
+DECIMALS = [["0.6301449849816195", "-0.2964506960608932"],
+            ["0.0", "1.0870110707497045"]]
+DECIMAL_FREQ = {"omega_bar": ["1/9"], "gamma0": "1/100", "tau0": 1,
+                "lambda": "3/2", "theta": "1/2", "mass": "2/3"}
+
+
+@pytest.mark.parametrize("raw", [
+    {"kind": "cluster", "params": {"box_radius": 8, "delta": "1/10",
+                                   "allow_delta_above_theorem": True}},
+    {"kind": "chains", "params": {"box_radius": 4, "gammas": [2],
+                                  "node_budget": 2000}},
+    {"kind": "singular", "frequency": DECIMAL_FREQ,
+     "params": {"symbol": "nls", "ell_radius": 6, "j_radius": 6}},
+    {"kind": "singular", "frequency": DECIMAL_FREQ,
+     "params": {"symbol": "nlw", "ell_radius": 6, "j_radius": 6}},
+    {"kind": "measure", "frequency": DECIMAL_FREQ,
+     "params": {"p_max": 1, "m_max": 1, "gamma_grid": ["1/3000", "1/300"]}},
+    {"kind": "homological", "params": {"box_radius": 6, "delta": "1/10",
+                                       "allow_delta_above_theorem": True,
+                                       "entries": 40}},
+], ids=["cluster", "chains", "singular-nls", "singular-nlw", "measure",
+        "homological"])
+def test_float_lattice_entries_give_the_decimal_report(tmp_path, raw):
+    # JSON floats are read as their decimals: the same torus, the same body
+    floats = [[float(x) for x in row] for row in DECIMALS]
+    bodies = []
+    for matrix in (DECIMALS, floats):
+        report = run_experiment(normalize(dict(
+            raw, lattice={"matrix": matrix}, out_dir=str(tmp_path / "out"),
+            cache=False)))
+        assert report.passed
+        bodies.append(report.body_bytes())
+    assert bodies[0] == bodies[1]
 
 
 def test_atomic_write_keeps_target_on_failure(tmp_path, monkeypatch):
@@ -462,23 +516,25 @@ def _singular(matrix, symbol, ell_radius, j_radius, omega=("1",), tau0=1,
 # sha256 of the report body and the output files of small singular runs,
 # recorded with the Fraction symbols that the integer kernel replaced; nls-d1
 # is cut by its node budget, and its witness was re-recorded when the DP
-# states began to count toward that budget
+# states began to count toward that budget.  All six were re-recorded when
+# the config echo lost its "lattice.mode" key, the one byte change: with
+# "mode": "exact" put back after the matrix, each body hashed to its old value
 @pytest.mark.parametrize("raw, digest", [
     (_singular([["1"]], "nls", 8, 4, mass="3/2", node_budget=3000),
-     "3ada77420db9f9b61b7e19f2160baa558938f0b79ee62c9a5c59627beaea65d2"),
+     "5290e10d0f4e0a5f394f1580f13fbf0b893171ed21e16656da277a2cf9865ff3"),
     (_singular([["1"]], "nlw", 20, 20),
-     "3599d36e123cede4ccb2d11997105dfe0919d44802c72fef22cc77a59aee7369"),
+     "da86d09af9ac970b24a7453b6fcd39fffc32de29a8245f0bab2593836027ed38"),
     (_singular([["1", "2/3"], ["0", "1"]], "nls", 6, 8),
-     "33c04ef4daf184001346392cb6a8c4b743d0bee1c9891c9c804c63f48796666b"),
+     "849f9d564eb024286d2345c79d9b55f84c5e789696093be2793069cb43a31cc2"),
     (_singular([["1", "0"], ["0", "2"]], "nlw", 6, 6, node_budget=2000),
-     "03342cc5f742acca7d02c9f4d9dfc840e1c00c38a25bec621566abcca14358d5"),
+     "8c63d1ac036ad58da1f2f5874fe59f9c7d87a93a3ae162a2914306ef0cdae21d"),
     (_singular([["1", "-1/3"], ["0", "3/2"]], "nls", 2, 3,
                omega=("1/3", "-1/2"), tau0=2, mass="3/4", lam="5/4",
                theta="2/7", node_budget=3000),
-     "64a78bc6f177f9e6d1ab185449f194bfcdd9b0f80ce0ac9f33fb3898ae2fb7ea"),
+     "32dda5437d9d92ddf079807096ba6553929cf28cde851a751bfa1ca5274c9d0c"),
     (_singular([["1", "1/2"], ["0", "1"]], "nlw", 8, 8, mass="2/3",
                lam="3/4", theta="-1/3", gamma=3),
-     "a34022f05a8b18d8fa58f76183058ccf12c7501b65d614b374e961d9af809892"),
+     "29ab75d481429c46f4df35135b7efc881dc15f18733be5288b41b04d2c8f7109"),
 ], ids=["nls-d1", "nlw-d1", "nls-d2", "nlw-d2", "nls-d2-theta-lambda",
         "nlw-d2-theta-lambda"])
 def test_singular_body_bytes_pinned(tmp_path, raw, digest):

@@ -543,9 +543,8 @@ def test_chain_pair_bounds_match_bilinear_replay(kind):
     rng = random.Random(11)
     bases = [B1, new_lattice([["3/7"]]), new_lattice([[1, "2/3"], [0, 1]]),
              new_lattice([["5/3", "-1/4", 0], [0, "7/9", "1/2"], [0, 0, 3]]),
-             new_lattice([[1.0, 0.37], [0.0, 1.21]], mode="floating"),
-             new_lattice([[0.9, 0.0, 0.1], [0.2, 1.3, 0.0], [0.0, 0.4, 0.7]],
-                         mode="floating")]
+             new_lattice([[1.0, 0.37], [0.0, 1.21]]),
+             new_lattice([[0.9, 0.0, 0.1], [0.2, 1.3, 0.0], [0.0, 0.4, 0.7]])]
     plist = [params(mass="1/2", theta="1/3"), params(mass="7", lam="3/4"),
              params(mass="2/5", lam="2/3", theta="-5/7")]
     for basis in bases:
@@ -595,16 +594,15 @@ def _double_loop_sites(basis, p, kind, ell_radius, j_radius):
 
 
 def test_bisect_scan_matches_double_loop():
-    # seed picked so that 23 of the 24 scans, the floating ones included,
-    # find sites
+    # seed picked so that 23 of the 24 scans, the two on float generators
+    # included, find sites
     rng = random.Random(29)
     for trial in range(12):
         d = 1 + trial % 3
         V = [[1 if i == k else Fr(rng.randint(-5, 5), rng.randint(1, 4))
               if k > i else 0 for k in range(d)] for i in range(d)]
-        mode = "floating" if trial == 11 else "exact"
         basis = new_lattice([[float(x) for x in r] for r in V]
-                            if mode == "floating" else V, mode=mode)
+                            if trial == 11 else V)
         n = rng.randint(1, 2)
         omega = [f"{rng.choice((-1, 1))}/{rng.randint(n + 1, 5)}"
                  for _ in range(n)]
@@ -674,20 +672,15 @@ def test_integer_symbols_share_one_denominator():
     assert sym.E == 40 and sym.W == (10, -15) and sym.T == -16
     for ell in ((0, 0), (3, -7), (-5, 2)):
         assert Fr(sym.y(ell), sym.E) == p.omega_dot(ell) + p.theta
-    # float scalars have no integer form: the symbol is rho - c over L = 1
-    floating = FrequencyParams(n=1, omega_bar=(0.5,), gamma0=Fr(1, 2),
-                               tau0=Fr(1), lam=Fr(1), theta=Fr(0), mass=Fr(1))
-    sym = _Symbols(B1, floating, NLS)
-    assert sym.D is None and sym.L == 1
-    for ell, j, a in (((0,), (0,), 1), ((3,), (-2,), -1), ((-5,), (4,), 1)):
-        site = SpaceTimeSite(ell, j, a)
-        value = sym.rho(j) - sym.center(sym.y(ell), a)
-        assert value == symbol(B1, floating, site, NLS)
-        assert sym.below(site) == (abs(value) < 1)
+    # float scalars have no integer form and are refused
+    with pytest.raises(TypeError, match="FrequencyParams.create"):
+        FrequencyParams(n=1, omega_bar=(0.5,), gamma0=Fr(1, 2), tau0=Fr(1),
+                        lam=Fr(1), theta=Fr(0), mass=Fr(1))
 
 
-# floating lattices whose float site scan once kept sites that a float replay
-# of the symbol called regular: rho = mu_j + mass rounds onto the window edge
+# lattices typed in floats whose float site scan once kept a site that a float
+# replay of the symbol called regular: there rho = mu_j + mass = 2/3 lies
+# exactly on the window edge |symbol| = 1, so read exactly it is regular
 FLOATING_PROBES = [
     ([[0.6301449849816195, -0.2964506960608932], [0.0, 1.0870110707497045]],
      dict(omega=("1/9",), lam="3/2", theta="1/2", mass="2/3"),
@@ -700,11 +693,12 @@ FLOATING_PROBES = [
 
 @pytest.mark.parametrize("matrix, freq, edge_site", FLOATING_PROBES)
 def test_floating_scan_sites_replay_as_singular(matrix, freq, edge_site):
-    basis = new_lattice(matrix, mode="floating")
+    basis = new_lattice(matrix)
     p = params(gamma0="1/100", **freq)
     sites = enumerate_singular_sites(basis, p, NLS, 6, 6)
-    assert edge_site in sites
-    assert all(is_singular(basis, p, site, NLS) for site in sites)
+    assert abs(symbol(basis, p, edge_site, NLS)) == 1
+    assert edge_site not in sites and not is_singular(basis, p, edge_site, NLS)
+    assert sites and all(is_singular(basis, p, site, NLS) for site in sites)
     survey = enumerate_singular_chains(basis, p, NLS, 6, 6, 2)
     assert all(c.is_valid(basis, p, NLS) for c in survey.chains)
 
