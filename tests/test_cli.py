@@ -319,6 +319,24 @@ def test_long_decimal_delta_is_refused(kind):
     ("verify", "trials_cauchy_binet", -1, "must be >= 0"),
     ("verify", "trials_gram", -5, "must be >= 0"),
     ("verify", "trials_chain_det", -1, "must be >= 0"),
+    # each ran at exit 0 or 1, or named no field path
+    ("homological", "decay_orders", [], "must be nonempty"),
+    ("measure", "doublings", -1, "must be >= 0"),
+    ("singular", "ell_radius", 0, "must be >= 1"),
+    ("singular", "j_radius", 0, "must be >= 1"),
+    ("measure", "p_max", -1, "must be >= 0"),
+    ("measure", "m_max", -1, "must be >= 0"),
+    ("verify", "d_min", 0, "must be >= 1"),
+    ("verify", "d_min", 5, "must be <= d_max = 4"),
+    ("verify", "d_max", 8, "must be <= 7"),
+    ("singular", "frequency.omega_bar", [], "must be nonempty"),
+    ("singular", "frequency.dio_ell_max", -3, "must be >= 0"),
+    ("cluster", "box_radius", True, "expected an integer"),
+    ("chains", "gammas", [True, 4], "expected a list of integers"),
+    ("measure", "g", 3, "must be <= d + 1 = 2"),
+    ("measure", "gamma_grid", ["1/100", "1/2"], "gamma 1/2 outside (0, 1/4]"),
+    ("singular", "frequency.lambda", "1.50000000000000000001",
+     "must lie in [1/2, 3/2]"),
 ])
 def test_bad_numeric_param_is_usage_error(tmp_path, capsys, kind, key, value,
                                           error):
@@ -326,8 +344,10 @@ def test_bad_numeric_param_is_usage_error(tmp_path, capsys, kind, key, value,
     field = key if key == "cache" or "." in key else f"params.{key}"
     raw = {"kind": kind, "out_dir": str(tmp_path / "out"),
            "lattice": {"matrix": [["1"]]}, "params": {}}
-    if kind == "singular":
+    if kind in ("singular", "measure"):
         raw["frequency"] = {"omega_bar": ["1"], "gamma0": "1/2", "tau0": 1}
+    if kind == "measure":
+        raw["params"]["gamma_grid"] = ["1/100"]
     if kind in ("cluster", "homological"):
         # delta 1/10 is above delta_max(1), so it needs the override
         raw["params"].update(delta="1/10", allow_delta_above_theorem=True)
@@ -338,7 +358,7 @@ def test_bad_numeric_param_is_usage_error(tmp_path, capsys, kind, key, value,
     code = main([kind, "--config", str(config)])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"{field}: {error}" in err and "Traceback" not in err
+    assert f"error: {field}: {error}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -75,8 +75,7 @@ def oracle_chain_det_identity(data):
                  for mv in m_coeffs]
     cw1 = exact.compound(basis.W_rows(), g - 1)
     zeta = exact.norm_sq(exact.mat_vec(cw1, omega_x_m))
-    residual = max(abs(data.det_A(lam) - (eta - lam * lam * zeta))
-                   for lam in _LAMBDAS)
+    assert all(data.det_A(lam) == eta - lam * lam * zeta for lam in _LAMBDAS)
     S, R = data.S_bar(), data.R()
     gram = exact.det([[R[i][l] + S[i][l] for l in range(g)] for i in range(g)])
     max_l = max(exact.sup_norm(l) for l in data.l_vectors)
@@ -84,7 +83,7 @@ def oracle_chain_det_identity(data):
     limit = g * math.factorial(g - 1) * max_l * max_k ** (g - 1)
     return ChainDetIdentity(
         p=p, m_coeffs=tuple(m_coeffs), eta=eta, zeta=zeta,
-        residual=float(residual), gram_positive=gram > 0, m_bound_limit=limit,
+        gram_positive=gram > 0, m_bound_limit=limit,
         m_bound_ok=all(exact.sup_norm(mv) <= limit for mv in m_coeffs))
 
 

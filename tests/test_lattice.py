@@ -18,6 +18,7 @@ from toruskit.lattice import (
     cauchy_binet_det,
     compound_matrix,
     gram_det_identity,
+    gram_numerators,
     mu,
     new_lattice,
 )
@@ -117,6 +118,10 @@ def test_gram_form_matches_w_product_oracle():
             assert isinstance(bilinear(basis, y, y2), Fr)
     with pytest.raises(DimensionMismatch):
         bilinear(bases[0], (1,), (1, 2))
+    # zip would cut the longer vector short without a word
+    d = bases[0].d
+    with pytest.raises(DimensionMismatch):
+        gram_numerators(bases[0], [(1,) * d, (1,) * (d + 1)])
 
 
 def test_floating_basis_keeps_w_product():

@@ -187,7 +187,6 @@ def test_chain_det_identity_g1():
     assert ident.eta == 25
     assert ident.m_coeffs == ((1,),)
     assert ident.zeta == 1
-    assert ident.residual == 0.0
     assert ident.gram_positive
     assert ident.det_value(Fr(1)) == 24
     assert data.det_A(Fr(2)) == 25 - 4
