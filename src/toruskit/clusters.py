@@ -198,13 +198,6 @@ class ClusterInfo:
     M_alpha: int
     boundary: bool
 
-    @property
-    def diameter(self) -> int:
-        if len(self.members) < 2:
-            return 0
-        return max(_spatial(x, y) for i, x in enumerate(self.members)
-                   for y in self.members[i + 1:])
-
 
 @dataclass(frozen=True)
 class ClusterPartition:
@@ -214,6 +207,24 @@ class ClusterPartition:
     margin: int
     assignment: dict
     clusters: tuple
+
+    @classmethod
+    def _from_groups(cls, box_radius: int, d: int, delta,
+                     groups) -> "ClusterPartition":
+        """The partition into ``groups``, ``(members, sup norms)`` per cluster
+        in id order.  One-step links reach ceil((2N)**delta), so a cluster
+        within ``margin`` = that reach + 1 of the box edge could change on a
+        larger box and is flagged ``boundary``."""
+        margin = exact.ceil_pow(2 * box_radius, delta) + 1
+        clusters = []
+        assignment = {}
+        for cid, (members, sups) in enumerate(groups):
+            M_alpha = max(sups)
+            clusters.append(ClusterInfo(cid, members, min(sups), M_alpha,
+                                        box_radius - M_alpha <= margin))
+            for j in members:
+                assignment[j] = cid
+        return cls(box_radius, d, delta, margin, assignment, tuple(clusters))
 
     def cluster_of(self, j) -> int:
         return self.assignment[tuple(j)]
@@ -238,24 +249,41 @@ class ClusterPartition:
 
     @classmethod
     def from_dict(cls, data) -> "ClusterPartition":
-        d = int(data["d"])
-        clusters = []
-        assignment = {}
-        for rec in data["clusters"]:
-            members = tuple(tuple(map(int, j)) for j in rec["members"])
-            info = ClusterInfo(id=int(rec["id"]), members=members,
-                               m_alpha=int(rec["m_alpha"]),
-                               M_alpha=int(rec["M_alpha"]),
-                               boundary=bool(rec["boundary"]))
-            clusters.append(info)
-            for j in members:
-                assignment[j] = info.id
-        if set(map(len, assignment)) - {d}:
-            raise ValueError(f"a member is not of length d = {d}")
-        return cls(box_radius=int(data["box_radius"]), d=d,
-                   delta=exact.parse_rational(data["delta"], "delta"),
-                   margin=int(data["margin"]),
-                   assignment=assignment, clusters=tuple(clusters))
+        """The partition of :meth:`to_dict`'s ``box_radius``, ``d``, ``delta``
+        (by :func:`check_delta`, no theorem bound) and members; the rest is
+        derived.  A ValueError names the field of an empty cluster, a member
+        of another length or outside the box, or a box not covered once."""
+        N, d = int(data["box_radius"]), int(data["d"])
+        if N < 0:
+            raise ValueError(f"box_radius: {N} is negative")
+        delta = check_delta(d, data["delta"], enforce_delta_bound=False)
+        groups = []
+        for i, rec in enumerate(data["clusters"]):
+            members = tuple([tuple(map(int, j)) for j in rec["members"]])
+            if not members:
+                raise ValueError(f"clusters[{i}].members: empty")
+            groups.append((members, list(map(exact.sup_norm, members))))
+        partition = cls._from_groups(N, d, delta, groups)
+        sites, clusters = partition.assignment, partition.clusters
+        listed = sum(len(c.members) for c in clusters)
+        if (set(map(len, sites)) == {d} and listed == len(sites)
+                == (2 * N + 1) ** d and max(c.M_alpha for c in clusters) <= N):
+            return partition
+        seen = set()
+        for i, info in enumerate(clusters):
+            for k, j in enumerate(info.members):
+                where = f"clusters[{i}].members[{k}]: {list(j)}"
+                if len(j) != d:
+                    raise ValueError(f"{where} has length {len(j)}, d is {d}")
+                if exact.sup_norm(j) > N:
+                    raise ValueError(f"{where} lies outside [-{N}, {N}]^{d}")
+                if j in seen:
+                    raise ValueError(f"{where} is listed twice")
+                seen.add(j)
+        # distinct box sites, too few: one of the first listed + 1 is missing
+        j = next(j for j in product(range(-N, N + 1), repeat=d)
+                 if j not in sites)
+        raise ValueError(f"clusters: box site {list(j)} is in no cluster")
 
 
 # Largest denominator q of a delta p/q.  A threshold is the integer q-th
@@ -330,31 +358,18 @@ def box_table(basis: LatticeBasis, box_radius: int, delta) -> BoxTable:
     return BoxTable(basis, box_radius, delta, sites, n, sup, D, T)
 
 
-def _table_for(basis, box_radius, delta, table) -> BoxTable:
-    # the caller's table, which must be of this box, or a new one
-    if table is None:
-        return box_table(basis, box_radius, delta)
-    if table[:3] != (basis, box_radius, delta):
-        raise ValueError("box table of another basis, box radius or delta")
-    return table
-
-
-def relation_links(basis: LatticeBasis, box_radius: int, delta,
-                   table=None) -> list:
-    """Index pairs ``(i, k)`` into :func:`box_sites` that :func:`relation_link`
+def relation_links(table: BoxTable) -> list:
+    """Index pairs ``(i, k)`` into ``table.sites`` that :func:`relation_link`
     accepts, ``i < k``, sorted.
 
-    One :class:`BoxTable` serves the whole box, the caller's ``table`` of the
-    same basis, box radius and delta if given: a pair is linked when
-    ``max(D*|j2-j|, |n_j2 - n_j|) / D <= (|j|+|j2|)**delta``, which is
-    :func:`relation_link`'s test with ``mu = n / D``.  Delta is read by
-    :func:`check_delta` with no theorem bound.
+    A pair is linked when ``max(D*|j2-j|, |n_j2 - n_j|) / D <=
+    (|j|+|j2|)**delta``, which is :func:`relation_link`'s test with
+    ``mu = n / D``.
     """
-    delta = check_delta(basis.d, delta, enforce_delta_bound=False)
-    _, _, _, _, n, sup, D, T = _table_for(basis, box_radius, delta, table)
+    basis, N, delta, _, n, sup, D, T = table
     links = []
-    for spatial, step, starts in _offset_runs(box_radius, basis.d,
-                                              _link_radius(box_radius, delta)):
+    for spatial, step, starts in _offset_runs(N, basis.d,
+                                              _link_radius(N, delta)):
         Ds = D * spatial
         links += [(i, i + step) for i in starts
                   if max(Ds, abs(n[i + step] - n[i]))
@@ -364,49 +379,33 @@ def relation_links(basis: LatticeBasis, box_radius: int, delta,
 
 
 def group_links(table: BoxTable, links) -> ClusterPartition:
-    """Connected components of ``table``'s box under the index pairs ``links``.
-
-    Clusters within ``margin`` of the box boundary are flagged: one-step links
-    reach ceil((2N)**delta), so a larger box could change their membership.
-    """
-    box_radius, delta, sites, sup = (table.box_radius, table.delta,
-                                     table.sites, table.sup)
+    """Connected components of ``table``'s box under the index pairs
+    ``links``, as :meth:`ClusterPartition._from_groups` makes them."""
+    sites, sup = table.sites, table.sup
     adjacency = [[] for _ in sites]
     for i, k in links:
         adjacency[i].append(k)
         adjacency[k].append(i)
-    margin = exact.ceil_pow(2 * box_radius, delta) + 1
-    clusters = []
-    assignment = {}
     # sorted components ordered by first index: box_sites is lexicographic
-    for cid, comp in enumerate(search.connected_components(adjacency)):
-        members = tuple([sites[i] for i in comp])
-        sups = [sup[i] for i in comp]
-        M_alpha = max(sups)
-        clusters.append(ClusterInfo(cid, members, min(sups), M_alpha,
-                                    box_radius - M_alpha <= margin))
-        for j in members:
-            assignment[j] = cid
-    return ClusterPartition(box_radius=box_radius, d=table.basis.d,
-                            delta=delta, margin=margin, assignment=assignment,
-                            clusters=tuple(clusters))
+    return ClusterPartition._from_groups(
+        table.box_radius, table.basis.d, table.delta,
+        ((tuple([sites[i] for i in comp]), [sup[i] for i in comp])
+         for comp in search.connected_components(adjacency)))
 
 
 def build_partition(basis: LatticeBasis, box_radius: int, delta,
-                    enforce_delta_bound: bool = True,
-                    table=None) -> ClusterPartition:
+                    enforce_delta_bound: bool = True) -> ClusterPartition:
     """Connected components of the one-step relation, restricted to the box.
 
     Delta is read by :func:`check_delta`.  The guaranteed range is
     0 < delta < delta_max(d); larger deltas still define a partition but
     lose the theorem backing, so they are refused unless
-    ``enforce_delta_bound`` is switched off.  One :class:`BoxTable`, the
-    caller's ``table`` if given, serves :func:`relation_links` and
-    :func:`group_links`.
+    ``enforce_delta_bound`` is switched off.  One :class:`BoxTable` serves
+    :func:`relation_links` and :func:`group_links`.
     """
     delta = check_delta(basis.d, delta, enforce_delta_bound)
-    table = _table_for(basis, box_radius, delta, table)
-    return group_links(table, relation_links(basis, box_radius, delta, table))
+    table = box_table(basis, box_radius, delta)
+    return group_links(table, relation_links(table))
 
 
 @dataclass
@@ -430,18 +429,16 @@ class VerificationReport:
                 and not self.growth_violations)
 
 
-def verify_cluster_properties(basis: LatticeBasis, partition: ClusterPartition,
+def verify_cluster_properties(table: BoxTable, partition: ClusterPartition,
                               threshold_override=None,
-                              constant_override=None,
-                              table=None) -> VerificationReport:
+                              constant_override=None) -> VerificationReport:
     """Check cross-cluster separation and dyadicity on interior clusters.
 
     Cross-cluster pairs (both clusters interior) must satisfy
     ``|j1-j2| + |mu_1-mu_2| > (|j1|+|j2|)**delta``; any violation is an
-    implementation bug and is returned as data.  The scan shares
-    :func:`relation_links`' :class:`BoxTable`, the caller's ``table`` of the
-    partition's box radius and delta if given: on an exact basis a violation
-    is the integer test
+    implementation bug and is returned as data.  The scan reads ``table``,
+    which must be of the partition's box radius, d and delta: on an exact
+    basis a violation is the integer test
     ``D*|j1-j2| + |n_1-n_2| <= floor(D * (|j1|+|j2|)**delta)``.  Dyadicity
     is ``M_alpha <= 2*m_alpha`` above a threshold which is fitted (the
     largest interior M_alpha violating the 2:1 rule) unless overridden.  The
@@ -449,8 +446,10 @@ def verify_cluster_properties(basis: LatticeBasis, partition: ClusterPartition,
     reported, never assumed; each spread is the float of its exact value.
     """
     N, d, delta = partition.box_radius, partition.d, partition.delta
+    if (table.box_radius, table.basis.d, table.delta) != (N, d, delta):
+        raise ValueError("box table of another box radius, d or delta")
     interior = {c.id for c in partition.clusters if not c.boundary}
-    _, _, _, sites, n, sup, D, T = _table_for(basis, N, delta, table)
+    _, _, _, sites, n, sup, D, T = table
     # each site's cluster id when that cluster is interior, else None
     inner = [c if c in interior else None
              for c in map(partition.assignment.get, sites)]
@@ -479,11 +478,13 @@ def verify_cluster_properties(basis: LatticeBasis, partition: ClusterPartition,
         if c.boundary or c.id not in interior:
             continue
         members = c.members
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                j, j2 = members[a], members[b]
+        diameter = 0
+        for a, j in enumerate(members):
+            for j2 in members[a + 1:]:
+                spatial = _spatial(j, j2)
+                diameter = max(diameter, spatial)
                 # int / int rounds correctly: the float of the exact spread
-                spread = (D * _spatial(j, j2) + abs(num[j] - num[j2])) / D
+                spread = (D * spatial + abs(num[j] - num[j2])) / D
                 s = exact.sup_norm(j) + exact.sup_norm(j2)
                 ratio = spread / float(s) ** exponent
                 fitted_c = max(fitted_c, ratio)
@@ -492,16 +493,14 @@ def verify_cluster_properties(basis: LatticeBasis, partition: ClusterPartition,
                 if s >= 2 and spread > 0:
                     fitted_e = max(fitted_e, math.log(spread) / math.log(s))
         stats.append({"id": c.id, "size": len(members), "m_alpha": c.m_alpha,
-                      "M_alpha": c.M_alpha, "diameter": c.diameter})
+                      "M_alpha": c.M_alpha, "diameter": diameter})
 
-    fitted_t = 0
-    for c in partition.clusters:
-        if not c.boundary and c.M_alpha > 2 * c.m_alpha:
-            fitted_t = max(fitted_t, c.M_alpha)
-    threshold = fitted_t if threshold_override is None else threshold_override
-    dyadic_bad = [c.id for c in partition.clusters
-                  if not c.boundary and c.M_alpha > 2 * c.m_alpha
-                  and c.M_alpha > threshold]
+    # interior clusters off the 2:1 rule
+    loose = [c for c in partition.clusters
+             if not c.boundary and c.M_alpha > 2 * c.m_alpha]
+    threshold = (max((c.M_alpha for c in loose), default=0)
+                 if threshold_override is None else threshold_override)
+    dyadic_bad = [c.id for c in loose if c.M_alpha > threshold]
     return VerificationReport(
         separation_violations=violations,
         dyadic_violations=dyadic_bad,

@@ -274,7 +274,7 @@ def normalize(raw: dict) -> ExperimentConfig:
     config = ExperimentConfig(
         kind=kind,
         seed=_cast(raw.get("seed", 0), _int, "seed"),
-        out_dir=str(raw.get("out_dir", ".")),
+        out_dir=_cast(raw.get("out_dir", "."), _str, "out_dir"),
         cache=_cast(raw.get("cache", True), _bool, "cache"),
         lattice=lattice,
         frequency=frequency,

@@ -236,10 +236,9 @@ def _write_partition(path: Path, partition: ClusterPartition) -> None:
     The bytes are those of ``json.dumps(partition.to_dict(), indent=2,
     sort_keys=True) + "\\n"``, streamed cluster by cluster from the
     :class:`ClusterInfo` records with no dict built.  Ids, sup norms and
-    member coordinates are ints and ``boundary`` a bool, as
-    :func:`~toruskit.clusters.group_links` and
-    :meth:`ClusterPartition.from_dict` make them, so each record and each
-    member's index list is one ``%`` format.
+    member coordinates are ints, ``boundary`` is a bool and every cluster
+    has a member, as ``ClusterPartition._from_groups`` makes them, so each
+    record and each member's index list is one ``%`` format.
     """
     key = "\n      "
     member = "\n        "
@@ -254,8 +253,7 @@ def _write_partition(path: Path, partition: ClusterPartition) -> None:
         sep = "[\n    {" + key
         for c in partition.clusters:
             members = ("[" + member + ("," + member).join(
-                [index % j for j in c.members]) + key + "]"
-                       if c.members else "[]")
+                [index % j for j in c.members]) + key + "]")
             write(sep + head % (c.M_alpha, "true" if c.boundary else "false",
                                 c.id, c.m_alpha) + members + "\n    }")
             sep = ",\n    {" + key
@@ -325,7 +323,7 @@ def _partition_for(config: ExperimentConfig, box_radius, delta_str,
     data = cached("partition", payload, compute, config.cache)
     try:
         return ClusterPartition.from_dict(data)
-    except (KeyError, TypeError, ValueError, ParseError):
+    except (KeyError, TypeError, ValueError, ToruskitError):
         # a cache entry of the wrong shape is a miss: recompute, rewrite
         data = compute()
         with suppress(OSError):
@@ -337,17 +335,16 @@ def _run_cluster(config: ExperimentConfig, out_dir: Path, counters: dict):
     basis = config.basis()
     p = config.params
     N = p["box_radius"]
-    enforce = not p["allow_delta_above_theorem"]
-    delta = check_delta(basis.d, p["delta"], enforce)
+    delta = check_delta(basis.d, p["delta"], not p["allow_delta_above_theorem"])
     # one box table serves the link scan, a cache miss and the separation scan
     table = box_table(basis, N, delta)
     # edges.csv lists the relation links; one scan also serves a cache miss
-    links = relation_links(basis, N, delta, table) if p["edges_csv"] else None
+    links = relation_links(table) if p["edges_csv"] else None
     partition = _partition_for(
         config, N, p["delta"], counters,
-        partial(build_partition, basis, N, delta, enforce, table)
-        if links is None else partial(group_links, table, links))
-    report = verify_cluster_properties(basis, partition, table=table)
+        lambda: group_links(table, relation_links(table)
+                            if links is None else links))
+    report = verify_cluster_properties(table, partition)
     expected = (2 * N + 1) ** basis.d
     counters.update(sites=expected, clusters=len(partition.clusters),
                     cross_pairs=report.pairs_checked)
@@ -514,7 +511,7 @@ def _read_input(field: str, path, parse):
     raw = read_json(path, field)
     try:
         return parse(raw)
-    except (KeyError, TypeError, ValueError, ParseError) as exc:
+    except (KeyError, TypeError, ValueError, ToruskitError) as exc:
         raise ParseError(f"{field}: {path}: malformed content "
                          f"({type(exc).__name__}: {exc})") from exc
 
@@ -536,6 +533,9 @@ def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
     if p.get("partition_file"):
         partition = _read_input("params.partition_file", p["partition_file"],
                                 ClusterPartition.from_dict)
+        if partition.d != basis.d:
+            raise ParseError(f"params.partition_file: {p['partition_file']}: "
+                             f"d {partition.d} is not the lattice's {basis.d}")
     else:
         partition = _partition_for(
             config, p["box_radius"], p["delta"], counters,

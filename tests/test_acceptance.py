@@ -16,6 +16,7 @@ import numpy as np
 
 from toruskit import exact
 from toruskit.clusters import (
+    box_table,
     build_partition,
     chain_scaling_experiment,
     verify_cluster_properties,
@@ -176,7 +177,8 @@ def test_criterion_05_cluster_separation():
         for basis in lattices:
             part = build_partition(basis, 64, Fr(1, 10),
                                    enforce_delta_bound=False)
-            report = verify_cluster_properties(basis, part)
+            report = verify_cluster_properties(
+                box_table(basis, 64, Fr(1, 10)), part)
             assert report.separation_violations == []
             assert report.dyadic_violations == []
             assert report.pairs_checked > 0

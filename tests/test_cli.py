@@ -195,6 +195,69 @@ def test_partition_file_with_nan_delta_is_usage_error(tmp_path, lattice_file,
     assert "params.partition_file" in err and "Traceback" not in err
 
 
+def _partition_file(tmp_path, lattice_file, edit):
+    # a radius-2 partition.json from `cluster`, edited by ``edit``
+    assert main(["cluster", "--lattice", str(lattice_file), "--radius", "2",
+                 "--delta", "1/10", "--allow-delta-above-theorem",
+                 "--no-cache", "--out-dir", str(tmp_path / "cl")]) == 0
+    part = json.loads((tmp_path / "cl" / "partition.json").read_text())
+    edit(part)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(part))
+    return path
+
+
+def _homological_on(tmp_path, lattice_file, radius, *flags):
+    return main(["homological", "--lattice", str(lattice_file), "--radius",
+                 str(radius), "--delta", "1/10", "--allow-delta-above-theorem",
+                 "--entries", "10", "--no-cache", *flags,
+                 "--out-dir", str(tmp_path / "out")])
+
+
+def test_partition_file_listing_a_site_twice_is_usage_error(
+        tmp_path, lattice_file, capsys):
+    def duplicate(part):
+        part["clusters"][1]["members"].append(part["clusters"][0]["members"][0])
+
+    path = _partition_file(tmp_path, lattice_file, duplicate)
+    code = _homological_on(tmp_path, lattice_file, 2, "--partition", str(path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"params.partition_file: {path}" in err and "Traceback" not in err
+    assert "is listed twice" in err
+
+
+def test_partition_file_leaving_a_matrix_site_out_is_usage_error(
+        tmp_path, lattice_file, capsys):
+    def uncover(part):
+        for rec in part["clusters"]:
+            if [0, 0] in rec["members"]:
+                rec["members"].remove([0, 0])
+
+    path = _partition_file(tmp_path, lattice_file, uncover)
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"box_radius": 2, "d": 2, "entries": [
+        {"j": [0, 0], "j_prime": [2, 1], "re": "1", "im": "0"}]}))
+    code = _homological_on(tmp_path, lattice_file, 2, "--partition", str(path),
+                           "--matrix", str(matrix))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"params.partition_file: {path}" in err and "Traceback" not in err
+    assert "box site [0, 0] is in no cluster" in err
+
+
+def test_partition_file_of_another_dimension_is_usage_error(
+        tmp_path, lattice_file, capsys):
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps({"matrix": [["1"]]}))
+    path = _partition_file(tmp_path, line, lambda part: None)
+    code = _homological_on(tmp_path, lattice_file, 2, "--partition", str(path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"params.partition_file: {path}: d 1 is not the lattice's 2" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("change, field", [
     ({"box_radius": 7}, "box_radius"),
     ({"d": 3}, "d"),
@@ -530,6 +593,21 @@ def test_out_dir_naming_a_file_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"out_dir: cannot create {target}" in err and "Traceback" not in err
     assert target.read_text() == "kept"
+
+
+@pytest.mark.parametrize("value", [None, 3])
+def test_out_dir_that_is_not_a_string_is_usage_error(tmp_path, capsys,
+                                                     monkeypatch, value):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kind": "verify", "out_dir": value}))
+    code = main(["verify", "--config", str(config), "--trials", "1",
+                 "--dmax", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: out_dir: expected a string, got {value!r}" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_theta_on_a_frequency_file_that_is_not_an_object(tmp_path,

@@ -168,15 +168,15 @@ def test_check_delta_is_exact_and_bounds_the_denominator():
         check_delta(2, Fr(1, 42))
     # the library entries that take delta apply the rule without the bound
     with pytest.raises(DeltaOutOfRange, match="denominator above 10000"):
-        relation_links(B2, 4, 0.012345678)
+        box_table(B2, 4, 0.012345678)
 
 
 def test_build_partition_reads_a_float_delta_as_its_decimal():
     basis = new_lattice([["1", "0"], ["1/2", "1"]])
     part = build_partition(basis, 6, Fr(1, 20), enforce_delta_bound=False)
     assert build_partition(basis, 6, 0.05, enforce_delta_bound=False) == part
-    links = relation_links(basis, 6, 0.05)
-    assert group_links(box_table(basis, 6, 0.05), links) == part
+    table = box_table(basis, 6, 0.05)
+    assert group_links(table, relation_links(table)) == part
 
 
 def test_opposite_modes_not_directly_linked():
@@ -202,9 +202,62 @@ def test_partition_round_trip():
     assert again.cluster_of((0, 0)) == part.cluster_of((0, 0))
 
 
+def _radius_2_partition():
+    return build_partition(B2, 2, Fr(1, 10), enforce_delta_bound=False)
+
+
+def _duplicate(data):
+    data["clusters"][1]["members"].append([-2, -2])
+
+
+def _outside(data):
+    data["clusters"][0]["members"] = [[-3, -2]]
+
+
+def _wrong_length(data):
+    data["clusters"][0]["members"][0].append(0)
+
+
+def _empty(data):
+    data["clusters"][0]["members"] = []
+
+
+def _uncovered(data):
+    data["clusters"][3]["members"].remove([0, 0])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_duplicate, "clusters[1].members[12]: [-2, -2] is listed twice"),
+    (_outside, "clusters[0].members[0]: [-3, -2] lies outside [-2, 2]^2"),
+    (_wrong_length, "clusters[0].members[0]: [-2, -2, 0] has length 3, d is 2"),
+    (_empty, "clusters[0].members: empty"),
+    (_uncovered, "clusters: box site [0, 0] is in no cluster"),
+], ids=["duplicate", "outside", "wrong_length", "empty", "uncovered"])
+def test_from_dict_refuses_a_partition_that_is_not_of_the_box(edit, message):
+    data = _radius_2_partition().to_dict()
+    assert ClusterPartition.from_dict(data) == _radius_2_partition()
+    edit(data)
+    with pytest.raises(ValueError) as caught:
+        ClusterPartition.from_dict(data)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("field, value", [
+    ("id", 7), ("m_alpha", 5), ("M_alpha", 0), ("boundary", False),
+    ("margin", 0),
+])
+def test_from_dict_derives_the_cluster_fields(field, value):
+    # only box_radius, d, delta and the members are read back
+    part = _radius_2_partition()
+    data = part.to_dict()
+    for rec in [data] if field == "margin" else data["clusters"]:
+        rec[field] = value
+    assert ClusterPartition.from_dict(data) == part
+
+
 def test_verify_properties_no_violations():
     part = build_partition(B1, 64, Fr(1, 10), enforce_delta_bound=False)
-    rep = verify_cluster_properties(B1, part)
+    rep = verify_cluster_properties(box_table(B1, 64, Fr(1, 10)), part)
     assert rep.separation_violations == []
     assert rep.dyadic_violations == []
     assert rep.pairs_checked > 0
@@ -232,10 +285,11 @@ def test_verify_exhaustive_cross_pairs_d1():
 
 def test_verify_with_overrides():
     part = build_partition(B1, 16, Fr(1, 10), enforce_delta_bound=False)
-    rep = verify_cluster_properties(B1, part, threshold_override=0)
+    table = box_table(B1, 16, Fr(1, 10))
+    rep = verify_cluster_properties(table, part, threshold_override=0)
     # the central cluster {-1,0,1} has M=1 > 2m=0, so threshold 0 flags it
     assert rep.dyadic_violations
-    tight = verify_cluster_properties(B1, part, constant_override=1e-9)
+    tight = verify_cluster_properties(table, part, constant_override=1e-9)
     assert tight.growth_violations
 
 
@@ -357,7 +411,7 @@ def test_relation_links_match_all_pairs_oracle(d, radius, entries, tmp_path):
             rows = [[float(x) for x in row] for row in rows]
         basis = new_lattice(rows)
         expected = oracle_links(basis, radius, delta)
-        assert relation_links(basis, radius, delta) == expected
+        assert relation_links(box_table(basis, radius, delta)) == expected
         sites = box_sites(radius, d)
         part = build_partition(basis, radius, delta, enforce_delta_bound=False)
         assert [c.members for c in part.clusters] == \
@@ -388,7 +442,8 @@ def test_relation_links_float_delta_match_oracle(entries):
     if entries == "floating":
         rows = [[float(x) for x in row] for row in rows]
     basis = new_lattice(rows)
-    assert relation_links(basis, 4, 0.5) == oracle_links(basis, 4, Fr(1, 2))
+    assert relation_links(box_table(basis, 4, 0.5)) == oracle_links(
+        basis, 4, Fr(1, 2))
 
 
 def oracle_verify(basis, part):
@@ -457,7 +512,8 @@ def test_verify_matches_per_pair_oracle(d, radius, delta, entries):
                            for r in (rows, long_rows))
     basis = new_lattice(long_rows)
     adversarial = singleton_partition(radius, d, delta)
-    rep = verify_cluster_properties(basis, adversarial)
+    rep = verify_cluster_properties(box_table(basis, radius, delta),
+                                    adversarial)
     violations, pairs, _, _ = oracle_verify(basis, adversarial)
     assert violations, "the adversarial partition should show violations"
     assert rep.separation_violations == violations
@@ -468,7 +524,7 @@ def test_verify_matches_per_pair_oracle(d, radius, delta, entries):
     built = build_partition(basis, radius, delta, enforce_delta_bound=False)
     built = dataclasses.replace(built, clusters=tuple(
         dataclasses.replace(c, boundary=False) for c in built.clusters))
-    rep = verify_cluster_properties(basis, built)
+    rep = verify_cluster_properties(box_table(basis, radius, delta), built)
     assert rep.fitted_constant > 0
     assert (rep.separation_violations, rep.pairs_checked,
             rep.fitted_constant, rep.fitted_exponent) == oracle_verify(basis, built)
@@ -607,15 +663,8 @@ def test_cluster_call_builds_one_box_table(monkeypatch, tmp_path, edges_csv):
 
 
 def test_a_box_table_of_another_box_is_refused():
-    table = box_table(B2, 4, Fr(1, 10))
-    assert relation_links(B2, 4, Fr(1, 10), table) == relation_links(
-        B2, 4, Fr(1, 10))
     part = build_partition(B2, 5, Fr(1, 10), enforce_delta_bound=False)
-    for call in (lambda: relation_links(B2, 5, Fr(1, 10), table),
-                 lambda: relation_links(B2, 4, Fr(1, 20), table),
-                 lambda: relation_links(new_lattice([["1", "0"], ["0", "2"]]),
-                                        4, Fr(1, 10), table),
-                 lambda: build_partition(B2, 4, Fr(1, 20), False, table),
-                 lambda: verify_cluster_properties(B2, part, table=table)):
+    for table in (box_table(B2, 4, Fr(1, 10)), box_table(B2, 5, Fr(1, 20)),
+                  box_table(new_lattice([["1"]]), 5, Fr(1, 10))):
         with pytest.raises(ValueError, match="box table of another"):
-            call()
+            verify_cluster_properties(table, part)

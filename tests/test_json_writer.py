@@ -75,9 +75,9 @@ def test_every_written_payload_matches_dumps(tmp_path, monkeypatch, raw):
     monkeypatch.setattr(runner, "dn_split", split)
     partitions = []
 
-    def verify(basis, partition, **kwargs):
+    def verify(table, partition, **kwargs):
         partitions.append(partition)
-        return verify_cluster_properties(basis, partition, **kwargs)
+        return verify_cluster_properties(table, partition, **kwargs)
 
     monkeypatch.setattr(runner, "verify_cluster_properties", verify)
     config = normalize(dict(raw, out_dir=str(tmp_path / "out")))

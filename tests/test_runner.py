@@ -170,13 +170,14 @@ def test_cache_schema_is_part_of_the_key(tmp_path, monkeypatch):
     cache = Path(os.environ["TORUSKIT_CACHE"])
     before = sorted(path.name for path in cache.glob("*.json"))
     calls = []
-    real_build = runner_mod.build_partition
+    real_build = runner_mod.group_links
 
     def counting_build(*args, **kwargs):
         calls.append(args)
         return real_build(*args, **kwargs)
 
-    monkeypatch.setattr(runner_mod, "build_partition", counting_build)
+    # the builder that the cluster kind calls on a miss
+    monkeypatch.setattr(runner_mod, "group_links", counting_build)
     run_experiment(cfg)
     assert calls == []                      # same schema: a hit
     monkeypatch.setattr(runner_mod, "CACHE_SCHEMA", runner_mod.CACHE_SCHEMA + 1)
