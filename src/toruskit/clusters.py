@@ -14,10 +14,10 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from typing import NamedTuple
 
-from . import exact, search
+from . import exact
 from .errors import DeltaOutOfRange
 from .lattice import LatticeBasis, mu
 from .search import PathSearchResult, longest_path
@@ -190,60 +190,71 @@ def max_chain_length(basis: LatticeBasis, box_radius: int, gamma,
 # cluster partitions
 
 
-@dataclass(frozen=True)
-class ClusterInfo:
-    id: int
-    members: tuple
-    m_alpha: int
-    M_alpha: int
-    boundary: bool
+def _box_index(N: int, d: int, j) -> int:
+    """Row-major index of the site ``j`` in ``box_sites(N, d)``; a ValueError
+    names a ``j`` of another length, or with a coordinate that is not an
+    ``int`` (a bool is refused) or lies outside ``[-N, N]``."""
+    if len(j) != d:
+        raise ValueError(f"{list(j)} has length {len(j)}, d is {d}")
+    i = 0
+    for x in j:
+        if type(x) is not int:
+            raise ValueError(f"{list(j)} has a non-integer coordinate")
+        if not -N <= x <= N:
+            raise ValueError(f"{list(j)} lies outside [-{N}, {N}]^{d}")
+        i = i * (2 * N + 1) + x + N
+    return i
 
 
 @dataclass(frozen=True)
 class ClusterPartition:
+    """A partition of the indices of ``box_sites(box_radius, d)``: the
+    cluster id of each index, and per cluster id its ascending indices
+    ``members``, smallest and largest sup norm and boundary flag."""
+
     box_radius: int
     d: int
     delta: Fraction
     margin: int
-    assignment: dict
-    clusters: tuple
+    cluster: list
+    members: list
+    m_alpha: list
+    M_alpha: list
+    boundary: list
 
     @classmethod
-    def _from_groups(cls, box_radius: int, d: int, delta,
-                     groups) -> "ClusterPartition":
-        """The partition into ``groups``, ``(members, sup norms)`` per cluster
-        in id order.  One-step links reach ceil((2N)**delta), so a cluster
-        within ``margin`` = that reach + 1 of the box edge could change on a
-        larger box and is flagged ``boundary``."""
+    def _from_ids(cls, box_radius: int, d: int, delta, cluster,
+                  sup) -> "ClusterPartition":
+        """The partition with cluster id ``cluster[i]`` and sup norm
+        ``sup[i]`` per box index i.  One-step links reach ceil((2N)**delta),
+        so a cluster within ``margin`` = that reach + 1 of the box edge
+        could change on a larger box and is flagged ``boundary``."""
+        members = [[] for _ in range(max(cluster) + 1)]
+        for i, c in enumerate(cluster):
+            members[c].append(i)
+        sups = [[sup[i] for i in group] for group in members]
+        M_alpha = list(map(max, sups))
         margin = exact.ceil_pow(2 * box_radius, delta) + 1
-        clusters = []
-        assignment = {}
-        for cid, (members, sups) in enumerate(groups):
-            M_alpha = max(sups)
-            clusters.append(ClusterInfo(cid, members, min(sups), M_alpha,
-                                        box_radius - M_alpha <= margin))
-            for j in members:
-                assignment[j] = cid
-        return cls(box_radius, d, delta, margin, assignment, tuple(clusters))
+        return cls(box_radius, d, delta, margin, cluster, members,
+                   list(map(min, sups)), M_alpha,
+                   [box_radius - M <= margin for M in M_alpha])
 
     def cluster_of(self, j) -> int:
-        return self.assignment[tuple(j)]
+        """The cluster id of the site ``j``; a ValueError if it is none."""
+        return self.cluster[_box_index(self.box_radius, self.d, j)]
 
     def to_dict(self):
+        sites = box_sites(self.box_radius, self.d)
         return {
             "box_radius": self.box_radius,
             "d": self.d,
             "delta": exact.format_rational(self.delta),
             "margin": self.margin,
             "clusters": [
-                {
-                    "id": c.id,
-                    "members": [list(j) for j in c.members],
-                    "m_alpha": c.m_alpha,
-                    "M_alpha": c.M_alpha,
-                    "boundary": c.boundary,
-                }
-                for c in self.clusters
+                {"id": c, "members": [list(sites[i]) for i in group],
+                 "m_alpha": m, "M_alpha": M, "boundary": boundary}
+                for c, (group, m, M, boundary) in enumerate(zip(
+                    self.members, self.m_alpha, self.M_alpha, self.boundary))
             ],
         }
 
@@ -251,39 +262,36 @@ class ClusterPartition:
     def from_dict(cls, data) -> "ClusterPartition":
         """The partition of :meth:`to_dict`'s ``box_radius``, ``d``, ``delta``
         (by :func:`check_delta`, no theorem bound) and members; the rest is
-        derived.  A ValueError names the field of an empty cluster, a member
-        of another length or outside the box, or a box not covered once."""
-        N, d = int(data["box_radius"]), int(data["d"])
-        if N < 0:
-            raise ValueError(f"box_radius: {N} is negative")
+        derived.  A ValueError names the field of a number that is not an
+        integer, an empty cluster, a member of another length or outside
+        the box, or a box not covered once."""
+        N, d = data["box_radius"], data["d"]
+        for field, value in (("box_radius", N), ("d", d)):
+            # int() would read true as 1 and truncate 1.9; both are refused
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{field}: {value!r} is not a nonnegative "
+                                 "integer")
         delta = check_delta(d, data["delta"], enforce_delta_bound=False)
-        groups = []
-        for i, rec in enumerate(data["clusters"]):
-            members = tuple([tuple(map(int, j)) for j in rec["members"]])
-            if not members:
-                raise ValueError(f"clusters[{i}].members: empty")
-            groups.append((members, list(map(exact.sup_norm, members))))
-        partition = cls._from_groups(N, d, delta, groups)
-        sites, clusters = partition.assignment, partition.clusters
-        listed = sum(len(c.members) for c in clusters)
-        if (set(map(len, sites)) == {d} and listed == len(sites)
-                == (2 * N + 1) ** d and max(c.M_alpha for c in clusters) <= N):
-            return partition
-        seen = set()
-        for i, info in enumerate(clusters):
-            for k, j in enumerate(info.members):
-                where = f"clusters[{i}].members[{k}]: {list(j)}"
-                if len(j) != d:
-                    raise ValueError(f"{where} has length {len(j)}, d is {d}")
-                if exact.sup_norm(j) > N:
-                    raise ValueError(f"{where} lies outside [-{N}, {N}]^{d}")
-                if j in seen:
-                    raise ValueError(f"{where} is listed twice")
-                seen.add(j)
-        # distinct box sites, too few: one of the first listed + 1 is missing
-        j = next(j for j in product(range(-N, N + 1), repeat=d)
-                 if j not in sites)
-        raise ValueError(f"clusters: box site {list(j)} is in no cluster")
+        cluster = [None] * (2 * N + 1) ** d
+        sup = [0] * len(cluster)
+        for c, rec in enumerate(data["clusters"]):
+            if not rec["members"]:
+                raise ValueError(f"clusters[{c}].members: empty")
+            for k, j in enumerate(rec["members"]):
+                try:
+                    i = _box_index(N, d, j)
+                except ValueError as exc:
+                    raise ValueError(f"clusters[{c}].members[{k}]: {exc}") \
+                        from None
+                if cluster[i] is not None:
+                    raise ValueError(f"clusters[{c}].members[{k}]: {list(j)} "
+                                     "is listed twice")
+                cluster[i] = c
+                sup[i] = exact.sup_norm(j)
+        if None in cluster:
+            j = box_sites(N, d)[cluster.index(None)]
+            raise ValueError(f"clusters: box site {list(j)} is in no cluster")
+        return cls._from_ids(N, d, delta, cluster, sup)
 
 
 # Largest denominator q of a delta p/q.  A threshold is the integer q-th
@@ -379,18 +387,25 @@ def relation_links(table: BoxTable) -> list:
 
 
 def group_links(table: BoxTable, links) -> ClusterPartition:
-    """Connected components of ``table``'s box under the index pairs
-    ``links``, as :meth:`ClusterPartition._from_groups` makes them."""
-    sites, sup = table.sites, table.sup
-    adjacency = [[] for _ in sites]
+    """The partition of ``table``'s box into the connected components of the
+    index pairs ``links``, by one union-find pass.  Ids follow each
+    cluster's smallest index and members ascend, as
+    :func:`toruskit.search.connected_components` orders them."""
+    # root[i] <= i lies in i's component: a union hangs the larger root
+    # under the smaller, and path halving only skips to smaller indices
+    root = list(range(len(table.sites)))
     for i, k in links:
-        adjacency[i].append(k)
-        adjacency[k].append(i)
-    # sorted components ordered by first index: box_sites is lexicographic
-    return ClusterPartition._from_groups(
-        table.box_radius, table.basis.d, table.delta,
-        ((tuple([sites[i] for i in comp]), [sup[i] for i in comp])
-         for comp in search.connected_components(adjacency)))
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        while root[k] != k:
+            root[k] = k = root[root[k]]
+        root[max(i, k)] = min(i, k)
+    # ids in place, ascending: each root[i] < i already holds its id
+    ids = count()
+    for i, r in enumerate(root):
+        root[i] = next(ids) if r == i else root[r]
+    return ClusterPartition._from_ids(table.box_radius, table.basis.d,
+                                      table.delta, root, table.sup)
 
 
 def build_partition(basis: LatticeBasis, box_radius: int, delta,
@@ -448,11 +463,11 @@ def verify_cluster_properties(table: BoxTable, partition: ClusterPartition,
     N, d, delta = partition.box_radius, partition.d, partition.delta
     if (table.box_radius, table.basis.d, table.delta) != (N, d, delta):
         raise ValueError("box table of another box radius, d or delta")
-    interior = {c.id for c in partition.clusters if not c.boundary}
     _, _, _, sites, n, sup, D, T = table
+    m_alpha, M_alpha = partition.m_alpha, partition.M_alpha
+    interior = [c for c, b in enumerate(partition.boundary) if not b]
     # each site's cluster id when that cluster is interior, else None
-    inner = [c if c in interior else None
-             for c in map(partition.assignment.get, sites)]
+    inner = [None if partition.boundary[c] else c for c in partition.cluster]
     found = []
     pairs = 0
     for spatial, step, starts in _offset_runs(N, d, _link_radius(N, delta)):
@@ -467,47 +482,42 @@ def verify_cluster_properties(table: BoxTable, partition: ClusterPartition,
     found.sort()
     violations = [(sites[i], sites[k]) for i, k in found]
 
-    num = dict(zip(sites, n))
-
     exponent = (chain_exponent(d) + 1) * float(delta)
-    fitted_c = 0.0
-    fitted_e = 0.0
+    fitted_c = fitted_e = 0.0
     growth_bad = []
     stats = []
-    for c in partition.clusters:
-        if c.boundary or c.id not in interior:
-            continue
-        members = c.members
+    for c in interior:
+        members = partition.members[c]
         diameter = 0
-        for a, j in enumerate(members):
-            for j2 in members[a + 1:]:
+        for a, i in enumerate(members):
+            for k in members[a + 1:]:
+                j, j2 = sites[i], sites[k]
                 spatial = _spatial(j, j2)
                 diameter = max(diameter, spatial)
                 # int / int rounds correctly: the float of the exact spread
-                spread = (D * spatial + abs(num[j] - num[j2])) / D
-                s = exact.sup_norm(j) + exact.sup_norm(j2)
+                spread = (D * spatial + abs(n[i] - n[k])) / D
+                s = sup[i] + sup[k]
                 ratio = spread / float(s) ** exponent
                 fitted_c = max(fitted_c, ratio)
                 if constant_override is not None and ratio > float(constant_override):
                     growth_bad.append((j, j2))
                 if s >= 2 and spread > 0:
                     fitted_e = max(fitted_e, math.log(spread) / math.log(s))
-        stats.append({"id": c.id, "size": len(members), "m_alpha": c.m_alpha,
-                      "M_alpha": c.M_alpha, "diameter": diameter})
+        stats.append({"id": c, "size": len(members), "m_alpha": m_alpha[c],
+                      "M_alpha": M_alpha[c], "diameter": diameter})
 
     # interior clusters off the 2:1 rule
-    loose = [c for c in partition.clusters
-             if not c.boundary and c.M_alpha > 2 * c.m_alpha]
-    threshold = (max((c.M_alpha for c in loose), default=0)
+    loose = [c for c in interior if M_alpha[c] > 2 * m_alpha[c]]
+    threshold = (max((M_alpha[c] for c in loose), default=0)
                  if threshold_override is None else threshold_override)
-    dyadic_bad = [c.id for c in loose if c.M_alpha > threshold]
+    dyadic_bad = [c for c in loose if M_alpha[c] > threshold]
     return VerificationReport(
         separation_violations=violations,
         dyadic_violations=dyadic_bad,
         growth_violations=growth_bad,
         pairs_checked=pairs,
         interior_clusters=len(interior),
-        boundary_clusters=len(partition.clusters) - len(interior),
+        boundary_clusters=len(M_alpha) - len(interior),
         fitted_threshold=threshold,
         fitted_constant=fitted_c,
         fitted_exponent=fitted_e,

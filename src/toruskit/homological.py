@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import exact
 from .errors import BoxMismatch, IntraClusterEntry, ParseError
-from .clusters import ClusterPartition, check_delta
+from .clusters import ClusterPartition, box_sites, check_delta
 from .lattice import LatticeBasis, mu_numerator
 from .lattice import mu  # noqa: F401  unused; perfbench/tracing.py patches it here
 
@@ -151,13 +151,10 @@ def dn_split(Q: BlockMatrix, partition: ClusterPartition):
     """
     if Q.box_radius != partition.box_radius or Q.d != partition.d:
         raise BoxMismatch("matrix and partition on different boxes")
-    diag = {}
-    cross = {}
+    cluster_of = partition.cluster_of
+    diag, cross = {}, {}
     for (j, j2), v in Q.entries.items():
-        if partition.assignment[j] == partition.assignment[j2]:
-            diag[(j, j2)] = v
-        else:
-            cross[(j, j2)] = v
+        (diag if cluster_of(j) == cluster_of(j2) else cross)[j, j2] = v
     return (BlockMatrix(Q.box_radius, Q.d, diag),
             BlockMatrix(Q.box_radius, Q.d, cross))
 
@@ -219,10 +216,10 @@ def solve_homological(basis: LatticeBasis, W_ND: BlockMatrix,
     delta = check_delta(basis.d, delta, enforce_delta_bound=False)
     gaps, D = gap_numerators(basis, W_ND.entries)
     clears = gap_clears(D, delta)
-    x_entries = {}
-    r_entries = {}
+    cluster_of = partition.cluster_of
+    x_entries, r_entries = {}, {}
     for (j, j2), w in W_ND.entries.items():
-        if partition.assignment[j] == partition.assignment[j2]:
+        if cluster_of(j) == cluster_of(j2):
             raise IntraClusterEntry(f"entry {(j, j2)} is intra-cluster")
         g = gaps[j, j2]
         if clears(g, exact.sup_norm(j) + exact.sup_norm(j2)):
@@ -294,14 +291,11 @@ def cluster_weight_operator(partition: ClusterPartition) -> BlockMatrix:
 
     Commutes exactly with every intra-cluster block matrix.
     """
-    entries = {}
-    for c in partition.clusters:
-        w = Fr(c.M_alpha**2)
-        if w == 0:
-            continue
-        for j in c.members:
-            entries[(j, j)] = w
-    return BlockMatrix(partition.box_radius, partition.d, entries)
+    weight = [Fr(M**2) for M in partition.M_alpha]
+    sites = box_sites(partition.box_radius, partition.d)
+    return BlockMatrix(partition.box_radius, partition.d, {
+        (j, j): weight[c] for j, c in zip(sites, partition.cluster)
+        if weight[c]})
 
 
 def commutator(A: BlockMatrix, diag: BlockMatrix) -> BlockMatrix:
@@ -323,17 +317,10 @@ def norm_equivalence_constants(partition: ClusterPartition, r: float = 1.0):
     Computed over the box from the weight ratios; a cluster whose maximal
     mode is the origin alone yields c = 0, reported as-is.
     """
-    lo, hi = math.inf, 0.0
-    weight = {}
-    for c in partition.clusters:
-        for j in c.members:
-            weight[j] = c.M_alpha**2
-    for j, w in weight.items():
-        t = w / (1.0 + sum(x * x for x in j))
-        lo, hi = min(lo, t), max(hi, t)
-    if not weight:
-        return 0.0, 0.0
-    return lo ** (r / 2.0), hi ** (r / 2.0)
+    sites = box_sites(partition.box_radius, partition.d)
+    ratios = [M**2 / (1.0 + sum(x * x for x in sites[i])) for group, M
+              in zip(partition.members, partition.M_alpha) for i in group]
+    return min(ratios) ** (r / 2.0), max(ratios) ** (r / 2.0)
 
 
 @dataclass
@@ -419,23 +406,23 @@ def random_cross_cluster_matrix(partition: ClusterPartition, count: int,
     draw takes two sites and two parts ``Fr(randint(-9, 9), randint(1, 9))``.
     The parts come from a table of the 171 Fractions built once per call, a
     row of 9 picked by ``rng.choice`` and then a part of it, and the sites
-    by ``rng.choice``: each choice calls ``rng._randbelow`` with the same
-    bound as the ``randint`` draw it stands for, so a seed gives the same
-    matrix as the per-draw Fractions did.
+    by ``rng.choice`` of a box index: each choice calls ``rng._randbelow``
+    with the same bound as the ``randint`` draw it stands for, so a seed
+    gives the same matrix as the per-draw Fractions did.
     """
-    sites = sorted(partition.assignment)
-    assignment = partition.assignment
+    sites = box_sites(partition.box_radius, partition.d)
+    indices = range(len(sites))
     parts = [[Fr(n, d) for d in range(1, 10)] for n in range(-9, 10)]
     entries = {}
     attempts = 0
     while len(entries) < count and attempts < 50 * count:
         attempts += 1
-        j = rng.choice(sites)
-        j2 = rng.choice(sites)
-        if assignment[j] == assignment[j2]:
+        i = rng.choice(indices)
+        k = rng.choice(indices)
+        if partition.cluster[i] == partition.cluster[k]:
             continue
         re = rng.choice(rng.choice(parts))
         im = rng.choice(rng.choice(parts))
         if re or im:
-            entries[(j, j2)] = exact.QQi(re, im)
+            entries[(sites[i], sites[k])] = exact.QQi(re, im)
     return BlockMatrix(partition.box_radius, partition.d, entries)

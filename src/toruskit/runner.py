@@ -25,6 +25,7 @@ from pathlib import Path
 from . import __version__, exact
 from .clusters import (
     ClusterPartition,
+    box_sites,
     box_table,
     build_partition,
     chain_scaling_experiment,
@@ -234,11 +235,10 @@ def _write_partition(path: Path, partition: ClusterPartition) -> None:
     """Write ``partition`` as ``atomic_write_json`` writes its dict.
 
     The bytes are those of ``json.dumps(partition.to_dict(), indent=2,
-    sort_keys=True) + "\\n"``, streamed cluster by cluster from the
-    :class:`ClusterInfo` records with no dict built.  Ids, sup norms and
-    member coordinates are ints, ``boundary`` is a bool and every cluster
-    has a member, as ``ClusterPartition._from_groups`` makes them, so each
-    record and each member's index list is one ``%`` format.
+    sort_keys=True) + "\\n"``, streamed from the partition's index lists
+    with no dict built.  Ids, sup norms and coordinates are ints,
+    ``boundary`` is a bool, a box has a cluster and a cluster a member, so
+    each record and each member's index list is one ``%`` format.
     """
     key = "\n      "
     member = "\n        "
@@ -246,19 +246,21 @@ def _write_partition(path: Path, partition: ClusterPartition) -> None:
     index = "[" + inner + ("," + inner).join(["%d"] * partition.d) + member + "]"
     head = ('"M_alpha": %d,' + key + '"boundary": %s,' + key + '"id": %d,'
             + key + '"m_alpha": %d,' + key + '"members": ')
+    sites = box_sites(partition.box_radius, partition.d)
+    records = zip(partition.members, partition.M_alpha, partition.boundary,
+                  partition.m_alpha)
     with _atomic_file(path) as handle:
         write = handle.write
         write('{\n  "box_radius": ' + _scalar_text(partition.box_radius)
               + ',\n  "clusters": ')
         sep = "[\n    {" + key
-        for c in partition.clusters:
+        for c, (group, M, boundary, m) in enumerate(records):
             members = ("[" + member + ("," + member).join(
-                [index % j for j in c.members]) + key + "]")
-            write(sep + head % (c.M_alpha, "true" if c.boundary else "false",
-                                c.id, c.m_alpha) + members + "\n    }")
+                [index % sites[i] for i in group]) + key + "]")
+            write(sep + head % (M, "true" if boundary else "false", c, m)
+                  + members + "\n    }")
             sep = ",\n    {" + key
-        write(("\n  ]" if partition.clusters else "[]")
-              + ',\n  "d": ' + _scalar_text(partition.d)
+        write('\n  ],\n  "d": ' + _scalar_text(partition.d)
               + ',\n  "delta": '
               + _scalar_text(exact.format_rational(partition.delta))
               + ',\n  "margin": ' + _scalar_text(partition.margin) + "\n}\n")
@@ -346,14 +348,14 @@ def _run_cluster(config: ExperimentConfig, out_dir: Path, counters: dict):
                             if links is None else links))
     report = verify_cluster_properties(table, partition)
     expected = (2 * N + 1) ** basis.d
-    counters.update(sites=expected, clusters=len(partition.clusters),
+    counters.update(sites=expected, clusters=len(partition.members),
                     cross_pairs=report.pairs_checked)
     if links is not None:
         counters["links"] = len(links)
     checks = [
         _check("partition_covers_box_once",
-               len(partition.assignment) == expected,
-               f"{len(partition.assignment)} sites vs {expected}"),
+               len(partition.cluster) == expected,
+               f"{len(partition.cluster)} sites vs {expected}"),
         _check("cross_cluster_separation",
                not report.separation_violations,
                f"{report.pairs_checked} interior cross pairs checked",

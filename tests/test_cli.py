@@ -227,6 +227,19 @@ def test_partition_file_listing_a_site_twice_is_usage_error(
     assert "is listed twice" in err
 
 
+def test_partition_file_with_a_fractional_member_is_usage_error(
+        tmp_path, lattice_file, capsys):
+    def halve(part):
+        part["clusters"][0]["members"][0][0] = 0.5
+
+    path = _partition_file(tmp_path, lattice_file, halve)
+    code = _homological_on(tmp_path, lattice_file, 2, "--partition", str(path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"params.partition_file: {path}" in err and "Traceback" not in err
+    assert "clusters[0].members[0]: [0.5, -2] has a non-integer coordinate" in err
+
+
 def test_partition_file_leaving_a_matrix_site_out_is_usage_error(
         tmp_path, lattice_file, capsys):
     def uncover(part):

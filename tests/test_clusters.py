@@ -10,7 +10,6 @@ from fractions import Fraction as Fr
 import pytest
 
 from toruskit.clusters import (
-    ClusterInfo,
     ClusterPartition,
     GammaChain,
     _box_numerators,
@@ -35,6 +34,7 @@ from toruskit.clusters import (
 from toruskit.config import normalize
 from toruskit.errors import DeltaOutOfRange, SingularGenerators
 from toruskit.exact import format_rational, le_pow, sup_norm
+from toruskit.homological import BlockMatrix, dn_split
 from toruskit.lattice import mu, mu_numerator, new_lattice
 from toruskit.runner import run_experiment
 
@@ -138,12 +138,13 @@ def test_truncation_flags_lower_bound():
 
 def test_build_partition_d1():
     part = build_partition(B1, 10, Fr(1, 10), enforce_delta_bound=False)
-    central = part.clusters[part.cluster_of((0,))]
-    assert central.members == ((-1,), (0,), (1,))
-    for c in part.clusters:
-        if c.id != central.id:
-            assert len(c.members) == 1
-    assert len(part.assignment) == 21
+    sites = box_sites(10, 1)
+    central = part.cluster_of((0,))
+    assert [sites[i] for i in part.members[central]] == [(-1,), (0,), (1,)]
+    for c, members in enumerate(part.members):
+        if c != central:
+            assert len(members) == 1
+    assert len(part.cluster) == 21
 
 
 def test_partition_delta_range():
@@ -152,7 +153,7 @@ def test_partition_delta_range():
     with pytest.raises(DeltaOutOfRange):
         build_partition(B1, 5, Fr(3, 2), enforce_delta_bound=False)
     part = build_partition(B1, 5, Fr(1, 20))       # inside the theorem range
-    assert len(part.assignment) == 11
+    assert len(part.cluster) == 11
 
 
 def test_check_delta_is_exact_and_bounds_the_denominator():
@@ -226,13 +227,30 @@ def _uncovered(data):
     data["clusters"][3]["members"].remove([0, 0])
 
 
+def _fractional_radius(data):
+    data["box_radius"] = 1.9
+
+
+def _boolean_d(data):
+    data["d"] = True
+
+
+def _fractional_member(data):
+    data["clusters"][0]["members"][0] = [-1.5, -2]
+
+
 @pytest.mark.parametrize("edit, message", [
     (_duplicate, "clusters[1].members[12]: [-2, -2] is listed twice"),
     (_outside, "clusters[0].members[0]: [-3, -2] lies outside [-2, 2]^2"),
     (_wrong_length, "clusters[0].members[0]: [-2, -2, 0] has length 3, d is 2"),
     (_empty, "clusters[0].members: empty"),
     (_uncovered, "clusters: box site [0, 0] is in no cluster"),
-], ids=["duplicate", "outside", "wrong_length", "empty", "uncovered"])
+    (_fractional_radius, "box_radius: 1.9 is not a nonnegative integer"),
+    (_boolean_d, "d: True is not a nonnegative integer"),
+    (_fractional_member,
+     "clusters[0].members[0]: [-1.5, -2] has a non-integer coordinate"),
+], ids=["duplicate", "outside", "wrong_length", "empty", "uncovered",
+        "fractional_radius", "boolean_d", "fractional_member"])
 def test_from_dict_refuses_a_partition_that_is_not_of_the_box(edit, message):
     data = _radius_2_partition().to_dict()
     assert ClusterPartition.from_dict(data) == _radius_2_partition()
@@ -255,6 +273,22 @@ def test_from_dict_derives_the_cluster_fields(field, value):
     assert ClusterPartition.from_dict(data) == part
 
 
+def test_cluster_of_reads_box_sites_and_refuses_others():
+    part = build_partition(B2, 4, Fr(1, 10), enforce_delta_bound=False)
+    # the id of the record that lists the site, as the partition file says
+    listed = {tuple(j): rec["id"] for rec in part.to_dict()["clusters"]
+              for j in rec["members"]}
+    assert [part.cluster_of(j) for j in box_sites(4, 2)] == \
+        [listed[j] for j in box_sites(4, 2)]
+    with pytest.raises(ValueError, match=r"^\[0, 0, 0\] has length 3, d is 2$"):
+        part.cluster_of((0, 0, 0))
+    with pytest.raises(ValueError, match=r"^\[5, 0\] lies outside \[-4, 4\]\^2$"):
+        part.cluster_of((5, 0))
+    # a bare BlockMatrix does not check its keys; the split refuses them
+    with pytest.raises(ValueError, match="lies outside"):
+        dn_split(BlockMatrix(4, 2, {((5, 0), (0, 0)): 1}), part)
+
+
 def test_verify_properties_no_violations():
     part = build_partition(B1, 64, Fr(1, 10), enforce_delta_bound=False)
     rep = verify_cluster_properties(box_table(B1, 64, Fr(1, 10)), part)
@@ -267,7 +301,7 @@ def test_verify_properties_no_violations():
 def test_verify_exhaustive_cross_pairs_d1():
     # direct all-pairs scan as the oracle for the locality-restricted check
     part = build_partition(B1, 20, Fr(1, 10), enforce_delta_bound=False)
-    interior = {c.id for c in part.clusters if not c.boundary}
+    interior = {c for c, boundary in enumerate(part.boundary) if not boundary}
     from toruskit.lattice import mu
 
     sites = box_sites(20, 1)
@@ -414,7 +448,8 @@ def test_relation_links_match_all_pairs_oracle(d, radius, entries, tmp_path):
         assert relation_links(box_table(basis, radius, delta)) == expected
         sites = box_sites(radius, d)
         part = build_partition(basis, radius, delta, enforce_delta_bound=False)
-        assert [c.members for c in part.clusters] == \
+        assert [tuple(sites[i] for i in members)
+                for members in part.members] == \
             oracle_components(sites, expected)
 
         lattice = {"matrix": [[format_rational(x) if entries == "exact" else x
@@ -454,7 +489,7 @@ def oracle_verify(basis, part):
     le_pow.
     """
     N, d, delta = part.box_radius, part.d, part.delta
-    interior = {c.id for c in part.clusters if not c.boundary}
+    interior = {c for c, boundary in enumerate(part.boundary) if not boundary}
     sites = box_sites(N, d)
     mus = {j: mu(basis, j) for j in sites}
     link = 1
@@ -464,7 +499,7 @@ def oracle_verify(basis, part):
     for i, j in enumerate(sites):
         for j2 in sites[i + 1:]:
             spatial = max(abs(a - b) for a, b in zip(j, j2))
-            a, b = part.assignment[j], part.assignment[j2]
+            a, b = part.cluster_of(j), part.cluster_of(j2)
             if spatial > link or a == b or a not in interior or b not in interior:
                 continue
             pairs += 1
@@ -473,11 +508,10 @@ def oracle_verify(basis, part):
                 violations.append((j, j2))
     exponent = (chain_exponent(d) + 1) * float(delta)
     fitted_c = fitted_e = 0.0
-    for c in part.clusters:
-        if c.boundary:
-            continue
-        for a, j in enumerate(c.members):
-            for j2 in c.members[a + 1:]:
+    for c in interior:
+        members = [sites[i] for i in part.members[c]]
+        for a, j in enumerate(members):
+            for j2 in members[a + 1:]:
                 spread = float(max(abs(x - y) for x, y in zip(j, j2))
                                + abs(mus[j] - mus[j2]))
                 s = sup_norm(j) + sup_norm(j2)
@@ -489,13 +523,11 @@ def oracle_verify(basis, part):
 
 def singleton_partition(radius, d, delta):
     """Every box site its own interior cluster: every scanned pair is cross."""
-    sites = box_sites(radius, d)
+    sups = list(map(sup_norm, box_sites(radius, d)))
     return ClusterPartition(
         box_radius=radius, d=d, delta=delta, margin=0,
-        assignment={j: i for i, j in enumerate(sites)},
-        clusters=tuple(ClusterInfo(id=i, members=(j,), m_alpha=sup_norm(j),
-                                   M_alpha=sup_norm(j), boundary=False)
-                       for i, j in enumerate(sites)))
+        cluster=list(range(len(sups))), members=[[i] for i in range(len(sups))],
+        m_alpha=sups, M_alpha=sups, boundary=[False] * len(sups))
 
 
 @pytest.mark.parametrize("entries", ["exact", "floating"])
@@ -522,8 +554,7 @@ def test_verify_matches_per_pair_oracle(d, radius, delta, entries):
     # growth fit over each cluster's pairs as well
     basis = new_lattice(rows)
     built = build_partition(basis, radius, delta, enforce_delta_bound=False)
-    built = dataclasses.replace(built, clusters=tuple(
-        dataclasses.replace(c, boundary=False) for c in built.clusters))
+    built = dataclasses.replace(built, boundary=[False] * len(built.members))
     rep = verify_cluster_properties(box_table(basis, radius, delta), built)
     assert rep.fitted_constant > 0
     assert (rep.separation_violations, rep.pairs_checked,

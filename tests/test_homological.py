@@ -23,7 +23,7 @@ from toruskit.homological import (
     solve_homological,
     verify_remainder_support,
 )
-from toruskit.clusters import build_partition
+from toruskit.clusters import box_sites, build_partition
 from toruskit.lattice import mu, new_lattice
 
 B2 = new_lattice([[1, 0], [0, 1]])
@@ -107,8 +107,10 @@ def test_solve_zero_matrix():
 
 def test_solve_rejects_intra_cluster():
     part = partition()
-    members = next(c.members for c in part.clusters if len(c.members) > 1)
-    W = BlockMatrix.from_entries(8, 2, {(members[0], members[1]): QQi(1, 0)})
+    sites = box_sites(8, 2)
+    members = next(m for m in part.members if len(m) > 1)
+    W = BlockMatrix.from_entries(
+        8, 2, {(sites[members[0]], sites[members[1]]): QQi(1, 0)})
     with pytest.raises(IntraClusterEntry):
         solve_homological(B2, W, part, DELTA)
 
@@ -133,15 +135,16 @@ def test_weight_operator_values_and_commutator():
     part = partition()
     weight = cluster_weight_operator(part)
     # singletons carry their own squared sup-norm
-    singleton = next(c for c in part.clusters
-                     if len(c.members) == 1 and c.M_alpha > 2)
-    j = singleton.members[0]
-    assert weight.get(j, j) == singleton.M_alpha**2
+    sites = box_sites(8, 2)
+    singleton = next(c for c, members in enumerate(part.members)
+                     if len(members) == 1 and part.M_alpha[c] > 2)
+    j = sites[part.members[singleton][0]]
+    assert weight.get(j, j) == part.M_alpha[singleton]**2
     # the origin cluster contains the unit modes, so its weight is 1
-    origin = part.clusters[part.cluster_of((0, 0))]
-    assert origin.M_alpha == 1
-    for j in origin.members:
-        assert weight.get(j, j) == 1
+    origin = part.cluster_of((0, 0))
+    assert part.M_alpha[origin] == 1
+    for i in part.members[origin]:
+        assert weight.get(sites[i], sites[i]) == 1
     rng = random.Random(2)
     Q = random_cross_cluster_matrix(part, 80, rng)
     q_d, _ = dn_split(Q + BlockMatrix.from_entries(
@@ -461,14 +464,14 @@ def test_non_finite_matrix_entry_names_its_field(tmp_path, capsys, part, bad):
 
 
 def _oracle_random_matrix(partition, count, rng):
-    sites = sorted(partition.assignment)
+    sites = box_sites(partition.box_radius, partition.d)
     entries = {}
     attempts = 0
     while len(entries) < count and attempts < 50 * count:
         attempts += 1
         j = sites[rng.randrange(len(sites))]
         j2 = sites[rng.randrange(len(sites))]
-        if partition.assignment[j] == partition.assignment[j2]:
+        if partition.cluster_of(j) == partition.cluster_of(j2):
             continue
         v = QQi(Fr(rng.randint(-9, 9), rng.randint(1, 9)),
                 Fr(rng.randint(-9, 9), rng.randint(1, 9)))

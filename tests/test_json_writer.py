@@ -1,5 +1,6 @@
 """The streaming JSON writer against ``json.dumps(indent=2, sort_keys=True)``."""
 
+import dataclasses
 import enum
 import json
 import random
@@ -8,10 +9,11 @@ from fractions import Fraction
 import pytest
 
 import toruskit.runner as runner
-from toruskit.clusters import ClusterInfo, ClusterPartition
+from toruskit.clusters import box_table, group_links
 from toruskit.config import normalize, serialize
 from toruskit.exact import QQi
 from toruskit.homological import BlockMatrix, dn_split
+from toruskit.lattice import new_lattice
 from toruskit.runner import (
     atomic_write_json,
     run_experiment,
@@ -226,24 +228,18 @@ def test_streamed_matrix_matches_dumps_of_triplets(tmp_path, d, count):
 
 
 def random_partition(rng, d, radius):
-    coords = range(-radius, radius + 1)
-    sites = list({tuple(rng.choice(coords) for _ in range(d))
-                  for _ in range(rng.randint(0, 3 * (2 * radius + 1) ** d))})
-    rng.shuffle(sites)
-    clusters = []
-    while sites:
-        # single-member clusters among larger ones
-        take = rng.choice([1, 1, 2, rng.randint(1, 6)])
-        members, sites = tuple(sites[:take]), sites[take:]
-        sups = [max(map(abs, j)) for j in members]
-        clusters.append(ClusterInfo(id=len(clusters), members=members,
-                                    m_alpha=min(sups), M_alpha=max(sups),
-                                    boundary=rng.random() < 0.5))
-    assignment = {j: c.id for c in clusters for j in c.members}
-    return ClusterPartition(box_radius=radius, d=d,
-                            delta=Fraction(rng.randint(1, 99), rng.randint(100, 10**4)),
-                            margin=rng.randint(0, 5), assignment=assignment,
-                            clusters=tuple(clusters))
+    """Random links over the box indices, grouped by ``group_links``, with a
+    random margin and boundary flags."""
+    basis = new_lattice([[int(r == c) for c in range(d)] for r in range(d)])
+    table = box_table(basis, radius,
+                      Fraction(rng.randint(1, 99), rng.randint(100, 10**4)))
+    n = len(table.sites)
+    links = sorted({tuple(sorted(rng.sample(range(n), 2)))
+                    for _ in range(rng.randint(0, n if n > 1 else 0))})
+    partition = group_links(table, links)
+    return dataclasses.replace(
+        partition, margin=rng.randint(0, 5),
+        boundary=[rng.random() < 0.5 for _ in partition.members])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -254,12 +250,8 @@ def test_streamed_partition_matches_dumps_of_dict(tmp_path, d, radius):
     boundaries = set()
     for _ in range(20):
         partition = random_partition(rng, d, radius)
-        boundaries |= {c.boundary for c in partition.clusters}
+        boundaries |= set(partition.boundary)
         runner._write_partition(path, partition)
         assert path.read_bytes() == dumps(partition.to_dict())
     assert boundaries == {True, False} or radius == 0
-    empty = ClusterPartition(box_radius=radius, d=d, delta=Fraction(1, 10),
-                             margin=0, assignment={}, clusters=())
-    runner._write_partition(path, empty)
-    assert path.read_bytes() == dumps(empty.to_dict())
     assert not list(tmp_path.glob(".tmp-*"))
