@@ -206,6 +206,12 @@ def _box_index(N: int, d: int, j) -> int:
     return i
 
 
+def box_indices(N: int, d: int, pairs) -> dict:
+    """The row-major index in ``box_sites(N, d)`` of each distinct site of
+    the index pairs ``pairs``, each site read by :func:`_box_index` once."""
+    return {j: _box_index(N, d, j) for j in {j for pair in pairs for j in pair}}
+
+
 @dataclass(frozen=True)
 class ClusterPartition:
     """A partition of the indices of ``box_sites(box_radius, d)``: the
@@ -356,9 +362,9 @@ class BoxTable(NamedTuple):
 
 def box_table(basis: LatticeBasis, box_radius: int, delta) -> BoxTable:
     """The :class:`BoxTable` of the box; delta is read by :func:`check_delta`
-    with no theorem bound.  A cluster call builds one and passes it to
-    :func:`relation_links`, :func:`group_links` and
-    :func:`verify_cluster_properties`."""
+    with no theorem bound.  A cluster or homological call builds one and
+    passes it to :func:`relation_links`, :func:`group_links` and
+    :func:`verify_cluster_properties` or the homological solve."""
     delta = check_delta(basis.d, delta, enforce_delta_bound=False)
     sites, n, D = _box_numerators(basis, box_radius)
     sup = [exact.sup_norm(j) for j in sites]

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from . import exact
 from .errors import BoxMismatch, IntraClusterEntry, ParseError
-from .clusters import ClusterPartition, box_sites, check_delta
-from .lattice import LatticeBasis, mu_numerator
+from .clusters import (BoxTable, ClusterPartition, _box_index, box_indices,
+                       box_sites)
 from .lattice import mu  # noqa: F401  unused; perfbench/tracing.py patches it here
 
 Fr = Fraction
@@ -101,8 +101,8 @@ class BlockMatrix:
         :func:`toruskit.exact.parse_rational` reads it, or a finite float
         taken at its exact binary value; a NaN or infinite part raises
         ParseError naming ``entries[i].re`` or ``entries[i].im``.  An index
-        of the wrong length or outside the box raises ParseError naming
-        ``entries[i].j`` or ``entries[i].j_prime``.
+        that :func:`toruskit.clusters._box_index` refuses raises ParseError
+        naming ``entries[i].j`` or ``entries[i].j_prime``.
         """
         items = {}
         for i, rec in enumerate(rows):
@@ -116,14 +116,11 @@ class BlockMatrix:
 
 
 def _triplet_index(raw, box_radius: int, d: int, field: str) -> tuple:
-    j = tuple(int(x) for x in raw)
-    if len(j) != d:
-        raise ParseError(f"{field}: {list(j)} has {len(j)} components, "
-                         f"not d = {d}")
-    if exact.sup_norm(j) > box_radius:
-        raise ParseError(f"{field}: {list(j)} lies outside the box of "
-                         f"radius {box_radius}")
-    return j
+    try:
+        _box_index(box_radius, d, raw)
+    except ValueError as exc:
+        raise ParseError(f"{field}: {exc}") from None
+    return tuple(raw)
 
 
 def _exact_part(x, field: str) -> Fraction:
@@ -151,10 +148,11 @@ def dn_split(Q: BlockMatrix, partition: ClusterPartition):
     """
     if Q.box_radius != partition.box_radius or Q.d != partition.d:
         raise BoxMismatch("matrix and partition on different boxes")
-    cluster_of = partition.cluster_of
+    index = box_indices(Q.box_radius, Q.d, Q.entries)
+    cluster = partition.cluster
     diag, cross = {}, {}
     for (j, j2), v in Q.entries.items():
-        (diag if cluster_of(j) == cluster_of(j2) else cross)[j, j2] = v
+        (diag if cluster[index[j]] == cluster[index[j2]] else cross)[j, j2] = v
     return (BlockMatrix(Q.box_radius, Q.d, diag),
             BlockMatrix(Q.box_radius, Q.d, cross))
 
@@ -166,30 +164,11 @@ class HomologicalSolution:
     delta: Fraction
 
 
-def gap_numerators(basis: LatticeBasis, keys):
-    """Eigenvalue gaps of the index pairs ``keys`` as ``(gaps, D)``.
-
-    ``gaps[j, j']`` is the integer ``n_j' - n_j`` with
-    ``mu(j') - mu(j) = gaps[j, j'] / D``: each distinct site's numerator
-    (:func:`toruskit.lattice.mu_numerator`) is evaluated once.
-    """
-    n = {}
-    gaps = {}
-    for j, j2 in keys:
-        a = n.get(j)
-        if a is None:
-            a = n[j] = mu_numerator(basis, j)
-        b = n.get(j2)
-        if b is None:
-            b = n[j2] = mu_numerator(basis, j2)
-        gaps[j, j2] = b - a
-    return gaps, basis.gram[1]
-
-
 def gap_clears(D, delta):
     """Predicate ``clears(g, s)``: ``|g / D| >= s**delta / 4`` for a gap numerator.
 
-    With the integer numerators of :func:`gap_numerators` and a rational
+    With the integer gap ``g = n_j' - n_j`` of
+    :class:`toruskit.clusters.BoxTable` numerators and a rational
     ``delta >= 0`` this is the integer compare ``4 |g| >= ceil(D s**delta)``
     (:func:`toruskit.exact.scaled_ceil_pow`).
     """
@@ -197,32 +176,37 @@ def gap_clears(D, delta):
     return lambda g, s: 4 * abs(g) >= ceil(s)
 
 
-def solve_homological(basis: LatticeBasis, W_ND: BlockMatrix,
-                      partition: ClusterPartition, delta) -> HomologicalSolution:
+def solve_homological(table: BoxTable, W_ND: BlockMatrix,
+                      partition: ClusterPartition) -> HomologicalSolution:
     """Solve the commutator equation for a cross-cluster interaction.
 
     Where the eigenvalue gap clears ``(|j|+|j'|)**delta / 4`` the entry is
     divided by the gap (building X); elsewhere it is moved, negated, into the
     remainder R.  The identity ``gap * X = W + R`` then holds entrywise with
-    no error term.  ``delta`` is read by :func:`toruskit.clusters.check_delta`
-    with no theorem bound.  The gaps are integer numerators over the Gram
-    denominator (:func:`gap_numerators`), the threshold test is an integer
-    compare (:func:`gap_clears`) and a kept :class:`toruskit.exact.QQi`
-    entry is divided on integers, each part ``n/d`` becoming ``Fraction(n*D, d*g)``;
-    an ``int`` or ``Fraction`` entry is divided by the rational gap.
+    no error term.  ``table`` must be of the partition's box radius, d and
+    delta, or BoxMismatch.  The gap of ``(j, j')`` is the integer
+    ``n_j' - n_j`` of ``table`` over its Gram denominator ``D``, the
+    threshold test is an integer compare (:func:`gap_clears`) and a kept
+    :class:`toruskit.exact.QQi` entry is divided on integers, each part
+    ``n/d`` becoming ``Fraction(n*D, d*g)``; an ``int`` or ``Fraction``
+    entry is divided by the rational gap.
     """
-    if W_ND.box_radius != partition.box_radius or W_ND.d != partition.d:
+    N, d, delta = partition.box_radius, partition.d, partition.delta
+    if W_ND.box_radius != N or W_ND.d != d:
         raise BoxMismatch("matrix and partition on different boxes")
-    delta = check_delta(basis.d, delta, enforce_delta_bound=False)
-    gaps, D = gap_numerators(basis, W_ND.entries)
+    if (table.box_radius, table.basis.d, table.delta) != (N, d, delta):
+        raise BoxMismatch("box table of another box radius, d or delta")
+    n, sup, D = table.n, table.sup, table.D
+    index = box_indices(N, d, W_ND.entries)
     clears = gap_clears(D, delta)
-    cluster_of = partition.cluster_of
+    cluster = partition.cluster
     x_entries, r_entries = {}, {}
     for (j, j2), w in W_ND.entries.items():
-        if cluster_of(j) == cluster_of(j2):
+        i, k = index[j], index[j2]
+        if cluster[i] == cluster[k]:
             raise IntraClusterEntry(f"entry {(j, j2)} is intra-cluster")
-        g = gaps[j, j2]
-        if clears(g, exact.sup_norm(j) + exact.sup_norm(j2)):
+        g = n[k] - n[i]
+        if clears(g, sup[i] + sup[k]):
             x_entries[(j, j2)] = _divide_by_gap(w, g, D)
         else:
             r_entries[(j, j2)] = -w
@@ -242,22 +226,25 @@ def _divide_by_gap(w, g, D):
                      Fraction(im.numerator * D, im.denominator * g))
 
 
-def homological_residual(basis: LatticeBasis, W_ND: BlockMatrix,
+def homological_residual(table: BoxTable, W_ND: BlockMatrix,
                          solution: HomologicalSolution):
     """First nonzero value of gap*X - W - R over the joint support, else None.
 
-    An independent exact recomputation: the gaps are rebuilt here by
-    :func:`gap_numerators` and every entry is checked, none assumed.  Each
-    real and imaginary part of an entry (an ``int``, ``Fraction`` or
-    :class:`toruskit.exact.QQi`) is tested as the integer identity
-    ``xn*g*wd*rd == D*xd*(wn*rd + rn*wd)``, with the parts written
-    ``xn/xd``, ``wn/wd``, ``rn/rd`` and the gap ``g/D``, so an entry that
-    holds builds no Fraction.  The Fraction expression ``X*gap - W - R``
-    gives the residual of the first key that fails.
+    Every entry is checked, none assumed, with the gaps of the ``table``
+    that :func:`solve_homological` reads (the tests' ``lattice.mu`` Fraction
+    oracle is the independent check).  Each real and imaginary part of an
+    entry (an ``int``, ``Fraction`` or :class:`toruskit.exact.QQi`) is
+    tested as the integer identity ``xn*g*wd*rd == D*xd*(wn*rd + rn*wd)``,
+    with the parts written ``xn/xd``, ``wn/wd``, ``rn/rd`` and the gap
+    ``g/D``, so an entry that holds builds no Fraction.  The Fraction
+    expression ``X*gap - W - R`` gives the residual of the first key that
+    fails.
     """
     W, X, R = W_ND.entries, solution.X.entries, solution.R.entries
     keys = set(W) | set(X) | set(R)
-    gaps, D = gap_numerators(basis, keys)
+    index = box_indices(table.box_radius, table.basis.d, keys)
+    n, D = table.n, table.D
+    gaps = {key: n[index[key[1]]] - n[index[key[0]]] for key in keys}
     failed = [key for key in keys
               if not _integer_identity_holds(gaps[key], D, X.get(key, 0),
                                              W.get(key, 0), R.get(key, 0))]

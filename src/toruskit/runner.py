@@ -19,15 +19,15 @@ import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 from . import __version__, exact
 from .clusters import (
     ClusterPartition,
+    box_indices,
     box_sites,
     box_table,
-    build_partition,
+    build_partition,  # noqa: F401  unused; perfbench/tracing.py patches it here
     chain_scaling_experiment,
     check_delta,
     group_links,
@@ -44,7 +44,6 @@ from .homological import (
     decay_profile,
     dn_split,
     gap_clears,
-    gap_numerators,
     homological_residual,
     norm_equivalence_constants,
     random_cross_cluster_matrix,
@@ -307,10 +306,14 @@ def cached(tag: str, payload: dict, compute, enabled: bool):
 # may record work counts in ``counters``, which go to the report's meta)
 
 
-def _partition_for(config: ExperimentConfig, box_radius, delta_str,
-                   counters: dict, build) -> ClusterPartition:
-    # ``build()`` makes the partition on a miss;
-    # counters["partition_cache"] records off, hit or miss
+def _partition_for(config: ExperimentConfig, table, counters: dict,
+                   links=None) -> ClusterPartition:
+    # on a miss the partition groups ``links``, by default the relation
+    # links of ``table``; counters["partition_cache"] records off, hit or miss
+    def build():
+        return group_links(table, relation_links(table)
+                           if links is None else links)
+
     if not config.cache:
         counters["partition_cache"] = "off"
         return build()
@@ -320,8 +323,8 @@ def _partition_for(config: ExperimentConfig, box_radius, delta_str,
         counters["partition_cache"] = "miss"
         return build().to_dict()
 
-    payload = {"lattice": config.lattice, "box_radius": box_radius,
-               "delta": delta_str}
+    payload = {"lattice": config.lattice, "box_radius": table.box_radius,
+               "delta": config.params["delta"]}
     data = cached("partition", payload, compute, config.cache)
     try:
         return ClusterPartition.from_dict(data)
@@ -342,10 +345,7 @@ def _run_cluster(config: ExperimentConfig, out_dir: Path, counters: dict):
     table = box_table(basis, N, delta)
     # edges.csv lists the relation links; one scan also serves a cache miss
     links = relation_links(table) if p["edges_csv"] else None
-    partition = _partition_for(
-        config, N, p["delta"], counters,
-        lambda: group_links(table, relation_links(table)
-                            if links is None else links))
+    partition = _partition_for(config, table, counters, links)
     report = verify_cluster_properties(table, partition)
     expected = (2 * N + 1) ** basis.d
     counters.update(sites=expected, clusters=len(partition.members),
@@ -532,17 +532,23 @@ def _matrix_on_box(raw, partition: ClusterPartition) -> BlockMatrix:
 def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
     basis = config.basis()
     p = config.params
+    N = p["box_radius"]
+    delta = check_delta(basis.d, p["delta"], not p["allow_delta_above_theorem"])
+    # one box table serves a cache miss, the solve and the gap checks
+    table = box_table(basis, N, delta)
     if p.get("partition_file"):
-        partition = _read_input("params.partition_file", p["partition_file"],
+        path = p["partition_file"]
+        partition = _read_input("params.partition_file", path,
                                 ClusterPartition.from_dict)
-        if partition.d != basis.d:
-            raise ParseError(f"params.partition_file: {p['partition_file']}: "
-                             f"d {partition.d} is not the lattice's {basis.d}")
+        for field, want, whose in (("d", basis.d, "the lattice's"),
+                                   ("box_radius", N, "the config's"),
+                                   ("delta", delta, "the config's")):
+            got = getattr(partition, field)
+            if got != want:
+                raise ParseError(f"params.partition_file: {path}: "
+                                 f"{field} {got} is not {whose} {want}")
     else:
-        partition = _partition_for(
-            config, p["box_radius"], p["delta"], counters,
-            partial(build_partition, basis, p["box_radius"], p["delta"],
-                    not p["allow_delta_above_theorem"]))
+        partition = _partition_for(config, table, counters)
     if p.get("matrix_file"):
         Q = _read_input("params.matrix_file", p["matrix_file"],
                         lambda raw: _matrix_on_box(raw, partition))
@@ -551,16 +557,16 @@ def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
         Q = random_cross_cluster_matrix(partition, p["entries"], rng)
     q_d, q_nd = dn_split(Q, partition)
     recombined = q_d + q_nd
-    solution = solve_homological(basis, q_nd, partition, p["delta"])
-    residual = homological_residual(basis, q_nd, solution)
+    solution = solve_homological(table, q_nd, partition)
+    residual = homological_residual(table, q_nd, solution)
     support_bad = verify_remainder_support(solution)
     disjoint = not (set(solution.X.entries) & set(solution.R.entries))
     covered = (set(solution.X.entries) | set(solution.R.entries)
                == set(q_nd.entries))
-    gaps, D = gap_numerators(basis, solution.X.entries)
-    clears = gap_clears(D, solution.delta)
-    gap_ok = all(clears(g, exact.sup_norm(j) + exact.sup_norm(j2))
-                 for (j, j2), g in gaps.items())
+    index = box_indices(N, basis.d, solution.X.entries)
+    n, sup, clears = table.n, table.sup, gap_clears(table.D, solution.delta)
+    gap_ok = all(clears(n[k] - n[i], sup[i] + sup[k]) for i, k in
+                 ((index[j], index[j2]) for j, j2 in solution.X.entries))
     counters.update(entries=len(Q.entries), cross_entries=len(q_nd.entries),
                     x_entries=len(solution.X.entries),
                     r_entries=len(solution.R.entries),

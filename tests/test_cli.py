@@ -271,6 +271,24 @@ def test_partition_file_of_another_dimension_is_usage_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("radius, edit, message", [
+    (3, lambda part: None, "box_radius 2 is not the config's 3"),
+    (2, lambda part: part.update(delta="1/20"),
+     "delta 1/20 is not the config's 1/10"),
+], ids=["radius", "delta"])
+def test_partition_file_of_another_box_is_usage_error(
+        tmp_path, lattice_file, capsys, radius, edit, message):
+    # the report would echo the config's radius and delta while the
+    # clusters and matrix.json came from the file's
+    path = _partition_file(tmp_path, lattice_file, edit)
+    code = _homological_on(tmp_path, lattice_file, radius, "--partition",
+                           str(path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"params.partition_file: {path}: {message}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("change, field", [
     ({"box_radius": 7}, "box_radius"),
     ({"d": 3}, "d"),

@@ -15,7 +15,6 @@ from toruskit.homological import (
     commutator,
     decay_profile,
     dn_split,
-    gap_numerators,
     HomologicalSolution,
     homological_residual,
     norm_equivalence_constants,
@@ -23,7 +22,7 @@ from toruskit.homological import (
     solve_homological,
     verify_remainder_support,
 )
-from toruskit.clusters import box_sites, build_partition
+from toruskit.clusters import box_sites, box_table, build_partition
 from toruskit.lattice import mu, new_lattice
 
 B2 = new_lattice([[1, 0], [0, 1]])
@@ -34,14 +33,17 @@ def partition(radius=8):
     return build_partition(B2, radius, DELTA, enforce_delta_bound=False)
 
 
+TABLE = box_table(B2, 8, DELTA)
+
+
 def test_solve_homological_needs_an_exact_basis():
     # float generators give one: the exact basis of their decimals
     floating = new_lattice([[1.0, 0.0], [0.0, 1.0]])
     assert floating == B2
     part = partition()
     W = random_cross_cluster_matrix(part, 10, random.Random(0))
-    assert solve_homological(floating, W, part, DELTA) == \
-        solve_homological(B2, W, part, DELTA)
+    assert solve_homological(box_table(floating, 8, DELTA), W, part) == \
+        solve_homological(TABLE, W, part)
 
 
 def test_exact_only_primitives_name_their_rule():
@@ -83,7 +85,7 @@ def test_split_box_mismatch():
 def test_solve_large_gap_entry():
     part = partition()
     W = BlockMatrix.from_entries(8, 2, {((0, 0), (3, 4)): QQi(1, 0)})
-    sol = solve_homological(B2, W, part, DELTA)
+    sol = solve_homological(TABLE, W, part)
     # eigenvalue gap 25 clears the threshold (|j|+|j'|)^0.1 / 4
     assert sol.X.get((0, 0), (3, 4)) == QQi(Fr(1, 25), 0)
     assert sol.R.entries == {}
@@ -94,14 +96,14 @@ def test_solve_equal_eigenvalues_go_to_remainder():
     assert mu(B2, (3, 4)) == mu(B2, (5, 0))
     assert part.cluster_of((3, 4)) != part.cluster_of((5, 0))
     W = BlockMatrix.from_entries(8, 2, {((3, 4), (5, 0)): QQi(2, -1)})
-    sol = solve_homological(B2, W, part, DELTA)
+    sol = solve_homological(TABLE, W, part)
     assert sol.X.entries == {}
     assert sol.R.get((3, 4), (5, 0)) == QQi(-2, 1)
 
 
 def test_solve_zero_matrix():
     part = partition()
-    sol = solve_homological(B2, BlockMatrix(8, 2, {}), part, DELTA)
+    sol = solve_homological(TABLE, BlockMatrix(8, 2, {}), part)
     assert sol.X.entries == {} and sol.R.entries == {}
 
 
@@ -112,15 +114,15 @@ def test_solve_rejects_intra_cluster():
     W = BlockMatrix.from_entries(
         8, 2, {(sites[members[0]], sites[members[1]]): QQi(1, 0)})
     with pytest.raises(IntraClusterEntry):
-        solve_homological(B2, W, part, DELTA)
+        solve_homological(TABLE, W, part)
 
 
 def test_homological_identity_exact():
     part = partition()
     rng = random.Random(1)
     W = random_cross_cluster_matrix(part, 120, rng)
-    sol = solve_homological(B2, W, part, DELTA)
-    assert homological_residual(B2, W, sol) is None
+    sol = solve_homological(TABLE, W, part)
+    assert homological_residual(TABLE, W, sol) is None
     assert not (set(sol.X.entries) & set(sol.R.entries))
     assert set(sol.X.entries) | set(sol.R.entries) == set(W.entries)
     # every kept entry replays the gap threshold, every dropped one fails it
@@ -186,7 +188,7 @@ def test_remainder_support_clean_and_negative():
     part = partition()
     rng = random.Random(3)
     W = random_cross_cluster_matrix(part, 120, rng)
-    sol = solve_homological(B2, W, part, DELTA)
+    sol = solve_homological(TABLE, W, part)
     assert verify_remainder_support(sol) == []
     # an artificial near-diagonal remainder entry must be flagged; at
     # delta = 1/2 the support floor sqrt(10)/2 exceeds the offset 1
@@ -245,9 +247,9 @@ def _corrupted(sol, radius, d, x=None, r=None):
         BlockMatrix(radius, d, sol.R.entries if r is None else r), sol.delta)
 
 
-def _same_first_failure(basis, W, sol, key):
-    got = homological_residual(basis, W, sol)
-    want = _oracle_residual(basis, W, sol)
+def _same_first_failure(table, W, sol, key):
+    got = homological_residual(table, W, sol)
+    want = _oracle_residual(table.basis, W, sol)
     assert got is not None and got[0] == want[0] == key
     assert _as_qqi(got[1]) == want[1]
 
@@ -285,6 +287,7 @@ BASES = _bases()
                          ids=[b[0] for b in BASES])
 @pytest.mark.parametrize("delta", [Fr(1, 10), Fr(1, 3), Fr(7, 9)])
 def test_integer_gap_path_matches_per_pair_oracle(name, basis, radius, delta):
+    table = box_table(basis, radius, delta)
     part = build_partition(basis, radius, delta, enforce_delta_bound=False)
     rng = random.Random(f"{name} {delta}")
     Q = random_cross_cluster_matrix(part, 80, rng)
@@ -293,12 +296,12 @@ def test_integer_gap_path_matches_per_pair_oracle(name, basis, radius, delta):
     for i, (key, v) in enumerate(sorted(Q.entries.items())):
         items[key] = (v, v.re, v.re.numerator)[i % 3]
     W = BlockMatrix.from_entries(radius, basis.d, items)
-    sol = solve_homological(basis, W, part, delta)
+    sol = solve_homological(table, W, part)
     x_oracle, r_oracle = _oracle_solve(basis, W, delta)
     assert sol.X.entries == x_oracle and sol.R.entries == r_oracle
     for got, want in ((sol.X.entries, x_oracle), (sol.R.entries, r_oracle)):
         assert all(type(got[k]) is type(want[k]) for k in want)
-    assert homological_residual(basis, W, sol) is None
+    assert homological_residual(table, W, sol) is None
     assert _oracle_residual(basis, W, sol) is None
     assert verify_remainder_support(sol) == [
         key for key in sorted(sol.R.entries)
@@ -309,13 +312,13 @@ def test_integer_gap_path_matches_per_pair_oracle(name, basis, radius, delta):
         key = sorted(sol.X.entries)[len(sol.X.entries) // 2]
         bad_x = dict(sol.X.entries)
         bad_x[key] = bad_x[key] + Fr(1, 7)
-        _same_first_failure(basis, W, _corrupted(sol, radius, basis.d, x=bad_x),
+        _same_first_failure(table, W, _corrupted(sol, radius, basis.d, x=bad_x),
                             key)
     if sol.R.entries:
         key = sorted(sol.R.entries)[len(sol.R.entries) // 2]
         bad_r = dict(sol.R.entries)
         bad_r[key] = bad_r[key] - QQi(0, Fr(2, 9))
-        _same_first_failure(basis, W, _corrupted(sol, radius, basis.d, r=bad_r),
+        _same_first_failure(table, W, _corrupted(sol, radius, basis.d, r=bad_r),
                             key)
     if not W.entries:
         return
@@ -324,21 +327,21 @@ def test_integer_gap_path_matches_per_pair_oracle(name, basis, radius, delta):
         sol, radius, basis.d,
         x={k: v for k, v in sol.X.entries.items() if k != key},
         r={k: v for k, v in sol.R.entries.items() if k != key})
-    _same_first_failure(basis, W, dropped, key)
+    _same_first_failure(table, W, dropped, key)
     # a complex value is read at its binary value, so the integer identity
     # decides its key too
     w = W.entries[key]
     items[key] = complex(_as_qqi(w).re, _as_qqi(w).im) + 0.1j
     W_c = BlockMatrix.from_entries(radius, basis.d, items)
     assert W_c.entries[key] == QQi(Fr(items[key].real), Fr(items[key].imag))
-    sol_c = solve_homological(basis, W_c, part, delta)
-    assert (homological_residual(basis, W_c, sol_c)
+    sol_c = solve_homological(table, W_c, part)
+    assert (homological_residual(table, W_c, sol_c)
             == _oracle_residual(basis, W_c, sol_c))
     dropped = _corrupted(
         sol_c, radius, basis.d,
         x={k: v for k, v in sol_c.X.entries.items() if k != key},
         r={k: v for k, v in sol_c.R.entries.items() if k != key})
-    _same_first_failure(basis, W_c, dropped, key)
+    _same_first_failure(table, W_c, dropped, key)
 
 
 def test_complex_values_solve_with_no_residual():
@@ -346,6 +349,7 @@ def test_complex_values_solve_with_no_residual():
     replays exactly; held as complex floats, key ((-8, -4), (3, 0)) read a
     residual of -5.55e-17."""
     basis = new_lattice([[1, Fr(1, 2)], [0, 1]])
+    table = box_table(basis, 8, DELTA)
     part = build_partition(basis, 8, DELTA, enforce_delta_bound=False)
     Q = random_cross_cluster_matrix(part, 300, random.Random(1))
     items = {k: complex(float(v.re), float(v.im)) for k, v in Q.entries.items()}
@@ -353,9 +357,9 @@ def test_complex_values_solve_with_no_residual():
     assert W.entries == {k: QQi(Fr(c.real), Fr(c.imag))
                          for k, c in items.items()}
     assert all(type(v) is QQi for v in W.entries.values())
-    sol = solve_homological(basis, W, part, DELTA)
+    sol = solve_homological(table, W, part)
     assert ((-8, -4), (3, 0)) in sol.X.entries
-    assert homological_residual(basis, W, sol) is None
+    assert homological_residual(table, W, sol) is None
     # an int, Fraction or QQi value is kept as given
     kept = BlockMatrix.from_entries(2, 1, {((0,), (1,)): 3,
                                            ((1,), (0,)): Fr(1, 3),
@@ -381,20 +385,90 @@ def test_non_finite_entry_value_names_the_entry(value, part):
         BlockMatrix.from_entries(3, 2, {((0, 0), (1, 0)): "1/2"})
 
 
-def test_gap_numerators_evaluate_each_site_once(monkeypatch):
-    import toruskit.homological as hom
+def test_homological_call_builds_one_box_table(monkeypatch, tmp_path):
+    import toruskit.clusters as clusters
+    import toruskit.runner as runner
+    from toruskit.config import normalize
+    from toruskit.runner import run_experiment
+
+    lattice = {"matrix": [["1", "2/3"], ["0", "1"]]}
+    params = {"box_radius": 6, "delta": "1/10",
+              "allow_delta_above_theorem": True}
+    run_experiment(normalize({"kind": "cluster", "cache": False,
+                              "out_dir": str(tmp_path / "cluster"),
+                              "lattice": lattice, "params": params}))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return box_table(*args)
+
+    # the runner's binding and the one the clusters functions look up
+    monkeypatch.setattr(clusters, "box_table", counted)
+    monkeypatch.setattr(runner, "box_table", counted)
+    monkeypatch.setenv("TORUSKIT_CACHE", str(tmp_path / "cache"))
+    from_file = {"partition_file": str(tmp_path / "cluster" / "partition.json")}
+    matrices = []
+    for cache, state, extra in ((False, "off", {}), (True, "miss", {}),
+                                (True, "hit", {}), (True, None, from_file)):
+        out = tmp_path / (state or "file")
+        report = run_experiment(normalize({
+            "kind": "homological", "cache": cache, "out_dir": str(out),
+            "lattice": lattice,
+            "params": {**params, "entries": 60, **extra}}))
+        assert report.meta["counters"].get("partition_cache") == state
+        assert report.passed
+        assert len(calls) == 1, state
+        calls.clear()
+        matrices.append((out / "matrix.json").read_bytes())
+    assert len(set(matrices)) == 1
+
+
+def test_each_split_solve_and_residual_reads_each_site_once(monkeypatch):
+    import toruskit.clusters as clusters
 
     calls = []
-    real = hom.mu_numerator
-    monkeypatch.setattr(hom, "mu_numerator",
-                        lambda basis, j: calls.append(j) or real(basis, j))
+    real = clusters._box_index
+    monkeypatch.setattr(clusters, "_box_index",
+                        lambda N, d, j: calls.append(j) or real(N, d, j))
     keys = [((0, 1), (2, 3)), ((2, 3), (0, 1)), ((0, 1), (4, 0))]
-    gaps, D = gap_numerators(B2, keys)
+    assert clusters.box_indices(8, 2, keys) == {
+        j: box_sites(8, 2).index(j) for j in ((0, 1), (2, 3), (4, 0))}
     assert sorted(calls) == [(0, 1), (2, 3), (4, 0)]
-    assert D == 1 and gaps == {((0, 1), (2, 3)): 12, ((2, 3), (0, 1)): -12,
-                               ((0, 1), (4, 0)): 15}
-    for (j, j2), g in gaps.items():
-        assert Fr(g, D) == mu(B2, j2) - mu(B2, j)
+    calls.clear()
+    part = partition()
+    W = random_cross_cluster_matrix(part, 40, random.Random(5))
+    sites = {j for key in W.entries for j in key}
+    dn_split(W, part)
+    sol = solve_homological(TABLE, W, part)
+    homological_residual(TABLE, W, sol)
+    assert len(calls) == 3 * len(sites) and set(calls) == sites
+
+
+def test_solve_refuses_a_table_of_another_box():
+    part = partition()
+    W = random_cross_cluster_matrix(part, 10, random.Random(0))
+    for table in (box_table(B2, 7, DELTA), box_table(B2, 8, Fr(1, 20)),
+                  box_table(new_lattice([["1"]]), 8, DELTA)):
+        with pytest.raises(BoxMismatch, match="box table of another"):
+            solve_homological(table, W, part)
+
+
+@pytest.mark.parametrize("index, field, message", [
+    ([0.5, 0], "j", "[0.5, 0] has a non-integer coordinate"),
+    ([1, True], "j_prime", "[1, True] has a non-integer coordinate"),
+    ([3, 0], "j", "[3, 0] lies outside [-2, 2]^2"),
+    ([0, 0, 0], "j_prime", "[0, 0, 0] has length 3, d is 2"),
+], ids=["fractional", "boolean", "outside", "wrong-length"])
+def test_triplet_index_reads_whole_box_sites_only(index, field, message):
+    from toruskit.errors import ParseError
+
+    rows = [{"j": [0, 0], "j_prime": [1, 0], "re": "1", "im": "0"},
+            {"j": [0, 1], "j_prime": [1, 1], "re": "1", "im": "0"}]
+    rows[1][field] = index
+    with pytest.raises(ParseError,
+                       match=re.escape(f"entries[1].{field}: {message}")):
+        BlockMatrix.from_triplets(2, 2, rows)
 
 
 def test_float_matrix_file_runs_every_check(tmp_path):
@@ -419,7 +493,8 @@ def test_float_matrix_file_runs_every_check(tmp_path):
         assert all(W.get(r["j"], r["j_prime"]) == QQi(Fr(r["re"]), Fr(r["im"]))
                    for r in rows)
         x_oracle, r_oracle = _oracle_solve(basis, dn_split(W, part)[1], DELTA)
-        sol = solve_homological(basis, dn_split(W, part)[1], part, DELTA)
+        sol = solve_homological(box_table(basis, 6, DELTA), dn_split(W, part)[1],
+                                part)
         assert x_oracle and (sol.X.entries, sol.R.entries) == (x_oracle, r_oracle)
         path = tmp_path / f"matrix{seed}.json"
         path.write_text(json.dumps({"box_radius": 6, "d": 2, "entries": rows}))
