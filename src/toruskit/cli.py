@@ -63,14 +63,15 @@ def _trials(text: str) -> dict:
 
 @_flag_type("a:b:steps with rationals 0 < a < b and steps >= 2")
 def _gamma_grid(spec: str) -> list:
-    # `steps` geometric points from a to b; the ends are read as in configs
+    # `steps` geometric points from a to b: the ends are a and b as typed,
+    # read as in configs, and the points between them repr floats
     a, b, steps = spec.split(":")
     lo, hi = (float(exact.parse_rational(x, "--gamma-grid")) for x in (a, b))
     steps = int(steps)
     if steps < 2 or not 0 < lo < hi:
         raise ValueError(spec)
     ratio = (hi / lo) ** (1.0 / (steps - 1))
-    return [repr(lo * ratio**i) for i in range(steps)]
+    return [a, *(repr(lo * ratio**i) for i in range(1, steps - 1)), b]
 
 
 def build_parser() -> argparse.ArgumentParser:

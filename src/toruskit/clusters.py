@@ -206,12 +206,6 @@ def _box_index(N: int, d: int, j) -> int:
     return i
 
 
-def box_indices(N: int, d: int, pairs) -> dict:
-    """The row-major index in ``box_sites(N, d)`` of each distinct site of
-    the index pairs ``pairs``, each site read by :func:`_box_index` once."""
-    return {j: _box_index(N, d, j) for j in {j for pair in pairs for j in pair}}
-
-
 @dataclass(frozen=True)
 class ClusterPartition:
     """A partition of the indices of ``box_sites(box_radius, d)``: the

@@ -1,7 +1,9 @@
 """Finite-box block operators: diagonal splitting, homological equation, decay.
 
 A block matrix here is a finitely supported map ``(j, j') -> value`` over a
-box ``[-N, N]^d``, one mode per index.  Values are exact: Gaussian rationals
+box ``[-N, N]^d``, one mode per index, keyed by the row-major indices
+``(i, k)`` of the sites in ``box_sites(N, d)``, whose order is the
+lexicographic order of the sites.  Values are exact: Gaussian rationals
 (:class:`toruskit.exact.QQi`), Fractions or ints, with a float or complex
 input read at its binary value, so every statement holds entrywise.
 """
@@ -14,8 +16,7 @@ from fractions import Fraction
 
 from . import exact
 from .errors import BoxMismatch, IntraClusterEntry, ParseError
-from .clusters import (BoxTable, ClusterPartition, _box_index, box_indices,
-                       box_sites)
+from .clusters import BoxTable, ClusterPartition, _box_index, box_sites
 from .lattice import mu  # noqa: F401  unused; perfbench/tracing.py patches it here
 
 Fr = Fraction
@@ -25,36 +26,37 @@ Fr = Fraction
 class BlockMatrix:
     box_radius: int
     d: int
-    entries: dict  # (j, j') -> value, zeros never stored
+    entries: dict  # (i, k) box indices -> value, zeros never stored
 
     @staticmethod
     def from_entries(box_radius: int, d: int, items) -> "BlockMatrix":
         """Block matrix of the nonzero ``(j, j') -> value`` items.
 
-        An ``int``, ``Fraction`` or :class:`toruskit.exact.QQi` value is kept
-        as given.  A ``float`` or ``complex`` value becomes a ``QQi`` at its
-        exact binary value, as a file part does in :meth:`from_triplets`; a
-        NaN or infinite part raises ParseError naming the entry.  Any other
-        type raises TypeError.
+        A site that :func:`toruskit.clusters._box_index` refuses raises
+        BoxMismatch naming the entry.  An ``int``, ``Fraction`` or
+        :class:`toruskit.exact.QQi` value is kept as given.  A ``float`` or
+        ``complex`` value becomes a ``QQi`` at its exact binary value, as a
+        file part does in :meth:`from_triplets`; a NaN or infinite part
+        raises ParseError naming the entry.  Any other type raises TypeError.
         """
         entries = {}
         for (j, j2), v in dict(items).items():
-            j, j2 = tuple(int(x) for x in j), tuple(int(x) for x in j2)
-            if len(j) != d or len(j2) != d:
-                raise BoxMismatch("entry index dimension mismatch")
-            if max(exact.sup_norm(j), exact.sup_norm(j2)) > box_radius:
-                raise BoxMismatch("entry outside the box")
+            try:
+                key = _box_index(box_radius, d, j), _box_index(box_radius, d, j2)
+            except ValueError as exc:
+                raise BoxMismatch(f"entry {(j, j2)}: {exc}") from None
             if not isinstance(v, (int, Fraction, exact.QQi)):
                 v = _exact_value(v, f"entry {(j, j2)}")
             if v:
-                entries[(j, j2)] = v
+                entries[key] = v
         return BlockMatrix(box_radius, d, entries)
 
     def same_box(self, other) -> bool:
         return self.box_radius == other.box_radius and self.d == other.d
 
     def get(self, j, j2):
-        return self.entries.get((tuple(j), tuple(j2)), 0)
+        N, d = self.box_radius, self.d
+        return self.entries.get((_box_index(N, d, j), _box_index(N, d, j2)), 0)
 
     def __add__(self, other) -> "BlockMatrix":
         if not self.same_box(other):
@@ -72,21 +74,12 @@ class BlockMatrix:
         return (isinstance(other, BlockMatrix) and self.same_box(other)
                 and self.entries == other.entries)
 
-    def support(self):
-        return sorted(self.entries)
-
     def triplet_rows(self):
-        """``(j, j', re, im)`` per entry in key order, exact parts as strings.
-
-        The one value-to-parts rule of :meth:`to_triplets` and of the runner's
-        streamed ``matrix.json``.
-        """
-        for (j, j2), v in sorted(self.entries.items()):
-            if isinstance(v, exact.QQi):
-                yield (j, j2, exact.format_rational(v.re),
-                       exact.format_rational(v.im))
-            else:
-                yield j, j2, exact.format_rational(Fr(v)), "0"
+        """``(j, j', re, im)`` per entry in key order, exact parts as strings
+        (:func:`_value_parts`)."""
+        sites = box_sites(self.box_radius, self.d)
+        for i, k in sorted(self.entries):
+            yield (sites[i], sites[k], *_value_parts(self.entries[i, k]))
 
     def to_triplets(self):
         """JSON-ready triplet list; exact values rendered as num/den strings."""
@@ -102,25 +95,35 @@ class BlockMatrix:
         taken at its exact binary value; a NaN or infinite part raises
         ParseError naming ``entries[i].re`` or ``entries[i].im``.  An index
         that :func:`toruskit.clusters._box_index` refuses raises ParseError
-        naming ``entries[i].j`` or ``entries[i].j_prime``.
+        naming ``entries[i].j`` or ``entries[i].j_prime``.  A later row of
+        the same sites replaces an earlier one.
         """
-        items = {}
+        entries = {}
         for i, rec in enumerate(rows):
-            j = _triplet_index(rec["j"], box_radius, d, f"entries[{i}].j")
-            j2 = _triplet_index(rec["j_prime"], box_radius, d,
-                                f"entries[{i}].j_prime")
-            items[(j, j2)] = exact.QQi(
-                *(_exact_part(rec[key], f"entries[{i}].{key}")
-                  for key in ("re", "im")))
-        return BlockMatrix.from_entries(box_radius, d, items)
+            key = (_triplet_index(rec["j"], box_radius, d, f"entries[{i}].j"),
+                   _triplet_index(rec["j_prime"], box_radius, d,
+                                  f"entries[{i}].j_prime"))
+            entries[key] = exact.QQi(
+                *(_exact_part(rec[part], f"entries[{i}].{part}")
+                  for part in ("re", "im")))
+        return BlockMatrix(box_radius, d,
+                           {key: v for key, v in entries.items() if v})
 
 
-def _triplet_index(raw, box_radius: int, d: int, field: str) -> tuple:
+def _value_parts(v) -> tuple:
+    """``(re, im)`` of an int, Fraction or QQi value as exact strings: the
+    one value-to-parts rule of :meth:`BlockMatrix.to_triplets` and of the
+    runner's streamed ``matrix.json``."""
+    if isinstance(v, exact.QQi):
+        return exact.format_rational(v.re), exact.format_rational(v.im)
+    return exact.format_rational(Fr(v)), "0"
+
+
+def _triplet_index(raw, box_radius: int, d: int, field: str) -> int:
     try:
-        _box_index(box_radius, d, raw)
+        return _box_index(box_radius, d, raw)
     except ValueError as exc:
         raise ParseError(f"{field}: {exc}") from None
-    return tuple(raw)
 
 
 def _exact_part(x, field: str) -> Fraction:
@@ -141,6 +144,12 @@ def _exact_value(v, field: str) -> exact.QQi:
                      _exact_part(v.imag, f"{field}.im"))
 
 
+def _table_of_box(table: BoxTable, M: BlockMatrix) -> None:
+    # keys are indices into the table's lists, so the boxes must agree
+    if (table.box_radius, table.basis.d) != (M.box_radius, M.d):
+        raise BoxMismatch("box table of another box radius or d")
+
+
 def dn_split(Q: BlockMatrix, partition: ClusterPartition):
     """Split into the intra-cluster part and the cross-cluster part.
 
@@ -148,11 +157,11 @@ def dn_split(Q: BlockMatrix, partition: ClusterPartition):
     """
     if Q.box_radius != partition.box_radius or Q.d != partition.d:
         raise BoxMismatch("matrix and partition on different boxes")
-    index = box_indices(Q.box_radius, Q.d, Q.entries)
     cluster = partition.cluster
     diag, cross = {}, {}
-    for (j, j2), v in Q.entries.items():
-        (diag if cluster[index[j]] == cluster[index[j2]] else cross)[j, j2] = v
+    for key, v in Q.entries.items():
+        i, k = key
+        (diag if cluster[i] == cluster[k] else cross)[key] = v
     return (BlockMatrix(Q.box_radius, Q.d, diag),
             BlockMatrix(Q.box_radius, Q.d, cross))
 
@@ -184,8 +193,8 @@ def solve_homological(table: BoxTable, W_ND: BlockMatrix,
     divided by the gap (building X); elsewhere it is moved, negated, into the
     remainder R.  The identity ``gap * X = W + R`` then holds entrywise with
     no error term.  ``table`` must be of the partition's box radius, d and
-    delta, or BoxMismatch.  The gap of ``(j, j')`` is the integer
-    ``n_j' - n_j`` of ``table`` over its Gram denominator ``D``, the
+    delta, or BoxMismatch.  The gap of the key ``(i, k)`` is the integer
+    ``n[k] - n[i]`` of ``table`` over its Gram denominator ``D``, the
     threshold test is an integer compare (:func:`gap_clears`) and a kept
     :class:`toruskit.exact.QQi` entry is divided on integers, each part
     ``n/d`` becoming ``Fraction(n*D, d*g)``; an ``int`` or ``Fraction``
@@ -197,19 +206,19 @@ def solve_homological(table: BoxTable, W_ND: BlockMatrix,
     if (table.box_radius, table.basis.d, table.delta) != (N, d, delta):
         raise BoxMismatch("box table of another box radius, d or delta")
     n, sup, D = table.n, table.sup, table.D
-    index = box_indices(N, d, W_ND.entries)
     clears = gap_clears(D, delta)
     cluster = partition.cluster
     x_entries, r_entries = {}, {}
-    for (j, j2), w in W_ND.entries.items():
-        i, k = index[j], index[j2]
+    for key, w in W_ND.entries.items():
+        i, k = key
         if cluster[i] == cluster[k]:
-            raise IntraClusterEntry(f"entry {(j, j2)} is intra-cluster")
+            raise IntraClusterEntry(
+                f"entry {(table.sites[i], table.sites[k])} is intra-cluster")
         g = n[k] - n[i]
         if clears(g, sup[i] + sup[k]):
-            x_entries[(j, j2)] = _divide_by_gap(w, g, D)
+            x_entries[key] = _divide_by_gap(w, g, D)
         else:
-            r_entries[(j, j2)] = -w
+            r_entries[key] = -w
     return HomologicalSolution(
         X=BlockMatrix(W_ND.box_radius, W_ND.d, x_entries),
         R=BlockMatrix(W_ND.box_radius, W_ND.d, r_entries),
@@ -228,11 +237,13 @@ def _divide_by_gap(w, g, D):
 
 def homological_residual(table: BoxTable, W_ND: BlockMatrix,
                          solution: HomologicalSolution):
-    """First nonzero value of gap*X - W - R over the joint support, else None.
+    """``((j, j'), value)`` of gap*X - W - R at the first key where it is
+    nonzero, else None.
 
     Every entry is checked, none assumed, with the gaps of the ``table``
-    that :func:`solve_homological` reads (the tests' ``lattice.mu`` Fraction
-    oracle is the independent check).  Each real and imaginary part of an
+    that :func:`solve_homological` reads (the tests' ``lattice.mu``
+    Fraction oracle is the independent check); a table of another box
+    radius or d raises BoxMismatch.  Each real and imaginary part of an
     entry (an ``int``, ``Fraction`` or :class:`toruskit.exact.QQi`) is
     tested as the integer identity ``xn*g*wd*rd == D*xd*(wn*rd + rn*wd)``,
     with the parts written ``xn/xd``, ``wn/wd``, ``rn/rd`` and the gap
@@ -240,19 +251,19 @@ def homological_residual(table: BoxTable, W_ND: BlockMatrix,
     expression ``X*gap - W - R`` gives the residual of the first key that
     fails.
     """
+    _table_of_box(table, W_ND)
     W, X, R = W_ND.entries, solution.X.entries, solution.R.entries
-    keys = set(W) | set(X) | set(R)
-    index = box_indices(table.box_radius, table.basis.d, keys)
     n, D = table.n, table.D
-    gaps = {key: n[index[key[1]]] - n[index[key[0]]] for key in keys}
-    failed = [key for key in keys
-              if not _integer_identity_holds(gaps[key], D, X.get(key, 0),
-                                             W.get(key, 0), R.get(key, 0))]
+    failed = [key for key in set(W) | set(X) | set(R)
+              if not _integer_identity_holds(n[key[1]] - n[key[0]], D,
+                                             X.get(key, 0), W.get(key, 0),
+                                             R.get(key, 0))]
     if not failed:
         return None
-    key = min(failed)
-    gap = Fraction(gaps[key], D)
-    return key, X.get(key, 0) * gap - W.get(key, 0) - R.get(key, 0)
+    i, k = key = min(failed)
+    gap = Fraction(n[k] - n[i], D)
+    return ((table.sites[i], table.sites[k]),
+            X.get(key, 0) * gap - W.get(key, 0) - R.get(key, 0))
 
 
 def _exact_parts(v):
@@ -276,12 +287,12 @@ def _integer_identity_holds(g, D, x, w, r) -> bool:
 def cluster_weight_operator(partition: ClusterPartition) -> BlockMatrix:
     """Diagonal operator constant on clusters with value (max |j| in cluster)^2.
 
-    Commutes exactly with every intra-cluster block matrix.
+    The values are ints.  Commutes exactly with every intra-cluster block
+    matrix.
     """
-    weight = [Fr(M**2) for M in partition.M_alpha]
-    sites = box_sites(partition.box_radius, partition.d)
+    weight = [M * M for M in partition.M_alpha]
     return BlockMatrix(partition.box_radius, partition.d, {
-        (j, j): weight[c] for j, c in zip(sites, partition.cluster)
+        (i, i): weight[c] for i, c in enumerate(partition.cluster)
         if weight[c]})
 
 
@@ -289,12 +300,13 @@ def commutator(A: BlockMatrix, diag: BlockMatrix) -> BlockMatrix:
     """[A, D] for diagonal D: entry (j,j') scaled by D_{j'j'} - D_{jj}."""
     if not A.same_box(diag):
         raise BoxMismatch("commutator operands on different boxes")
+    weight = diag.entries
     out = {}
-    for (j, j2), v in A.entries.items():
-        factor = diag.get(j2, j2) - diag.get(j, j)
-        w = v * factor
+    for key, v in A.entries.items():
+        i, k = key
+        w = v * (weight.get((k, k), 0) - weight.get((i, i), 0))
         if w:
-            out[(j, j2)] = w
+            out[key] = w
     return BlockMatrix(A.box_radius, A.d, out)
 
 
@@ -322,27 +334,37 @@ class DecayProfile:
                 "s_norms": {str(k): v for k, v in sorted(self.s_norms.items())}}
 
 
-def decay_profile(Q: BlockMatrix, sigma, n_list, s_list=()) -> DecayProfile:
+def _offset(j, j2) -> int:
+    # |j - j'| in the sup norm; 0 at d = 0
+    return max([abs(x - y) for x, y in zip(j, j2)], default=0)
+
+
+def decay_profile(table: BoxTable, Q: BlockMatrix, sigma, n_list,
+                  s_list=()) -> DecayProfile:
     """Off-diagonal decay seminorms and the weighted row-sup decay norm.
 
-    The s-norm is the space-only specialization of the time-space decay norm:
+    The sites and their sup norms are the ``table``'s; a table of another
+    box radius or d raises BoxMismatch.  The s-norm is the space-only
+    specialization of the time-space decay norm:
     ``|Q|_s^2 = sum_h max(1, |h|)^{2s} (sup_{j-j'=h} |Q_j^{j'}|)^2``.
     """
     if not n_list:
         raise ValueError("need at least one decay order")
+    _table_of_box(table, Q)
+    sites, sup = table.sites, table.sup
     sigma = float(sigma)
     scale = {}      # size -> (1 + size)**sigma
     best = {}       # sup-offset -> largest a / (1 + size)**sigma
-    for (j, j2), v in Q.entries.items():
+    for (i, k), v in Q.entries.items():
         a = float(abs(v))
         if a == 0.0:
             continue
-        size = exact.sup_norm(j) + exact.sup_norm(j2)
+        size = sup[i] + sup[k]
         weight = scale.get(size)
         if weight is None:
             weight = scale[size] = (1.0 + size) ** sigma
         base = a / weight
-        off = max(abs(x - y) for x, y in zip(j, j2)) if Q.d else 0
+        off = _offset(sites[i], sites[k])
         if base > best.get(off, 0.0):
             best[off] = base
     # rounding is monotone, so max(b) * c == max(b * c) for c > 0
@@ -354,9 +376,9 @@ def decay_profile(Q: BlockMatrix, sigma, n_list, s_list=()) -> DecayProfile:
     s_norms = {}
     if s_list:
         sup_by_offset = {}
-        for (j, j2), v in Q.entries.items():
+        for (i, k), v in Q.entries.items():
             a = float(abs(v))
-            h = tuple(x - y for x, y in zip(j, j2))
+            h = tuple(x - y for x, y in zip(sites[i], sites[k]))
             if a > sup_by_offset.get(h, 0.0):
                 sup_by_offset[h] = a
         for s in s_list:
@@ -367,22 +389,23 @@ def decay_profile(Q: BlockMatrix, sigma, n_list, s_list=()) -> DecayProfile:
     return DecayProfile(sigma=sigma, seminorms=seminorms, s_norms=s_norms)
 
 
-def verify_remainder_support(solution: HomologicalSolution) -> list:
+def verify_remainder_support(table: BoxTable,
+                             solution: HomologicalSolution) -> list:
     """Remainder entries must sit far off-diagonal: |j-j'| >= (|j|+|j'|)**delta / 2.
 
-    Returns the violating index pairs (empty whenever the partition separation
-    holds, since near pairs with small eigenvalue gaps would have been linked).
-    With the solution's rational ``delta`` the test is the integer compare
-    ``2 |j-j'| >= ceil((|j|+|j'|)**delta)`` (:func:`toruskit.exact.scaled_ceil_pow`
-    with ``D = 1``).
+    Returns the violating site pairs ``(j, j')`` in order (empty whenever
+    the partition separation holds, since near pairs with small eigenvalue
+    gaps would have been linked); the sites and sup norms are the
+    ``table``'s, and a table of another box radius or d raises
+    BoxMismatch.  With the solution's rational ``delta`` the test is the
+    integer compare ``2 |j-j'| >= ceil((|j|+|j'|)**delta)``
+    (:func:`toruskit.exact.scaled_ceil_pow` with ``D = 1``).
     """
+    _table_of_box(table, solution.R)
     ceil = exact.scaled_ceil_pow(1, solution.delta)
-    bad = []
-    for (j, j2) in solution.R.support():
-        off = max(abs(x - y) for x, y in zip(j, j2))
-        if 2 * off < ceil(exact.sup_norm(j) + exact.sup_norm(j2)):
-            bad.append((j, j2))
-    return bad
+    sites, sup = table.sites, table.sup
+    return [(sites[i], sites[k]) for i, k in sorted(solution.R.entries)
+            if 2 * _offset(sites[i], sites[k]) < ceil(sup[i] + sup[k])]
 
 
 def random_cross_cluster_matrix(partition: ClusterPartition, count: int,
@@ -390,26 +413,34 @@ def random_cross_cluster_matrix(partition: ClusterPartition, count: int,
     """Random exact-valued matrix supported on cross-cluster pairs.
 
     Used by experiments and tests; ``rng`` is a ``random.Random``.  Each
-    draw takes two sites and two parts ``Fr(randint(-9, 9), randint(1, 9))``.
-    The parts come from a table of the 171 Fractions built once per call, a
-    row of 9 picked by ``rng.choice`` and then a part of it, and the sites
-    by ``rng.choice`` of a box index: each choice calls ``rng._randbelow``
-    with the same bound as the ``randint`` draw it stands for, so a seed
-    gives the same matrix as the per-draw Fractions did.
+    draw takes two box indices and two parts ``Fr(randint(-9, 9),
+    randint(1, 9))``, each part a row of a table of the 171 Fractions built
+    once per call and then an entry of that row.  A draw below ``n`` takes
+    ``rng.getrandbits(n.bit_length())`` until it is below ``n``: the rule
+    by which ``Random.randint`` and ``Random.choice`` draw, so a seed gives
+    the same matrix as the per-draw Fractions did.
     """
-    sites = box_sites(partition.box_radius, partition.d)
-    indices = range(len(sites))
-    parts = [[Fr(n, d) for d in range(1, 10)] for n in range(-9, 10)]
+    bits = rng.getrandbits
+
+    def below(n):
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
+    cluster = partition.cluster
+    n = len(cluster)
+    parts = [[Fr(a, b) for b in range(1, 10)] for a in range(-9, 10)]
     entries = {}
     attempts = 0
     while len(entries) < count and attempts < 50 * count:
         attempts += 1
-        i = rng.choice(indices)
-        k = rng.choice(indices)
-        if partition.cluster[i] == partition.cluster[k]:
+        i, k = below(n), below(n)
+        if cluster[i] == cluster[k]:
             continue
-        re = rng.choice(rng.choice(parts))
-        im = rng.choice(rng.choice(parts))
+        re = parts[below(19)][below(9)]
+        im = parts[below(19)][below(9)]
         if re or im:
-            entries[(sites[i], sites[k])] = exact.QQi(re, im)
+            entries[(i, k)] = exact.QQi(re, im)
     return BlockMatrix(partition.box_radius, partition.d, entries)

@@ -24,7 +24,6 @@ from pathlib import Path
 from . import __version__, exact
 from .clusters import (
     ClusterPartition,
-    box_indices,
     box_sites,
     box_table,
     build_partition,  # noqa: F401  unused; perfbench/tracing.py patches it here
@@ -39,6 +38,7 @@ from .config import ExperimentConfig, read_json, serialize
 from .errors import ParseError, ToruskitError, UnknownSeries, ValidationError
 from .homological import (
     BlockMatrix,
+    _value_parts,
     cluster_weight_operator,
     commutator,
     decay_profile,
@@ -198,36 +198,33 @@ def atomic_write_json(path: Path, payload) -> None:
         handle.write("\n")
 
 
-def _index_text(j, newline: str) -> str:
-    # a nonempty index list as dumps indents it one level below ``newline``
-    inner = newline + "  "
-    return ("[" + inner + ("," + inner).join(map(_scalar_text, j))
-            + newline + "]")
-
-
-def _write_matrix(path: Path, Q: BlockMatrix) -> None:
+def _write_matrix(path: Path, Q: BlockMatrix, sites) -> None:
     """Write ``Q`` (``d >= 1``) as ``atomic_write_json`` writes its triplets.
 
     The bytes are those of ``json.dumps({"box_radius": ..., "d": ...,
-    "entries": Q.to_triplets()}, indent=2, sort_keys=True) + "\\n"``, written
-    row by row from :meth:`BlockMatrix.triplet_rows` with no row dict built.
-    A site recurs across rows, so each index list is rendered once.
+    "entries": Q.to_triplets()}, indent=2, sort_keys=True) + "\\n"``.
+    ``sites`` are ``box_sites`` of ``Q``'s box.  A box index recurs across
+    rows, so the text of each index list is rendered once.  A value's parts
+    are :func:`toruskit.homological._value_parts` strings, made of digits,
+    ``-`` and ``/``, which JSON quotes as they are, so each row is one ``%``
+    format; the rows are streamed to the file.
     """
     key = "\n      "
-    sites = {j for pair in Q.entries for j in pair}
-    index = {j: _index_text(j, key) for j in sites}
+    site = "[" + key + "  " + ("," + key + "  ").join(["%d"] * Q.d) + key + "]"
+    entries = Q.entries
+    index = {i: site % sites[i] for i in {i for pair in entries for i in pair}}
+    row = ("%s{" + key + '"im": "%s",' + key + '"j": %s,' + key
+           + '"j_prime": %s,' + key + '"re": "%s"\n    }')
     with _atomic_file(path) as handle:
         write = handle.write
         write('{\n  "box_radius": ' + _scalar_text(Q.box_radius)
               + ',\n  "d": ' + _scalar_text(Q.d) + ',\n  "entries": ')
-        sep = "[\n    {" + key
-        for j, j2, re, im in Q.triplet_rows():
-            write(sep + '"im": ' + _scalar_text(im)
-                  + "," + key + '"j": ' + index[j]
-                  + "," + key + '"j_prime": ' + index[j2]
-                  + "," + key + '"re": ' + _scalar_text(re) + "\n    }")
-            sep = ",\n    {" + key
-        write("\n  ]\n}\n" if Q.entries else "[]\n}\n")
+        sep = "[\n    "
+        for i, k in sorted(entries):
+            re, im = _value_parts(entries[i, k])
+            write(row % (sep, im, index[i], index[k], re))
+            sep = ",\n    "
+        write("\n  ]\n}\n" if entries else "[]\n}\n")
 
 
 def _write_partition(path: Path, partition: ClusterPartition) -> None:
@@ -559,18 +556,17 @@ def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
     recombined = q_d + q_nd
     solution = solve_homological(table, q_nd, partition)
     residual = homological_residual(table, q_nd, solution)
-    support_bad = verify_remainder_support(solution)
+    support_bad = verify_remainder_support(table, solution)
     disjoint = not (set(solution.X.entries) & set(solution.R.entries))
     covered = (set(solution.X.entries) | set(solution.R.entries)
                == set(q_nd.entries))
-    index = box_indices(N, basis.d, solution.X.entries)
     n, sup, clears = table.n, table.sup, gap_clears(table.D, solution.delta)
-    gap_ok = all(clears(n[k] - n[i], sup[i] + sup[k]) for i, k in
-                 ((index[j], index[j2]) for j, j2 in solution.X.entries))
+    gap_ok = all(clears(n[k] - n[i], sup[i] + sup[k])
+                 for i, k in solution.X.entries)
     counters.update(entries=len(Q.entries), cross_entries=len(q_nd.entries),
                     x_entries=len(solution.X.entries),
                     r_entries=len(solution.R.entries),
-                    gap_sites=len({j for key in q_nd.entries for j in key}))
+                    gap_sites=len({i for key in q_nd.entries for i in key}))
     weight = cluster_weight_operator(partition)
     comm = commutator(q_d, weight)
     c_norm, C_norm = norm_equivalence_constants(partition)
@@ -587,8 +583,8 @@ def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
         _check("weight_operator_commutes_with_diagonal_part",
                not comm.entries),
     ]
-    profile_x = decay_profile(solution.X, p["sigma"], p["decay_orders"])
-    profile_r = decay_profile(solution.R, p["sigma"], p["decay_orders"])
+    profile_x = decay_profile(table, solution.X, p["sigma"], p["decay_orders"])
+    profile_r = decay_profile(table, solution.R, p["sigma"], p["decay_orders"])
     fitted = {"norm_equivalence": [c_norm, C_norm]}
     data = {"entry_count": len(Q.entries),
             "cross_entries": len(q_nd.entries),
@@ -597,7 +593,7 @@ def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
             "decay_X": profile_x.to_dict(),
             "decay_R": profile_r.to_dict()}
     mat_path = out_dir / "matrix.json"
-    _write_matrix(mat_path, Q)
+    _write_matrix(mat_path, Q, table.sites)
     return checks, fitted, data, [mat_path.name]
 
 

@@ -208,7 +208,7 @@ def test_criterion_07_homological_identity():
         table = box_table(basis, 32, Fr(1, 10))
         sol = solve_homological(table, q_nd, part)
         assert homological_residual(table, q_nd, sol) is None
-        assert verify_remainder_support(sol) == []
+        assert verify_remainder_support(table, sol) == []
         weight = cluster_weight_operator(part)
         assert commutator(q_d, weight).entries == {}
 

@@ -10,6 +10,7 @@ import pytest
 from toruskit.cli import build_parser, main
 from toruskit.config import normalize
 from toruskit.errors import ValidationError
+from toruskit.exact import parse_rational
 
 
 @pytest.fixture(autouse=True)
@@ -557,7 +558,8 @@ def test_malformed_flag_value_is_usage_error(tmp_path, capsys, argv, flag):
                                  "3", "22/7", "1e-3"])
 def test_gamma_grid_ends_give_the_same_floats(end):
     # the ends were once read as float(num) / float(den) or float(text);
-    # an exact rational rounded once gives the same float
+    # an exact rational rounded once gives the same float, so the points
+    # between the ends, the only floats of the grid, are those of then
     def old(text):
         if "/" in text:
             num, den = text.split("/")
@@ -565,11 +567,30 @@ def test_gamma_grid_ends_give_the_same_floats(end):
         return float(text)
 
     lo = old("1/10000")
+    assert float(parse_rational(end, "end")) == old(end)
     ratio = (old(end) / lo) ** (1.0 / 3)
     args = build_parser().parse_args(["measure", "--gamma-grid",
                                       f"1/10000:{end}:4"])
-    assert vars(args)["params.gamma_grid"] == [repr(lo * ratio**i)
-                                               for i in range(4)]
+    assert vars(args)["params.gamma_grid"] == [
+        "1/10000", repr(lo * ratio), repr(lo * ratio**2), end]
+
+
+@pytest.mark.parametrize("spec, first, last", [
+    ("1/1000:1/10:9", "1/1000", "1/10"),
+    ("1/3000:1/30:4", "1/3000", "1/30"),
+    ("0.001:0.1:2", "1/1000", "1/10"),
+])
+def test_gamma_grid_ends_are_exact_as_typed(tmp_path, lattice_file, freq_file,
+                                            spec, first, last):
+    out = tmp_path / "out"
+    assert main(["measure", "--lattice", str(lattice_file), "--freq",
+                 str(freq_file), "--gamma-grid", spec, "--pmax", "1",
+                 "--mmax", "1", "--order", "2", "--tau", "6",
+                 "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report-measure.json").read_text())
+    exact = [row["gamma_exact"] for row in report["body"]["data"]["curve"]]
+    assert (exact[0], exact[-1]) == (first, last)
+    assert len(exact) == int(spec.rsplit(":", 1)[1])
 
 
 def test_config_plus_flags_match_the_equivalent_config(tmp_path, lattice_file,

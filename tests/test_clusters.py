@@ -32,9 +32,9 @@ from toruskit.clusters import (
     verify_cluster_properties,
 )
 from toruskit.config import normalize
-from toruskit.errors import DeltaOutOfRange, SingularGenerators
+from toruskit.errors import BoxMismatch, DeltaOutOfRange, SingularGenerators
 from toruskit.exact import format_rational, le_pow, sup_norm
-from toruskit.homological import BlockMatrix, dn_split
+from toruskit.homological import BlockMatrix
 from toruskit.lattice import mu, mu_numerator, new_lattice
 from toruskit.runner import run_experiment
 
@@ -284,9 +284,9 @@ def test_cluster_of_reads_box_sites_and_refuses_others():
         part.cluster_of((0, 0, 0))
     with pytest.raises(ValueError, match=r"^\[5, 0\] lies outside \[-4, 4\]\^2$"):
         part.cluster_of((5, 0))
-    # a bare BlockMatrix does not check its keys; the split refuses them
-    with pytest.raises(ValueError, match="lies outside"):
-        dn_split(BlockMatrix(4, 2, {((5, 0), (0, 0)): 1}), part)
+    # a block matrix takes its sites where it is built, by the same rule
+    with pytest.raises(BoxMismatch, match=r"\[5, 0\] lies outside"):
+        BlockMatrix.from_entries(4, 2, {((5, 0), (0, 0)): 1})
 
 
 def test_verify_properties_no_violations():

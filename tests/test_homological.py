@@ -36,6 +36,18 @@ def partition(radius=8):
 TABLE = box_table(B2, 8, DELTA)
 
 
+def _site_entries(Q):
+    """``Q``'s entries keyed by site pairs, in ``Q``'s key order."""
+    sites = box_sites(Q.box_radius, Q.d)
+    return {(sites[i], sites[k]): v for (i, k), v in Q.entries.items()}
+
+
+def _identity_table(d, radius):
+    # the box's sites and sup norms; the decay profile reads no eigenvalue
+    return box_table(new_lattice([[int(r == c) for c in range(d)]
+                                  for r in range(d)]), radius, DELTA)
+
+
 def test_solve_homological_needs_an_exact_basis():
     # float generators give one: the exact basis of their decimals
     floating = new_lattice([[1.0, 0.0], [0.0, 1.0]])
@@ -127,7 +139,7 @@ def test_homological_identity_exact():
     assert set(sol.X.entries) | set(sol.R.entries) == set(W.entries)
     # every kept entry replays the gap threshold, every dropped one fails it
     from toruskit.exact import ge_pow
-    for (j, j2) in sol.X.entries:
+    for (j, j2) in _site_entries(sol.X):
         gap = abs(mu(B2, j2) - mu(B2, j))
         s = max(abs(x) for x in j) + max(abs(x) for x in j2)
         assert ge_pow(4 * gap, s, DELTA)
@@ -164,7 +176,7 @@ def test_decay_profile_identity():
     entries = {((i, j), (i, j)): Fr(1)
                for i in range(-3, 4) for j in range(-3, 4)}
     Q = BlockMatrix.from_entries(3, 2, entries)
-    prof = decay_profile(Q, sigma=2.0, n_list=[1, 3])
+    prof = decay_profile(_identity_table(2, 3), Q, sigma=2.0, n_list=[1, 3])
     expected = max(1.0 / (1 + 2 * max(abs(i), abs(j))) ** 2
                    for i in range(-3, 4) for j in range(-3, 4))
     assert prof.seminorms[1] == pytest.approx(expected)
@@ -174,13 +186,15 @@ def test_decay_profile_identity():
 
 def test_decay_profile_single_entry():
     Q = BlockMatrix.from_entries(6, 1, {((6,), (0,)): Fr(1)})
-    prof = decay_profile(Q, sigma=1.5, n_list=[2], s_list=[1])
+    prof = decay_profile(_identity_table(1, 6), Q, sigma=1.5, n_list=[2],
+                         s_list=[1])
     assert prof.seminorms[2] == pytest.approx((1 + 6) ** 2 / (1 + 6) ** 1.5)
     assert prof.s_norms[1.0] == pytest.approx(6.0)  # max(1,|h|)^s * |v|
 
 
 def test_decay_profile_zero():
-    prof = decay_profile(BlockMatrix(3, 1, {}), sigma=0.0, n_list=[1, 2])
+    prof = decay_profile(_identity_table(1, 3), BlockMatrix(3, 1, {}),
+                         sigma=0.0, n_list=[1, 2])
     assert all(v == 0.0 for v in prof.seminorms.values())
 
 
@@ -189,13 +203,13 @@ def test_remainder_support_clean_and_negative():
     rng = random.Random(3)
     W = random_cross_cluster_matrix(part, 120, rng)
     sol = solve_homological(TABLE, W, part)
-    assert verify_remainder_support(sol) == []
+    assert verify_remainder_support(TABLE, sol) == []
     # an artificial near-diagonal remainder entry must be flagged; at
     # delta = 1/2 the support floor sqrt(10)/2 exceeds the offset 1
     bad = BlockMatrix.from_entries(8, 2, {((5, 0), (5, 1)): QQi(1, 0)})
     from toruskit.homological import HomologicalSolution
     fake = HomologicalSolution(X=BlockMatrix(8, 2, {}), R=bad, delta=Fr(1, 2))
-    assert verify_remainder_support(fake) == [((5, 0), (5, 1))]
+    assert verify_remainder_support(TABLE, fake) == [((5, 0), (5, 1))]
 
 
 def test_triplet_round_trip():
@@ -217,7 +231,7 @@ def _sup(j):
 
 def _oracle_solve(basis, W, delta):
     x_entries, r_entries = {}, {}
-    for (j, j2), w in W.entries.items():
+    for (j, j2), w in _site_entries(W).items():
         gap = mu(basis, j2) - mu(basis, j)
         if ge_pow(4 * abs(gap), _sup(j) + _sup(j2), delta):
             x_entries[(j, j2)] = w / QQi(gap) if isinstance(w, QQi) else w / gap
@@ -231,7 +245,8 @@ def _as_qqi(v):
 
 
 def _oracle_residual(basis, W, sol):
-    keys = set(W.entries) | set(sol.X.entries) | set(sol.R.entries)
+    keys = (set(_site_entries(W)) | set(_site_entries(sol.X))
+            | set(_site_entries(sol.R)))
     for j, j2 in sorted(keys):
         gap = mu(basis, j2) - mu(basis, j)
         x, w, r = sol.X.get(j, j2), W.get(j, j2), sol.R.get(j, j2)
@@ -248,6 +263,7 @@ def _corrupted(sol, radius, d, x=None, r=None):
 
 
 def _same_first_failure(table, W, sol, key):
+    key = table.sites[key[0]], table.sites[key[1]]
     got = homological_residual(table, W, sol)
     want = _oracle_residual(table.basis, W, sol)
     assert got is not None and got[0] == want[0] == key
@@ -293,18 +309,19 @@ def test_integer_gap_path_matches_per_pair_oracle(name, basis, radius, delta):
     Q = random_cross_cluster_matrix(part, 80, rng)
     # mix the value types: QQi, Fraction and int entries
     items = {}
-    for i, (key, v) in enumerate(sorted(Q.entries.items())):
+    for i, (key, v) in enumerate(sorted(_site_entries(Q).items())):
         items[key] = (v, v.re, v.re.numerator)[i % 3]
     W = BlockMatrix.from_entries(radius, basis.d, items)
     sol = solve_homological(table, W, part)
     x_oracle, r_oracle = _oracle_solve(basis, W, delta)
-    assert sol.X.entries == x_oracle and sol.R.entries == r_oracle
-    for got, want in ((sol.X.entries, x_oracle), (sol.R.entries, r_oracle)):
+    x_sites, r_sites = _site_entries(sol.X), _site_entries(sol.R)
+    assert x_sites == x_oracle and r_sites == r_oracle
+    for got, want in ((x_sites, x_oracle), (r_sites, r_oracle)):
         assert all(type(got[k]) is type(want[k]) for k in want)
     assert homological_residual(table, W, sol) is None
     assert _oracle_residual(basis, W, sol) is None
-    assert verify_remainder_support(sol) == [
-        key for key in sorted(sol.R.entries)
+    assert verify_remainder_support(table, sol) == [
+        key for key in sorted(r_sites)
         if not ge_pow(2 * max(abs(a - b) for a, b in zip(*key)),
                       _sup(key[0]) + _sup(key[1]), delta)]
     # corrupted solutions: both recomputations name the same first entry
@@ -331,9 +348,10 @@ def test_integer_gap_path_matches_per_pair_oracle(name, basis, radius, delta):
     # a complex value is read at its binary value, so the integer identity
     # decides its key too
     w = W.entries[key]
-    items[key] = complex(_as_qqi(w).re, _as_qqi(w).im) + 0.1j
+    sites = (table.sites[key[0]], table.sites[key[1]])
+    items[sites] = complex(_as_qqi(w).re, _as_qqi(w).im) + 0.1j
     W_c = BlockMatrix.from_entries(radius, basis.d, items)
-    assert W_c.entries[key] == QQi(Fr(items[key].real), Fr(items[key].imag))
+    assert W_c.entries[key] == QQi(Fr(items[sites].real), Fr(items[sites].imag))
     sol_c = solve_homological(table, W_c, part)
     assert (homological_residual(table, W_c, sol_c)
             == _oracle_residual(basis, W_c, sol_c))
@@ -352,21 +370,22 @@ def test_complex_values_solve_with_no_residual():
     table = box_table(basis, 8, DELTA)
     part = build_partition(basis, 8, DELTA, enforce_delta_bound=False)
     Q = random_cross_cluster_matrix(part, 300, random.Random(1))
-    items = {k: complex(float(v.re), float(v.im)) for k, v in Q.entries.items()}
+    items = {k: complex(float(v.re), float(v.im))
+             for k, v in _site_entries(Q).items()}
     W = BlockMatrix.from_entries(8, 2, items)
-    assert W.entries == {k: QQi(Fr(c.real), Fr(c.imag))
-                         for k, c in items.items()}
+    assert _site_entries(W) == {k: QQi(Fr(c.real), Fr(c.imag))
+                                for k, c in items.items()}
     assert all(type(v) is QQi for v in W.entries.values())
     sol = solve_homological(table, W, part)
-    assert ((-8, -4), (3, 0)) in sol.X.entries
+    assert ((-8, -4), (3, 0)) in _site_entries(sol.X)
     assert homological_residual(table, W, sol) is None
     # an int, Fraction or QQi value is kept as given
     kept = BlockMatrix.from_entries(2, 1, {((0,), (1,)): 3,
                                            ((1,), (0,)): Fr(1, 3),
                                            ((2,), (0,)): QQi(1, 2),
                                            ((0,), (2,)): 0.0})
-    assert kept.entries == {((0,), (1,)): 3, ((1,), (0,)): Fr(1, 3),
-                            ((2,), (0,)): QQi(1, 2)}
+    assert _site_entries(kept) == {((0,), (1,)): 3, ((1,), (0,)): Fr(1, 3),
+                                   ((2,), (0,)): QQi(1, 2)}
     assert [type(v) for _, v in sorted(kept.entries.items())] == [int, Fr, QQi]
 
 
@@ -424,25 +443,44 @@ def test_homological_call_builds_one_box_table(monkeypatch, tmp_path):
     assert len(set(matrices)) == 1
 
 
-def test_each_split_solve_and_residual_reads_each_site_once(monkeypatch):
-    import toruskit.clusters as clusters
+def test_only_the_input_boundary_reads_sites(monkeypatch):
+    import toruskit.homological as hom
 
     calls = []
-    real = clusters._box_index
-    monkeypatch.setattr(clusters, "_box_index",
-                        lambda N, d, j: calls.append(j) or real(N, d, j))
-    keys = [((0, 1), (2, 3)), ((2, 3), (0, 1)), ((0, 1), (4, 0))]
-    assert clusters.box_indices(8, 2, keys) == {
-        j: box_sites(8, 2).index(j) for j in ((0, 1), (2, 3), (4, 0))}
-    assert sorted(calls) == [(0, 1), (2, 3), (4, 0)]
-    calls.clear()
+    real = hom._box_index
+    monkeypatch.setattr(hom, "_box_index",
+                        lambda N, d, j: calls.append(tuple(j)) or real(N, d, j))
     part = partition()
     W = random_cross_cluster_matrix(part, 40, random.Random(5))
-    sites = {j for key in W.entries for j in key}
-    dn_split(W, part)
-    sol = solve_homological(TABLE, W, part)
-    homological_residual(TABLE, W, sol)
-    assert len(calls) == 3 * len(sites) and set(calls) == sites
+    W = W + BlockMatrix(8, 2, {(0, 0): QQi(1, 2)})
+    q_d, q_nd = dn_split(W, part)
+    sol = solve_homological(TABLE, q_nd, part)
+    assert homological_residual(TABLE, q_nd, sol) is None
+    assert verify_remainder_support(TABLE, sol) == []
+    decay_profile(TABLE, sol.X, 1, [1], [1])
+    assert commutator(q_d, cluster_weight_operator(part)).entries == {}
+    assert calls == []
+    # from_entries and from_triplets read the sites of each entry
+    items = _site_entries(W)
+    assert BlockMatrix.from_entries(8, 2, items) == W
+    assert calls == [j for key in items for j in key]
+    calls.clear()
+    assert BlockMatrix.from_triplets(8, 2, W.to_triplets()) == W
+    assert calls == [j for key in sorted(items) for j in key]
+
+
+@pytest.mark.parametrize("key, message", [
+    (((0.5, 0), (1, 0)), "[0.5, 0] has a non-integer coordinate"),
+    (((0, 0), (1, True)), "[1, True] has a non-integer coordinate"),
+    (((1.9, 0), (0, 0)), "[1.9, 0] has a non-integer coordinate"),
+    (((3, 0), (0, 0)), "[3, 0] lies outside [-2, 2]^2"),
+    (((0, 0), (0, 0, 0)), "[0, 0, 0] has length 3, d is 2"),
+], ids=["fractional", "boolean", "truncated", "outside", "wrong-length"])
+def test_from_entries_reads_whole_box_sites_only(key, message):
+    items = {((0, 0), (1, 0)): 1, key: 2}
+    with pytest.raises(BoxMismatch,
+                       match=re.escape(f"entry {key}: {message}")):
+        BlockMatrix.from_entries(2, 2, items)
 
 
 def test_solve_refuses_a_table_of_another_box():
@@ -488,14 +526,15 @@ def test_float_matrix_file_runs_every_check(tmp_path):
         Q = random_cross_cluster_matrix(part, 40, rng)
         rows = [{"j": list(j), "j_prime": list(j2),
                  "re": rng.uniform(-2, 2), "im": rng.uniform(-2, 2)}
-                for j, j2 in sorted(Q.entries)]
+                for j, j2 in sorted(_site_entries(Q))]
         W = BlockMatrix.from_triplets(6, 2, rows)
         assert all(W.get(r["j"], r["j_prime"]) == QQi(Fr(r["re"]), Fr(r["im"]))
                    for r in rows)
         x_oracle, r_oracle = _oracle_solve(basis, dn_split(W, part)[1], DELTA)
         sol = solve_homological(box_table(basis, 6, DELTA), dn_split(W, part)[1],
                                 part)
-        assert x_oracle and (sol.X.entries, sol.R.entries) == (x_oracle, r_oracle)
+        assert x_oracle and (_site_entries(sol.X), _site_entries(sol.R)) == (
+            x_oracle, r_oracle)
         path = tmp_path / f"matrix{seed}.json"
         path.write_text(json.dumps({"box_radius": 6, "d": 2, "entries": rows}))
         raw = {"kind": "homological", "out_dir": str(tmp_path / f"out{seed}"),
@@ -565,14 +604,48 @@ def test_table_draws_match_per_draw_fractions(name, basis, radius):
         rng, oracle_rng = random.Random(seed), random.Random(seed)
         Q = random_cross_cluster_matrix(part, 40, rng)
         want = _oracle_random_matrix(part, 40, oracle_rng)
-        assert list(Q.entries.items()) == list(want.items())
+        assert list(_site_entries(Q).items()) == list(want.items())
         assert rng.random() == oracle_rng.random()
+
+
+def _choice_random_matrix(partition, count, rng):
+    """The draw as ``rng.choice`` made it: a box index, then a row of the
+    parts table and a part of that row, each by ``choice``."""
+    indices = range(len(partition.cluster))
+    parts = [[Fr(n, d) for d in range(1, 10)] for n in range(-9, 10)]
+    entries = {}
+    attempts = 0
+    while len(entries) < count and attempts < 50 * count:
+        attempts += 1
+        i = rng.choice(indices)
+        k = rng.choice(indices)
+        if partition.cluster[i] == partition.cluster[k]:
+            continue
+        re = rng.choice(rng.choice(parts))
+        im = rng.choice(rng.choice(parts))
+        if re or im:
+            entries[(i, k)] = QQi(re, im)
+    return entries
+
+
+@pytest.mark.parametrize("name, basis, radius",
+                         [BASES[0], BASES[2], BASES[5]],
+                         ids=[BASES[i][0] for i in (0, 2, 5)])
+def test_getrandbits_draws_match_choice_draws(name, basis, radius):
+    for box in sorted({0, 1, radius}):
+        part = build_partition(basis, box, DELTA, enforce_delta_bound=False)
+        for seed in range(20):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            Q = random_cross_cluster_matrix(part, 60, rng)
+            want = _choice_random_matrix(part, 60, oracle_rng)
+            assert list(Q.entries.items()) == list(want.items())
+            assert rng.getstate() == oracle_rng.getstate()
 
 
 def _oracle_decay(Q, sigma, n_list, s_list):
     seminorms = {int(n): 0.0 for n in n_list}
     sup_by_offset = {}
-    for (j, j2), v in Q.entries.items():
+    for (j, j2), v in _site_entries(Q).items():
         a = abs(v) if isinstance(v, QQi) else abs(complex(v))
         if a == 0.0:
             continue
@@ -608,7 +681,8 @@ def test_decay_profile_matches_per_entry_loop(d, sigma, s_list):
         items[key] = (QQi(re, im), re, complex(float(re), im))[i % 3]
     Q = BlockMatrix.from_entries(radius, d, items)
     for n_list in ([0], [0, 1, 3], [4, 2]):
-        prof = decay_profile(Q, sigma, n_list, s_list)
+        prof = decay_profile(_identity_table(d, radius), Q, sigma, n_list,
+                             s_list)
         seminorms, s_norms = _oracle_decay(Q, sigma, n_list, s_list)
         assert prof.seminorms == seminorms and prof.s_norms == s_norms
         assert list(prof.seminorms) == list(seminorms)

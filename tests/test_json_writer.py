@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import toruskit.runner as runner
-from toruskit.clusters import box_table, group_links
+from toruskit.clusters import box_sites, box_table, group_links
 from toruskit.config import normalize, serialize
 from toruskit.exact import QQi
 from toruskit.homological import BlockMatrix, dn_split
@@ -220,8 +220,13 @@ def test_streamed_matrix_matches_dumps_of_triplets(tmp_path, d, count):
             items[key] = value
     Q = BlockMatrix.from_entries(radius, d, items)
     assert len(Q.entries) == count
+    if count == 60:
+        # ints, Fractions and QQi values, some with a zero imaginary part
+        kinds = {type(v) for v in Q.entries.values()}
+        assert kinds == {int, Fraction, QQi}
+        assert any(type(v) is QQi and not v.im for v in Q.entries.values())
     path = tmp_path / "matrix.json"
-    runner._write_matrix(path, Q)
+    runner._write_matrix(path, Q, box_sites(radius, d))
     assert path.read_bytes() == matrix_dumps(Q)
     assert not list(tmp_path.glob(".tmp-*"))
 
