@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import exact
 from .errors import DeltaOutOfRange
-from .lattice import LatticeBasis, mu
+from .lattice import LatticeBasis, mu, mu_numerator
 from .search import PathSearchResult, longest_path
 
 Fr = Fraction
@@ -110,22 +110,49 @@ def positive_offsets(d: int, radius: int) -> list:
             if o > (0,) * d]
 
 
-def _offset_runs(box_radius: int, d: int, link_radius: int):
-    """Per positive offset ``o``, in order: ``(|o|, step, starts)``.
+def _slab_runs(basis: LatticeBasis, box_radius: int, link_radius: int,
+               reach: int):
+    """Per positive offset ``o`` of sup-norm at most ``link_radius``, in
+    order: ``(|o|, step, starts)``.
 
-    ``starts`` lists, ascending, the indices i into ``box_sites(box_radius,
-    d)`` whose site plus ``o`` is still in the box; that site has index
-    ``i + step``, because the box is row-major.  Every box pair joined by an
-    offset of sup-norm at most ``link_radius`` lies in exactly one run.
+    ``starts`` lists the indices i into ``box_sites(box_radius, d)`` whose
+    site ``j`` has ``j + o`` in the box, at index ``i + step`` (the box is
+    row-major), and ``|n_{j+o} - n_j| <= reach`` for the numerators
+    ``n_j = jᵀGj`` of ``basis.gram``.  The difference is
+    ``jᵀ(G + Gᵀ)o + oᵀGo``, linear in ``j``, so along the axis where
+    ``v = (G + Gᵀ)o`` is largest in size those ``j`` of one box row form an
+    integer interval; each row's interval is solved exactly in integers
+    and clipped to the box.
     """
-    L = 2 * box_radius + 1
+    G = basis.gram[0]
+    d, N = basis.d, box_radius
+    L = 2 * N + 1
     strides = [L ** (d - 1 - t) for t in range(d)]
-    for o in positive_offsets(d, link_radius):
-        # zero-based coordinates c with 0 <= c + a < L, axis by axis
-        starts = [0]
-        for a, stride in zip(o, strides):
-            starts = [i + c * stride for i in starts
-                      for c in range(max(0, -a), min(L, L - a))]
+    sym = [[a + b for a, b in zip(row, col)] for row, col in zip(G, zip(*G))]
+    # an offset longer than 2N joins no two sites of the box
+    for o in positive_offsets(d, min(link_radius, 2 * N)):
+        v = [sum(map(operator.mul, row, o)) for row in sym]
+        c = mu_numerator(basis, o)
+        axis = max(range(d), key=lambda t: abs(v[t]))
+        # fold the sign of v[axis] in: |w*x + r| <= reach with w > 0
+        sign = 1 if v[axis] > 0 else -1
+        w = sign * v[axis]
+        # (index of the row's site at x = 0 on the axis, r of that row),
+        # over the coordinates of the other axes with j and j + o in the box
+        rows = [(N * strides[axis], sign * c)]
+        for t in range(d):
+            if t != axis:
+                stride, vt, a = strides[t], sign * v[t], o[t]
+                rows = [(i + (x + N) * stride, r + vt * x) for i, r in rows
+                        for x in range(max(-N, -N - a), min(N, N - a) + 1)]
+        stride, a = strides[axis], o[axis]
+        low, high = max(-N, -N - a), min(N, N - a)
+        starts = []
+        for i, r in rows:
+            lo = max(low, -((reach + r) // w))
+            hi = min(high, (reach - r) // w)
+            if lo <= hi:
+                starts += range(i + lo * stride, i + hi * stride + 1, stride)
         yield exact.sup_norm(o), sum(map(operator.mul, o, strides)), starts
 
 
@@ -161,23 +188,21 @@ def max_chain_length(basis: LatticeBasis, box_radius: int, gamma,
 
     Returns the best chain found; when the node budget or ``length_cap``
     is hit the result is a lower bound and is flagged.  A pair within
-    ``floor(gamma)`` is linked when ``|n_k - n_i| <= floor(D*gamma)``
-    (:func:`_box_numerators`), exact for a float gamma too.
+    ``floor(gamma)`` is linked when ``|n_k - n_i| <= floor(D*gamma)``, the
+    slab of :func:`_slab_runs`, exact for a float gamma too.
     """
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
     if box_radius < 1:
         raise ValueError("box_radius must be at least 1")
-    sites, n, D = _box_numerators(basis, box_radius)
-    reach = math.floor(D * Fr(gamma))
+    sites = box_sites(box_radius, basis.d)
     adjacency = [[] for _ in sites]
-    for _, step, starts in _offset_runs(box_radius, basis.d,
-                                        min(math.floor(gamma), 2 * box_radius)):
+    # every slab pair is a gamma-link: the slab is the numerator test
+    for _, step, starts in _slab_runs(basis, box_radius, math.floor(gamma),
+                                      math.floor(basis.gram[1] * Fr(gamma))):
         for i in starts:
-            k = i + step
-            if abs(n[k] - n[i]) <= reach:
-                adjacency[i].append(k)
-                adjacency[k].append(i)
+            adjacency[i].append(i + step)
+            adjacency[i + step].append(i)
     adjacency = [sorted(nbrs) for nbrs in adjacency]
     raw: PathSearchResult = longest_path(adjacency, length_cap=length_cap,
                                          node_budget=node_budget)
@@ -372,12 +397,13 @@ def relation_links(table: BoxTable) -> list:
 
     A pair is linked when ``max(D*|j2-j|, |n_j2 - n_j|) / D <=
     (|j|+|j2|)**delta``, which is :func:`relation_link`'s test with
-    ``mu = n / D``.
+    ``mu = n / D``.  Only the pairs of :func:`_slab_runs` with
+    ``|n_j2 - n_j| <= T[2N]``, the largest threshold, are tested.
     """
     basis, N, delta, _, n, sup, D, T = table
     links = []
-    for spatial, step, starts in _offset_runs(N, basis.d,
-                                              _link_radius(N, delta)):
+    for spatial, step, starts in _slab_runs(basis, N, _link_radius(N, delta),
+                                            T[-1]):
         Ds = D * spatial
         links += [(i, i + step) for i in starts
                   if max(Ds, abs(n[i + step] - n[i]))
@@ -444,43 +470,69 @@ class VerificationReport:
                 and not self.growth_violations)
 
 
+def _bits(flags: str) -> int:
+    # the int whose bit i is flags[i] ("0" or "1")
+    return int(flags[::-1], 2)
+
+
+def _offset_masks(box_radius: int, d: int, link_radius: int):
+    """Per positive offset ``o`` of sup-norm at most ``link_radius``:
+    ``(step, mask)``, bit i of ``mask`` set when site i of ``box_sites`` plus
+    ``o`` is in the box, at index ``i + step``."""
+    L = 2 * box_radius + 1
+    strides = [L ** (d - 1 - t) for t in range(d)]
+    for o in positive_offsets(d, min(link_radius, 2 * box_radius)):
+        # axis by axis from the last: the ones of the row-major box block
+        flags = "1"
+        for a in reversed(o):
+            empty = "0" * len(flags)
+            flags = (empty * max(0, -a) + flags * (L - abs(a))
+                     + empty * max(0, a))
+        yield sum(map(operator.mul, o, strides)), _bits(flags)
+
+
 def verify_cluster_properties(table: BoxTable, partition: ClusterPartition,
                               threshold_override=None,
-                              constant_override=None) -> VerificationReport:
+                              constant_override=None,
+                              links=None) -> VerificationReport:
     """Check cross-cluster separation and dyadicity on interior clusters.
 
     Cross-cluster pairs (both clusters interior) must satisfy
     ``|j1-j2| + |mu_1-mu_2| > (|j1|+|j2|)**delta``; any violation is an
-    implementation bug and is returned as data.  The scan reads ``table``,
+    implementation bug and is returned as data.  The check reads ``table``,
     which must be of the partition's box radius, d and delta: on an exact
     basis a violation is the integer test
-    ``D*|j1-j2| + |n_1-n_2| <= floor(D * (|j1|+|j2|)**delta)``.  Dyadicity
-    is ``M_alpha <= 2*m_alpha`` above a threshold which is fitted (the
-    largest interior M_alpha violating the 2:1 rule) unless overridden.  The
-    growth constant of intra-cluster spreads is fitted in floats and
-    reported, never assumed; each spread is the float of its exact value.
+    ``D*|j1-j2| + |n_1-n_2| <= floor(D * (|j1|+|j2|)**delta)``.  A violating
+    pair passes :func:`relation_links`' test, so only those ``links`` (by
+    default the table's) are tested.  ``pairs_checked`` counts the interior
+    cross pairs within the link radius, tested or not: per offset the pairs
+    of interior sites by bitmask, less the pairs inside one interior
+    cluster.  Dyadicity is ``M_alpha <= 2*m_alpha`` above a threshold which
+    is fitted (the largest interior M_alpha violating the 2:1 rule) unless
+    overridden.  The growth constant of intra-cluster spreads is fitted in
+    floats and reported, never assumed; each spread is the float of its
+    exact value.
     """
     N, d, delta = partition.box_radius, partition.d, partition.delta
     if (table.box_radius, table.basis.d, table.delta) != (N, d, delta):
         raise ValueError("box table of another box radius, d or delta")
     _, _, _, sites, n, sup, D, T = table
     m_alpha, M_alpha = partition.m_alpha, partition.M_alpha
-    interior = [c for c, b in enumerate(partition.boundary) if not b]
-    # each site's cluster id when that cluster is interior, else None
-    inner = [None if partition.boundary[c] else c for c in partition.cluster]
-    found = []
-    pairs = 0
-    for spatial, step, starts in _offset_runs(N, d, _link_radius(N, delta)):
-        cross = [i for i in starts if inner[i] is not None
-                 and inner[i + step] is not None and inner[i] != inner[i + step]]
-        pairs += len(cross)
-        # separation demands spread > s**delta; record failures
-        Ds = D * spatial
-        found += [(i, i + step) for i in cross
-                  if Ds + abs(n[i + step] - n[i])
-                  <= T[sup[i] + sup[i + step]]]
-    found.sort()
-    violations = [(sites[i], sites[k]) for i, k in found]
+    cluster, boundary = partition.cluster, partition.boundary
+    interior = [c for c, b in enumerate(boundary) if not b]
+    if links is None:
+        links = relation_links(table)
+    # separation demands spread > s**delta; record failures
+    found = [(sites[i], sites[k]) for i, k in links
+             if cluster[i] != cluster[k] and not boundary[cluster[i]]
+             and not boundary[cluster[k]]
+             and D * _spatial(sites[i], sites[k]) + abs(n[k] - n[i])
+             <= T[sup[i] + sup[k]]]
+    radius = _link_radius(N, delta)
+    flag = ["0" if b else "1" for b in boundary]
+    inner = _bits("".join(map(flag.__getitem__, cluster)))
+    pairs = sum((inner & inner >> step & mask).bit_count()
+                for step, mask in _offset_masks(N, d, radius))
 
     exponent = (chain_exponent(d) + 1) * float(delta)
     fitted_c = fitted_e = 0.0
@@ -494,6 +546,8 @@ def verify_cluster_properties(table: BoxTable, partition: ClusterPartition,
                 j, j2 = sites[i], sites[k]
                 spatial = _spatial(j, j2)
                 diameter = max(diameter, spatial)
+                # an intra pair in the bitmask count is no cross pair
+                pairs -= spatial <= radius
                 # int / int rounds correctly: the float of the exact spread
                 spread = (D * spatial + abs(n[i] - n[k])) / D
                 s = sup[i] + sup[k]
@@ -512,7 +566,7 @@ def verify_cluster_properties(table: BoxTable, partition: ClusterPartition,
                  if threshold_override is None else threshold_override)
     dyadic_bad = [c for c in loose if M_alpha[c] > threshold]
     return VerificationReport(
-        separation_violations=violations,
+        separation_violations=found,
         dyadic_violations=dyadic_bad,
         growth_violations=growth_bad,
         pairs_checked=pairs,

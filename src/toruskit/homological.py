@@ -11,6 +11,7 @@ input read at its binary value, so every statement holds entrywise.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,8 +145,9 @@ def _exact_value(v, field: str) -> exact.QQi:
                      _exact_part(v.imag, f"{field}.im"))
 
 
-def _table_of_box(table: BoxTable, M: BlockMatrix) -> None:
-    # keys are indices into the table's lists, so the boxes must agree
+def _table_of_box(table: BoxTable, M) -> None:
+    # keys are indices into the table's lists, so the boxes must agree; M
+    # is a BlockMatrix or a ClusterPartition
     if (table.box_radius, table.basis.d) != (M.box_radius, M.d):
         raise BoxMismatch("box table of another box radius or d")
 
@@ -310,15 +312,19 @@ def commutator(A: BlockMatrix, diag: BlockMatrix) -> BlockMatrix:
     return BlockMatrix(A.box_radius, A.d, out)
 
 
-def norm_equivalence_constants(partition: ClusterPartition, r: float = 1.0):
+def norm_equivalence_constants(table: BoxTable, partition: ClusterPartition,
+                               r: float = 1.0):
     """Floats (c, C) comparing the cluster-weight norm with the Sobolev norm.
 
-    Computed over the box from the weight ratios; a cluster whose maximal
-    mode is the origin alone yields c = 0, reported as-is.
+    Computed over the box from the weight ratios, on the sites of the
+    ``table``, which must be of the partition's box radius and d (else
+    BoxMismatch); a cluster whose maximal mode is the origin alone yields
+    c = 0, reported as-is.
     """
-    sites = box_sites(partition.box_radius, partition.d)
-    ratios = [M**2 / (1.0 + sum(x * x for x in sites[i])) for group, M
-              in zip(partition.members, partition.M_alpha) for i in group]
+    _table_of_box(table, partition)
+    weight = [M * M for M in partition.M_alpha]
+    ratios = [weight[c] / (1.0 + sum(map(operator.mul, j, j)))
+              for c, j in zip(partition.cluster, table.sites)]
     return min(ratios) ** (r / 2.0), max(ratios) ** (r / 2.0)
 
 

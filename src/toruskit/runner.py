@@ -19,6 +19,7 @@ import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from . import __version__, exact
@@ -142,6 +143,23 @@ def _json_key(key) -> str:
     return _encode_str(key) + ": "
 
 
+def _int_record_keys(records):
+    """The sorted keys of ``records``, a nonempty list, when its items are
+    dicts with one key set of at least two str keys and only int values
+    (a bool is none); else None."""
+    first = records[0]
+    if type(first) is not dict or len(first) < 2:
+        return None
+    keys = first.keys()
+    if (any(type(k) is not str for k in keys)
+            or any(type(rec) is not dict or rec.keys() != keys
+                   for rec in records)
+            or any(type(v) is not int
+                   for v in chain.from_iterable(map(dict.values, records)))):
+        return None
+    return sorted(keys)
+
+
 def _write_json(write, obj, newline: str) -> None:
     # json.dumps(obj, indent=2, sort_keys=True) piece by piece; ``newline``
     # is a newline and the indentation of the enclosing level
@@ -169,6 +187,20 @@ def _write_json(write, obj, newline: str) -> None:
         if all(type(x) is int for x in obj):
             write("[" + inner + ("," + inner).join(map(int.__repr__, obj))
                   + newline + "]")
+            return
+        keys = _int_record_keys(obj)
+        if keys is not None:
+            # one template per record: "%" in a key is escaped as "%%"
+            field = "," + inner + "  "
+            record = ("{" + field[1:] + field.join(
+                [_json_key(k).replace("%", "%%") + "%d" for k in keys])
+                + inner + "}")
+            values = operator.itemgetter(*keys)
+            write("[" + inner + record % values(obj[0]))
+            record = "," + inner + record
+            for rec in obj[1:]:
+                write(record % values(rec))
+            write(newline + "]")
             return
         sep = "[" + inner
         for value in obj:
@@ -338,16 +370,16 @@ def _run_cluster(config: ExperimentConfig, out_dir: Path, counters: dict):
     p = config.params
     N = p["box_radius"]
     delta = check_delta(basis.d, p["delta"], not p["allow_delta_above_theorem"])
-    # one box table serves the link scan, a cache miss and the separation scan
+    # one box table and one link scan serve a cache miss, the separation
+    # check and edges.csv
     table = box_table(basis, N, delta)
-    # edges.csv lists the relation links; one scan also serves a cache miss
-    links = relation_links(table) if p["edges_csv"] else None
+    links = relation_links(table)
     partition = _partition_for(config, table, counters, links)
-    report = verify_cluster_properties(table, partition)
+    report = verify_cluster_properties(table, partition, links=links)
     expected = (2 * N + 1) ** basis.d
     counters.update(sites=expected, clusters=len(partition.members),
                     cross_pairs=report.pairs_checked)
-    if links is not None:
+    if p["edges_csv"]:
         counters["links"] = len(links)
     checks = [
         _check("partition_covers_box_once",
@@ -367,7 +399,7 @@ def _run_cluster(config: ExperimentConfig, out_dir: Path, counters: dict):
     part_path = out_dir / "partition.json"
     _write_partition(part_path, partition)
     outputs.append(part_path.name)
-    if links is not None:
+    if p["edges_csv"]:
         sites = table.sites
         lines = ["j1,j2"] + [f"\"{list(sites[i])}\",\"{list(sites[k])}\""
                              for i, k in links]
@@ -569,7 +601,7 @@ def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
                     gap_sites=len({i for key in q_nd.entries for i in key}))
     weight = cluster_weight_operator(partition)
     comm = commutator(q_d, weight)
-    c_norm, C_norm = norm_equivalence_constants(partition)
+    c_norm, C_norm = norm_equivalence_constants(table, partition)
     checks = [
         _check("split_recombines_exactly", recombined == Q),
         _check("homological_identity_entrywise", residual is None,
@@ -598,15 +630,22 @@ def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
 
 
 def _random_rational_matrix(rng, d):
-    return [[Fr(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)]
-            for _ in range(d)]
+    """Integer rows ``A`` and ``D`` of the d x d matrix ``A / D`` whose
+    entries are ``randint(-5, 5) / randint(1, 3)``, drawn row by row,
+    numerator first; ``D`` is the lcm of the entries' lowest-terms
+    denominators, as :func:`toruskit.exact._clear` takes it."""
+    pairs = [[(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)]
+             for _ in range(d)]
+    D = math.lcm(*(q // math.gcd(p, q) for row in pairs for p, q in row))
+    return [[p * D // q for p, q in row] for row in pairs], D
 
 
 def _random_basis(rng, d):
     # redraw until the generators are nonsingular
     while True:
+        A, D = _random_rational_matrix(rng, d)
         try:
-            return new_lattice(_random_rational_matrix(rng, d))
+            return new_lattice([[Fr(a, D) for a in row] for row in A])
         except ToruskitError:
             pass
 
@@ -621,7 +660,7 @@ def _run_verify(config: ExperimentConfig, out_dir: Path, counters: dict):
         d = dims[t % len(dims)]
         while True:
             # W = A / D, and one elimination gives A^-1 = R / c or singular
-            A = exact._clear(_random_rational_matrix(rng, d))[0]
+            A = _random_rational_matrix(rng, d)[0]
             inverse = exact._int_inverse(A)
             if inverse is not None:
                 break

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import random
 from fractions import Fraction as Fr
 
@@ -13,7 +14,7 @@ from toruskit.clusters import (
     ClusterPartition,
     GammaChain,
     _box_numerators,
-    _offset_runs,
+    _slab_runs,
     box_sites,
     box_table,
     build_partition,
@@ -33,7 +34,7 @@ from toruskit.clusters import (
 )
 from toruskit.config import normalize
 from toruskit.errors import BoxMismatch, DeltaOutOfRange, SingularGenerators
-from toruskit.exact import format_rational, le_pow, sup_norm
+from toruskit.exact import floor_pow, format_rational, le_pow, sup_norm
 from toruskit.homological import BlockMatrix
 from toruskit.lattice import mu, mu_numerator, new_lattice
 from toruskit.runner import run_experiment
@@ -366,13 +367,33 @@ def test_invalid_chain_detected():
     assert not dup.is_valid(B1)
 
 
+def offset_runs(box_radius, d, link_radius):
+    """Per positive offset ``o``, in order: ``(|o|, step, starts)``.
+
+    ``starts`` lists, ascending, the indices i into ``box_sites(box_radius,
+    d)`` whose site plus ``o`` is still in the box; that site has index
+    ``i + step``, because the box is row-major.  Every box pair joined by an
+    offset of sup-norm at most ``link_radius`` lies in exactly one run: the
+    whole-box scan that the slab runs of ``_slab_runs`` are checked against.
+    """
+    L = 2 * box_radius + 1
+    strides = [L ** (d - 1 - t) for t in range(d)]
+    for o in positive_offsets(d, link_radius):
+        # zero-based coordinates c with 0 <= c + a < L, axis by axis
+        starts = [0]
+        for a, stride in zip(o, strides):
+            starts = [i + c * stride for i in starts
+                      for c in range(max(0, -a), min(L, L - a))]
+        yield sup_norm(o), sum(map(operator.mul, o, strides)), starts
+
+
 def box_pairs(box_radius, d, link_radius):
     """Index pairs (i, k) into ``box_sites(box_radius, d)`` from the offset
     runs, site first: ``sites[k] - sites[i]`` is a positive offset of
     sup-norm at most ``link_radius``, a site's offsets in lexicographic
     order, which is the order of k."""
     return sorted((i, i + step) for _, step, starts
-                  in _offset_runs(box_radius, d, link_radius) for i in starts)
+                  in offset_runs(box_radius, d, link_radius) for i in starts)
 
 
 # (dimension, box radius) of the differential cases; the box stays small
@@ -559,6 +580,17 @@ def test_verify_matches_per_pair_oracle(d, radius, delta, entries):
     assert rep.fitted_constant > 0
     assert (rep.separation_violations, rep.pairs_checked,
             rep.fitted_constant, rep.fitted_exponent) == oracle_verify(basis, built)
+    # random boundary flags: interior clusters at the box edge, boundary
+    # clusters inside it
+    for b, part in ((new_lattice(long_rows), adversarial), (basis, built)):
+        for _ in range(3):
+            flagged = dataclasses.replace(
+                part, boundary=[rng.random() < 0.3 for _ in part.members])
+            rep = verify_cluster_properties(box_table(b, radius, delta),
+                                            flagged)
+            assert (rep.separation_violations, rep.pairs_checked,
+                    rep.fitted_constant, rep.fitted_exponent) == \
+                oracle_verify(b, flagged)
 
 
 # (rows, radius): sheared, diagonal, dense rational; each also runs on its
@@ -622,6 +654,106 @@ def random_full_basis(rng, d):
             pass
 
 
+def offset_scan_pairs(n, radius, d, link, reach):
+    """``(i, k, |o|)`` of the offset runs with ``|n_k - n_i| <= reach``,
+    each pair of the whole box tested."""
+    return sorted((i, i + step, spatial) for spatial, step, starts
+                  in offset_runs(radius, d, link) for i in starts
+                  if abs(n[i + step] - n[i]) <= reach)
+
+
+def slab_pairs(basis, radius, link, reach):
+    return sorted((i, i + step, spatial) for spatial, step, starts
+                  in _slab_runs(basis, radius, link, reach) for i in starts)
+
+
+def slab_axis_negative(basis, link):
+    # some offset whose (G + G^T) o is largest in size at a negative entry
+    G = basis.gram[0]
+    for o in positive_offsets(basis.d, link):
+        v = [sum((G[a][b] + G[b][a]) * o[b] for b in range(basis.d))
+             for a in range(basis.d)]
+        if max(v, key=abs) < 0:
+            return True
+    return False
+
+
+# (d, box radii); box 0 has offsets of a negative index step and no pair
+SLAB_CASES = [(1, (0, 1, 4, 9)), (2, (0, 1, 2, 4)), (3, (0, 1, 2))]
+
+
+@pytest.mark.parametrize("d,radii", SLAB_CASES)
+def test_slab_runs_match_offset_scan(d, radii):
+    rng = random.Random(300 + d)
+    negative = False
+    for radius in radii:
+        for _ in range(3):
+            basis = random_full_basis(rng, d)
+            n = _box_numerators(basis, radius)[1]
+            spread = max(n) - min(n)
+            # link radii up to past 2N, where the scan caps them
+            for link in sorted({1, max(1, radius), 2 * radius + 2}):
+                negative |= slab_axis_negative(basis, link)
+                for reach in (0, 1, rng.randint(0, spread), spread):
+                    assert slab_pairs(basis, radius, link, reach) == \
+                        offset_scan_pairs(n, radius, d, link, reach), \
+                        (basis.V, radius, link, reach)
+    # in 1-d, (G + G^T) o = 2*G*o > 0 for every positive offset
+    assert negative or d == 1
+
+
+def offset_scan_links(table):
+    """relation_links as the whole-box offset scan: every pair within the
+    link radius tested."""
+    basis, N, delta, _, n, sup, D, T = table
+    return sorted((i, i + step) for spatial, step, starts
+                  in offset_runs(N, basis.d, max(1, floor_pow(2 * N, delta)))
+                  for i in starts
+                  if max(D * spatial, abs(n[i + step] - n[i]))
+                  <= T[sup[i] + sup[i + step]])
+
+
+@pytest.mark.parametrize("d,radii", SLAB_CASES)
+def test_relation_links_match_offset_scan(d, radii):
+    rng = random.Random(400 + d)
+    for radius in radii:
+        for delta in (Fr(1, 10), Fr(1, 2), Fr(9, 10)):
+            basis = random_full_basis(rng, d)
+            table = box_table(basis, radius, delta)
+            assert relation_links(table) == offset_scan_links(table), \
+                (basis.V, radius, delta)
+
+
+@pytest.mark.parametrize("d,radii", SLAB_CASES)
+def test_chain_adjacency_matches_offset_scan(monkeypatch, d, radii):
+    import toruskit.clusters as clusters
+
+    captured = []
+    search_longest_path = clusters.longest_path
+
+    def capture(adjacency, **kwargs):
+        captured.append(adjacency)
+        return search_longest_path(adjacency, **kwargs)
+
+    monkeypatch.setattr(clusters, "longest_path", capture)
+    rng = random.Random(500 + d)
+    for radius in radii:
+        if radius < 1:
+            continue
+        basis = random_full_basis(rng, d)
+        sites, n, D = _box_numerators(basis, radius)
+        # gamma above 2N links at every offset of the box
+        for gamma in (1, Fr(7, 5), 2.4, 3, 2 * radius + 3):
+            max_chain_length(basis, radius, gamma, node_budget=1)
+            oracle = [[] for _ in sites]
+            for i, k, _ in offset_scan_pairs(n, radius, d, math.floor(gamma),
+                                             math.floor(D * Fr(gamma))):
+                oracle[i].append(k)
+                oracle[k].append(i)
+            assert captured.pop() == [sorted(nbrs) for nbrs in oracle], \
+                (basis.V, radius, gamma)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_row_wise_numerators_match_mu_numerator(d):
     rng = random.Random(40 + d)
@@ -653,11 +785,15 @@ def test_chain_rows_unchanged_by_row_wise_numerators(monkeypatch):
     row_wise = rows()
     assert [row[0] for row in row_wise] == [35, 71, 78]
 
-    def per_site(basis, box_radius):
-        sites = box_sites(box_radius, basis.d)
-        return sites, [mu_numerator(basis, j) for j in sites], basis.gram[1]
+    def per_site(basis, box_radius, link_radius, reach):
+        # the whole-box offset scan on per-site numerators
+        n = [mu_numerator(basis, j) for j in box_sites(box_radius, basis.d)]
+        for spatial, step, starts in offset_runs(box_radius, basis.d,
+                                                 link_radius):
+            yield spatial, step, [i for i in starts
+                                  if abs(n[i + step] - n[i]) <= reach]
 
-    monkeypatch.setattr(clusters, "_box_numerators", per_site)
+    monkeypatch.setattr(clusters, "_slab_runs", per_site)
     assert rows() == row_wise
 
 

@@ -168,8 +168,28 @@ def test_weight_operator_values_and_commutator():
 
 def test_norm_equivalence_reported():
     part = partition()
-    c, C = norm_equivalence_constants(part, r=2.0)
+    c, C = norm_equivalence_constants(TABLE, part, r=2.0)
     assert 0 < c <= C
+
+
+@pytest.mark.parametrize("rows,radius", [([[1, 0], [0, 1]], 8),
+                                         ([["1", "1/2"], ["0", "1"]], 12),
+                                         ([["3/2"]], 20),
+                                         ([["1", "1/2", "1/3"], ["0", "1", "2/5"],
+                                           ["0", "0", "1"]], 4)])
+def test_norm_equivalence_matches_site_walk(rows, radius):
+    # the weight ratios over box_sites cluster by cluster, member by member
+    basis = new_lattice(rows)
+    part = build_partition(basis, radius, DELTA, enforce_delta_bound=False)
+    sites = box_sites(radius, basis.d)
+    ratios = [M**2 / (1.0 + sum(x * x for x in sites[i])) for group, M
+              in zip(part.members, part.M_alpha) for i in group]
+    for r in (1.0, 2.0, 0.5):
+        assert norm_equivalence_constants(box_table(basis, radius, DELTA),
+                                          part, r) == \
+            (min(ratios) ** (r / 2.0), max(ratios) ** (r / 2.0))
+    with pytest.raises(BoxMismatch, match="box table of another"):
+        norm_equivalence_constants(box_table(basis, radius + 1, DELTA), part)
 
 
 def test_decay_profile_identity():

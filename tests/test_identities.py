@@ -251,3 +251,16 @@ def test_planted_fault_fails_its_checks(tmp_path, monkeypatch, plant, failing):
     plant(monkeypatch)
     assert failing_checks(tmp_path / "planted") == failing
 
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_random_rational_matrix_is_the_cleared_fraction_draw(d):
+    # the draw of Fraction(randint(-5, 5), randint(1, 3)) per entry, cleared
+    # by exact._clear: the same integers, and the generator left in the
+    # same state
+    for seed in range(40):
+        rng, fractions = random.Random(seed), random.Random(seed)
+        drawn = [[Fr(fractions.randint(-5, 5), fractions.randint(1, 3))
+                  for _ in range(d)] for _ in range(d)]
+        assert runner._random_rational_matrix(rng, d) == \
+            tuple(exact._clear(drawn)[:2])
+        assert rng.getstate() == fractions.getstate()

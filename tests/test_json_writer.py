@@ -178,6 +178,65 @@ def test_deep_nesting_matches_dumps(tmp_path):
     assert path.read_bytes() == dumps(payload)
 
 
+INT_RECORDS = [
+    [{"id": 0, "size": 3}],
+    [{"M_alpha": 5, "diameter": 2, "id": 7, "m_alpha": 4, "size": 3},
+     {"id": -1, "size": 10**30, "m_alpha": 0, "M_alpha": -2**70,
+      "diameter": 0}],
+    # a "%" in a key is no template field; quotes, escapes and non-ASCII
+    # keys keep dumps' quoting
+    [{"100%": 1, "%d": 2, '"q"\\': 3, "é\n": 4}] * 3,
+    [{"b": 2, "a": 1}, {"a": 3, "b": 4}],
+]
+
+
+@pytest.mark.parametrize("records", INT_RECORDS)
+def test_int_records_take_the_template_path(tmp_path, records):
+    assert runner._int_record_keys(records) == sorted(records[0])
+    path = tmp_path / "records.json"
+    for payload in (records, {"data": {"cluster_stats": records}},
+                    [records, records]):
+        atomic_write_json(path, payload)
+        assert path.read_bytes() == dumps(payload)
+
+
+@pytest.mark.parametrize("records", [
+    [{"a": 1, "b": True}],                     # a bool is no int
+    [{"a": 1, "b": 2}, {"a": False, "b": 2}],
+    [{"a": 1, "b": 2.0}],
+    [{"a": 1, "b": "2"}],
+    [{"a": 1, "b": [2]}],
+    [{"a": 1, "b": {"c": 2}}],
+    [{"a": 1, "b": None}],
+    [{"a": 1, "b": 2}, {"a": 1, "c": 2}],      # another key set
+    [{"a": 1, "b": 2}, {"a": 1, "b": 2, "c": 3}],
+    [{"a": 1, "b": 2}, {"a": 1}],
+    [{"a": 1, "b": 2}, [1, 2]],
+    [{"a": 1, "b": 2}, 3],
+    [{1: 1, 2: 2}],                            # keys that are no str
+    [{2.5: 1, 3: 2}],
+    [{True: 1, 2: 2}],
+    [{"a": 1}],                                # one key
+    [{"a": 1}, {"a": 2}],
+    [{}],                                      # an empty dict
+    [{}, {}],
+    ({"a": 1, "b": True},),
+])
+def test_other_records_take_the_general_path(tmp_path, records):
+    assert runner._int_record_keys(records) is None
+    path = tmp_path / "records.json"
+    for payload in (records, {"records": records}):
+        atomic_write_json(path, payload)
+        assert path.read_bytes() == dumps(payload)
+
+
+def test_empty_record_list_matches_dumps(tmp_path):
+    path = tmp_path / "records.json"
+    for payload in ([], {"cluster_stats": []}, [[], {}]):
+        atomic_write_json(path, payload)
+        assert path.read_bytes() == dumps(payload)
+
+
 @pytest.mark.parametrize("payload", [{"a": {1, 2}}, [object()], {(1, 2): 3}])
 def test_unserializable_payload_raises_and_keeps_target(tmp_path, payload):
     with pytest.raises(TypeError):
