@@ -35,14 +35,12 @@ from .lattice import (  # noqa: F401
 from .clusters import (  # noqa: F401
     ClusterPartition,
     GammaChain,
-    PhiPoint,
     build_partition,
     chain_exponent,
     chain_scaling_experiment,
     delta_max,
     is_gamma_link,
     max_chain_length,
-    phi,
     verify_cluster_properties,
 )
 from .homological import (  # noqa: F401
@@ -69,7 +67,6 @@ from .spacetime import (  # noqa: F401
     enumerate_singular_sites,
     excluded_lambda_measure,
     is_singular,
-    symbol_floor_membership,
     symbol_nls,
     symbol_nlw,
     theta_sublevel_cover,

@@ -35,18 +35,8 @@ def delta_max(d: int) -> Fraction:
     return Fr(1, 2 * chain_exponent(d) + 2)
 
 
-class PhiPoint(NamedTuple):
-    j: tuple
-    mu: object
-
-
-def phi(basis: LatticeBasis, j) -> PhiPoint:
-    """Pair a mode with its eigenvalue."""
-    jt = tuple(int(x) for x in j)
-    return PhiPoint(jt, mu(basis, jt))
-
-
 def _spatial(j, j2) -> int:
+    # |j - j'| in the sup norm, d >= 1 (new_lattice refuses an empty basis)
     return max(map(abs, map(operator.sub, j, j2)))
 
 
@@ -455,7 +445,6 @@ class VerificationReport:
 
     separation_violations: list
     dyadic_violations: list
-    growth_violations: list
     pairs_checked: int
     interior_clusters: int
     boundary_clusters: int
@@ -463,11 +452,6 @@ class VerificationReport:
     fitted_constant: float
     fitted_exponent: float
     cluster_stats: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return (not self.separation_violations and not self.dyadic_violations
-                and not self.growth_violations)
 
 
 def _bits(flags: str) -> int:
@@ -492,9 +476,7 @@ def _offset_masks(box_radius: int, d: int, link_radius: int):
 
 
 def verify_cluster_properties(table: BoxTable, partition: ClusterPartition,
-                              threshold_override=None,
-                              constant_override=None,
-                              links=None) -> VerificationReport:
+                              links) -> VerificationReport:
     """Check cross-cluster separation and dyadicity on interior clusters.
 
     Cross-cluster pairs (both clusters interior) must satisfy
@@ -503,15 +485,14 @@ def verify_cluster_properties(table: BoxTable, partition: ClusterPartition,
     which must be of the partition's box radius, d and delta: on an exact
     basis a violation is the integer test
     ``D*|j1-j2| + |n_1-n_2| <= floor(D * (|j1|+|j2|)**delta)``.  A violating
-    pair passes :func:`relation_links`' test, so only those ``links`` (by
-    default the table's) are tested.  ``pairs_checked`` counts the interior
-    cross pairs within the link radius, tested or not: per offset the pairs
-    of interior sites by bitmask, less the pairs inside one interior
-    cluster.  Dyadicity is ``M_alpha <= 2*m_alpha`` above a threshold which
-    is fitted (the largest interior M_alpha violating the 2:1 rule) unless
-    overridden.  The growth constant of intra-cluster spreads is fitted in
-    floats and reported, never assumed; each spread is the float of its
-    exact value.
+    pair passes :func:`relation_links`' test, so only the table's relation
+    ``links`` are tested.  ``pairs_checked`` counts the interior cross pairs
+    within the link radius, tested or not: per offset the pairs of interior
+    sites by bitmask, less the pairs inside one interior cluster.  Dyadicity
+    is ``M_alpha <= 2*m_alpha`` above a threshold which is fitted: the
+    largest interior M_alpha violating the 2:1 rule.  The growth constant of
+    intra-cluster spreads is fitted in floats and reported, never assumed;
+    each spread is the float of its exact value.
     """
     N, d, delta = partition.box_radius, partition.d, partition.delta
     if (table.box_radius, table.basis.d, table.delta) != (N, d, delta):
@@ -520,8 +501,6 @@ def verify_cluster_properties(table: BoxTable, partition: ClusterPartition,
     m_alpha, M_alpha = partition.m_alpha, partition.M_alpha
     cluster, boundary = partition.cluster, partition.boundary
     interior = [c for c, b in enumerate(boundary) if not b]
-    if links is None:
-        links = relation_links(table)
     # separation demands spread > s**delta; record failures
     found = [(sites[i], sites[k]) for i, k in links
              if cluster[i] != cluster[k] and not boundary[cluster[i]]
@@ -536,7 +515,6 @@ def verify_cluster_properties(table: BoxTable, partition: ClusterPartition,
 
     exponent = (chain_exponent(d) + 1) * float(delta)
     fitted_c = fitted_e = 0.0
-    growth_bad = []
     stats = []
     for c in interior:
         members = partition.members[c]
@@ -551,10 +529,7 @@ def verify_cluster_properties(table: BoxTable, partition: ClusterPartition,
                 # int / int rounds correctly: the float of the exact spread
                 spread = (D * spatial + abs(n[i] - n[k])) / D
                 s = sup[i] + sup[k]
-                ratio = spread / float(s) ** exponent
-                fitted_c = max(fitted_c, ratio)
-                if constant_override is not None and ratio > float(constant_override):
-                    growth_bad.append((j, j2))
+                fitted_c = max(fitted_c, spread / float(s) ** exponent)
                 if s >= 2 and spread > 0:
                     fitted_e = max(fitted_e, math.log(spread) / math.log(s))
         stats.append({"id": c, "size": len(members), "m_alpha": m_alpha[c],
@@ -562,13 +537,10 @@ def verify_cluster_properties(table: BoxTable, partition: ClusterPartition,
 
     # interior clusters off the 2:1 rule
     loose = [c for c in interior if M_alpha[c] > 2 * m_alpha[c]]
-    threshold = (max((M_alpha[c] for c in loose), default=0)
-                 if threshold_override is None else threshold_override)
-    dyadic_bad = [c for c in loose if M_alpha[c] > threshold]
+    threshold = max((M_alpha[c] for c in loose), default=0)
     return VerificationReport(
         separation_violations=found,
-        dyadic_violations=dyadic_bad,
-        growth_violations=growth_bad,
+        dyadic_violations=[c for c in loose if M_alpha[c] > threshold],
         pairs_checked=pairs,
         interior_clusters=len(interior),
         boundary_clusters=len(M_alpha) - len(interior),

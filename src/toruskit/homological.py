@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from . import exact
 from .errors import BoxMismatch, IntraClusterEntry, ParseError
-from .clusters import BoxTable, ClusterPartition, _box_index, box_sites
+from .clusters import (BoxTable, ClusterPartition, _box_index, _spatial,
+                       box_sites)
 from .lattice import mu  # noqa: F401  unused; perfbench/tracing.py patches it here
 
 Fr = Fraction
@@ -312,8 +313,7 @@ def commutator(A: BlockMatrix, diag: BlockMatrix) -> BlockMatrix:
     return BlockMatrix(A.box_radius, A.d, out)
 
 
-def norm_equivalence_constants(table: BoxTable, partition: ClusterPartition,
-                               r: float = 1.0):
+def norm_equivalence_constants(table: BoxTable, partition: ClusterPartition):
     """Floats (c, C) comparing the cluster-weight norm with the Sobolev norm.
 
     Computed over the box from the weight ratios, on the sites of the
@@ -325,34 +325,27 @@ def norm_equivalence_constants(table: BoxTable, partition: ClusterPartition,
     weight = [M * M for M in partition.M_alpha]
     ratios = [weight[c] / (1.0 + sum(map(operator.mul, j, j)))
               for c, j in zip(partition.cluster, table.sites)]
-    return min(ratios) ** (r / 2.0), max(ratios) ** (r / 2.0)
+    return min(ratios) ** (1.0 / 2.0), max(ratios) ** (1.0 / 2.0)
 
 
 @dataclass
 class DecayProfile:
     sigma: float
     seminorms: dict      # N -> sup over entries of |v| (1+|j-j'|)^N (1+|j|+|j'|)^-sigma
-    s_norms: dict        # s -> space-only decay norm
 
     def to_dict(self):
+        # "s_norms" stays, empty: the recorded homological digests pin it
         return {"sigma": self.sigma,
                 "seminorms": {str(k): v for k, v in sorted(self.seminorms.items())},
-                "s_norms": {str(k): v for k, v in sorted(self.s_norms.items())}}
+                "s_norms": {}}
 
 
-def _offset(j, j2) -> int:
-    # |j - j'| in the sup norm; 0 at d = 0
-    return max([abs(x - y) for x, y in zip(j, j2)], default=0)
-
-
-def decay_profile(table: BoxTable, Q: BlockMatrix, sigma, n_list,
-                  s_list=()) -> DecayProfile:
-    """Off-diagonal decay seminorms and the weighted row-sup decay norm.
+def decay_profile(table: BoxTable, Q: BlockMatrix, sigma,
+                  n_list) -> DecayProfile:
+    """Off-diagonal decay seminorms.
 
     The sites and their sup norms are the ``table``'s; a table of another
-    box radius or d raises BoxMismatch.  The s-norm is the space-only
-    specialization of the time-space decay norm:
-    ``|Q|_s^2 = sum_h max(1, |h|)^{2s} (sup_{j-j'=h} |Q_j^{j'}|)^2``.
+    box radius or d raises BoxMismatch.
     """
     if not n_list:
         raise ValueError("need at least one decay order")
@@ -370,7 +363,7 @@ def decay_profile(table: BoxTable, Q: BlockMatrix, sigma, n_list,
         if weight is None:
             weight = scale[size] = (1.0 + size) ** sigma
         base = a / weight
-        off = _offset(sites[i], sites[k])
+        off = _spatial(sites[i], sites[k])
         if base > best.get(off, 0.0):
             best[off] = base
     # rounding is monotone, so max(b) * c == max(b * c) for c > 0
@@ -379,20 +372,7 @@ def decay_profile(table: BoxTable, Q: BlockMatrix, sigma, n_list,
         n = int(n)
         seminorms[n] = max([0.0] + [b * (1.0 + off) ** n
                                      for off, b in best.items()])
-    s_norms = {}
-    if s_list:
-        sup_by_offset = {}
-        for (i, k), v in Q.entries.items():
-            a = float(abs(v))
-            h = tuple(x - y for x, y in zip(sites[i], sites[k]))
-            if a > sup_by_offset.get(h, 0.0):
-                sup_by_offset[h] = a
-        for s in s_list:
-            total = 0.0
-            for h, a in sup_by_offset.items():
-                total += max(1, exact.sup_norm(h)) ** (2 * float(s)) * a * a
-            s_norms[float(s)] = math.sqrt(total)
-    return DecayProfile(sigma=sigma, seminorms=seminorms, s_norms=s_norms)
+    return DecayProfile(sigma=sigma, seminorms=seminorms)
 
 
 def verify_remainder_support(table: BoxTable,
@@ -411,7 +391,7 @@ def verify_remainder_support(table: BoxTable,
     ceil = exact.scaled_ceil_pow(1, solution.delta)
     sites, sup = table.sites, table.sup
     return [(sites[i], sites[k]) for i, k in sorted(solution.R.entries)
-            if 2 * _offset(sites[i], sites[k]) < ceil(sup[i] + sup[k])]
+            if 2 * _spatial(sites[i], sites[k]) < ceil(sup[i] + sup[k])]
 
 
 def random_cross_cluster_matrix(partition: ClusterPartition, count: int,

@@ -375,7 +375,7 @@ def _run_cluster(config: ExperimentConfig, out_dir: Path, counters: dict):
     table = box_table(basis, N, delta)
     links = relation_links(table)
     partition = _partition_for(config, table, counters, links)
-    report = verify_cluster_properties(table, partition, links=links)
+    report = verify_cluster_properties(table, partition, links)
     expected = (2 * N + 1) ** basis.d
     counters.update(sites=expected, clusters=len(partition.members),
                     cross_pairs=report.pairs_checked)

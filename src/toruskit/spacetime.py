@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from numbers import Rational
@@ -182,7 +182,7 @@ class _Symbols:
 
     def below(self, site: SpaceTimeSite) -> bool:
         """``|symbol(site)| < 1``: ``c - L < rho < c + L``, the window that
-        :func:`enumerate_singular_sites` bisects at its default bound."""
+        :func:`enumerate_singular_sites` bisects."""
         if not self.wave and site.a not in (1, -1):
             raise ValidationError("sign a must be +1 or -1")
         c = self.center(self.y(site.ell), site.a)
@@ -199,19 +199,17 @@ def is_singular(basis, params, site: SpaceTimeSite, kind: str) -> bool:
 
 
 def enumerate_singular_sites(basis: LatticeBasis, params: FrequencyParams,
-                             kind: str, ell_radius: int, j_radius: int,
-                             bound=1):
-    """All sites in the box with ``|symbol| < bound`` (the singular sites at
-    the default 1), in lexicographic (ell, j, a) order.
+                             kind: str, ell_radius: int, j_radius: int):
+    """All sites in the box with ``|symbol| < 1`` (the singular sites), in
+    lexicographic (ell, j, a) order.
 
     A site is kept when ``rho_j = mu_j + mass`` lies in the open window
-    ``(c - bound, c + bound)``, with ``c = y^2`` (wave) or ``c = a*y``
+    ``(c - 1, c + 1)``, with ``c = y^2`` (wave) or ``c = a*y``
     (Schroedinger) and ``y = lam*wbar.ell + theta``.  The modes are sorted
     once by ``rho``; each (ell, sign) then bisects its window, so the scan
     costs O(|js| log|js| + |ells| log|js| + output) instead of
     O(|ells| |js|).  It scans the numerators of :class:`_Symbols` and the
-    window ``(c - L*bound, c + L*bound)``, which at bound 1 is the predicate
-    of :meth:`_Symbols.below`.
+    window ``(c - L, c + L)``, the predicate of :meth:`_Symbols.below`.
     """
     signs = _signs(kind)
     ells = box_sites(ell_radius, params.n)
@@ -219,7 +217,7 @@ def enumerate_singular_sites(basis: LatticeBasis, params: FrequencyParams,
     sym = _Symbols(basis, params, kind)
     rho = [sym.rho(j) for j in js]
     ys = [sym.y(ell) for ell in ells]
-    unit = sym.L * bound
+    L = sym.L
     order = sorted(range(len(js)), key=rho.__getitem__)
     rhos = [rho[i] for i in order]
 
@@ -227,9 +225,9 @@ def enumerate_singular_sites(basis: LatticeBasis, params: FrequencyParams,
     for ell, y in zip(ells, ys):
         for a in signs:
             c = sym.center(y, a)
-            # strict window: |rho - c| = unit is regular
-            lo = bisect_right(rhos, c - unit)
-            hi = bisect_left(rhos, c + unit, lo)
+            # strict window: |rho - c| = L is regular
+            lo = bisect_right(rhos, c - L)
+            hi = bisect_left(rhos, c + L, lo)
             sites.extend(SpaceTimeSite(ell, js[i], a) for i in order[lo:hi])
     sites.sort()
     return sites
@@ -699,12 +697,10 @@ class MeasureResult:
     pairs_total: int
     pairs_excluding: int
     fully_excluded: bool
-    grid_membership: list | None = None
 
 
 def excluded_lambda_measure(basis: LatticeBasis, omega_bar, gamma, tau: int,
-                            g: int, p_max: int, m_max: int,
-                            lambda_grid=None) -> MeasureResult:
+                            g: int, p_max: int, m_max: int) -> MeasureResult:
     """Exact measure of the lambda set where some minor polynomial is small.
 
     For every integer pair ``(p, m)`` in range the polynomial
@@ -766,30 +762,9 @@ def excluded_lambda_measure(basis: LatticeBasis, omega_bar, gamma, tau: int,
     xi_measure = exact.intervals_measure(merged)
     lam_measure = sum(math.sqrt(float(hi)) - math.sqrt(float(lo))
                       for lo, hi in merged)
-    membership = None
-    if lambda_grid is not None:
-        membership = []
-        for lam in lambda_grid:
-            xi = exact.parse_rational(lam, "lambda") ** 2
-            membership.append(any(lo <= xi <= hi for lo, hi in merged))
     return MeasureResult(lambda_measure=lam_measure, xi_intervals=merged,
                          xi_measure=xi_measure, pairs_total=pairs_total,
-                         pairs_excluding=pairs_excluding, fully_excluded=fully,
-                         grid_membership=membership)
-
-
-def symbol_floor_membership(basis: LatticeBasis, params: FrequencyParams,
-                            N0: int, tau: int, kind: str):
-    """Check |symbol| >= N0^{-tau} on the whole N0-box at theta = 0.
-
-    Returns (True, None) or (False, the first site in (ell, j, a) order
-    that :func:`enumerate_singular_sites` finds below the floor).
-    """
-    if N0 < 1:
-        raise ValidationError("N0 must be at least 1")
-    below = enumerate_singular_sites(basis, replace(params, theta=Fr(0)), kind,
-                                     N0, N0, bound=Fr(1, int(N0) ** int(tau)))
-    return (False, below[0]) if below else (True, None)
+                         pairs_excluding=pairs_excluding, fully_excluded=fully)
 
 
 # ---------------------------------------------------------------------------

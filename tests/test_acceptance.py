@@ -19,6 +19,7 @@ from toruskit.clusters import (
     box_table,
     build_partition,
     chain_scaling_experiment,
+    relation_links,
     verify_cluster_properties,
 )
 from toruskit.config import normalize
@@ -177,8 +178,9 @@ def test_criterion_05_cluster_separation():
         for basis in lattices:
             part = build_partition(basis, 64, Fr(1, 10),
                                    enforce_delta_bound=False)
-            report = verify_cluster_properties(
-                box_table(basis, 64, Fr(1, 10)), part)
+            table = box_table(basis, 64, Fr(1, 10))
+            report = verify_cluster_properties(table, part,
+                                               relation_links(table))
             assert report.separation_violations == []
             assert report.dyadic_violations == []
             assert report.pairs_checked > 0

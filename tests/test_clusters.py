@@ -25,7 +25,6 @@ from toruskit.clusters import (
     group_links,
     is_gamma_link,
     max_chain_length,
-    phi,
     phi_distance,
     positive_offsets,
     relation_link,
@@ -48,13 +47,6 @@ def test_dimensional_constants():
     assert chain_exponent(2) == 20
     assert delta_max(1) == Fr(1, 14)
     assert delta_max(2) == Fr(1, 42)
-
-
-def test_phi_values():
-    assert phi(B1, (3,)) == ((3,), 9)
-    assert phi(B2, (3, 4)) == ((3, 4), 25)
-    rect = new_lattice([["1", "0"], ["0", "2"]])  # dual weights (1, 1/2)
-    assert phi(rect, (0, 2)) == ((0, 2), 1)
 
 
 def test_gamma_links():
@@ -292,11 +284,11 @@ def test_cluster_of_reads_box_sites_and_refuses_others():
 
 def test_verify_properties_no_violations():
     part = build_partition(B1, 64, Fr(1, 10), enforce_delta_bound=False)
-    rep = verify_cluster_properties(box_table(B1, 64, Fr(1, 10)), part)
+    table = box_table(B1, 64, Fr(1, 10))
+    rep = verify_cluster_properties(table, part, relation_links(table))
     assert rep.separation_violations == []
     assert rep.dyadic_violations == []
     assert rep.pairs_checked > 0
-    assert rep.ok
 
 
 def test_verify_exhaustive_cross_pairs_d1():
@@ -316,16 +308,6 @@ def test_verify_exhaustive_cross_pairs_d1():
             spread = max(abs(x - y) for x, y in zip(a, b)) + abs(mu(B1, a) - mu(B1, b))
             s = max(abs(x) for x in a) + max(abs(x) for x in b)
             assert float(spread) > float(s) ** 0.1
-
-
-def test_verify_with_overrides():
-    part = build_partition(B1, 16, Fr(1, 10), enforce_delta_bound=False)
-    table = box_table(B1, 16, Fr(1, 10))
-    rep = verify_cluster_properties(table, part, threshold_override=0)
-    # the central cluster {-1,0,1} has M=1 > 2m=0, so threshold 0 flags it
-    assert rep.dyadic_violations
-    tight = verify_cluster_properties(table, part, constant_override=1e-9)
-    assert tight.growth_violations
 
 
 def test_chain_witness_replay_and_symmetry():
@@ -542,6 +524,12 @@ def oracle_verify(basis, part):
     return violations, pairs, fitted_c, fitted_e
 
 
+def verify_on_links(basis, part):
+    """verify_cluster_properties on the part's box table and its links."""
+    table = box_table(basis, part.box_radius, part.delta)
+    return verify_cluster_properties(table, part, relation_links(table))
+
+
 def singleton_partition(radius, d, delta):
     """Every box site its own interior cluster: every scanned pair is cross."""
     sups = list(map(sup_norm, box_sites(radius, d)))
@@ -565,8 +553,7 @@ def test_verify_matches_per_pair_oracle(d, radius, delta, entries):
                            for r in (rows, long_rows))
     basis = new_lattice(long_rows)
     adversarial = singleton_partition(radius, d, delta)
-    rep = verify_cluster_properties(box_table(basis, radius, delta),
-                                    adversarial)
+    rep = verify_on_links(basis, adversarial)
     violations, pairs, _, _ = oracle_verify(basis, adversarial)
     assert violations, "the adversarial partition should show violations"
     assert rep.separation_violations == violations
@@ -576,7 +563,7 @@ def test_verify_matches_per_pair_oracle(d, radius, delta, entries):
     basis = new_lattice(rows)
     built = build_partition(basis, radius, delta, enforce_delta_bound=False)
     built = dataclasses.replace(built, boundary=[False] * len(built.members))
-    rep = verify_cluster_properties(box_table(basis, radius, delta), built)
+    rep = verify_on_links(basis, built)
     assert rep.fitted_constant > 0
     assert (rep.separation_violations, rep.pairs_checked,
             rep.fitted_constant, rep.fitted_exponent) == oracle_verify(basis, built)
@@ -586,8 +573,7 @@ def test_verify_matches_per_pair_oracle(d, radius, delta, entries):
         for _ in range(3):
             flagged = dataclasses.replace(
                 part, boundary=[rng.random() < 0.3 for _ in part.members])
-            rep = verify_cluster_properties(box_table(b, radius, delta),
-                                            flagged)
+            rep = verify_on_links(b, flagged)
             assert (rep.separation_violations, rep.pairs_checked,
                     rep.fitted_constant, rep.fitted_exponent) == \
                 oracle_verify(b, flagged)
@@ -834,4 +820,4 @@ def test_a_box_table_of_another_box_is_refused():
     for table in (box_table(B2, 4, Fr(1, 10)), box_table(B2, 5, Fr(1, 20)),
                   box_table(new_lattice([["1"]]), 5, Fr(1, 10))):
         with pytest.raises(ValueError, match="box table of another"):
-            verify_cluster_properties(table, part)
+            verify_cluster_properties(table, part, relation_links(table))

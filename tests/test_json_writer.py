@@ -77,9 +77,9 @@ def test_every_written_payload_matches_dumps(tmp_path, monkeypatch, raw):
     monkeypatch.setattr(runner, "dn_split", split)
     partitions = []
 
-    def verify(table, partition, **kwargs):
+    def verify(table, partition, links):
         partitions.append(partition)
-        return verify_cluster_properties(table, partition, **kwargs)
+        return verify_cluster_properties(table, partition, links)
 
     monkeypatch.setattr(runner, "verify_cluster_properties", verify)
     config = normalize(dict(raw, out_dir=str(tmp_path / "out")))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from toruskit import search
+from toruskit.cli import _assemble, build_parser
 from toruskit.config import load_config, normalize, serialize
 from toruskit.errors import ParseError, UnknownSeries, ValidationError
 from toruskit.runner import (
@@ -514,6 +515,14 @@ def _singular(matrix, symbol, ell_radius, j_radius, omega=("1",), tau0=1,
                        "node_budget": node_budget}}
 
 
+def _pinned_digest(report, out_dir) -> str:
+    # sha256 of the report body and of each output file, name by name
+    h = hashlib.sha256(report.body_bytes())
+    for name in report.body["outputs"]:
+        h.update(name.encode() + b"\0" + (Path(out_dir) / name).read_bytes())
+    return h.hexdigest()
+
+
 # sha256 of the report body and the output files of small singular runs,
 # recorded with the Fraction symbols that the integer kernel replaced; nls-d1
 # is cut by its node budget, and its witness was re-recorded when the DP
@@ -540,7 +549,51 @@ def _singular(matrix, symbol, ell_radius, j_radius, omega=("1",), tau0=1,
         "nlw-d2-theta-lambda"])
 def test_singular_body_bytes_pinned(tmp_path, raw, digest):
     report = run_experiment(normalize(raw), out_dir=tmp_path)
-    h = hashlib.sha256(report.body_bytes())
-    for name in report.body["outputs"]:
-        h.update(name.encode() + b"\0" + (tmp_path / name).read_bytes())
-    assert h.hexdigest() == digest
+    assert _pinned_digest(report, tmp_path) == digest
+
+
+# the README measure command on the shear [[1,1/2],[0,1]] at --pmax 1
+# --mmax 1, once as printed and once with one range doubling; no bench
+# workload runs measure, so these digests pin its body and measure_curve.csv
+@pytest.mark.parametrize("extra, digest", [
+    ([], "13f1fe550d36c5648ef87915dd4ece5706f13d00d5a98c8e02075473bdc6c44e"),
+    (["--doublings", "1"],
+     "7618a1ec11fa5457b123ae5639364466ac1bd0748e83312111df9aa91615b26b"),
+], ids=["readme", "doublings-1"])
+def test_measure_body_bytes_pinned(tmp_path, monkeypatch, extra, digest):
+    monkeypatch.chdir(tmp_path)
+    Path("lattice.json").write_text('{"matrix": [["1", "1/2"], ["0", "1"]]}')
+    Path("freq.json").write_text(
+        '{"omega_bar": ["1/2", "1/3"], "gamma0": "1/100", "tau0": 2}')
+    args = build_parser().parse_args(
+        ["measure", "--lattice", "lattice.json", "--freq", "freq.json",
+         "--gamma-grid", "1/1000:1/10:9", "--pmax", "1", "--mmax", "1",
+         "--order", "2", "--tau", "6", "--out-dir", "out", *extra])
+    report = run_experiment(normalize(_assemble(args)))
+    assert report.passed
+    assert _pinned_digest(report, "out") == digest
+
+
+# homological runs at box 5 on the shear [[1,1/2],[0,1]] with 50 random
+# entries: one groups its own partition, one reads a cluster run's
+# partition.json; each digest covers the body and matrix.json
+@pytest.mark.parametrize("partition_file, digest", [
+    (False, "4e3e88fe646eaa69f9529426136a58630c4816e649a2b1a28a4abe8f3a22fcce"),
+    (True, "17b9845c33fb0b5641485c363f20702cc578fb8197580bfde6f7ef221a12eaac"),
+], ids=["built", "partition-file"])
+def test_homological_body_bytes_pinned(tmp_path, monkeypatch, partition_file,
+                                       digest):
+    monkeypatch.chdir(tmp_path)
+    lattice = {"matrix": [["1", "1/2"], ["0", "1"]]}
+    params = {"box_radius": 5, "delta": "1/10",
+              "allow_delta_above_theorem": True}
+    if partition_file:
+        run_experiment(normalize({"kind": "cluster", "out_dir": "part",
+                                  "lattice": lattice, "params": params}))
+        params = dict(params, partition_file="part/partition.json")
+    report = run_experiment(normalize(
+        {"kind": "homological", "seed": 11, "out_dir": "out",
+         "lattice": lattice, "params": dict(params, entries=50)}))
+    assert report.passed
+    assert report.body["data"]["entry_count"] == 50
+    assert _pinned_digest(report, "out") == digest

@@ -32,7 +32,6 @@ from toruskit.spacetime import (
     max_cover_intervals,
     site_distance,
     symbol,
-    symbol_floor_membership,
     symbol_nls,
     symbol_nlw,
     theta_sublevel_cover,
@@ -428,33 +427,6 @@ def test_measure_gamma_range_guard():
     assert compound_floor(B2) == Fr(1, 2)
 
 
-def test_measure_grid_membership():
-    gamma = Fr(1, 100)
-    res = excluded_lambda_measure(B2, ("1",), gamma, 6, 2, 2, 2,
-                                  lambda_grid=[Fr(1, 2), Fr(1), Fr(3, 2)])
-    assert res.grid_membership is not None
-    for lam, member in zip([Fr(1, 2), Fr(1), Fr(3, 2)], res.grid_membership):
-        xi = lam * lam
-        inside = any(lo <= xi <= hi for lo, hi in res.xi_intervals)
-        assert member == inside
-
-
-def test_symbol_floor_membership():
-    p = params(mass="3")
-    ok, witness = symbol_floor_membership(B1, p, 3, 2, NLW)
-    # resonance at ell=2, j=1: (2)^2 = 1 + 3 -> symbol 0
-    assert not ok and witness == SpaceTimeSite((-2,), (-1,), 1)
-    p2 = params(mass="1/3")
-    ok2, _ = symbol_floor_membership(B1, p2, 2, 3, NLS)
-    assert ok2 == all(
-        abs(symbol_nls(B1, FrequencyParams(n=1, omega_bar=(Fr(1),),
-                                           gamma0=Fr(1, 2), tau0=Fr(1),
-                                           lam=p2.lam, theta=Fr(0),
-                                           mass=p2.mass),
-                       (l,), (j,), a)) >= Fr(1, 8)
-        for l in range(-2, 3) for j in range(-2, 3) for a in (1, -1))
-
-
 def test_chain_pair_bounds_trivial_and_nls():
     p = params(mass="1/2")
     from toruskit.spacetime import SingularChain
@@ -766,31 +738,6 @@ def test_integer_cover_matches_fraction_cover():
             cov = theta_sublevel_cover(basis, p, ell, j, N, tau1, kind, a=a)
             assert (cov.rho, cov.shift, cov.intervals) == \
                 _fraction_cover(basis, p, ell, j, N, tau1, kind, a)
-
-
-def _fraction_floor_membership(basis, p, N0, tau, kind):
-    # the box scan with one Fraction symbol per site
-    from itertools import product
-
-    at_zero = FrequencyParams(n=p.n, omega_bar=p.omega_bar, gamma0=p.gamma0,
-                              tau0=p.tau0, lam=p.lam, theta=Fr(0), mass=p.mass)
-    for ell in product(range(-N0, N0 + 1), repeat=p.n):
-        for j in product(range(-N0, N0 + 1), repeat=basis.d):
-            for a in ((1,) if kind == NLW else (-1, 1)):
-                site = SpaceTimeSite(ell, j, a)
-                if abs(symbol(basis, at_zero, site, kind)) < Fr(1, N0 ** tau):
-                    return False, site
-    return True, None
-
-
-def test_integer_floor_membership_matches_fraction_scan():
-    outcomes = set()
-    for rng, basis, p, kind in _random_cases(53, 24):
-        N0, tau = rng.randint(1, 2), rng.randint(0, 3)
-        got = symbol_floor_membership(basis, p, N0, tau, kind)
-        assert got == _fraction_floor_membership(basis, p, N0, tau, kind)
-        outcomes.add(got[0])
-    assert outcomes == {True, False}
 
 
 def test_integer_pair_bounds_match_fraction_replay():
