@@ -434,19 +434,33 @@ def scaled_ceil_pow(D: int, delta):
 
 
 class QQi:
-    """Gaussian rational: exact complex number with Fraction parts.
+    """Gaussian rational: exact complex number ``re + i im``.
 
-    An ``int`` or ``Fraction`` operand is a real scalar: it is added to the
-    real part, or scales both parts (``QQi(re / g, im / g)``), without the
-    general complex product or quotient.  Parts that already are Fractions
-    are stored as given.
+    Each part is stored once, in lowest terms, as two ints: ``re = rn/rd``
+    and ``im = in_/id_`` with ``rd, id_ > 0``.  ``QQi(re, im)`` takes an
+    int, a Fraction or a float (read at its binary value) per part;
+    :func:`_qqi` builds one from parts already in that form.  ``.re`` and
+    ``.im`` are Fraction views of the parts.  Equality, hashing, truth,
+    ``abs``, negation and the conjugate read the ints; the arithmetic goes
+    through the Fraction views.  An ``int`` or ``Fraction`` operand is a
+    real scalar: it is added to the real part, or scales both parts
+    (``QQi(re / g, im / g)``), without the general complex product or
+    quotient.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("rn", "rd", "in_", "id_")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fr(re)
-        self.im = im if type(im) is Fraction else Fr(im)
+        self.rn, self.rd = _lowest_terms(re)
+        self.in_, self.id_ = _lowest_terms(im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.rn, self.rd)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.in_, self.id_)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -468,7 +482,7 @@ class QQi:
         return _coerce(other) - self
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _qqi(-self.rn, self.rd, -self.in_, self.id_)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -492,7 +506,7 @@ class QQi:
                    (self.im * other.re - self.re * other.im) / den)
 
     def conjugate(self):
-        return QQi(self.re, -self.im)
+        return _qqi(self.rn, self.rd, -self.in_, self.id_)
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -500,25 +514,45 @@ class QQi:
     def __abs__(self) -> float:
         # float(abs2()) from integers: int / int rounds correctly, so this is
         # the same float without building the Fraction sum
-        a, b = self.re.numerator, self.re.denominator
-        c, d = self.im.numerator, self.im.denominator
+        a, b, c, d = self.rn, self.rd, self.in_, self.id_
         return math.sqrt((a * a * d * d + c * c * b * b) / (b * b * d * d))
 
     def __eq__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        # lowest terms with a positive denominator: one pair of ints per value
+        if isinstance(other, QQi):
+            return (self.rn == other.rn and self.in_ == other.in_
+                    and self.rd == other.rd and self.id_ == other.id_)
+        if isinstance(other, (int, Fraction)):
+            return (self.in_ == 0 and self.rn == other.numerator
+                    and self.rd == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.rn, self.rd, self.in_, self.id_))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.rn or self.in_)
 
     def __repr__(self):
         return f"QQi({self.re}, {self.im})"
+
+
+def _lowest_terms(x):
+    """``(n, d)`` of an int, Fraction or float (at its binary value) in
+    lowest terms with ``d > 0``."""
+    if type(x) is int:
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = Fr(x)
+    return x.numerator, x.denominator
+
+
+def _qqi(rn, rd, in_, id_) -> QQi:
+    """The :class:`QQi` ``rn/rd + i in_/id_`` of parts already in lowest
+    terms with positive denominators; nothing is checked."""
+    q = object.__new__(QQi)
+    q.rn, q.rd, q.in_, q.id_ = rn, rd, in_, id_
+    return q
 
 
 def _coerce(x):

@@ -14,6 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import exact
 from .errors import BoxMismatch, IntraClusterEntry, ParseError
@@ -78,7 +79,9 @@ class BlockMatrix:
 
     def triplet_rows(self):
         """``(j, j', re, im)`` per entry in key order, exact parts as strings
-        (:func:`_value_parts`)."""
+        (:func:`_value_parts`).  A key that is not a pair of indices into
+        the box raises BoxMismatch (:func:`_check_keys`)."""
+        _check_keys(self)
         sites = box_sites(self.box_radius, self.d)
         for i, k in sorted(self.entries):
             yield (sites[i], sites[k], *_value_parts(self.entries[i, k]))
@@ -112,12 +115,26 @@ class BlockMatrix:
                            {key: v for key, v in entries.items() if v})
 
 
+def _check_keys(Q: BlockMatrix) -> None:
+    # one min/max pass: every key index must lie in [0, (2N+1)**d)
+    size = (2 * Q.box_radius + 1) ** Q.d
+    indices = list(chain.from_iterable(Q.entries))
+    if min(indices, default=0) < 0 or max(indices, default=0) >= size:
+        bad = min(key for key in Q.entries
+                  if not (0 <= key[0] < size and 0 <= key[1] < size))
+        raise BoxMismatch(f"entry key {bad}: an index lies outside "
+                          f"[0, {size}), the sites of the box")
+
+
 def _value_parts(v) -> tuple:
     """``(re, im)`` of an int, Fraction or QQi value as exact strings: the
     one value-to-parts rule of :meth:`BlockMatrix.to_triplets` and of the
-    runner's streamed ``matrix.json``."""
+    runner's streamed ``matrix.json``.  A QQi's integer parts are written
+    as :func:`toruskit.exact.format_rational` writes a Fraction."""
     if isinstance(v, exact.QQi):
-        return exact.format_rational(v.re), exact.format_rational(v.im)
+        rn, rd, in_, id_ = v.rn, v.rd, v.in_, v.id_
+        return (f"{rn}/{rd}" if rd != 1 else str(rn),
+                f"{in_}/{id_}" if id_ != 1 else str(in_))
     return exact.format_rational(Fr(v)), "0"
 
 
@@ -156,10 +173,12 @@ def _table_of_box(table: BoxTable, M) -> None:
 def dn_split(Q: BlockMatrix, partition: ClusterPartition):
     """Split into the intra-cluster part and the cross-cluster part.
 
-    The two parts recombine to Q exactly, entry by entry.
+    The two parts recombine to Q exactly, entry by entry.  A key that is
+    not a pair of indices into the box raises BoxMismatch.
     """
     if Q.box_radius != partition.box_radius or Q.d != partition.d:
         raise BoxMismatch("matrix and partition on different boxes")
+    _check_keys(Q)
     cluster = partition.cluster
     diag, cross = {}, {}
     for key, v in Q.entries.items():
@@ -199,9 +218,9 @@ def solve_homological(table: BoxTable, W_ND: BlockMatrix,
     delta, or BoxMismatch.  The gap of the key ``(i, k)`` is the integer
     ``n[k] - n[i]`` of ``table`` over its Gram denominator ``D``, the
     threshold test is an integer compare (:func:`gap_clears`) and a kept
-    :class:`toruskit.exact.QQi` entry is divided on integers, each part
-    ``n/d`` becoming ``Fraction(n*D, d*g)``; an ``int`` or ``Fraction``
-    entry is divided by the rational gap.
+    :class:`toruskit.exact.QQi` entry is divided on its integer parts, each
+    part ``n/d`` becoming ``n*D / (d*g)`` in lowest terms; an ``int`` or
+    ``Fraction`` entry is divided by the rational gap.
     """
     N, d, delta = partition.box_radius, partition.d, partition.delta
     if W_ND.box_radius != N or W_ND.d != d:
@@ -230,12 +249,17 @@ def solve_homological(table: BoxTable, W_ND: BlockMatrix,
 
 
 def _divide_by_gap(w, g, D):
-    """``w / (g / D)``; a QQi builds each part once."""
+    """``w / (g / D)``; a QQi part ``n/d`` becomes ``n*D / (d*g)``, brought
+    to lowest terms on ints.  A zero gap raises ZeroDivisionError."""
     if not isinstance(w, exact.QQi):
         return w / Fraction(g, D)
-    re, im = w.re, w.im
-    return exact.QQi(Fraction(re.numerator * D, re.denominator * g),
-                     Fraction(im.numerator * D, im.denominator * g))
+    if not g:
+        raise ZeroDivisionError("division by a zero gap")
+    if g < 0:
+        g, D = -g, -D
+    rn, rd, in_, id_ = w.rn * D, w.rd * g, w.in_ * D, w.id_ * g
+    c, e = math.gcd(rn, rd), math.gcd(in_, id_)
+    return exact._qqi(rn // c, rd // c, in_ // e, id_ // e)
 
 
 def homological_residual(table: BoxTable, W_ND: BlockMatrix,
@@ -270,21 +294,20 @@ def homological_residual(table: BoxTable, W_ND: BlockMatrix,
 
 
 def _exact_parts(v):
-    """``(re, im)`` of an int, Fraction or QQi value."""
+    """``(rn, rd, in_, id_)``, the integer parts ``rn/rd + i in_/id_`` of
+    an int, Fraction or QQi value."""
     if isinstance(v, exact.QQi):
-        return v.re, v.im
-    return v, 0
+        return v.rn, v.rd, v.in_, v.id_
+    return v.numerator, v.denominator, 0, 1
 
 
 def _integer_identity_holds(g, D, x, w, r) -> bool:
     """``x * g / D == w + r`` part by part."""
-    x, w, r = _exact_parts(x), _exact_parts(w), _exact_parts(r)
-    for xp, wp, rp in zip(x, w, r):
-        wd, rd = wp.denominator, rp.denominator
-        if (xp.numerator * g * wd * rd
-                != D * xp.denominator * (wp.numerator * rd + rp.numerator * wd)):
-            return False
-    return True
+    xrn, xrd, xin, xid = _exact_parts(x)
+    wrn, wrd, win, wid = _exact_parts(w)
+    rrn, rrd, rin, rid = _exact_parts(r)
+    return (xrn * g * wrd * rrd == D * xrd * (wrn * rrd + rrn * wrd)
+            and xin * g * wid * rid == D * xid * (win * rid + rin * wid))
 
 
 def cluster_weight_operator(partition: ClusterPartition) -> BlockMatrix:
@@ -400,11 +423,14 @@ def random_cross_cluster_matrix(partition: ClusterPartition, count: int,
 
     Used by experiments and tests; ``rng`` is a ``random.Random``.  Each
     draw takes two box indices and two parts ``Fr(randint(-9, 9),
-    randint(1, 9))``, each part a row of a table of the 171 Fractions built
-    once per call and then an entry of that row.  A draw below ``n`` takes
-    ``rng.getrandbits(n.bit_length())`` until it is below ``n``: the rule
-    by which ``Random.randint`` and ``Random.choice`` draw, so a seed gives
-    the same matrix as the per-draw Fractions did.
+    randint(1, 9))``, each part a row of a table built once per call and
+    then an entry of that row.  The table holds the 171 parts as
+    lowest-terms ``(numerator, denominator)`` int pairs, from which each
+    entry's :class:`toruskit.exact.QQi` is built with no Fraction.  A draw
+    below ``n`` takes ``rng.getrandbits(n.bit_length())`` until it is
+    below ``n``: the rule by which ``Random.randint`` and
+    ``Random.choice`` draw, so a seed gives the same matrix as the
+    per-draw Fractions did.
     """
     bits = rng.getrandbits
 
@@ -417,7 +443,8 @@ def random_cross_cluster_matrix(partition: ClusterPartition, count: int,
 
     cluster = partition.cluster
     n = len(cluster)
-    parts = [[Fr(a, b) for b in range(1, 10)] for a in range(-9, 10)]
+    parts = [[(a // math.gcd(a, b), b // math.gcd(a, b)) for b in range(1, 10)]
+             for a in range(-9, 10)]
     entries = {}
     attempts = 0
     while len(entries) < count and attempts < 50 * count:
@@ -425,8 +452,8 @@ def random_cross_cluster_matrix(partition: ClusterPartition, count: int,
         i, k = below(n), below(n)
         if cluster[i] == cluster[k]:
             continue
-        re = parts[below(19)][below(9)]
-        im = parts[below(19)][below(9)]
-        if re or im:
-            entries[(i, k)] = exact.QQi(re, im)
+        rn, rd = parts[below(19)][below(9)]
+        in_, id_ = parts[below(19)][below(9)]
+        if rn or in_:
+            entries[(i, k)] = exact._qqi(rn, rd, in_, id_)
     return BlockMatrix(partition.box_radius, partition.d, entries)

@@ -265,9 +265,19 @@ def test_qqi_real_scalar_path_matches_general_path():
         exact.QQi(1, 1) / 0
     with pytest.raises(ZeroDivisionError):
         exact.QQi(1, 1) / Fr(0)
-    # a Fraction part is stored as given; other parts are converted
+    # each part is stored as lowest-terms ints with a positive denominator
+    # and read back as an equal Fraction
     half = Fr(1, 2)
-    assert exact.QQi(half, 3).re is half and type(exact.QQi(half, 3).im) is Fr
+    q = exact.QQi(half, 3)
+    assert q.re == half and type(q.re) is Fr and type(q.im) is Fr
+    assert (q.rn, q.rd, q.in_, q.id_) == (1, 2, 3, 1)
+    for re, im, parts in ((Fr(-6, -8), Fr(6, -8), (3, 4, -3, 4)),
+                          (Fr(4, 2), -0.75, (2, 1, -3, 4)),
+                          (0, Fr(0, -5), (0, 1, 0, 1))):
+        q = exact.QQi(re, im)
+        stored = (q.rn, q.rd, q.in_, q.id_)
+        assert stored == parts and all(type(p) is int for p in stored)
+        assert (q.re, q.im) == (Fr(re), Fr(im))
 
 
 def test_qqi_abs_matches_fraction_oracle():
@@ -291,6 +301,94 @@ def test_qqi_arithmetic():
     assert a.abs2() == Fr(1, 4) + Fr(9, 16)
     assert exact.QQi(0, 0) == 0 and not exact.QQi(0, 0)
     assert 2 * a == exact.QQi(1, Fr(-3, 2))
+
+
+# the (Fraction, Fraction) pair oracle of QQi: the plain complex-number
+# formulas on Fraction parts
+
+
+def _oracle(x):
+    return (x.re, x.im) if isinstance(x, exact.QQi) else (Fr(x), Fr(0))
+
+
+def _oracle_ops(a, b):
+    (p, q), (r, s) = _oracle(a), _oracle(b)
+    den = r * r + s * s
+    return {"+": (p + r, q + s), "-": (p - r, q - s),
+            "*": (p * r - q * s, p * s + q * r),
+            "/": ((p * r + q * s) / den, (q * r - p * s) / den) if den else None}
+
+
+def _random_part(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-10**30, 10**30)
+    if kind == 2:
+        return Fr(rng.randint(-10**30, 10**30), rng.randint(-10**30, 10**30) or 1)
+    if kind == 3:
+        return Fr(rng.randint(-9, 9), rng.randint(1, 9))
+    if kind == 4:
+        return rng.choice([-1, 1]) * rng.randint(1, 10**6) / 2**rng.randint(0, 30)
+    return Fr(rng.randint(-50, 50) * 6, -6)
+
+
+def _assert_matches(q, want):
+    re, im = want
+    assert type(q) is exact.QQi
+    assert (q.re, q.im) == (re, im)
+    assert type(q.re) is Fr and type(q.im) is Fr
+    stored = (q.rn, q.rd, q.in_, q.id_)
+    assert stored == (re.numerator, re.denominator, im.numerator, im.denominator)
+    assert all(type(p) is int for p in stored)
+
+
+def test_qqi_matches_fraction_pair_oracle():
+    import math
+
+    import toruskit.homological as hom
+
+    rng = random.Random(39)
+    for _ in range(1500):
+        a = exact.QQi(_random_part(rng), _random_part(rng))
+        b = exact.QQi(_random_part(rng), _random_part(rng))
+        s = _random_part(rng)
+        s = s if not isinstance(s, float) else Fr(s)
+        re, im = _oracle(a)
+        _assert_matches(a, (re, im))
+        # the general operators, and the real-scalar paths both ways round
+        for x, y in ((a, b), (a, s), (s, a)):
+            want = _oracle_ops(x, y)
+            _assert_matches(x + y, want["+"])
+            _assert_matches(x - y, want["-"])
+            _assert_matches(x * y, want["*"])
+            if not isinstance(x, exact.QQi):
+                continue  # QQi defines no reflected division
+            if want["/"] is None:
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+            else:
+                _assert_matches(x / y, want["/"])
+        _assert_matches(-a, (-re, -im))
+        _assert_matches(a.conjugate(), (re, -im))
+        assert a.abs2() == re * re + im * im
+        assert abs(a) == math.sqrt(float(re * re + im * im))
+        assert bool(a) == (re != 0 or im != 0)
+        # equal values, however they were built, compare and hash equal
+        same = (a + b) - b
+        assert same == a and hash(same) == hash(a)
+        assert -(-a) == a and hash(-(-a)) == hash(a)
+        # the same numerators over other denominators are other values
+        for c in (b, exact.QQi(Fr(re.numerator, re.denominator + 1), im),
+                  exact.QQi(re, Fr(im.numerator, im.denominator + 1))):
+            assert (a == c) == (_oracle(a) == _oracle(c))
+        assert (a == s) == (_oracle(a) == _oracle(s))
+        assert (a != s) == (_oracle(a) != _oracle(s))
+        if not im:
+            assert a == re and a == exact.QQi(re) and hash(a) == hash(exact.QQi(re))
+        assert hom._value_parts(a) == (exact.format_rational(re),
+                                       exact.format_rational(im))
 
 
 def test_merge_intervals_and_measure():

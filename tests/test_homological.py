@@ -94,6 +94,26 @@ def test_split_box_mismatch():
         dn_split(Q, part)
 
 
+@pytest.mark.parametrize("key", [(-1, 0), (0, 81)], ids=["negative", "past-end"])
+def test_block_matrix_keys_index_the_box(key):
+    # radius 4, d 2: the box has 81 sites, indices 0..80; a key outside
+    # would read another site through Python's indexing
+    part = partition(4)
+    Q = BlockMatrix(4, 2, {(0, 80): QQi(1, 0), key: QQi(2, 0)})
+    message = re.escape(f"entry key {key}: an index lies outside [0, 81)")
+    with pytest.raises(BoxMismatch, match=message):
+        dn_split(Q, part)
+    with pytest.raises(BoxMismatch, match=message):
+        Q.to_triplets()
+    with pytest.raises(BoxMismatch, match=message):
+        list(Q.triplet_rows())
+    # the corner indices themselves are in the box
+    good = BlockMatrix(4, 2, {(0, 80): QQi(1, 0), (80, 0): QQi(2, 0)})
+    assert [(r["j"], r["j_prime"]) for r in good.to_triplets()] == [
+        ([-4, -4], [4, 4]), ([4, 4], [-4, -4])]
+    assert sum(dn_split(good, part), BlockMatrix(4, 2, {})) == good
+
+
 def test_solve_large_gap_entry():
     part = partition()
     W = BlockMatrix.from_entries(8, 2, {((0, 0), (3, 4)): QQi(1, 0)})
