@@ -145,18 +145,6 @@ def _bareiss(A, ncols, jordan=False):
     return rank, sign, prev
 
 
-def _minor_value(v, den, g, ints):
-    """The g-minor ``v / den``, ``den = D**g``, typed as Gaussian elimination
-    over the entries' field types it (the tests' oracle).
-
-    All-int input keeps ints up to order 2 and for a zero minor; every other
-    value is a Fraction.
-    """
-    if ints and (g <= 2 or not v):
-        return v
-    return Fraction(v, den)
-
-
 def _int_det(A) -> int:
     """Determinant of the square integer rows ``A``, an int.
 
@@ -175,12 +163,11 @@ def _int_det(A) -> int:
 
 
 def det(M):
-    """Determinant by :func:`_int_det` on the cleared rows."""
-    n = len(M)
-    if n == 0:
-        return Fr(1)
+    """Determinant by :func:`_int_det` on the cleared rows: an int for
+    all-int input, a Fraction otherwise (``det([]) == 1``)."""
     A, D, ints = _clear(M)
-    return _minor_value(_int_det(A), D**n, n, ints)
+    v = _int_det(A)
+    return v if ints else Fraction(v, D ** len(M))
 
 
 def _int_inverse(A):
@@ -261,14 +248,15 @@ def compound(M, g):
     """Matrix of all g x g minors, rows/cols indexed by increasing tuples.
 
     ``g = 0`` yields the 1 x 1 matrix [1], the natural empty-minor convention.
-    ``M`` is cleared to ``M = A / D`` and gives ``C_g(A) / D^g``.
+    ``M`` is cleared to ``M = A / D`` and gives ``C_g(A) / D^g``: int minors
+    for all-int input, Fractions otherwise, at every order.
     """
-    if g == 0:
-        return [[Fr(1)]]
     A, D, ints = _clear(M)
+    C = _int_compound(A, g)
+    if ints:
+        return C
     den = D**g
-    return [[_minor_value(v, den, g, ints) for v in row]
-            for row in _int_compound(A, g)]
+    return [[Fraction(v, den) for v in row] for row in C]
 
 
 def dot(u, v):

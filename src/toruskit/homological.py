@@ -3,9 +3,9 @@
 A block matrix here is a finitely supported map ``(j, j') -> value`` over a
 box ``[-N, N]^d``, one mode per index, keyed by the row-major indices
 ``(i, k)`` of the sites in ``box_sites(N, d)``, whose order is the
-lexicographic order of the sites.  Values are exact: Gaussian rationals
-(:class:`toruskit.exact.QQi`), Fractions or ints, with a float or complex
-input read at its binary value, so every statement holds entrywise.
+lexicographic order of the sites.  Values are exact Gaussian rationals
+(:class:`toruskit.exact.QQi`), read once where they enter, so every
+statement holds entrywise.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from . import exact
 from .errors import BoxMismatch, IntraClusterEntry, ParseError
@@ -22,25 +21,39 @@ from .clusters import (BoxTable, ClusterPartition, _box_index, _spatial,
                        box_sites)
 from .lattice import mu  # noqa: F401  unused; perfbench/tracing.py patches it here
 
-Fr = Fraction
+_ZERO = exact.QQi()
 
 
 @dataclass(frozen=True)
 class BlockMatrix:
+    """Block matrix valid by construction.
+
+    ``BlockMatrix(N, d, entries)`` checks once that every key is a pair of
+    indices into the box (:func:`_check_keys`) and reads every value as a
+    :class:`toruskit.exact.QQi` (:func:`_exact_value`), dropping zeros.  A
+    matrix this module derives from valid ones skips both passes
+    (:func:`_block`).
+    """
     box_radius: int
     d: int
-    entries: dict  # (i, k) box indices -> value, zeros never stored
+    entries: dict  # (i, k) box indices -> nonzero QQi
+
+    def __post_init__(self):
+        _check_keys(self)
+        entries = {}
+        for key, v in self.entries.items():
+            v = _exact_value(v, f"entry key {key}")
+            if v:
+                entries[key] = v
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def from_entries(box_radius: int, d: int, items) -> "BlockMatrix":
         """Block matrix of the nonzero ``(j, j') -> value`` items.
 
         A site that :func:`toruskit.clusters._box_index` refuses raises
-        BoxMismatch naming the entry.  An ``int``, ``Fraction`` or
-        :class:`toruskit.exact.QQi` value is kept as given.  A ``float`` or
-        ``complex`` value becomes a ``QQi`` at its exact binary value, as a
-        file part does in :meth:`from_triplets`; a NaN or infinite part
-        raises ParseError naming the entry.  Any other type raises TypeError.
+        BoxMismatch naming the entry.  Each value is read by
+        :func:`_exact_value`, which names the entry when it refuses one.
         """
         entries = {}
         for (j, j2), v in dict(items).items():
@@ -48,18 +61,18 @@ class BlockMatrix:
                 key = _box_index(box_radius, d, j), _box_index(box_radius, d, j2)
             except ValueError as exc:
                 raise BoxMismatch(f"entry {(j, j2)}: {exc}") from None
-            if not isinstance(v, (int, Fraction, exact.QQi)):
-                v = _exact_value(v, f"entry {(j, j2)}")
+            v = _exact_value(v, f"entry {(j, j2)}")
             if v:
                 entries[key] = v
-        return BlockMatrix(box_radius, d, entries)
+        return _block(box_radius, d, entries)
 
     def same_box(self, other) -> bool:
         return self.box_radius == other.box_radius and self.d == other.d
 
-    def get(self, j, j2):
+    def get(self, j, j2) -> exact.QQi:
         N, d = self.box_radius, self.d
-        return self.entries.get((_box_index(N, d, j), _box_index(N, d, j2)), 0)
+        return self.entries.get((_box_index(N, d, j), _box_index(N, d, j2)),
+                                _ZERO)
 
     def __add__(self, other) -> "BlockMatrix":
         if not self.same_box(other):
@@ -71,7 +84,7 @@ class BlockMatrix:
                 out[k] = w
             else:
                 out.pop(k, None)
-        return BlockMatrix(self.box_radius, self.d, out)
+        return _block(self.box_radius, self.d, out)
 
     def __eq__(self, other):
         return (isinstance(other, BlockMatrix) and self.same_box(other)
@@ -79,9 +92,7 @@ class BlockMatrix:
 
     def triplet_rows(self):
         """``(j, j', re, im)`` per entry in key order, exact parts as strings
-        (:func:`_value_parts`).  A key that is not a pair of indices into
-        the box raises BoxMismatch (:func:`_check_keys`)."""
-        _check_keys(self)
+        (:func:`_value_parts`)."""
         sites = box_sites(self.box_radius, self.d)
         for i, k in sorted(self.entries):
             yield (sites[i], sites[k], *_value_parts(self.entries[i, k]))
@@ -111,31 +122,38 @@ class BlockMatrix:
             entries[key] = exact.QQi(
                 *(_exact_part(rec[part], f"entries[{i}].{part}")
                   for part in ("re", "im")))
-        return BlockMatrix(box_radius, d,
-                           {key: v for key, v in entries.items() if v})
+        return _block(box_radius, d,
+                      {key: v for key, v in entries.items() if v})
+
+
+def _block(box_radius: int, d: int, entries: dict) -> BlockMatrix:
+    """The BlockMatrix of ``entries`` that hold in-box index-pair keys and
+    nonzero QQi values already, built without the constructor's passes."""
+    Q = object.__new__(BlockMatrix)
+    vars(Q).update(box_radius=box_radius, d=d, entries=entries)
+    return Q
 
 
 def _check_keys(Q: BlockMatrix) -> None:
-    # one min/max pass: every key index must lie in [0, (2N+1)**d)
+    """Every key is a pair of int indices in ``[0, (2N+1)**d)``, else
+    BoxMismatch: an index outside would read another site through Python's
+    indexing."""
     size = (2 * Q.box_radius + 1) ** Q.d
-    indices = list(chain.from_iterable(Q.entries))
-    if min(indices, default=0) < 0 or max(indices, default=0) >= size:
-        bad = min(key for key in Q.entries
-                  if not (0 <= key[0] < size and 0 <= key[1] < size))
-        raise BoxMismatch(f"entry key {bad}: an index lies outside "
-                          f"[0, {size}), the sites of the box")
+    for key in Q.entries:
+        if not (type(key) is tuple and len(key) == 2
+                and all(type(i) is int and 0 <= i < size for i in key)):
+            raise BoxMismatch(f"entry key {key!r}: not a pair of indices in "
+                              f"[0, {size}), the sites of the box")
 
 
-def _value_parts(v) -> tuple:
-    """``(re, im)`` of an int, Fraction or QQi value as exact strings: the
-    one value-to-parts rule of :meth:`BlockMatrix.to_triplets` and of the
-    runner's streamed ``matrix.json``.  A QQi's integer parts are written
-    as :func:`toruskit.exact.format_rational` writes a Fraction."""
-    if isinstance(v, exact.QQi):
-        rn, rd, in_, id_ = v.rn, v.rd, v.in_, v.id_
-        return (f"{rn}/{rd}" if rd != 1 else str(rn),
-                f"{in_}/{id_}" if id_ != 1 else str(in_))
-    return exact.format_rational(Fr(v)), "0"
+def _value_parts(v: exact.QQi) -> tuple:
+    """``(re, im)`` of a QQi value as exact strings: the one value-to-parts
+    rule of :meth:`BlockMatrix.to_triplets` and of the runner's streamed
+    ``matrix.json``.  The integer parts are written as
+    :func:`toruskit.exact.format_rational` writes a Fraction."""
+    rn, rd, in_, id_ = v.rn, v.rd, v.in_, v.id_
+    return (f"{rn}/{rd}" if rd != 1 else str(rn),
+            f"{in_}/{id_}" if id_ != 1 else str(in_))
 
 
 def _triplet_index(raw, box_radius: int, d: int, field: str) -> int:
@@ -154,7 +172,14 @@ def _exact_part(x, field: str) -> Fraction:
 
 
 def _exact_value(v, field: str) -> exact.QQi:
-    # a float or complex value at its binary value, part by part
+    """The one reader of a block-matrix value: a QQi as it is, an int or
+    Fraction as a real QQi, a float or complex at its binary value, part by
+    part (a NaN or infinite part raises ParseError naming ``field``).  A
+    bool or any other type raises TypeError."""
+    if isinstance(v, exact.QQi):
+        return v
+    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
+        return exact.QQi(v)
     if not isinstance(v, (float, complex)):
         raise TypeError(f"{field}: a block-matrix value is an int, Fraction, "
                         f"QQi, float or complex, not {type(v).__name__}")
@@ -173,19 +198,16 @@ def _table_of_box(table: BoxTable, M) -> None:
 def dn_split(Q: BlockMatrix, partition: ClusterPartition):
     """Split into the intra-cluster part and the cross-cluster part.
 
-    The two parts recombine to Q exactly, entry by entry.  A key that is
-    not a pair of indices into the box raises BoxMismatch.
+    The two parts recombine to Q exactly, entry by entry.
     """
     if Q.box_radius != partition.box_radius or Q.d != partition.d:
         raise BoxMismatch("matrix and partition on different boxes")
-    _check_keys(Q)
     cluster = partition.cluster
     diag, cross = {}, {}
     for key, v in Q.entries.items():
         i, k = key
         (diag if cluster[i] == cluster[k] else cross)[key] = v
-    return (BlockMatrix(Q.box_radius, Q.d, diag),
-            BlockMatrix(Q.box_radius, Q.d, cross))
+    return _block(Q.box_radius, Q.d, diag), _block(Q.box_radius, Q.d, cross)
 
 
 @dataclass(frozen=True)
@@ -218,9 +240,8 @@ def solve_homological(table: BoxTable, W_ND: BlockMatrix,
     delta, or BoxMismatch.  The gap of the key ``(i, k)`` is the integer
     ``n[k] - n[i]`` of ``table`` over its Gram denominator ``D``, the
     threshold test is an integer compare (:func:`gap_clears`) and a kept
-    :class:`toruskit.exact.QQi` entry is divided on its integer parts, each
-    part ``n/d`` becoming ``n*D / (d*g)`` in lowest terms; an ``int`` or
-    ``Fraction`` entry is divided by the rational gap.
+    entry is divided on its integer parts, each part ``n/d`` becoming
+    ``n*D / (d*g)`` in lowest terms.
     """
     N, d, delta = partition.box_radius, partition.d, partition.delta
     if W_ND.box_radius != N or W_ND.d != d:
@@ -241,18 +262,13 @@ def solve_homological(table: BoxTable, W_ND: BlockMatrix,
             x_entries[key] = _divide_by_gap(w, g, D)
         else:
             r_entries[key] = -w
-    return HomologicalSolution(
-        X=BlockMatrix(W_ND.box_radius, W_ND.d, x_entries),
-        R=BlockMatrix(W_ND.box_radius, W_ND.d, r_entries),
-        delta=delta,
-    )
+    return HomologicalSolution(X=_block(N, d, x_entries),
+                               R=_block(N, d, r_entries), delta=delta)
 
 
-def _divide_by_gap(w, g, D):
-    """``w / (g / D)``; a QQi part ``n/d`` becomes ``n*D / (d*g)``, brought
-    to lowest terms on ints.  A zero gap raises ZeroDivisionError."""
-    if not isinstance(w, exact.QQi):
-        return w / Fraction(g, D)
+def _divide_by_gap(w: exact.QQi, g: int, D: int) -> exact.QQi:
+    """``w / (g / D)``; a part ``n/d`` becomes ``n*D / (d*g)``, brought to
+    lowest terms on ints.  A zero gap raises ZeroDivisionError."""
     if not g:
         raise ZeroDivisionError("division by a zero gap")
     if g < 0:
@@ -271,10 +287,10 @@ def homological_residual(table: BoxTable, W_ND: BlockMatrix,
     that :func:`solve_homological` reads (the tests' ``lattice.mu``
     Fraction oracle is the independent check); a table of another box
     radius or d raises BoxMismatch.  Each real and imaginary part of an
-    entry (an ``int``, ``Fraction`` or :class:`toruskit.exact.QQi`) is
-    tested as the integer identity ``xn*g*wd*rd == D*xd*(wn*rd + rn*wd)``,
-    with the parts written ``xn/xd``, ``wn/wd``, ``rn/rd`` and the gap
-    ``g/D``, so an entry that holds builds no Fraction.  The Fraction
+    entry is tested as the integer identity
+    ``xn*g*wd*rd == D*xd*(wn*rd + rn*wd)``, with the parts written
+    ``xn/xd``, ``wn/wd``, ``rn/rd`` and the gap ``g/D``, so an entry that
+    holds builds no Fraction.  The Fraction
     expression ``X*gap - W - R`` gives the residual of the first key that
     fails.
     """
@@ -283,43 +299,36 @@ def homological_residual(table: BoxTable, W_ND: BlockMatrix,
     n, D = table.n, table.D
     failed = [key for key in set(W) | set(X) | set(R)
               if not _integer_identity_holds(n[key[1]] - n[key[0]], D,
-                                             X.get(key, 0), W.get(key, 0),
-                                             R.get(key, 0))]
+                                             X.get(key, _ZERO),
+                                             W.get(key, _ZERO),
+                                             R.get(key, _ZERO))]
     if not failed:
         return None
     i, k = key = min(failed)
     gap = Fraction(n[k] - n[i], D)
     return ((table.sites[i], table.sites[k]),
-            X.get(key, 0) * gap - W.get(key, 0) - R.get(key, 0))
-
-
-def _exact_parts(v):
-    """``(rn, rd, in_, id_)``, the integer parts ``rn/rd + i in_/id_`` of
-    an int, Fraction or QQi value."""
-    if isinstance(v, exact.QQi):
-        return v.rn, v.rd, v.in_, v.id_
-    return v.numerator, v.denominator, 0, 1
+            X.get(key, _ZERO) * gap - W.get(key, _ZERO) - R.get(key, _ZERO))
 
 
 def _integer_identity_holds(g, D, x, w, r) -> bool:
-    """``x * g / D == w + r`` part by part."""
-    xrn, xrd, xin, xid = _exact_parts(x)
-    wrn, wrd, win, wid = _exact_parts(w)
-    rrn, rrd, rin, rid = _exact_parts(r)
-    return (xrn * g * wrd * rrd == D * xrd * (wrn * rrd + rrn * wrd)
-            and xin * g * wid * rid == D * xid * (win * rid + rin * wid))
+    """``x * g / D == w + r`` part by part, on the QQi integer parts."""
+    return (x.rn * g * w.rd * r.rd == D * x.rd * (w.rn * r.rd + r.rn * w.rd)
+            and x.in_ * g * w.id_ * r.id_
+            == D * x.id_ * (w.in_ * r.id_ + r.in_ * w.id_))
 
 
 def cluster_weight_operator(partition: ClusterPartition) -> BlockMatrix:
     """Diagonal operator constant on clusters with value (max |j| in cluster)^2.
 
-    The values are ints.  Commutes exactly with every intra-cluster block
-    matrix.
+    The values are real QQi, one object per distinct maximum.  Commutes
+    exactly with every intra-cluster block matrix.
     """
-    weight = [M * M for M in partition.M_alpha]
-    return BlockMatrix(partition.box_radius, partition.d, {
+    M_alpha = partition.M_alpha
+    square = {M: exact._qqi(M * M, 1, 0, 1) for M in set(M_alpha)}
+    weight = [square[M] for M in M_alpha]
+    return _block(partition.box_radius, partition.d, {
         (i, i): weight[c] for i, c in enumerate(partition.cluster)
-        if weight[c]})
+        if M_alpha[c]})
 
 
 def commutator(A: BlockMatrix, diag: BlockMatrix) -> BlockMatrix:
@@ -330,10 +339,10 @@ def commutator(A: BlockMatrix, diag: BlockMatrix) -> BlockMatrix:
     out = {}
     for key, v in A.entries.items():
         i, k = key
-        w = v * (weight.get((k, k), 0) - weight.get((i, i), 0))
+        w = v * (weight.get((k, k), _ZERO) - weight.get((i, i), _ZERO))
         if w:
             out[key] = w
-    return BlockMatrix(A.box_radius, A.d, out)
+    return _block(A.box_radius, A.d, out)
 
 
 def norm_equivalence_constants(table: BoxTable, partition: ClusterPartition):
@@ -378,14 +387,11 @@ def decay_profile(table: BoxTable, Q: BlockMatrix, sigma,
     scale = {}      # size -> (1 + size)**sigma
     best = {}       # sup-offset -> largest a / (1 + size)**sigma
     for (i, k), v in Q.entries.items():
-        a = float(abs(v))
-        if a == 0.0:
-            continue
         size = sup[i] + sup[k]
         weight = scale.get(size)
         if weight is None:
             weight = scale[size] = (1.0 + size) ** sigma
-        base = a / weight
+        base = abs(v) / weight
         off = _spatial(sites[i], sites[k])
         if base > best.get(off, 0.0):
             best[off] = base
@@ -422,7 +428,7 @@ def random_cross_cluster_matrix(partition: ClusterPartition, count: int,
     """Random exact-valued matrix supported on cross-cluster pairs.
 
     Used by experiments and tests; ``rng`` is a ``random.Random``.  Each
-    draw takes two box indices and two parts ``Fr(randint(-9, 9),
+    draw takes two box indices and two parts ``Fraction(randint(-9, 9),
     randint(1, 9))``, each part a row of a table built once per call and
     then an entry of that row.  The table holds the 171 parts as
     lowest-terms ``(numerator, denominator)`` int pairs, from which each
@@ -456,4 +462,4 @@ def random_cross_cluster_matrix(partition: ClusterPartition, count: int,
         in_, id_ = parts[below(19)][below(9)]
         if rn or in_:
             entries[(i, k)] = exact._qqi(rn, rd, in_, id_)
-    return BlockMatrix(partition.box_radius, partition.d, entries)
+    return _block(partition.box_radius, partition.d, entries)

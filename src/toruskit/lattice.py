@@ -247,8 +247,7 @@ def gram_det_identity(basis: LatticeBasis, fs) -> GramIdentity:
         raise IdentityViolation("independent vectors produced p = 0")
     if det_n * frob_n < p_sq * E2g * Dg:
         raise IdentityViolation("Gram determinant below certified floor")
-    # p typed as exact.det types an integer minor: an int up to order 2
-    return GramIdentity(det=Fraction(det_n, Dg),
-                        p=tuple(exact._minor_value(x, 1, g, True) for x in p),
+    # p holds int minors, as exact.det gives them for int rows
+    return GramIdentity(det=Fraction(det_n, Dg), p=tuple(p),
                         image_norm_sq=Fraction(image_n, c2g),
                         lower_bound=Fraction(p_sq * E2g, frob_n))

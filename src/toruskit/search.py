@@ -113,8 +113,9 @@ def _dp_longest(adj, length_cap, budget):
     return len(path) - 1, path, truncated, total
 
 
-def _dfs_longest(adjacency, comp, best_len, length_cap, budget):
-    """Branch-and-bound DFS within one component; returns the improved best.
+def _dfs_longest(adjacency, best_len, length_cap, budget):
+    """Branch-and-bound DFS over the connected graph ``adjacency`` (one
+    component); returns the improved best.
 
     A candidate is cut when the nodes still reachable from it cannot beat the
     best length.  Each frame (tip ``u``, visited set ``V``) floods every
@@ -142,15 +143,15 @@ def _dfs_longest(adjacency, comp, best_len, length_cap, budget):
     expanded = 0
     floods_run = 0
     recent, older = {}, {}
-    comp_size = len(comp)
-    for start in comp:
-        if comp_size - 1 <= best_len or truncated:
+    nodes = len(adjacency)
+    for start in range(nodes):
+        if nodes - 1 <= best_len or truncated:
             break
         path = [start]
         visited = 1 << start
         iters = [iter(adjacency[start])]
         floods = [[]]
-        lefts = [len(adjacency) - 1]
+        lefts = [nodes - 1]
         while iters:
             if expanded >= budget or (length_cap is not None
                                       and best_len >= length_cap):
@@ -249,7 +250,7 @@ def longest_path(adjacency, length_cap=None,
                 expanded += states
             else:
                 length, sub_path, cut, spent, flooded = _dfs_longest(
-                    sub, range(comp_size), best_len, length_cap,
+                    sub, best_len, length_cap,
                     min(comp_size ** 2, left) if step == "probe" else left)
                 expanded += spent
                 floods += flooded

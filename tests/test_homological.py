@@ -4,6 +4,7 @@ import json
 import random
 import re
 from fractions import Fraction as Fr
+from itertools import chain
 
 import pytest
 
@@ -94,24 +95,59 @@ def test_split_box_mismatch():
         dn_split(Q, part)
 
 
-@pytest.mark.parametrize("key", [(-1, 0), (0, 81)], ids=["negative", "past-end"])
+@pytest.mark.parametrize("key", [(-1, 0), (0, 81), (0, 1, 2)],
+                         ids=["negative", "past-end", "triple"])
 def test_block_matrix_keys_index_the_box(key):
     # radius 4, d 2: the box has 81 sites, indices 0..80; a key outside
-    # would read another site through Python's indexing
+    # would read another site through Python's indexing, so the
+    # constructor refuses it before any reader sees it
     part = partition(4)
-    Q = BlockMatrix(4, 2, {(0, 80): QQi(1, 0), key: QQi(2, 0)})
-    message = re.escape(f"entry key {key}: an index lies outside [0, 81)")
+    message = re.escape(f"entry key {key}: not a pair of indices in [0, 81)")
     with pytest.raises(BoxMismatch, match=message):
-        dn_split(Q, part)
-    with pytest.raises(BoxMismatch, match=message):
-        Q.to_triplets()
-    with pytest.raises(BoxMismatch, match=message):
-        list(Q.triplet_rows())
+        BlockMatrix(4, 2, {(0, 80): QQi(1, 0), key: QQi(2, 0)})
     # the corner indices themselves are in the box
     good = BlockMatrix(4, 2, {(0, 80): QQi(1, 0), (80, 0): QQi(2, 0)})
     assert [(r["j"], r["j_prime"]) for r in good.to_triplets()] == [
         ([-4, -4], [4, 4]), ([4, 4], [-4, -4])]
     assert sum(dn_split(good, part), BlockMatrix(4, 2, {})) == good
+
+
+@pytest.mark.parametrize("value, name", [(True, "bool"), ("1/2", "str")])
+def test_block_matrix_refuses_a_bool_or_str_value(value, name):
+    with pytest.raises(TypeError, match=re.escape(
+            f"entry key (0, 1): a block-matrix value is an int, Fraction, "
+            f"QQi, float or complex, not {name}")):
+        BlockMatrix(4, 2, {(0, 1): value})
+    with pytest.raises(TypeError, match=name):
+        BlockMatrix.from_entries(4, 2, {((0, 0), (1, 0)): value})
+
+
+def _bad_key_calls():
+    # each reader of a block matrix, as a call on the matrix alone
+    part = partition(4)
+    table = box_table(B2, 4, DELTA)
+    empty = BlockMatrix(4, 2, {})
+    return {
+        "solve_homological": lambda Q: solve_homological(table, Q, part),
+        "homological_residual": lambda Q: homological_residual(
+            table, Q, HomologicalSolution(empty, empty, DELTA)),
+        "commutator": lambda Q: commutator(Q, cluster_weight_operator(part)),
+        "decay_profile": lambda Q: decay_profile(table, Q, 1, [1]),
+        "verify_remainder_support": lambda Q: verify_remainder_support(
+            table, HomologicalSolution(empty, Q, DELTA)),
+    }
+
+
+@pytest.mark.parametrize("reader", sorted(_bad_key_calls()))
+def test_readers_cannot_be_handed_a_bad_key(reader):
+    # a negative key would read the last site and a key past the end would
+    # raise IndexError deep in a reader, so no matrix may hold either
+    call = _bad_key_calls()[reader]
+    for key in ((-1, 0), (0, 81)):
+        with pytest.raises(BoxMismatch, match="not a pair of indices"):
+            call(BlockMatrix(4, 2, {key: QQi(1, 0)}))
+    good = BlockMatrix(4, 2, {(0, 80): QQi(1, 0)})
+    call(good)
 
 
 def test_solve_large_gap_entry():
@@ -272,14 +308,10 @@ def _oracle_solve(basis, W, delta):
     for (j, j2), w in _site_entries(W).items():
         gap = mu(basis, j2) - mu(basis, j)
         if ge_pow(4 * abs(gap), _sup(j) + _sup(j2), delta):
-            x_entries[(j, j2)] = w / QQi(gap) if isinstance(w, QQi) else w / gap
+            x_entries[(j, j2)] = w / QQi(gap)
         else:
             r_entries[(j, j2)] = -w
     return x_entries, r_entries
-
-
-def _as_qqi(v):
-    return v if isinstance(v, QQi) else QQi(v)
 
 
 def _oracle_residual(basis, W, sol):
@@ -288,7 +320,7 @@ def _oracle_residual(basis, W, sol):
     for j, j2 in sorted(keys):
         gap = mu(basis, j2) - mu(basis, j)
         x, w, r = sol.X.get(j, j2), W.get(j, j2), sol.R.get(j, j2)
-        res = QQi(gap) * _as_qqi(x) - _as_qqi(w) - _as_qqi(r)
+        res = QQi(gap) * x - w - r
         if res:
             return (j, j2), res
     return None
@@ -305,7 +337,7 @@ def _same_first_failure(table, W, sol, key):
     got = homological_residual(table, W, sol)
     want = _oracle_residual(table.basis, W, sol)
     assert got is not None and got[0] == want[0] == key
-    assert _as_qqi(got[1]) == want[1]
+    assert got[1] == want[1]
 
 
 def _dense_rational(rng, d):
@@ -354,8 +386,7 @@ def test_integer_gap_path_matches_per_pair_oracle(name, basis, radius, delta):
     x_oracle, r_oracle = _oracle_solve(basis, W, delta)
     x_sites, r_sites = _site_entries(sol.X), _site_entries(sol.R)
     assert x_sites == x_oracle and r_sites == r_oracle
-    for got, want in ((x_sites, x_oracle), (r_sites, r_oracle)):
-        assert all(type(got[k]) is type(want[k]) for k in want)
+    assert all(type(v) is QQi for v in chain(x_sites.values(), r_sites.values()))
     assert homological_residual(table, W, sol) is None
     assert _oracle_residual(basis, W, sol) is None
     assert verify_remainder_support(table, sol) == [
@@ -387,7 +418,7 @@ def test_integer_gap_path_matches_per_pair_oracle(name, basis, radius, delta):
     # decides its key too
     w = W.entries[key]
     sites = (table.sites[key[0]], table.sites[key[1]])
-    items[sites] = complex(_as_qqi(w).re, _as_qqi(w).im) + 0.1j
+    items[sites] = complex(w.re, w.im) + 0.1j
     W_c = BlockMatrix.from_entries(radius, basis.d, items)
     assert W_c.entries[key] == QQi(Fr(items[sites].real), Fr(items[sites].imag))
     sol_c = solve_homological(table, W_c, part)
@@ -417,14 +448,27 @@ def test_complex_values_solve_with_no_residual():
     sol = solve_homological(table, W, part)
     assert ((-8, -4), (3, 0)) in _site_entries(sol.X)
     assert homological_residual(table, W, sol) is None
-    # an int, Fraction or QQi value is kept as given
-    kept = BlockMatrix.from_entries(2, 1, {((0,), (1,)): 3,
-                                           ((1,), (0,)): Fr(1, 3),
-                                           ((2,), (0,)): QQi(1, 2),
-                                           ((0,), (2,)): 0.0})
-    assert _site_entries(kept) == {((0,), (1,)): 3, ((1,), (0,)): Fr(1, 3),
-                                   ((2,), (0,)): QQi(1, 2)}
-    assert [type(v) for _, v in sorted(kept.entries.items())] == [int, Fr, QQi]
+
+
+def test_from_entries_holds_every_value_as_qqi():
+    # one reader: ints, Fractions, floats and complex values all become
+    # QQi, and a zero of any type is dropped
+    Q = BlockMatrix.from_entries(2, 1, {((0,), (1,)): 3,
+                                        ((1,), (0,)): Fr(1, 2),
+                                        ((2,), (0,)): 0.25,
+                                        ((0,), (2,)): 1 + 2j,
+                                        ((1,), (1,)): QQi(1, 2),
+                                        ((-1,), (1,)): 0.0,
+                                        ((-2,), (1,)): Fr(0)})
+    assert _site_entries(Q) == {((0,), (1,)): QQi(3), ((1,), (0,)): QQi(Fr(1, 2)),
+                                ((2,), (0,)): QQi(Fr(1, 4)),
+                                ((0,), (2,)): QQi(1, 2), ((1,), (1,)): QQi(1, 2)}
+    assert all(type(v) is QQi for v in Q.entries.values())
+    assert BlockMatrix.from_entries(2, 1, {((1,), (2,)): 3}).entries == {
+        (3, 4): QQi(3, 0)}
+    # the constructor reads its values with the same reader
+    assert BlockMatrix(2, 1, {(2, 3): 3, (3, 2): 0.25, (4, 4): 0}).entries == {
+        (2, 3): QQi(3), (3, 2): QQi(Fr(1, 4))}
 
 
 @pytest.mark.parametrize("value, part", [(float("nan"), "re"),
@@ -683,7 +727,7 @@ def test_getrandbits_draws_match_choice_draws(name, basis, radius):
 def _oracle_decay(Q, sigma, n_list):
     seminorms = {int(n): 0.0 for n in n_list}
     for (j, j2), v in _site_entries(Q).items():
-        a = abs(v) if isinstance(v, QQi) else abs(complex(v))
+        a = abs(v)
         if a == 0.0:
             continue
         off = max(abs(x - y) for x, y in zip(j, j2))
@@ -739,9 +783,5 @@ def test_integer_quotient_matches_fraction_division(D):
                     got.im.numerator, got.im.denominator) == (
                         want.re.numerator, want.re.denominator,
                         want.im.numerator, want.im.denominator)
-        # values without integer parts take the Fraction division
-        for w in (Fr(-5, 7), 4, -3, complex(1.5, -2.0), 0.25):
-            got = hom._divide_by_gap(w, g, D)
-            assert type(got) is type(w / Fr(g, D)) and got == w / Fr(g, D)
     with pytest.raises(ZeroDivisionError):
         hom._divide_by_gap(QQi(1, 2), 0, D)

@@ -23,16 +23,16 @@ def _set_reach(adjacency, origin, visited):
     return local
 
 
-def _set_dfs_longest(adjacency, comp, best_len, length_cap, budget):
+def _set_dfs_longest(adjacency, best_len, length_cap, budget):
     # branch-and-bound DFS with Python sets for the visited nodes; it floods
     # once per candidate
     best_path = None
     truncated = False
     expanded = 0
     floods = 0
-    comp_size = len(comp)
-    for start in comp:
-        if comp_size - 1 <= best_len or truncated:
+    nodes = len(adjacency)
+    for start in range(nodes):
+        if nodes - 1 <= best_len or truncated:
             break
         path = [start]
         visited = {start}
@@ -118,9 +118,8 @@ def _relabel(rng, adjacency):
 
 
 def assert_dfs_matches_set_dfs(adjacency, best_len, length_cap, budget):
-    comp = list(range(len(adjacency)))
-    fast = _dfs_longest(adjacency, comp, best_len, length_cap, budget)
-    plain = _set_dfs_longest(adjacency, comp, best_len, length_cap, budget)
+    fast = _dfs_longest(adjacency, best_len, length_cap, budget)
+    plain = _set_dfs_longest(adjacency, best_len, length_cap, budget)
     # length, path, truncated and expanded; the flood counts differ
     assert fast[:4] == plain[:4]
     return fast
@@ -206,7 +205,6 @@ def test_dfs_floods_less_than_one_per_candidate(monkeypatch):
     # reach masks and cuts by the region left, with the same outcome
     rng = random.Random(7)
     adjacency = caterpillar(rng, 40, 6)
-    comp = list(range(len(adjacency)))
     counts = {"fast": 0, "plain": 0}
 
     def counted(name, flood):
@@ -218,8 +216,8 @@ def test_dfs_floods_less_than_one_per_candidate(monkeypatch):
     monkeypatch.setattr(search, "_reach_mask",
                         counted("fast", search._reach_mask))
     monkeypatch.setitem(globals(), "_set_reach", counted("plain", _set_reach))
-    fast = _dfs_longest(adjacency, comp, 0, None, 5000)
-    plain = _set_dfs_longest(adjacency, comp, 0, None, 5000)
+    fast = _dfs_longest(adjacency, 0, None, 5000)
+    plain = _set_dfs_longest(adjacency, 0, None, 5000)
     assert fast[:4] == plain[:4]
     assert 0 < counts["fast"] < counts["plain"]
     assert (fast[4], plain[4]) == (counts["fast"], counts["plain"])
