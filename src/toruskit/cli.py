@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     globals_.add_argument("--seed", type=int, help="random seed")
     globals_.add_argument("--out-dir", dest="out_dir", help="output directory")
     globals_.add_argument("--no-cache", dest="cache", action="store_false",
-                          help="disable the enumeration cache")
+                          help="disable the homological partition cache")
     parser = argparse.ArgumentParser(
         prog="toruskit", parents=[globals_], argument_default=unset,
         description="flat-torus spectral experiments: clustering, chains, "

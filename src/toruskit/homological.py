@@ -14,6 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import exact
 from .errors import BoxMismatch, IntraClusterEntry, ParseError
@@ -32,11 +33,12 @@ class BlockMatrix:
     indices into the box (:func:`_check_keys`) and reads every value as a
     :class:`toruskit.exact.QQi` (:func:`_exact_value`), dropping zeros.  A
     matrix this module derives from valid ones skips both passes
-    (:func:`_block`).
+    (:func:`_block`).  ``entries`` is a read-only view, so the checks hold
+    for the matrix's lifetime.
     """
     box_radius: int
     d: int
-    entries: dict  # (i, k) box indices -> nonzero QQi
+    entries: MappingProxyType  # (i, k) box indices -> nonzero QQi
 
     def __post_init__(self):
         _check_keys(self)
@@ -45,7 +47,7 @@ class BlockMatrix:
             v = _exact_value(v, f"entry key {key}")
             if v:
                 entries[key] = v
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
 
     @staticmethod
     def from_entries(box_radius: int, d: int, items) -> "BlockMatrix":
@@ -130,7 +132,8 @@ def _block(box_radius: int, d: int, entries: dict) -> BlockMatrix:
     """The BlockMatrix of ``entries`` that hold in-box index-pair keys and
     nonzero QQi values already, built without the constructor's passes."""
     Q = object.__new__(BlockMatrix)
-    vars(Q).update(box_radius=box_radius, d=d, entries=entries)
+    vars(Q).update(box_radius=box_radius, d=d,
+                   entries=MappingProxyType(entries))
     return Q
 
 
@@ -297,7 +300,7 @@ def homological_residual(table: BoxTable, W_ND: BlockMatrix,
     _table_of_box(table, W_ND)
     W, X, R = W_ND.entries, solution.X.entries, solution.R.entries
     n, D = table.n, table.D
-    failed = [key for key in set(W) | set(X) | set(R)
+    failed = [key for key in W.keys() | X.keys() | R.keys()
               if not _integer_identity_holds(n[key[1]] - n[key[0]], D,
                                              X.get(key, _ZERO),
                                              W.get(key, _ZERO),

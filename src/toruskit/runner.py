@@ -220,10 +220,10 @@ def atomic_write_json(path: Path, payload) -> None:
     """Write ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``.
 
     The text is streamed to the file as it is encoded, so no copy of the
-    whole document is held in memory.  The report, cache entries and
-    ``--out`` go through it; ``matrix.json`` and ``partition.json`` have
-    writers fitted to their shape (:func:`_write_matrix`,
-    :func:`_write_partition`) with the same bytes.
+    whole document is held in memory.  The report and ``--out`` go
+    through it; ``matrix.json`` and ``partition.json`` (and so partition
+    cache entries) have writers fitted to their shape
+    (:func:`_write_matrix`, :func:`_write_partition`) with the same bytes.
     """
     with _atomic_file(path) as handle:
         _write_json(handle.write, payload, "\n")
@@ -316,17 +316,21 @@ def _cache_path(tag: str, payload: dict) -> Path:
 
 
 def cached(tag: str, payload: dict, compute, enabled: bool):
+    """The partition ``compute()`` builds, stored under ``(tag, payload)``.
+
+    A hit is read back with :meth:`ClusterPartition.from_dict`; an entry
+    that is absent, unreadable or of the wrong shape is a miss.  A miss
+    returns the built partition and stores it as ``partition.json`` is
+    written (:func:`_write_partition`).
+    """
     if not enabled:
         return compute()
     path = _cache_path(tag, payload)
-    if path.exists():
-        try:
-            return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            pass
+    with suppress(OSError, KeyError, TypeError, ValueError, ToruskitError):
+        return ClusterPartition.from_dict(json.loads(path.read_text()))
     result = compute()
     with suppress(OSError):
-        atomic_write_json(path, result)
+        _write_partition(path, result)
     return result
 
 
@@ -335,34 +339,17 @@ def cached(tag: str, payload: dict, compute, enabled: bool):
 # may record work counts in ``counters``, which go to the report's meta)
 
 
-def _partition_for(config: ExperimentConfig, table, counters: dict,
-                   links=None) -> ClusterPartition:
-    # on a miss the partition groups ``links``, by default the relation
-    # links of ``table``; counters["partition_cache"] records off, hit or miss
+def _partition_for(config: ExperimentConfig, table,
+                   counters: dict) -> ClusterPartition:
+    # counters["partition_cache"] records off, hit or miss
     def build():
-        return group_links(table, relation_links(table)
-                           if links is None else links)
+        counters["partition_cache"] = "miss" if config.cache else "off"
+        return group_links(table, relation_links(table))
 
-    if not config.cache:
-        counters["partition_cache"] = "off"
-        return build()
     counters["partition_cache"] = "hit"
-
-    def compute():
-        counters["partition_cache"] = "miss"
-        return build().to_dict()
-
     payload = {"lattice": config.lattice, "box_radius": table.box_radius,
                "delta": config.params["delta"]}
-    data = cached("partition", payload, compute, config.cache)
-    try:
-        return ClusterPartition.from_dict(data)
-    except (KeyError, TypeError, ValueError, ToruskitError):
-        # a cache entry of the wrong shape is a miss: recompute, rewrite
-        data = compute()
-        with suppress(OSError):
-            atomic_write_json(_cache_path("partition", payload), data)
-        return ClusterPartition.from_dict(data)
+    return cached("partition", payload, build, config.cache)
 
 
 def _run_cluster(config: ExperimentConfig, out_dir: Path, counters: dict):
@@ -370,11 +357,11 @@ def _run_cluster(config: ExperimentConfig, out_dir: Path, counters: dict):
     p = config.params
     N = p["box_radius"]
     delta = check_delta(basis.d, p["delta"], not p["allow_delta_above_theorem"])
-    # one box table and one link scan serve a cache miss, the separation
+    # one box table and one link scan serve the partition, the separation
     # check and edges.csv
     table = box_table(basis, N, delta)
     links = relation_links(table)
-    partition = _partition_for(config, table, counters, links)
+    partition = group_links(table, links)
     report = verify_cluster_properties(table, partition, links)
     expected = (2 * N + 1) ** basis.d
     counters.update(sites=expected, clusters=len(partition.members),
@@ -589,15 +576,13 @@ def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
     solution = solve_homological(table, q_nd, partition)
     residual = homological_residual(table, q_nd, solution)
     support_bad = verify_remainder_support(table, solution)
-    disjoint = not (set(solution.X.entries) & set(solution.R.entries))
-    covered = (set(solution.X.entries) | set(solution.R.entries)
-               == set(q_nd.entries))
+    X, R = solution.X.entries, solution.R.entries
+    disjoint = not (X.keys() & R.keys())
+    covered = X.keys() | R.keys() == q_nd.entries.keys()
     n, sup, clears = table.n, table.sup, gap_clears(table.D, solution.delta)
-    gap_ok = all(clears(n[k] - n[i], sup[i] + sup[k])
-                 for i, k in solution.X.entries)
+    gap_ok = all(clears(n[k] - n[i], sup[i] + sup[k]) for i, k in X)
     counters.update(entries=len(Q.entries), cross_entries=len(q_nd.entries),
-                    x_entries=len(solution.X.entries),
-                    r_entries=len(solution.R.entries),
+                    x_entries=len(X), r_entries=len(R),
                     gap_sites=len({i for key in q_nd.entries for i in key}))
     weight = cluster_weight_operator(partition)
     comm = commutator(q_d, weight)
@@ -620,8 +605,8 @@ def _run_homological(config: ExperimentConfig, out_dir: Path, counters: dict):
     fitted = {"norm_equivalence": [c_norm, C_norm]}
     data = {"entry_count": len(Q.entries),
             "cross_entries": len(q_nd.entries),
-            "x_entries": len(solution.X.entries),
-            "r_entries": len(solution.R.entries),
+            "x_entries": len(X),
+            "r_entries": len(R),
             "decay_X": profile_x.to_dict(),
             "decay_R": profile_r.to_dict()}
     mat_path = out_dir / "matrix.json"

@@ -584,8 +584,13 @@ class SublevelCover:
     shift: object            # lam * (wbar . ell)
     a: int = 1
 
-    def contains(self, theta: float, slack: float = 1e-9) -> bool:
-        return any(lo - slack <= theta <= hi + slack for lo, hi in self.intervals)
+    def contains(self, theta) -> bool:
+        """Whether ``|symbol(theta)| <= eps``, decided exactly on
+        ``Fraction(theta)``; the float ``intervals`` only view the set."""
+        t = Fr(theta)
+        if self.kind == NLS:
+            return abs(self.a * self.rho - self.shift - t) <= self.eps
+        return abs(self.rho - (t + self.shift) ** 2) <= self.eps
 
     def max_length(self) -> float:
         return max((hi - lo for lo, hi in self.intervals), default=0.0)

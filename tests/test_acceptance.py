@@ -245,7 +245,7 @@ def test_criterion_08_sublevel_covering():
             thetas = thetas_unit * radius
             vals = np.abs(-((shift + thetas) ** 2) + rho)
             for theta in thetas[vals <= eps]:
-                assert cov.contains(float(theta), slack=1e-9)
+                assert cov.contains(float(theta))
 
 
 def test_criterion_09_measure_bound_shape():

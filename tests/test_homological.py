@@ -112,6 +112,16 @@ def test_block_matrix_keys_index_the_box(key):
     assert sum(dn_split(good, part), BlockMatrix(4, 2, {})) == good
 
 
+def test_block_matrix_entries_are_read_only():
+    # the constructor's checks hold for the matrix's lifetime: neither a
+    # constructed nor a derived matrix takes a new entry
+    Q = BlockMatrix(4, 1, {(0, 1): QQi(1, 0)})
+    for M in (Q, Q + Q):
+        with pytest.raises(TypeError):
+            M.entries[(-1, 0)] = QQi(1, 0)
+    assert Q.entries == {(0, 1): QQi(1, 0)}
+
+
 @pytest.mark.parametrize("value, name", [(True, "bool"), ("1/2", "str")])
 def test_block_matrix_refuses_a_bool_or_str_value(value, name):
     with pytest.raises(TypeError, match=re.escape(

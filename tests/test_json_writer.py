@@ -68,14 +68,21 @@ def test_every_written_payload_matches_dumps(tmp_path, monkeypatch, raw):
         atomic_write_json(path, payload)
 
     monkeypatch.setattr(runner, "atomic_write_json", record)
-    matrices = []
+    partition_writes, write_partition = [], runner._write_partition
+
+    def record_partition(path, partition):
+        partition_writes.append((path, partition))
+        write_partition(path, partition)
+
+    monkeypatch.setattr(runner, "_write_partition", record_partition)
+    matrices, partitions = [], []
 
     def split(Q, partition):
         matrices.append(Q)
+        partitions.append(partition)
         return dn_split(Q, partition)
 
     monkeypatch.setattr(runner, "dn_split", split)
-    partitions = []
 
     def verify(table, partition, links):
         partitions.append(partition)
@@ -86,10 +93,10 @@ def test_every_written_payload_matches_dumps(tmp_path, monkeypatch, raw):
     report = run_experiment(config)
     assert report.passed
     names = {path.name for path, _ in written}
-    # the report, every JSON output, and the cache fill of a partition;
-    # matrix.json is streamed row by row and partition.json cluster by
-    # cluster, so their bytes are checked against dumps of the triplet
-    # payload of the matrix the run split and of the partition it verified
+    # the report and every JSON output; matrix.json is streamed row by row,
+    # and partition.json and the homological cache fill cluster by cluster,
+    # so their bytes are checked against dumps of the triplet payload of the
+    # matrix the run split and of the partition it split or verified
     assert f"report-{raw['kind']}.json" in names
     outputs = {n for n in report.body["outputs"] if n.endswith(".json")}
     if raw["kind"] == "homological":
@@ -100,12 +107,15 @@ def test_every_written_payload_matches_dumps(tmp_path, monkeypatch, raw):
         assert matrix_file.read_bytes() == matrix_dumps(Q)
     if raw["kind"] == "cluster":
         outputs.remove("partition.json")
-        partition, = partitions
-        partition_file = tmp_path / "out" / "partition.json"
-        assert partition_file.read_bytes() == dumps(partition.to_dict())
     assert outputs <= names
-    if raw["kind"] in ("cluster", "homological"):
-        assert any(path.parent.name == "cache" for path, _ in written)
+    # only the homological kind fills the cache, and only with a partition
+    assert all(path.parent.name != "cache" for path, _ in written)
+    where = {"cluster": "out", "homological": "cache"}.get(raw["kind"])
+    assert [path.parent.name for path, _ in partition_writes] == (
+        [where] if where else [])
+    for path, partition in partition_writes:
+        assert partition is partitions[0]
+        assert path.read_bytes() == dumps(partition.to_dict())
     for path, payload in written:
         assert path.read_bytes() == dumps(payload), path.name
     report_file = tmp_path / "out" / f"report-{raw['kind']}.json"

@@ -39,6 +39,13 @@ def minimal_cluster(tmp_path, **overrides):
     return raw
 
 
+def minimal_homological(tmp_path):
+    # the one kind that consults the partition cache
+    return minimal_cluster(tmp_path, kind="homological",
+                           params={"box_radius": 10, "delta": "1/20",
+                                   "entries": 20})
+
+
 def test_minimal_config_fills_defaults(tmp_path):
     cfg = normalize(minimal_cluster(tmp_path))
     assert cfg.seed == 0
@@ -131,8 +138,56 @@ def test_reports_are_deterministic(tmp_path):
         assert first == second
 
 
+def test_cluster_run_leaves_the_cache_empty(tmp_path):
+    # the cluster kind scans the links for its separation check anyway, so
+    # it groups them itself and never reads or fills the cache
+    cache = Path(os.environ["TORUSKIT_CACHE"])
+    bodies, partitions = [], []
+    for flag in (True, False):
+        report = run_experiment(normalize(minimal_cluster(tmp_path,
+                                                          cache=flag)))
+        assert not any(cache.glob("*"))
+        body = json.loads(report.body_bytes())
+        assert body["config"].pop("cache") is flag
+        bodies.append(body)
+        partitions.append((tmp_path / "out" / "partition.json").read_bytes())
+    assert bodies[0] == bodies[1]
+    assert partitions[0] == partitions[1]
+
+
+def test_homological_miss_returns_the_partition_it_built(tmp_path,
+                                                         monkeypatch):
+    import toruskit.runner as runner_mod
+    from toruskit.clusters import ClusterPartition, group_links
+
+    calls, built = [], []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    def build(*args):
+        built.append(group_links(*args))
+        return built[-1]
+
+    monkeypatch.setattr(ClusterPartition, "from_dict", classmethod(
+        counted("from_dict", ClusterPartition.from_dict.__func__)))
+    monkeypatch.setattr(ClusterPartition, "to_dict",
+                        counted("to_dict", ClusterPartition.to_dict))
+    monkeypatch.setattr(runner_mod, "group_links", build)
+    report = run_experiment(normalize(minimal_homological(tmp_path)))
+    assert report.meta["counters"]["partition_cache"] == "miss"
+    assert calls == []
+    entry, = Path(os.environ["TORUSKIT_CACHE"]).glob("*.json")
+    partition, = built
+    assert entry.read_bytes() == (json.dumps(
+        partition.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+
+
 def test_cache_is_used_and_correct(tmp_path):
-    raw = minimal_cluster(tmp_path)
+    raw = minimal_homological(tmp_path)
     cfg = normalize(raw)
     first = run_experiment(cfg)
     cache_files = list(Path(os.environ["TORUSKIT_CACHE"]).glob("*.json"))
@@ -151,7 +206,7 @@ def test_cache_is_used_and_correct(tmp_path):
                    "M_alpha": 0, "boundary": False}]},
 ])
 def test_wrong_shape_cache_entry_is_a_miss(tmp_path, planted):
-    cfg = normalize(minimal_cluster(tmp_path))
+    cfg = normalize(minimal_homological(tmp_path))
     first = run_experiment(cfg)
     cache_files = list(Path(os.environ["TORUSKIT_CACHE"]).glob("*.json"))
     good = [path.read_text() for path in cache_files]
@@ -166,7 +221,7 @@ def test_wrong_shape_cache_entry_is_a_miss(tmp_path, planted):
 def test_cache_schema_is_part_of_the_key(tmp_path, monkeypatch):
     import toruskit.runner as runner_mod
 
-    cfg = normalize(minimal_cluster(tmp_path))
+    cfg = normalize(minimal_homological(tmp_path))
     run_experiment(cfg)
     cache = Path(os.environ["TORUSKIT_CACHE"])
     before = sorted(path.name for path in cache.glob("*.json"))
@@ -177,7 +232,7 @@ def test_cache_schema_is_part_of_the_key(tmp_path, monkeypatch):
         calls.append(args)
         return real_build(*args, **kwargs)
 
-    # the builder that the cluster kind calls on a miss
+    # the builder that the homological kind calls on a miss
     monkeypatch.setattr(runner_mod, "group_links", counting_build)
     run_experiment(cfg)
     assert calls == []                      # same schema: a hit
@@ -293,14 +348,12 @@ def test_cluster_counters_in_meta_only(tmp_path, edges_csv, cache):
     report = run_experiment(normalize(raw))
     counters = report.meta["counters"]
     data = report.body["data"]
-    expected = {"sites", "clusters", "cross_pairs", "partition_cache",
-                "bytes_written"}
+    expected = {"sites", "clusters", "cross_pairs", "bytes_written"}
     assert set(counters) == expected | ({"links"} if edges_csv else set())
     assert counters["sites"] == 13 ** 2
     assert counters["clusters"] == (data["interior_clusters"]
                                     + data["boundary_clusters"])
     assert counters["cross_pairs"] == data["pairs_checked"]
-    assert counters["partition_cache"] == ("miss" if cache else "off")
     assert counters["bytes_written"] == _output_bytes(report, tmp_path / "out")
     if edges_csv:
         edges = (tmp_path / "out" / "edges.csv").read_text().splitlines()
@@ -310,8 +363,7 @@ def test_cluster_counters_in_meta_only(tmp_path, edges_csv, cache):
         "bytes_written"}
     again = run_experiment(normalize(raw))
     assert again.body_bytes() == report.body_bytes()
-    assert again.meta["counters"]["partition_cache"] == ("hit" if cache
-                                                         else "off")
+    assert again.meta["counters"] == dict(report.meta["counters"])
 
 
 def test_exact_cluster_run_leaves_numpy_unimported(tmp_path):

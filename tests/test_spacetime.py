@@ -307,7 +307,7 @@ def test_cover_soundness_by_sampling():
         vals = -((shift + thetas) ** 2) + rho
         inside = np.abs(vals) <= 0.01
         for theta in thetas[inside]:
-            assert cov.contains(float(theta), slack=1e-9)
+            assert cov.contains(float(theta))
 
 
 def test_cover_nls_single_interval():
@@ -318,6 +318,23 @@ def test_cover_nls_single_interval():
     assert hi - lo == pytest.approx(2e-3)
     center = -(4 + 1) - 3  # a(mu+m) - lam*wbar.ell
     assert (lo + hi) / 2 == pytest.approx(center)
+
+
+def test_cover_membership_is_exact():
+    # the exact NLS ends are inside, and a theta 5e-10 past any end is
+    # outside, though a float comparison with a 1e-9 slack would take it
+    p = params(mass="1", lam="1")
+    nls = theta_sublevel_cover(B1, p, (3,), (2,), 10, 3, NLS, a=-1)
+    center = Fr(-8)
+    assert nls.contains(center - nls.eps) and nls.contains(center + nls.eps)
+    assert not nls.contains(center + nls.eps + Fr(1, 10 ** 20))
+    nlw = theta_sublevel_cover(B1, p, (0,), (1,), 10, 2, NLW)
+    assert len(nlw.intervals) == 2
+    for cov in (nls, nlw):
+        for lo, hi in cov.intervals:
+            assert cov.contains((lo + hi) / 2)
+            assert not cov.contains(lo - 5e-10)
+            assert not cov.contains(hi + 5e-10)
 
 
 def test_cover_argument_validation():
