@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, product
+from itertools import chain, count, product
 from typing import NamedTuple
 
 from . import exact
@@ -221,38 +221,67 @@ def _box_index(N: int, d: int, j) -> int:
     return i
 
 
+def _box_sup(N: int, d: int) -> list:
+    """Sup norms of ``box_sites(N, d)``, axis by axis: max(|prefix|, |x|)."""
+    # rows[m]: max(m, |x|) for x from -N to N
+    rows = [[*range(N, m, -1), *[m] * (2 * m + 1), *range(m + 1, N + 1)]
+            for m in range(N + 1)]
+    sup = [0]
+    for _ in range(d):
+        sup = list(chain.from_iterable(map(rows.__getitem__, sup)))
+    return sup
+
+
+def _check_box(box_radius, d, count: int, what: str) -> None:
+    """A ValueError unless ``box_radius`` and ``d`` are nonnegative ints and
+    ``[-N, N]^d`` has ``count`` sites."""
+    for name, value in (("box_radius", box_radius), ("d", d)):
+        # int() would read true as 1 and truncate 1.9; both are refused
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{name}: {value!r} is not a nonnegative integer")
+    # (2N + 1)**k > count once N > 0 and k passes the bits of count
+    if (2 * box_radius + 1) ** min(d, count.bit_length()) != count:
+        raise ValueError(f"{what}: {count} sites, not one per site of "
+                         f"[-{box_radius}, {box_radius}]^{d}")
+
+
 @dataclass(frozen=True)
 class ClusterPartition:
-    """A partition of the indices of ``box_sites(box_radius, d)``: the
-    cluster id of each index, and per cluster id its ascending indices
-    ``members``, smallest and largest sup norm and boundary flag."""
+    """The ``cluster`` id of each index of ``box_sites(box_radius, d)``, all
+    ids from 0 up used; delta by :func:`check_delta`, no theorem bound.
+    Derived, not settable: per id its ascending ``members``, least and
+    largest sup norm, and ``boundary``: within ``margin`` = one-step reach
+    ceil((2N)**delta) + 1 of the edge, it could change on a larger box."""
 
     box_radius: int
     d: int
     delta: Fraction
-    margin: int
-    cluster: list
-    members: list
-    m_alpha: list
-    M_alpha: list
-    boundary: list
+    cluster: tuple
+    margin: int = field(init=False)
+    members: list = field(init=False)
+    m_alpha: list = field(init=False)
+    M_alpha: list = field(init=False)
+    boundary: list = field(init=False)
 
-    @classmethod
-    def _from_ids(cls, box_radius: int, d: int, delta, cluster,
-                  sup) -> "ClusterPartition":
-        """The partition with cluster id ``cluster[i]`` and sup norm
-        ``sup[i]`` per box index i.  One-step links reach ceil((2N)**delta),
-        so a cluster within ``margin`` = that reach + 1 of the box edge
-        could change on a larger box and is flagged ``boundary``."""
+    def __post_init__(self):
+        N, d, cluster = self.box_radius, self.d, tuple(self.cluster)
+        _check_box(N, d, len(cluster), "cluster")
+        delta = check_delta(d, self.delta, enforce_delta_bound=False)
+        if set(map(type, cluster)) != {int} or min(cluster) < 0:
+            raise ValueError("cluster: an id is not a nonnegative int")
         members = [[] for _ in range(max(cluster) + 1)]
         for i, c in enumerate(cluster):
             members[c].append(i)
+        if not all(members):
+            raise ValueError(f"cluster: id {members.index([])} is unused")
+        sup = _box_sup(N, d)
         sups = [[sup[i] for i in group] for group in members]
         M_alpha = list(map(max, sups))
-        margin = exact.ceil_pow(2 * box_radius, delta) + 1
-        return cls(box_radius, d, delta, margin, cluster, members,
-                   list(map(min, sups)), M_alpha,
-                   [box_radius - M <= margin for M in M_alpha])
+        margin = exact.ceil_pow(2 * N, delta) + 1
+        vars(self).update(
+            delta=delta, cluster=cluster, margin=margin, members=members,
+            m_alpha=list(map(min, sups)), M_alpha=M_alpha,
+            boundary=[N - M <= margin for M in M_alpha])
 
     def cluster_of(self, j) -> int:
         """The cluster id of the site ``j``; a ValueError if it is none."""
@@ -276,20 +305,15 @@ class ClusterPartition:
     @classmethod
     def from_dict(cls, data) -> "ClusterPartition":
         """The partition of :meth:`to_dict`'s ``box_radius``, ``d``, ``delta``
-        (by :func:`check_delta`, no theorem bound) and members; the rest is
-        derived.  A ValueError names the field of a number that is not an
-        integer, an empty cluster, a member of another length or outside
-        the box, or a box not covered once."""
-        N, d = data["box_radius"], data["d"]
-        for field, value in (("box_radius", N), ("d", d)):
-            # int() would read true as 1 and truncate 1.9; both are refused
-            if type(value) is not int or value < 0:
-                raise ValueError(f"{field}: {value!r} is not a nonnegative "
-                                 "integer")
-        delta = check_delta(d, data["delta"], enforce_delta_bound=False)
-        cluster = [None] * (2 * N + 1) ** d
-        sup = [0] * len(cluster)
-        for c, rec in enumerate(data["clusters"]):
+        and members of id c in record c.  A ValueError names the field of a
+        number that is not an integer, a member count other than the box's
+        (before any allocation), an empty cluster or a bad member."""
+        N, d, records = data["box_radius"], data["d"], data["clusters"]
+        count = sum(len(rec["members"]) for rec in records)
+        _check_box(N, d, count, "clusters")
+        # count sites, none twice and each in the box: the box covered once
+        cluster = [None] * count
+        for c, rec in enumerate(records):
             if not rec["members"]:
                 raise ValueError(f"clusters[{c}].members: empty")
             for k, j in enumerate(rec["members"]):
@@ -302,11 +326,7 @@ class ClusterPartition:
                     raise ValueError(f"clusters[{c}].members[{k}]: {list(j)} "
                                      "is listed twice")
                 cluster[i] = c
-                sup[i] = exact.sup_norm(j)
-        if None in cluster:
-            j = box_sites(N, d)[cluster.index(None)]
-            raise ValueError(f"clusters: box site {list(j)} is in no cluster")
-        return cls._from_ids(N, d, delta, cluster, sup)
+        return cls(N, d, data["delta"], cluster)
 
 
 # Largest denominator q of a delta p/q.  A threshold is the integer q-th
@@ -376,7 +396,7 @@ def box_table(basis: LatticeBasis, box_radius: int, delta) -> BoxTable:
     :func:`verify_cluster_properties` or the homological solve."""
     delta = check_delta(basis.d, delta, enforce_delta_bound=False)
     sites, n, D = _box_numerators(basis, box_radius)
-    sup = [exact.sup_norm(j) for j in sites]
+    sup = _box_sup(box_radius, basis.d)
     T = list(map(exact.scaled_floor_pow(D, delta), range(2 * box_radius + 1)))
     return BoxTable(basis, box_radius, delta, sites, n, sup, D, T)
 
@@ -420,8 +440,7 @@ def group_links(table: BoxTable, links) -> ClusterPartition:
     ids = count()
     for i, r in enumerate(root):
         root[i] = next(ids) if r == i else root[r]
-    return ClusterPartition._from_ids(table.box_radius, table.basis.d,
-                                      table.delta, root, table.sup)
+    return ClusterPartition(table.box_radius, table.basis.d, table.delta, root)
 
 
 def build_partition(basis: LatticeBasis, box_radius: int, delta,
@@ -452,27 +471,6 @@ class VerificationReport:
     fitted_constant: float
     fitted_exponent: float
     cluster_stats: list = field(default_factory=list)
-
-
-def _bits(flags: str) -> int:
-    # the int whose bit i is flags[i] ("0" or "1")
-    return int(flags[::-1], 2)
-
-
-def _offset_masks(box_radius: int, d: int, link_radius: int):
-    """Per positive offset ``o`` of sup-norm at most ``link_radius``:
-    ``(step, mask)``, bit i of ``mask`` set when site i of ``box_sites`` plus
-    ``o`` is in the box, at index ``i + step``."""
-    L = 2 * box_radius + 1
-    strides = [L ** (d - 1 - t) for t in range(d)]
-    for o in positive_offsets(d, min(link_radius, 2 * box_radius)):
-        # axis by axis from the last: the ones of the row-major box block
-        flags = "1"
-        for a in reversed(o):
-            empty = "0" * len(flags)
-            flags = (empty * max(0, -a) + flags * (L - abs(a))
-                     + empty * max(0, a))
-        yield sum(map(operator.mul, o, strides)), _bits(flags)
 
 
 def verify_cluster_properties(table: BoxTable, partition: ClusterPartition,
@@ -509,9 +507,12 @@ def verify_cluster_properties(table: BoxTable, partition: ClusterPartition,
              <= T[sup[i] + sup[k]]]
     radius = _link_radius(N, delta)
     flag = ["0" if b else "1" for b in boundary]
-    inner = _bits("".join(map(flag.__getitem__, cluster)))
-    pairs = sum((inner & inner >> step & mask).bit_count()
-                for step, mask in _offset_masks(N, d, radius))
+    # bit i: site i is interior, so of sup at most N - margin - 1; the link
+    # radius is at most margin - 1, so i + o is in the box at i + step(o)
+    inner = int("".join(map(flag.__getitem__, reversed(cluster))), 2)
+    strides = [(2 * N + 1) ** (d - 1 - t) for t in range(d)]
+    pairs = sum((inner & inner >> sum(map(operator.mul, o, strides)))
+                .bit_count() for o in positive_offsets(d, radius))
 
     exponent = (chain_exponent(d) + 1) * float(delta)
     fitted_c = fitted_e = 0.0

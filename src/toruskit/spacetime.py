@@ -21,7 +21,7 @@ from numbers import Rational
 from typing import NamedTuple
 
 from . import exact
-from .clusters import box_sites, positive_offsets
+from .clusters import _box_numerators, box_sites, positive_offsets
 from .errors import (
     DependentVectors,
     DimensionMismatch,
@@ -213,9 +213,10 @@ def enumerate_singular_sites(basis: LatticeBasis, params: FrequencyParams,
     """
     signs = _signs(kind)
     ells = box_sites(ell_radius, params.n)
-    js = box_sites(j_radius, basis.d)
+    js, rho, _ = _box_numerators(basis, j_radius)
     sym = _Symbols(basis, params, kind)
-    rho = [sym.rho(j) for j in js]
+    # rebound: the numerators are freed before the sort
+    rho = [x * sym.per_D + sym.mass_L for x in rho]
     ys = [sym.y(ell) for ell in ells]
     L = sym.L
     order = sorted(range(len(js)), key=rho.__getitem__)
@@ -801,28 +802,24 @@ def chain_pair_bounds(basis: LatticeBasis, params: FrequencyParams,
     is the smallest one making all bounds hold.  For the linear kind the
     theta-free consecutive-step inequality (budget ``2(m+1)``) is also
     replayed.  It reads the integer Gram numerators of the chain's modes
-    (:func:`_integer_worst_pair`).
+    (:func:`_integer_worst_pair`); a step is compared over the ``L`` of
+    :class:`_Symbols`, and its mu gap ``|dn| / D`` rounds as a Fraction's.
     """
     sites = chain.sites
     sym = _Symbols(basis, params, kind)
     best_c, worst, nums = _integer_worst_pair(sym, chain, kind)
-    mu_vals = [Fraction(x, sym.D) for x in nums]
     step_ok = None
     max_gap = 0.0
     if len(sites) >= 2:
-        budget = 2 * (abs(params.mass) + 1)
+        budget = 2 * (sym.mass_L + sym.L)
         step_ok = True if kind == NLS else None
         for q in range(len(sites) - 1):
-            gap = abs(mu_vals[q + 1] - mu_vals[q])
-            max_gap = max(max_gap, float(gap))
+            max_gap = max(max_gap, abs(nums[q + 1] - nums[q]) / sym.D)
             if kind == NLS:
                 s, s2 = sites[q], sites[q + 1]
-                wdl = params.omega_dot(tuple(a - b for a, b in
-                                             zip(s2.ell, s.ell)))
-                if s.a == s2.a:
-                    val = abs((mu_vals[q + 1] - mu_vals[q]) - s.a * wdl)
-                else:
-                    val = abs((mu_vals[q + 1] + mu_vals[q]) - s2.a * wdl)
+                # mu' - mu, or mu' + mu when the signs differ, less a' w.dell
+                val = abs(sym.per_D * (nums[q + 1] - s.a * s2.a * nums[q])
+                          - s2.a * sym.per_E * (sym.y(s2.ell) - sym.y(s.ell)))
                 if val > budget:
                     step_ok = False
     return PairBoundReport(empirical_constant=best_c, worst_pair=worst,

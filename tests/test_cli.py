@@ -218,7 +218,8 @@ def _homological_on(tmp_path, lattice_file, radius, *flags):
 def test_partition_file_listing_a_site_twice_is_usage_error(
         tmp_path, lattice_file, capsys):
     def duplicate(part):
-        part["clusters"][1]["members"].append(part["clusters"][0]["members"][0])
+        # the member count stays that of the box
+        part["clusters"][1]["members"][0] = part["clusters"][0]["members"][0]
 
     path = _partition_file(tmp_path, lattice_file, duplicate)
     code = _homological_on(tmp_path, lattice_file, 2, "--partition", str(path))
@@ -257,7 +258,21 @@ def test_partition_file_leaving_a_matrix_site_out_is_usage_error(
     assert code == 2
     err = capsys.readouterr().err
     assert f"params.partition_file: {path}" in err and "Traceback" not in err
-    assert "box site [0, 0] is in no cluster" in err
+    assert "clusters: 24 sites, not one per site of [-2, 2]^2" in err
+
+
+def test_partition_file_with_a_huge_box_radius_is_usage_error(
+        tmp_path, lattice_file, capsys):
+    # the member count is compared with the box before a box is allocated
+    def widen(part):
+        part["box_radius"] = 10**9
+
+    path = _partition_file(tmp_path, lattice_file, widen)
+    code = _homological_on(tmp_path, lattice_file, 2, "--partition", str(path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"params.partition_file: {path}" in err and "Traceback" not in err
+    assert "25 sites, not one per site of [-1000000000, 1000000000]^2" in err
 
 
 def test_partition_file_of_another_dimension_is_usage_error(

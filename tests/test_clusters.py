@@ -201,7 +201,8 @@ def _radius_2_partition():
 
 
 def _duplicate(data):
-    data["clusters"][1]["members"].append([-2, -2])
+    # the member count stays that of the box
+    data["clusters"][1]["members"][-1] = [-2, -2]
 
 
 def _outside(data):
@@ -213,6 +214,8 @@ def _wrong_length(data):
 
 
 def _empty(data):
+    # the member count stays that of the box
+    data["clusters"][1]["members"] += data["clusters"][0]["members"]
     data["clusters"][0]["members"] = []
 
 
@@ -232,18 +235,31 @@ def _fractional_member(data):
     data["clusters"][0]["members"][0] = [-1.5, -2]
 
 
+def _huge_radius(data):
+    data["box_radius"] = 10**9
+
+
+def _huge_d(data):
+    data["d"] = 10**9
+
+
 @pytest.mark.parametrize("edit, message", [
-    (_duplicate, "clusters[1].members[12]: [-2, -2] is listed twice"),
+    (_duplicate, "clusters[1].members[11]: [-2, -2] is listed twice"),
     (_outside, "clusters[0].members[0]: [-3, -2] lies outside [-2, 2]^2"),
     (_wrong_length, "clusters[0].members[0]: [-2, -2, 0] has length 3, d is 2"),
     (_empty, "clusters[0].members: empty"),
-    (_uncovered, "clusters: box site [0, 0] is in no cluster"),
+    (_uncovered, "clusters: 24 sites, not one per site of [-2, 2]^2"),
     (_fractional_radius, "box_radius: 1.9 is not a nonnegative integer"),
     (_boolean_d, "d: True is not a nonnegative integer"),
     (_fractional_member,
      "clusters[0].members[0]: [-1.5, -2] has a non-integer coordinate"),
+    # the member count is compared before a box is allocated
+    (_huge_radius,
+     "clusters: 25 sites, not one per site of [-1000000000, 1000000000]^2"),
+    (_huge_d, "clusters: 25 sites, not one per site of [-2, 2]^1000000000"),
 ], ids=["duplicate", "outside", "wrong_length", "empty", "uncovered",
-        "fractional_radius", "boolean_d", "fractional_member"])
+        "fractional_radius", "boolean_d", "fractional_member", "huge_radius",
+        "huge_d"])
 def test_from_dict_refuses_a_partition_that_is_not_of_the_box(edit, message):
     data = _radius_2_partition().to_dict()
     assert ClusterPartition.from_dict(data) == _radius_2_partition()
@@ -264,6 +280,38 @@ def test_from_dict_derives_the_cluster_fields(field, value):
     for rec in [data] if field == "margin" else data["clusters"]:
         rec[field] = value
     assert ClusterPartition.from_dict(data) == part
+
+
+@pytest.mark.parametrize("cluster, message", [
+    ([0] * 8, "cluster: 8 sites, not one per site of [-1, 1]^2"),
+    ([0] * 8 + [-1], "cluster: an id is not a nonnegative int"),
+    ([0] * 8 + [True], "cluster: an id is not a nonnegative int"),
+    ([0] * 8 + [1.0], "cluster: an id is not a nonnegative int"),
+    ([0] * 8 + ["1"], "cluster: an id is not a nonnegative int"),
+    ([0] * 8 + [2], "cluster: id 1 is unused"),
+], ids=["length", "negative", "bool", "float", "str", "unused"])
+def test_constructor_refuses_ids_that_are_no_partition(cluster, message):
+    assert ClusterPartition(1, 2, Fr(1, 10), [0] * 8 + [1]).members == \
+        [list(range(8)), [8]]
+    with pytest.raises(ValueError) as caught:
+        ClusterPartition(1, 2, Fr(1, 10), cluster)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("name", ["margin", "members", "m_alpha", "M_alpha",
+                                  "boundary"])
+def test_derived_fields_cannot_be_set(name):
+    part = _radius_2_partition()
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(part, **{name: getattr(part, name)})
+    with pytest.raises(TypeError):
+        ClusterPartition(2, 2, Fr(1, 10), part.cluster,
+                         **{name: getattr(part, name)})
+    # a defining field may be replaced: the rest is derived again
+    assert type(part.cluster) is tuple
+    assert dataclasses.replace(part, cluster=list(part.cluster)) == part
+    wide = dataclasses.replace(part, delta="9/10")
+    assert (wide.delta, wide.margin) == (Fr(9, 10), 5)
 
 
 def test_cluster_of_reads_box_sites_and_refuses_others():
@@ -487,9 +535,9 @@ def test_relation_links_float_delta_match_oracle(entries):
 def oracle_verify(basis, part):
     """verify_cluster_properties' separation scan and growth fit, per pair.
 
-    Every pair of box sites with spatial gap at most the link radius, in
-    site order (the order of box_pairs), on Fraction eigenvalues compared by
-    le_pow.
+    Every pair of box sites in interior clusters with spatial gap at most
+    the link radius, in site order (the order of box_pairs), on Fraction
+    eigenvalues compared by le_pow.
     """
     N, d, delta = part.box_radius, part.d, part.delta
     interior = {c for c, boundary in enumerate(part.boundary) if not boundary}
@@ -499,11 +547,12 @@ def oracle_verify(basis, part):
     while le_pow(link + 1, 2 * N, delta):
         link += 1
     violations, pairs = [], 0
-    for i, j in enumerate(sites):
-        for j2 in sites[i + 1:]:
+    # a pair with a site outside the interior clusters is no cross pair
+    inner = [j for j in sites if part.cluster_of(j) in interior]
+    for i, j in enumerate(inner):
+        for j2 in inner[i + 1:]:
             spatial = max(abs(a - b) for a, b in zip(j, j2))
-            a, b = part.cluster_of(j), part.cluster_of(j2)
-            if spatial > link or a == b or a not in interior or b not in interior:
+            if spatial > link or part.cluster_of(j) == part.cluster_of(j2):
                 continue
             pairs += 1
             spread = spatial + abs(mus[j] - mus[j2])
@@ -531,18 +580,24 @@ def verify_on_links(basis, part):
 
 
 def singleton_partition(radius, d, delta):
-    """Every box site its own interior cluster: every scanned pair is cross."""
-    sups = list(map(sup_norm, box_sites(radius, d)))
-    return ClusterPartition(
-        box_radius=radius, d=d, delta=delta, margin=0,
-        cluster=list(range(len(sups))), members=[[i] for i in range(len(sups))],
-        m_alpha=sups, M_alpha=sups, boundary=[False] * len(sups))
+    """Every box site its own cluster: every scanned pair of interior sites
+    is cross."""
+    return ClusterPartition(radius, d, delta, range((2 * radius + 1) ** d))
+
+
+def interior_sups(part):
+    return {M for M, boundary in zip(part.M_alpha, part.boundary)
+            if not boundary}
+
+
+# (d, box radius, delta): each box has interior sites at sup norm
+# N - margin - 1, where an offset of the link radius reaches furthest; at
+# d = 2, 16**(1/4) = 2 makes the link radius margin - 1, its largest
+VERIFY_CASES = [(1, 40, Fr(1, 3)), (2, 8, Fr(1, 4)), (3, 6, Fr(1, 3))]
 
 
 @pytest.mark.parametrize("entries", ["exact", "floating"])
-@pytest.mark.parametrize("d,radius,delta", [(1, 40, Fr(1, 3)),
-                                            (2, 8, Fr(1, 4)),
-                                            (3, 2, Fr(1, 2))])
+@pytest.mark.parametrize("d,radius,delta", VERIFY_CASES)
 def test_verify_matches_per_pair_oracle(d, radius, delta, entries):
     rng = random.Random(77 * d + radius)
     rows = random_sheared_rows(rng, d)
@@ -553,30 +608,53 @@ def test_verify_matches_per_pair_oracle(d, radius, delta, entries):
                            for r in (rows, long_rows))
     basis = new_lattice(long_rows)
     adversarial = singleton_partition(radius, d, delta)
+    assert radius - adversarial.margin - 1 in interior_sups(adversarial)
     rep = verify_on_links(basis, adversarial)
     violations, pairs, _, _ = oracle_verify(basis, adversarial)
     assert violations, "the adversarial partition should show violations"
     assert rep.separation_violations == violations
     assert rep.pairs_checked == pairs
-    # a built partition with every cluster taken as interior runs the
-    # growth fit over each cluster's pairs as well
+    # built partitions at delta and at a smaller delta, with boundary and
+    # interior clusters: the growth fit runs over each interior cluster's
+    # pairs as well
     basis = new_lattice(rows)
-    built = build_partition(basis, radius, delta, enforce_delta_bound=False)
-    built = dataclasses.replace(built, boundary=[False] * len(built.members))
-    rep = verify_on_links(basis, built)
-    assert rep.fitted_constant > 0
-    assert (rep.separation_violations, rep.pairs_checked,
-            rep.fitted_constant, rep.fitted_exponent) == oracle_verify(basis, built)
-    # random boundary flags: interior clusters at the box edge, boundary
-    # clusters inside it
-    for b, part in ((new_lattice(long_rows), adversarial), (basis, built)):
-        for _ in range(3):
-            flagged = dataclasses.replace(
-                part, boundary=[rng.random() < 0.3 for _ in part.members])
-            rep = verify_on_links(b, flagged)
-            assert (rep.separation_violations, rep.pairs_checked,
-                    rep.fitted_constant, rep.fitted_exponent) == \
-                oracle_verify(b, flagged)
+    fitted = 0
+    for dl in (delta, delta / 2):
+        built = build_partition(basis, radius, dl, enforce_delta_bound=False)
+        assert set(built.boundary) == {True, False}
+        rep = verify_on_links(basis, built)
+        fitted = max(fitted, rep.fitted_constant)
+        assert (rep.separation_violations, rep.pairs_checked,
+                rep.fitted_constant, rep.fitted_exponent) == \
+            oracle_verify(basis, built)
+    assert fitted > 0
+
+
+@pytest.mark.parametrize("d,radius,delta", VERIFY_CASES)
+def test_pair_count_matches_per_pair_oracle(d, radius, delta):
+    # cluster ids of random runs of row-major indices: interior clusters of
+    # one to four sites next to boundary ones; singletons first, so that
+    # interior sites at sup N - margin - 1 occur
+    rng = random.Random(f"pairs {d} {radius}")
+    n = (2 * radius + 1) ** d
+    sites = box_sites(radius, d)
+    table = box_table(new_lattice([[int(r == c) for c in range(d)]
+                                   for r in range(d)]), radius, delta)
+    link = floor_pow(2 * radius, delta)
+    for longest in (1, 2, 4, 4):
+        cluster, c = [], 0
+        while len(cluster) < n:
+            cluster += [c] * rng.randint(1, longest)
+            c += 1
+        part = ClusterPartition(radius, d, delta, cluster[:n])
+        assert longest > 1 or radius - part.margin - 1 in interior_sups(part)
+        interior = [j for j in sites
+                    if not part.boundary[part.cluster_of(j)]]
+        pairs = sum(part.cluster_of(j) != part.cluster_of(j2)
+                    and max(map(abs, map(operator.sub, j, j2))) <= link
+                    for a, j in enumerate(interior) for j2 in interior[a + 1:])
+        assert verify_cluster_properties(table, part, []).pairs_checked == \
+            pairs > 0
 
 
 # (rows, radius): sheared, diagonal, dense rational; each also runs on its

@@ -1,6 +1,5 @@
 """The streaming JSON writer against ``json.dumps(indent=2, sort_keys=True)``."""
 
-import dataclasses
 import enum
 import json
 import random
@@ -301,18 +300,15 @@ def test_streamed_matrix_matches_dumps_of_triplets(tmp_path, d, count):
 
 
 def random_partition(rng, d, radius):
-    """Random links over the box indices, grouped by ``group_links``, with a
-    random margin and boundary flags."""
+    """Random links over the box indices, grouped by ``group_links``, at a
+    random delta; the margin and boundary flags are derived."""
     basis = new_lattice([[int(r == c) for c in range(d)] for r in range(d)])
     table = box_table(basis, radius,
                       Fraction(rng.randint(1, 99), rng.randint(100, 10**4)))
     n = len(table.sites)
     links = sorted({tuple(sorted(rng.sample(range(n), 2)))
-                    for _ in range(rng.randint(0, n if n > 1 else 0))})
-    partition = group_links(table, links)
-    return dataclasses.replace(
-        partition, margin=rng.randint(0, 5),
-        boundary=[rng.random() < 0.5 for _ in partition.members])
+                    for _ in range(rng.randint(0, n // 4))})
+    return group_links(table, links)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -326,5 +322,7 @@ def test_streamed_partition_matches_dumps_of_dict(tmp_path, d, radius):
         boundaries |= set(partition.boundary)
         runner._write_partition(path, partition)
         assert path.read_bytes() == dumps(partition.to_dict())
-    assert boundaries == {True, False} or radius == 0
+    # an interior cluster needs N > margin = ceil((2N)**delta) + 1, which
+    # is 1 at radius 0 and at least 3 above it
+    assert boundaries == ({True, False} if radius >= 4 else {True})
     assert not list(tmp_path.glob(".tmp-*"))

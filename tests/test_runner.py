@@ -204,6 +204,9 @@ def test_cache_is_used_and_correct(tmp_path):
     {"box_radius": 10, "d": 1, "delta": "1/20", "margin": 2,
      "clusters": [{"id": 0, "members": [[0, 0]], "m_alpha": 0,
                    "M_alpha": 0, "boundary": False}]},
+    # a box too large to allocate: the member count is compared first
+    {"box_radius": 10**9, "d": 2, "delta": "1/20",
+     "clusters": [{"members": [[0, 0]]}]},
 ])
 def test_wrong_shape_cache_entry_is_a_miss(tmp_path, planted):
     cfg = normalize(minimal_homological(tmp_path))

@@ -542,6 +542,21 @@ def test_chain_pair_bounds_match_bilinear_replay(kind):
                                       rng.choice((2, 3)))
                 assert (chain_pair_bounds(basis, p, chain, kind).to_dict()
                         == _bilinear_pair_bounds(basis, p, chain, kind))
+    if kind == NLS:
+        # mu = j^2 and lambda*omega_bar = 3/4: the step from j = 0 to 3 over
+        # 8 ells is |9 - 6| = 3, exactly the budget 2(1/2 + 1), in the
+        # difference form and, with the sign flipped, the sum form; over 7
+        # ells it is 15/4, past the budget
+        from toruskit.spacetime import SingularChain
+
+        p = params(mass="1/2", lam="3/4", theta="1/3")
+        for ell, a, ok in ((8, 1, True), (-8, -1, True),
+                           (7, 1, False), (-7, -1, False)):
+            chain = SingularChain((SpaceTimeSite((0,), (0,), 1),
+                                   SpaceTimeSite((ell,), (3,), a)), 2)
+            got = chain_pair_bounds(B1, p, chain, kind).to_dict()
+            assert got == _bilinear_pair_bounds(B1, p, chain, kind)
+            assert (got["step_bound_ok"], got["max_step_mu_gap"]) == (ok, 9.0)
 
 
 def test_frequency_params_validation():
