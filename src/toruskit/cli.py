@@ -116,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radius", dest="params.box_radius", type=int)
     sp.add_argument("--gammas", dest="params.gammas", type=_gammas,
                     help="comma list, e.g. 2,4,8,16")
-    sp.add_argument("--cap", dest="params.length_cap", type=int,
-                    help="length cap (truncates search)")
 
     sp = add("singular", "singular-site chains of a symbol")
     sp.add_argument("--kind", dest="params.symbol", choices=["nlw", "nls"])

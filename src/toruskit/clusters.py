@@ -172,12 +172,11 @@ def _box_numerators(basis: LatticeBasis, box_radius: int):
 
 
 def max_chain_length(basis: LatticeBasis, box_radius: int, gamma,
-                     length_cap=None,
                      node_budget: int = 2_000_000) -> ChainSearchResult:
     """Maximal chain length over the box, by exact search.
 
-    Returns the best chain found; when the node budget or ``length_cap``
-    is hit the result is a lower bound and is flagged.  A pair within
+    Returns the best chain found; when the node budget runs out the result
+    is a lower bound and is flagged ``truncated``.  A pair within
     ``floor(gamma)`` is linked when ``|n_k - n_i| <= floor(D*gamma)``, the
     slab of :func:`_slab_runs`, exact for a float gamma too.
     """
@@ -194,8 +193,7 @@ def max_chain_length(basis: LatticeBasis, box_radius: int, gamma,
             adjacency[i].append(i + step)
             adjacency[i + step].append(i)
     adjacency = [sorted(nbrs) for nbrs in adjacency]
-    raw: PathSearchResult = longest_path(adjacency, length_cap=length_cap,
-                                         node_budget=node_budget)
+    raw: PathSearchResult = longest_path(adjacency, node_budget=node_budget)
     witness = GammaChain(tuple(sites[i] for i in raw.path), gamma)
     return ChainSearchResult(raw.length, witness, raw.truncated, raw.expanded,
                              raw.floods)
@@ -564,7 +562,6 @@ class ScalingResult:
 
 
 def chain_scaling_experiment(basis: LatticeBasis, gammas, box_radius: int,
-                             length_cap=None,
                              node_budget: int = 2_000_000) -> ScalingResult:
     """Maximal chain length as a function of gamma, with a log-log slope fit.
 
@@ -576,7 +573,6 @@ def chain_scaling_experiment(basis: LatticeBasis, gammas, box_radius: int,
         if gamma < 2:
             raise ValueError("scaling experiment expects gamma >= 2")
         rows.append(max_chain_length(basis, box_radius, gamma,
-                                     length_cap=length_cap,
                                      node_budget=node_budget))
     pts = [(math.log(float(r.witness.gamma)), math.log(r.length))
            for r in rows if r.length >= 1]

@@ -102,7 +102,6 @@ PARAMS = {
     "chains": {
         "box_radius": (50, _int, 1),
         "gammas": ([2, 4, 8], _int_list, 2),
-        "length_cap": (None, _int, 1),
         "node_budget": (2_000_000, _int, 1),
     },
     "singular": {
@@ -110,7 +109,6 @@ PARAMS = {
         "ell_radius": (20, _int, 1),
         "j_radius": (20, _int, 1),
         "gamma": (2, _int, 2),
-        "length_cap": (None, _int, 1),
         "node_budget": (2_000_000, _int, 1),
         "exponent_bound": (None, _float, None),
     },

@@ -407,7 +407,6 @@ def _run_chains(config: ExperimentConfig, out_dir: Path, counters: dict):
     basis = config.basis()
     p = config.params
     result = chain_scaling_experiment(basis, p["gammas"], p["box_radius"],
-                                      length_cap=p["length_cap"],
                                       node_budget=p["node_budget"])
     counters.update(sites=(2 * p["box_radius"] + 1) ** basis.d,
                     search_expanded=sum(r.expanded for r in result.rows),
@@ -438,7 +437,7 @@ def _run_singular(config: ExperimentConfig, out_dir: Path, counters: dict):
     p = config.params
     survey = enumerate_singular_chains(
         basis, params, p["symbol"], p["ell_radius"], p["j_radius"], p["gamma"],
-        length_cap=p["length_cap"], node_budget=p["node_budget"])
+        node_budget=p["node_budget"])
     counters.update(sites=survey.site_count, search_expanded=survey.expanded,
                     search_floods=survey.floods,
                     search_truncated=survey.truncated)
@@ -539,7 +538,8 @@ def _matrix_on_box(raw, partition: ClusterPartition) -> BlockMatrix:
     raises ParseError naming ``box_radius`` or ``d``."""
     for field, want in (("box_radius", partition.box_radius),
                         ("d", partition.d)):
-        if raw[field] != want:
+        # true == 1 and 1.0 == 1, so the type is checked too
+        if type(raw[field]) is not int or raw[field] != want:
             raise ParseError(f"{field}: {raw[field]!r} does not match the "
                              f"partition's {want}")
     return BlockMatrix.from_triplets(raw["box_radius"], raw["d"], raw["entries"])

@@ -65,23 +65,19 @@ def _reach_mask(masks, origin, visited):
     return blocked & ~visited
 
 
-def _dp_longest(adj, length_cap, budget):
+def _dp_longest(adj, budget):
     """Exact longest path by layered DP over (visited-mask, endpoint) states.
 
-    Returns (length, path, truncated, states), or None once the states
-    built pass ``budget`` (checked before each state is extended, so the
-    overshoot is at most one state's degree).  States of one layer share
+    Returns (length, path, states), or None once the states built pass
+    ``budget`` (checked before each state is extended, so the overshoot is
+    at most one state's degree).  States of one layer share
     the mask popcount, so layers never overlap and reconstruction walks the
     layers backwards.
     """
     k = len(adj)
     layers = [{(1 << v) * k + v for v in range(k)}]
     total = k
-    truncated = False
     while True:
-        if length_cap is not None and len(layers) - 1 >= length_cap:
-            truncated = True
-            break
         nxt = set()
         for code in layers[-1]:
             if total + len(nxt) > budget:
@@ -110,10 +106,10 @@ def _dp_longest(adj, length_cap, budget):
         else:
             raise AssertionError("path reconstruction failed")
     path.reverse()
-    return len(path) - 1, path, truncated, total
+    return len(path) - 1, path, total
 
 
-def _dfs_longest(adjacency, best_len, length_cap, budget):
+def _dfs_longest(adjacency, best_len, budget):
     """Branch-and-bound DFS over the connected graph ``adjacency`` (one
     component); returns the improved best.
 
@@ -153,8 +149,7 @@ def _dfs_longest(adjacency, best_len, length_cap, budget):
         floods = [[]]
         lefts = [nodes - 1]
         while iters:
-            if expanded >= budget or (length_cap is not None
-                                      and best_len >= length_cap):
+            if expanded >= budget:
                 truncated = True
                 break
             it = iters[-1]
@@ -208,8 +203,7 @@ def _dfs_longest(adjacency, best_len, length_cap, budget):
     return best_len, best_path, truncated, expanded, floods_run
 
 
-def longest_path(adjacency, length_cap=None,
-                 node_budget=2_000_000) -> PathSearchResult:
+def longest_path(adjacency, node_budget=2_000_000) -> PathSearchResult:
     """Exact longest simple path (in edges) over all components.
 
     ``node_budget`` bounds all the work: DFS expansions and DP states both
@@ -220,8 +214,8 @@ def longest_path(adjacency, length_cap=None,
     DP on half the budget left, and a DP that gives up is charged that half
     and followed by the DFS on the rest.  Larger components get the
     branch-and-bound DFS (``_dfs_longest``) on the whole budget left;
-    ``floods`` counts its flood fills.  Truncation via ``node_budget`` or
-    ``length_cap`` is honest: the best path found is returned and flagged.
+    ``floods`` counts its flood fills.  A search the budget cuts short is
+    honest: the best path found is returned and flagged ``truncated``.
     """
     if not adjacency:
         return PathSearchResult(0, (), False, 0, 0)
@@ -237,31 +231,29 @@ def longest_path(adjacency, length_cap=None,
             break
         local = {v: i for i, v in enumerate(comp)}
         sub = [[local[w] for w in adjacency[v] if w in local] for v in comp]
-        goal = min(comp_size - 1,
-                   comp_size if length_cap is None else length_cap)
         for step in ("probe", "dp", "dfs") if comp_size <= 64 else ("dfs",):
             left = node_budget - expanded
             if step == "dp":
-                solved = _dp_longest(sub, length_cap, left // 2)
+                solved = _dp_longest(sub, left // 2)
                 if solved is None:
                     expanded += left // 2
                     continue
-                length, sub_path, cut, states = solved
+                length, sub_path, states = solved
+                cut = False
                 expanded += states
             else:
                 length, sub_path, cut, spent, flooded = _dfs_longest(
-                    sub, best_len, length_cap,
+                    sub, best_len,
                     min(comp_size ** 2, left) if step == "probe" else left)
                 expanded += spent
                 floods += flooded
             if sub_path is not None and length > best_len:
                 best_len = length
                 best_path = tuple(comp[i] for i in sub_path)
-            if not cut or best_len >= goal or expanded >= node_budget:
+            if not cut or best_len >= comp_size - 1 or expanded >= node_budget:
                 break
         truncated = truncated or cut
-        if (length_cap is not None and best_len >= length_cap
-                or expanded >= node_budget):
+        if expanded >= node_budget:
             truncated = True
             break
     return PathSearchResult(best_len, best_path, truncated, expanded, floods)

@@ -293,7 +293,7 @@ class ChainSurvey:
 
 def enumerate_singular_chains(basis: LatticeBasis, params: FrequencyParams,
                               kind: str, ell_radius: int, j_radius: int,
-                              gamma, length_cap=None,
+                              gamma,
                               node_budget: int = 2_000_000) -> ChainSurvey:
     """Longest chain of singular sites per link-graph component.
 
@@ -316,8 +316,7 @@ def enumerate_singular_chains(basis: LatticeBasis, params: FrequencyParams,
         sub_index = {v: t for t, v in enumerate(comp)}
         sub_adj = [[sub_index[w] for w in adjacency[v] if w in sub_index]
                    for v in comp]
-        res = longest_path(sub_adj, length_cap=length_cap,
-                           node_budget=node_budget)
+        res = longest_path(sub_adj, node_budget=node_budget)
         truncated = truncated or res.truncated
         expanded += res.expanded
         floods += res.floods

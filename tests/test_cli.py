@@ -330,6 +330,28 @@ def test_matrix_file_off_the_partition_box_names_its_field(
     assert f"ParseError: {field}:" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("box_radius", True), ("box_radius", 1.0), ("d", True), ("d", 1.0),
+], ids=["box_radius_true", "box_radius_float", "d_true", "d_float"])
+def test_matrix_file_box_that_is_no_int_is_usage_error(tmp_path, capsys,
+                                                       field, value):
+    # true == 1 and 1.0 == 1, so the radius-1 box of the unit lattice is the
+    # one where such a value would pass for the partition's
+    matrix = {"box_radius": 1, "d": 1,
+              "entries": [{"j": [-1], "j_prime": [1], "re": "1", "im": "0"}],
+              field: value}
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(matrix))
+    code = main(["homological", "--radius", "1", "--delta", "1/10",
+                 "--allow-delta-above-theorem", "--no-cache",
+                 "--matrix", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"params.matrix_file: {path}" in err
+    assert f"ParseError: {field}: {value!r} does not match" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
 def test_unreadable_config_is_usage_error(tmp_path, capsys, case):
     path = tmp_path / "config.json"
@@ -407,11 +429,13 @@ def test_long_decimal_delta_is_refused(kind):
     ("singular", "node_budget", "abc", "expected an integer"),
     ("singular", "node_budget", None, "expected an integer"),
     ("singular", "node_budget", 0, "must be >= 1"),
-    ("singular", "length_cap", "x", "expected an integer"),
-    ("singular", "length_cap", 0, "must be >= 1"),
+    # the field is gone, so the search is cut by node_budget only; the null
+    # that reports used to echo is refused too
+    ("singular", "length_cap", 5, "unknown field"),
+    ("singular", "length_cap", None, "unknown field"),
     ("singular", "exponent_bound", "big", "expected a number"),
     ("chains", "node_budget", 2.5, "expected an integer"),
-    ("chains", "length_cap", -3, "must be >= 1"),
+    ("chains", "length_cap", 5, "unknown field"),
     ("chains", "gammas", 4, "expected a list of integers"),
     ("chains", "gammas", [2, "x"], "expected a list of integers"),
     ("cluster", "box_radius", [3], "expected an integer"),

@@ -124,7 +124,7 @@ def test_complete_graph_box():
 
 
 def test_truncation_flags_lower_bound():
-    res = max_chain_length(B1, 10, 4, length_cap=2)
+    res = max_chain_length(B1, 10, 4, node_budget=2)
     assert res.truncated
     assert res.length >= 2
 
@@ -380,8 +380,8 @@ def test_chain_scaling_monotone_and_bounded():
 
 
 def test_chain_scaling_propagates_truncation():
-    capped = chain_scaling_experiment(B1, [8], 50, length_cap=3)
-    assert capped.rows[0].truncated
+    cut = chain_scaling_experiment(B1, [8], 50, node_budget=3)
+    assert cut.rows[0].truncated
 
 
 def test_chain_scaling_d2_small():

@@ -583,23 +583,25 @@ def _pinned_digest(report, out_dir) -> str:
 # is cut by its node budget, and its witness was re-recorded when the DP
 # states began to count toward that budget.  All six were re-recorded when
 # the config echo lost its "lattice.mode" key, the one byte change: with
-# "mode": "exact" put back after the matrix, each body hashed to its old value
+# "mode": "exact" put back after the matrix, each body hashed to its old value.
+# They were re-recorded again when the echo lost "params.length_cap": with
+# "length_cap": null put back, each body hashed to its old value
 @pytest.mark.parametrize("raw, digest", [
     (_singular([["1"]], "nls", 8, 4, mass="3/2", node_budget=3000),
-     "5290e10d0f4e0a5f394f1580f13fbf0b893171ed21e16656da277a2cf9865ff3"),
+     "ca4eb650a12e2c66a243b0bc7d4c8b5378ac08e42164331967798ddf868b499d"),
     (_singular([["1"]], "nlw", 20, 20),
-     "da86d09af9ac970b24a7453b6fcd39fffc32de29a8245f0bab2593836027ed38"),
+     "13cc33e8a05de546c483d69bce7d9f72bb5245cf9018b227e671df3e3e2f1dd0"),
     (_singular([["1", "2/3"], ["0", "1"]], "nls", 6, 8),
-     "849f9d564eb024286d2345c79d9b55f84c5e789696093be2793069cb43a31cc2"),
+     "3f66bb0fd4819e257ed3f8ca64b7cdc3c23fd3e91289bfe1090d2df5b8fc6bcd"),
     (_singular([["1", "0"], ["0", "2"]], "nlw", 6, 6, node_budget=2000),
-     "8c63d1ac036ad58da1f2f5874fe59f9c7d87a93a3ae162a2914306ef0cdae21d"),
+     "0b0466c52381c1d2b136a9488fd378decb3948578138322748415b123dcaa83a"),
     (_singular([["1", "-1/3"], ["0", "3/2"]], "nls", 2, 3,
                omega=("1/3", "-1/2"), tau0=2, mass="3/4", lam="5/4",
                theta="2/7", node_budget=3000),
-     "32dda5437d9d92ddf079807096ba6553929cf28cde851a751bfa1ca5274c9d0c"),
+     "62cea53f88d681503a688246d788d556d48d9aa8949e3184e59e975b4686b6db"),
     (_singular([["1", "1/2"], ["0", "1"]], "nlw", 8, 8, mass="2/3",
                lam="3/4", theta="-1/3", gamma=3),
-     "29ab75d481429c46f4df35135b7efc881dc15f18733be5288b41b04d2c8f7109"),
+     "f2330c0ce0cd89b54b66227c5ee6aae613f9c2a47720d46977578cffe79361a7"),
 ], ids=["nls-d1", "nlw-d1", "nls-d2", "nlw-d2", "nls-d2-theta-lambda",
         "nlw-d2-theta-lambda"])
 def test_singular_body_bytes_pinned(tmp_path, raw, digest):

@@ -23,7 +23,7 @@ def _set_reach(adjacency, origin, visited):
     return local
 
 
-def _set_dfs_longest(adjacency, best_len, length_cap, budget):
+def _set_dfs_longest(adjacency, best_len, budget):
     # branch-and-bound DFS with Python sets for the visited nodes; it floods
     # once per candidate
     best_path = None
@@ -38,8 +38,7 @@ def _set_dfs_longest(adjacency, best_len, length_cap, budget):
         visited = {start}
         iters = [iter(adjacency[start])]
         while iters:
-            if expanded >= budget or (length_cap is not None
-                                      and best_len >= length_cap):
+            if expanded >= budget:
                 truncated = True
                 break
             it = iters[-1]
@@ -117,9 +116,9 @@ def _relabel(rng, adjacency):
             for v in range(n)]
 
 
-def assert_dfs_matches_set_dfs(adjacency, best_len, length_cap, budget):
-    fast = _dfs_longest(adjacency, best_len, length_cap, budget)
-    plain = _set_dfs_longest(adjacency, best_len, length_cap, budget)
+def assert_dfs_matches_set_dfs(adjacency, best_len, budget):
+    fast = _dfs_longest(adjacency, best_len, budget)
+    plain = _set_dfs_longest(adjacency, best_len, budget)
     # length, path, truncated and expanded; the flood counts differ
     assert fast[:4] == plain[:4]
     return fast
@@ -143,18 +142,15 @@ def test_reachable_count_matches_set_flood_fill():
 @pytest.mark.parametrize("seed", range(6))
 def test_bitset_dfs_matches_set_dfs(seed, monkeypatch):
     # above 64 nodes, so the DFS runs and not the DP; the trees are searched
-    # to the end, the graphs with chords are cut by the budget or the cap
+    # to the end, the graphs with chords are cut by the budget
     rng = random.Random(seed)
-    cases = [(False, None, 2_000_000), (True, None, 300), (True, None, 3000),
-             (True, 12, 3000)]
-    for chords, length_cap, node_budget in cases:
+    cases = [(False, 2_000_000), (True, 300), (True, 1000), (True, 3000)]
+    for chords, node_budget in cases:
         adjacency = random_graph(rng, rng.randint(65, 100), chords)
-        fast = longest_path(adjacency, length_cap=length_cap,
-                            node_budget=node_budget)
+        fast = longest_path(adjacency, node_budget=node_budget)
         with monkeypatch.context() as patch:
             patch.setattr(search, "_dfs_longest", _set_dfs_longest)
-            plain = longest_path(adjacency, length_cap=length_cap,
-                                 node_budget=node_budget)
+            plain = longest_path(adjacency, node_budget=node_budget)
         assert (fast.length, fast.path, fast.truncated, fast.expanded) == (
             plain.length, plain.path, plain.truncated, plain.expanded)
         assert fast.length == len(fast.path) - 1
@@ -170,7 +166,7 @@ def test_dfs_matches_set_dfs_from_a_positive_best(seed):
     for chords in (False, True):
         adjacency = random_graph(rng, rng.randint(20, 60), chords)
         for best_len in (1, 5, 12, 30):
-            assert_dfs_matches_set_dfs(adjacency, best_len, None, 3000)
+            assert_dfs_matches_set_dfs(adjacency, best_len, 3000)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -183,21 +179,9 @@ def test_dfs_matches_set_dfs_on_paths_with_pendant_branches(seed):
         full = 2_000_000 if chords == 0 else 5000
         for best_len, budget in ((0, full), (0, 300), (spine // 2, full)):
             length, path, *_ = assert_dfs_matches_set_dfs(
-                adjacency, best_len, None, budget)
+                adjacency, best_len, budget)
             improved += path is not None
     assert improved
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_dfs_matches_set_dfs_under_a_length_cap(seed):
-    rng = random.Random(300 + seed)
-    for length_cap in (1, 3, 8, 12, 40):
-        for adjacency in (random_graph(rng, rng.randint(20, 60)),
-                          caterpillar(rng, 25, 3)):
-            length, _, truncated, *_ = assert_dfs_matches_set_dfs(
-                adjacency, 0, length_cap, 20_000)
-            if length >= length_cap:
-                assert truncated
 
 
 def test_dfs_floods_less_than_one_per_candidate(monkeypatch):
@@ -216,8 +200,8 @@ def test_dfs_floods_less_than_one_per_candidate(monkeypatch):
     monkeypatch.setattr(search, "_reach_mask",
                         counted("fast", search._reach_mask))
     monkeypatch.setitem(globals(), "_set_reach", counted("plain", _set_reach))
-    fast = _dfs_longest(adjacency, 0, None, 5000)
-    plain = _set_dfs_longest(adjacency, 0, None, 5000)
+    fast = _dfs_longest(adjacency, 0, 5000)
+    plain = _set_dfs_longest(adjacency, 0, 5000)
     assert fast[:4] == plain[:4]
     assert 0 < counts["fast"] < counts["plain"]
     assert (fast[4], plain[4]) == (counts["fast"], counts["plain"])
@@ -241,7 +225,7 @@ def test_flood_memo_generations_rotate(memo, monkeypatch):
     for n in (70, 90):
         adjacency = random_graph(rng, n)
         seen.clear()
-        assert_dfs_matches_set_dfs(adjacency, 0, None, 3000)
+        assert_dfs_matches_set_dfs(adjacency, 0, 3000)
         assert len(seen) > 2 * FLOOD_MEMO >= 2 * memo
 
 
@@ -273,7 +257,7 @@ def test_flood_memo_on_a_chain_graph(shear, gamma):
     adjacency = _chain_graph(shear, 4, gamma)
     assert len(adjacency) > 64
     _, _, truncated, expanded, floods = assert_dfs_matches_set_dfs(
-        adjacency, 0, None, 3000)
+        adjacency, 0, 3000)
     assert truncated and expanded == 3000
     assert 0 < floods < expanded / 2
 

@@ -137,7 +137,7 @@ def test_truncated_chains_still_maximal():
     from toruskit.spacetime import enumerate_singular_chains as survey_fn
 
     p = params(mass="1/2")
-    survey = survey_fn(B1, p, NLW, 20, 20, 2, length_cap=5)
+    survey = survey_fn(B1, p, NLW, 20, 20, 2, node_budget=5)
     assert survey.truncated
     top = survey.chains[0]
     assert top.is_valid(B1, p, NLW)
