@@ -40,13 +40,9 @@ def _spatial(j, j2) -> int:
     return max(map(abs, map(operator.sub, j, j2)))
 
 
-def _phi_sup(j, j2, mu_j, mu_j2):
-    return max(Fr(_spatial(j, j2)), abs(mu_j2 - mu_j))
-
-
 def phi_distance(basis: LatticeBasis, j, j2):
     """Sup-norm of Phi(j2) - Phi(j): max of spatial gap and eigenvalue gap."""
-    return _phi_sup(j, j2, mu(basis, j), mu(basis, j2))
+    return max(Fr(_spatial(j, j2)), abs(mu(basis, j2) - mu(basis, j)))
 
 
 def is_gamma_link(basis: LatticeBasis, j, j2, gamma) -> bool:
@@ -247,19 +243,20 @@ def _check_box(box_radius, d, count: int, what: str) -> None:
 class ClusterPartition:
     """The ``cluster`` id of each index of ``box_sites(box_radius, d)``, all
     ids from 0 up used; delta by :func:`check_delta`, no theorem bound.
-    Derived, not settable: per id its ascending ``members``, least and
-    largest sup norm, and ``boundary``: within ``margin`` = one-step reach
-    ceil((2N)**delta) + 1 of the edge, it could change on a larger box."""
+    Derived, not settable: per id its least and largest sup norm, and
+    ``boundary``: within ``margin`` = one-step reach ceil((2N)**delta) + 1
+    of the edge, it could change on a larger box."""
 
     box_radius: int
     d: int
     delta: Fraction
     cluster: tuple
     margin: int = field(init=False)
-    members: list = field(init=False)
     m_alpha: list = field(init=False)
     M_alpha: list = field(init=False)
     boundary: list = field(init=False)
+    _first: list = field(init=False)
+    _groups: dict = field(init=False)
 
     def __post_init__(self):
         N, d, cluster = self.box_radius, self.d, tuple(self.cluster)
@@ -267,36 +264,41 @@ class ClusterPartition:
         delta = check_delta(d, self.delta, enforce_delta_bound=False)
         if set(map(type, cluster)) != {int} or min(cluster) < 0:
             raise ValueError("cluster: an id is not a nonnegative int")
-        members = [[] for _ in range(max(cluster) + 1)]
-        for i, c in enumerate(cluster):
-            members[c].append(i)
-        if not all(members):
-            raise ValueError(f"cluster: id {members.index([])} is unused")
-        sup = _box_sup(N, d)
-        sups = [[sup[i] for i in group] for group in members]
-        M_alpha = list(map(max, sups))
+        first = [None] * (max(cluster) + 1)
+        m, M, groups = first[:], first[:], {}
+        for i, c, s in zip(count(), cluster, _box_sup(N, d)):
+            if first[c] is None:
+                first[c], m[c], M[c] = i, s, s
+            else:
+                groups.setdefault(c, [first[c]]).append(i)
+                m[c], M[c] = min(m[c], s), max(M[c], s)
+        if None in first:
+            raise ValueError(f"cluster: id {first.index(None)} is unused")
         margin = exact.ceil_pow(2 * N, delta) + 1
         vars(self).update(
-            delta=delta, cluster=cluster, margin=margin, members=members,
-            m_alpha=list(map(min, sups)), M_alpha=M_alpha,
-            boundary=[N - M <= margin for M in M_alpha])
+            delta=delta, cluster=cluster, margin=margin, m_alpha=m, M_alpha=M,
+            boundary=[N - x <= margin for x in M], _first=first, _groups=groups)
+
+    def members(self, c: int) -> list:
+        """Ascending indices of id c; only ids of two or more keep a list."""
+        return self._groups.get(c) or [self._first[c]]
 
     def cluster_of(self, j) -> int:
         """The cluster id of the site ``j``; a ValueError if it is none."""
         return self.cluster[_box_index(self.box_radius, self.d, j)]
 
     def to_dict(self):
-        sites = box_sites(self.box_radius, self.d)
+        sites, members = box_sites(self.box_radius, self.d), self.members
         return {
             "box_radius": self.box_radius,
             "d": self.d,
             "delta": exact.format_rational(self.delta),
             "margin": self.margin,
             "clusters": [
-                {"id": c, "members": [list(sites[i]) for i in group],
+                {"id": c, "members": [list(sites[i]) for i in members(c)],
                  "m_alpha": m, "M_alpha": M, "boundary": boundary}
-                for c, (group, m, M, boundary) in enumerate(zip(
-                    self.members, self.m_alpha, self.M_alpha, self.boundary))
+                for c, (m, M, boundary) in enumerate(zip(
+                    self.m_alpha, self.M_alpha, self.boundary))
             ],
         }
 
@@ -484,11 +486,11 @@ def verify_cluster_properties(table: BoxTable, partition: ClusterPartition,
     pair passes :func:`relation_links`' test, so only the table's relation
     ``links`` are tested.  ``pairs_checked`` counts the interior cross pairs
     within the link radius, tested or not: per offset the pairs of interior
-    sites by bitmask, less the pairs inside one interior cluster.  Dyadicity
-    is ``M_alpha <= 2*m_alpha`` above a threshold which is fitted: the
-    largest interior M_alpha violating the 2:1 rule.  The growth constant of
-    intra-cluster spreads is fitted in floats and reported, never assumed;
-    each spread is the float of its exact value.
+    sites by bitmask, less the pairs inside an interior cluster of two or
+    more members.  Dyadicity is ``M_alpha <= 2*m_alpha`` above a threshold
+    which is fitted: the largest interior M_alpha violating the 2:1 rule.
+    The growth constant of intra-cluster spreads is fitted in floats and
+    reported, never assumed; each spread is the float of its exact value.
     """
     N, d, delta = partition.box_radius, partition.d, partition.delta
     if (table.box_radius, table.basis.d, table.delta) != (N, d, delta):
@@ -516,9 +518,9 @@ def verify_cluster_properties(table: BoxTable, partition: ClusterPartition,
     fitted_c = fitted_e = 0.0
     stats = []
     for c in interior:
-        members = partition.members[c]
+        members = partition.members(c)
         diameter = 0
-        for a, i in enumerate(members):
+        for a, i in enumerate(members if len(members) > 1 else ()):
             for k in members[a + 1:]:
                 j, j2 = sites[i], sites[k]
                 spatial = _spatial(j, j2)

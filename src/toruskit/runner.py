@@ -263,8 +263,8 @@ def _write_partition(path: Path, partition: ClusterPartition) -> None:
     """Write ``partition`` as ``atomic_write_json`` writes its dict.
 
     The bytes are those of ``json.dumps(partition.to_dict(), indent=2,
-    sort_keys=True) + "\\n"``, streamed from the partition's index lists
-    with no dict built.  Ids, sup norms and coordinates are ints,
+    sort_keys=True) + "\\n"``, streamed from ``partition.members(c)`` per
+    id with no dict built.  Ids, sup norms and coordinates are ints,
     ``boundary`` is a bool, a box has a cluster and a cluster a member, so
     each record and each member's index list is one ``%`` format.
     """
@@ -275,16 +275,15 @@ def _write_partition(path: Path, partition: ClusterPartition) -> None:
     head = ('"M_alpha": %d,' + key + '"boundary": %s,' + key + '"id": %d,'
             + key + '"m_alpha": %d,' + key + '"members": ')
     sites = box_sites(partition.box_radius, partition.d)
-    records = zip(partition.members, partition.M_alpha, partition.boundary,
-                  partition.m_alpha)
+    records = zip(partition.M_alpha, partition.boundary, partition.m_alpha)
     with _atomic_file(path) as handle:
         write = handle.write
         write('{\n  "box_radius": ' + _scalar_text(partition.box_radius)
               + ',\n  "clusters": ')
         sep = "[\n    {" + key
-        for c, (group, M, boundary, m) in enumerate(records):
+        for c, (M, boundary, m) in enumerate(records):
             members = ("[" + member + ("," + member).join(
-                [index % sites[i] for i in group]) + key + "]")
+                [index % sites[i] for i in partition.members(c)]) + key + "]")
             write(sep + head % (M, "true" if boundary else "false", c, m)
                   + members + "\n    }")
             sep = ",\n    {" + key
@@ -364,7 +363,7 @@ def _run_cluster(config: ExperimentConfig, out_dir: Path, counters: dict):
     partition = group_links(table, links)
     report = verify_cluster_properties(table, partition, links)
     expected = (2 * N + 1) ** basis.d
-    counters.update(sites=expected, clusters=len(partition.members),
+    counters.update(sites=expected, clusters=len(partition.M_alpha),
                     cross_pairs=report.pairs_checked)
     if p["edges_csv"]:
         counters["links"] = len(links)

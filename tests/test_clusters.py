@@ -133,10 +133,10 @@ def test_build_partition_d1():
     part = build_partition(B1, 10, Fr(1, 10), enforce_delta_bound=False)
     sites = box_sites(10, 1)
     central = part.cluster_of((0,))
-    assert [sites[i] for i in part.members[central]] == [(-1,), (0,), (1,)]
-    for c, members in enumerate(part.members):
+    assert [sites[i] for i in part.members(central)] == [(-1,), (0,), (1,)]
+    for c in range(len(part.M_alpha)):
         if c != central:
-            assert len(members) == 1
+            assert len(part.members(c)) == 1
     assert len(part.cluster) == 21
 
 
@@ -291,27 +291,78 @@ def test_from_dict_derives_the_cluster_fields(field, value):
     ([0] * 8 + [2], "cluster: id 1 is unused"),
 ], ids=["length", "negative", "bool", "float", "str", "unused"])
 def test_constructor_refuses_ids_that_are_no_partition(cluster, message):
-    assert ClusterPartition(1, 2, Fr(1, 10), [0] * 8 + [1]).members == \
-        [list(range(8)), [8]]
+    part = ClusterPartition(1, 2, Fr(1, 10), [0] * 8 + [1])
+    assert [part.members(0), part.members(1)] == [list(range(8)), [8]]
     with pytest.raises(ValueError) as caught:
         ClusterPartition(1, 2, Fr(1, 10), cluster)
     assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("name", ["margin", "members", "m_alpha", "M_alpha",
-                                  "boundary"])
-def test_derived_fields_cannot_be_set(name):
+# members(c) reads the layout fields _first and _groups
+@pytest.mark.parametrize("names", [
+    ("margin",), ("_first", "_groups"), ("m_alpha",), ("M_alpha",),
+    ("boundary",)], ids=["margin", "members", "m_alpha", "M_alpha", "boundary"])
+def test_derived_fields_cannot_be_set(names):
     part = _radius_2_partition()
-    with pytest.raises(ValueError, match="init=False"):
-        dataclasses.replace(part, **{name: getattr(part, name)})
-    with pytest.raises(TypeError):
-        ClusterPartition(2, 2, Fr(1, 10), part.cluster,
-                         **{name: getattr(part, name)})
+    for name in names:
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(part, **{name: getattr(part, name)})
+        with pytest.raises(TypeError):
+            ClusterPartition(2, 2, Fr(1, 10), part.cluster,
+                             **{name: getattr(part, name)})
     # a defining field may be replaced: the rest is derived again
     assert type(part.cluster) is tuple
     assert dataclasses.replace(part, cluster=list(part.cluster)) == part
     wide = dataclasses.replace(part, delta="9/10")
     assert (wide.delta, wide.margin) == (Fr(9, 10), 5)
+
+
+def oracle_partition(radius, d, delta, cluster):
+    """Per id its member list, least and largest sup norm and boundary flag,
+    and the margin: one member list per id, then min and max of the sup
+    norms of its sites."""
+    sites = box_sites(radius, d)
+    members = [[] for _ in range(max(cluster) + 1)]
+    for i, c in enumerate(cluster):
+        members[c].append(i)
+    sups = [[sup_norm(sites[i]) for i in group] for group in members]
+    # the least m with m**q >= (2N)**p: ceil((2N)**delta) for delta p/q
+    reach = 0
+    while reach ** delta.denominator < (2 * radius) ** delta.numerator:
+        reach += 1
+    margin = reach + 1
+    M_alpha = list(map(max, sups))
+    return (members, list(map(min, sups)), M_alpha,
+            [radius - M <= margin for M in M_alpha], margin)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("radius", range(5))
+def test_constructor_matches_member_list_oracle(d, radius):
+    rng = random.Random(f"ids {d} {radius}")
+    n = (2 * radius + 1) ** d
+    # one cluster, all singletons in a random id order, and random
+    # surjections onto k ids in random order and relabelled canonically
+    arrays = [[0] * n, rng.sample(range(n), n)]
+    for _ in range(8):
+        k = rng.randint(1, n)
+        ids = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+        rng.shuffle(ids)
+        canonical = {}
+        arrays += [ids, [canonical.setdefault(c, len(canonical))
+                         for c in ids]]
+    for ids in arrays:
+        part = ClusterPartition(radius, d, Fr(rng.randint(1, 99),
+                                              rng.randint(100, 10**4)), ids)
+        # from_dict takes the ids from the order of the records
+        data = part.to_dict()
+        rng.shuffle(data["clusters"])
+        for p in (part, ClusterPartition.from_dict(data)):
+            members, m_alpha, M_alpha, boundary, margin = \
+                oracle_partition(radius, d, p.delta, p.cluster)
+            assert list(map(p.members, range(len(members)))) == members
+            assert (p.m_alpha, p.M_alpha, p.boundary, p.margin) == \
+                (m_alpha, M_alpha, boundary, margin)
 
 
 def test_cluster_of_reads_box_sites_and_refuses_others():
@@ -499,8 +550,8 @@ def test_relation_links_match_all_pairs_oracle(d, radius, entries, tmp_path):
         assert relation_links(box_table(basis, radius, delta)) == expected
         sites = box_sites(radius, d)
         part = build_partition(basis, radius, delta, enforce_delta_bound=False)
-        assert [tuple(sites[i] for i in members)
-                for members in part.members] == \
+        assert [tuple(sites[i] for i in part.members(c))
+                for c in range(len(part.M_alpha))] == \
             oracle_components(sites, expected)
 
         lattice = {"matrix": [[format_rational(x) if entries == "exact" else x
@@ -561,7 +612,7 @@ def oracle_verify(basis, part):
     exponent = (chain_exponent(d) + 1) * float(delta)
     fitted_c = fitted_e = 0.0
     for c in interior:
-        members = [sites[i] for i in part.members[c]]
+        members = [sites[i] for i in part.members(c)]
         for a, j in enumerate(members):
             for j2 in members[a + 1:]:
                 spread = float(max(abs(x - y) for x, y in zip(j, j2))

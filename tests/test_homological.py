@@ -188,7 +188,8 @@ def test_solve_zero_matrix():
 def test_solve_rejects_intra_cluster():
     part = partition()
     sites = box_sites(8, 2)
-    members = next(m for m in part.members if len(m) > 1)
+    members = next(m for m in map(part.members, range(len(part.M_alpha)))
+                   if len(m) > 1)
     W = BlockMatrix.from_entries(
         8, 2, {(sites[members[0]], sites[members[1]]): QQi(1, 0)})
     with pytest.raises(IntraClusterEntry):
@@ -216,14 +217,14 @@ def test_weight_operator_values_and_commutator():
     weight = cluster_weight_operator(part)
     # singletons carry their own squared sup-norm
     sites = box_sites(8, 2)
-    singleton = next(c for c, members in enumerate(part.members)
-                     if len(members) == 1 and part.M_alpha[c] > 2)
-    j = sites[part.members[singleton][0]]
+    singleton = next(c for c in range(len(part.M_alpha))
+                     if len(part.members(c)) == 1 and part.M_alpha[c] > 2)
+    j = sites[part.members(singleton)[0]]
     assert weight.get(j, j) == part.M_alpha[singleton]**2
     # the origin cluster contains the unit modes, so its weight is 1
     origin = part.cluster_of((0, 0))
     assert part.M_alpha[origin] == 1
-    for i in part.members[origin]:
+    for i in part.members(origin):
         assert weight.get(sites[i], sites[i]) == 1
     rng = random.Random(2)
     Q = random_cross_cluster_matrix(part, 80, rng)
@@ -248,8 +249,8 @@ def test_norm_equivalence_matches_site_walk(rows, radius):
     basis = new_lattice(rows)
     part = build_partition(basis, radius, DELTA, enforce_delta_bound=False)
     sites = box_sites(radius, basis.d)
-    ratios = [M**2 / (1.0 + sum(x * x for x in sites[i])) for group, M
-              in zip(part.members, part.M_alpha) for i in group]
+    ratios = [M**2 / (1.0 + sum(x * x for x in sites[i]))
+              for c, M in enumerate(part.M_alpha) for i in part.members(c)]
     assert norm_equivalence_constants(box_table(basis, radius, DELTA),
                                       part) == \
         (min(ratios) ** (1.0 / 2.0), max(ratios) ** (1.0 / 2.0))

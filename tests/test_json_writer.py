@@ -8,7 +8,12 @@ from fractions import Fraction
 import pytest
 
 import toruskit.runner as runner
-from toruskit.clusters import box_sites, box_table, group_links
+from toruskit.clusters import (
+    ClusterPartition,
+    box_sites,
+    box_table,
+    group_links,
+)
 from toruskit.config import normalize, serialize
 from toruskit.exact import QQi
 from toruskit.homological import BlockMatrix, dn_split
@@ -316,12 +321,21 @@ def random_partition(rng, d, radius):
 def test_streamed_partition_matches_dumps_of_dict(tmp_path, d, radius):
     rng = random.Random(f"partition {d} {radius}")
     path = tmp_path / "partition.json"
-    boundaries = set()
+    boundaries, reordered = set(), 0
     for _ in range(20):
-        partition = random_partition(rng, d, radius)
-        boundaries |= set(partition.boundary)
-        runner._write_partition(path, partition)
-        assert path.read_bytes() == dumps(partition.to_dict())
+        built = random_partition(rng, d, radius)
+        # read back from records in another order, the ids are not those of
+        # group_links: record k of the file is id k
+        data = built.to_dict()
+        rng.shuffle(data["clusters"])
+        again = ClusterPartition.from_dict(data)
+        reordered += again.cluster != built.cluster
+        for partition in (built, again):
+            boundaries |= set(partition.boundary)
+            runner._write_partition(path, partition)
+            assert path.read_bytes() == dumps(partition.to_dict())
+    # a radius-0 box has one cluster
+    assert reordered if radius else not reordered
     # an interior cluster needs N > margin = ceil((2N)**delta) + 1, which
     # is 1 at radius 0 and at least 3 above it
     assert boundaries == ({True, False} if radius >= 4 else {True})

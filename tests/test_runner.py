@@ -409,6 +409,64 @@ def test_exact_cluster_run_leaves_numpy_unimported(tmp_path):
     assert out.stdout.strip() == "False"
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # a small run of each kind in two processes, under PYTHONHASHSEED 0 and
+    # 1, digested as the bench digests a run: body without its config echo,
+    # and every output file
+    script = (
+        "import importlib.util, json, sys\n"
+        "from pathlib import Path\n"
+        "from toruskit.config import normalize\n"
+        "from toruskit.runner import run_experiment\n"
+        "spec = importlib.util.spec_from_file_location('workload', sys.argv[1])\n"
+        "workload = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(workload)\n"
+        "digests = []\n"
+        "for raw in json.loads(sys.argv[2]):\n"
+        "    report = run_experiment(normalize(raw))\n"
+        "    digests.append(workload.digest(report, Path(raw['out_dir'])))\n"
+        "print(json.dumps(digests))\n")
+    shear = {"matrix": [["1", "1/2"], ["0", "1"]]}
+    freq = {"omega_bar": ["1"], "gamma0": "1/2", "tau0": 1, "mass": "1/2"}
+    runs = [
+        {"kind": "cluster", "lattice": shear,
+         "params": {"box_radius": 6, "delta": "1/10",
+                    "allow_delta_above_theorem": True, "edges_csv": True}},
+        {"kind": "chains", "lattice": shear,
+         "params": {"box_radius": 3, "gammas": [2, 3], "node_budget": 500}},
+        {"kind": "singular", "lattice": shear, "frequency": freq,
+         "params": {"symbol": "nlw", "ell_radius": 4, "j_radius": 4}},
+        {"kind": "measure", "lattice": shear, "frequency": freq,
+         "params": {"p_max": 1, "m_max": 1, "gamma_grid": ["1/200", "1/50"]}},
+        {"kind": "homological", "lattice": shear,
+         "params": {"box_radius": 4, "delta": "1/10",
+                    "allow_delta_above_theorem": True, "entries": 20}},
+        {"kind": "verify", "params": {"trials_compound": 2,
+                                      "trials_cauchy_binet": 2, "trials_gram": 2,
+                                      "trials_chain_det": 2, "d_max": 3}},
+    ]
+    root = Path(__file__).resolve().parent.parent
+    procs = []
+    for seed in ("0", "1"):
+        raws = [dict(raw, out_dir=str(tmp_path / seed / raw["kind"]))
+                for raw in runs]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                   PYTHONHASHSEED=seed,
+                   TORUSKIT_CACHE=str(tmp_path / seed / "cache"))
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", script,
+             str(root / "perfbench" / "workload.py"), json.dumps(raws)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env))
+    outs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        outs.append(json.loads(out))
+    assert len(outs[0]) == len(runs)
+    assert outs[0] == outs[1]
+
+
 # a 2-d lattice typed with 16-digit decimals: its Gram denominator has 203 bits
 DECIMALS = [["0.6301449849816195", "-0.2964506960608932"],
             ["0.0", "1.0870110707497045"]]
